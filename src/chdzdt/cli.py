@@ -44,6 +44,7 @@ from .evalsuite.datasets import (
 )
 from .evalsuite.embedder import (
     CheckpointEmbedder,
+    embed_rows,
     load_embedder,
     write_embeddings_tsv,
 )
@@ -341,7 +342,7 @@ def cmd_encode(args) -> int:
     embedder = CheckpointEmbedder.from_file(args.ckpt)
     lines, stdin_digest = _read_word_lines(args.words)
 
-    words, vectors, skipped = [], [], 0
+    words, skipped = [], 0
     seen = set()
     for lineno, raw in enumerate(lines, 1):
         word = raw.strip()
@@ -359,7 +360,7 @@ def cmd_encode(args) -> int:
             continue
         seen.add(word)
         words.append(word)
-        vectors.append(embedder.embed(word))
+    vectors = embed_rows(embedder, words, np.float64)
 
     _atomic_write(args.out, lambda tmp: write_embeddings_tsv(
         tmp, words, vectors, dim=embedder.dim))
@@ -433,9 +434,7 @@ def _run_eval_task(task: str, embedder, data_path: str, mode: str,
                             **kwargs)
     if task == "probe":
         rows = read_affix_dataset(data_path)
-        embeddings = np.stack([np.asarray(embedder.embed(w),
-                                          dtype=np.float64)
-                               for w, _ in rows])
+        embeddings = embed_rows(embedder, [w for w, _ in rows], np.float64)
         return probe_train(embeddings, [affixes for _, affixes in rows],
                            **kwargs)
     if task == "compose":
@@ -444,8 +443,9 @@ def _run_eval_task(task: str, embedder, data_path: str, mode: str,
             raise UsageError("--task compose needs --kind "
                              f"(one of {sorted(KINDS)})")
         quads = _read_quadruples(data_path)
-        triples = [tuple(np.asarray(embedder.embed(w), dtype=np.float64)
-                         for w in quad) for quad in quads]
+        vectors = embed_rows(embedder, [w for quad in quads for w in quad],
+                             np.float64)
+        triples = [tuple(q) for q in vectors.reshape(len(quads), 4, -1)]
         shift = 0.0
         if kind == "WMul":
             triples, shift = shift_positive(triples)

@@ -25,6 +25,8 @@ from .tensor import Tensor, bce_multilabel, dropout, embedding, gelu, layer_norm
 MAGIC = b"CHDZ"
 FORMAT_VERSION = 1
 LN_EPS = 1e-5
+# words per graph-free forward in encode_words; bounds its working memory
+ENCODE_CHUNK = 256
 
 
 @dataclass
@@ -233,11 +235,24 @@ def forward(state: EncoderState, tokenized: TokenizedWord, train_mode: bool = Fa
     )
 
 
-def word_embedding(state: EncoderState, word: str) -> np.ndarray:
-    """Holistic word vector: the CLS row after an eval-mode forward pass."""
-    tok = encode_word(state.vocab, word, state.config.max_chars)
-    out = forward(state, tok, train_mode=False)
-    return out.cls.data.copy()
+def encode_words(state: EncoderState, words) -> np.ndarray:
+    """Holistic word vectors [n, d]: CLS rows of eval-mode forward passes.
+
+    Rows follow the order of words. The forward runs graph-free over
+    chunks of ENCODE_CHUNK words; every row has the same bits as a
+    forward of its word alone, since no op mixes rows of a batch.
+    """
+    toks = [encode_word(state.vocab, w, state.config.max_chars) for w in words]
+    if not toks:
+        return np.empty((0, state.config.hidden), dtype=T.default_dtype())
+    rows = []
+    with T.no_grad():
+        for start in range(0, len(toks), ENCODE_CHUNK):
+            chunk = toks[start:start + ENCODE_CHUNK]
+            _, cls, _ = forward_batch(state, np.stack([t.ids for t in chunk]),
+                                      np.stack([t.attention_mask for t in chunk]))
+            rows.append(cls.data)
+    return np.concatenate(rows)
 
 
 def loss_mlm(state: EncoderState, corrupted: TokenizedWord, mask_positions,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import DataError
+from .embedder import embed_rows
 
 logger = logging.getLogger(__name__)
 
@@ -98,15 +99,16 @@ def shift_positive(triples, eps: float = SHIFT_EPS):
 def _as_arrays(triples, embedder=None):
     if not triples:
         raise DataError("no composition triples given")
-    rows = []
-    for triple in triples:
-        if len(triple) != 4:
-            raise DataError("each triple must be (prefix, root, suffix, word)")
-        if embedder is not None and isinstance(triple[0], str):
-            rows.append([np.asarray(embedder.embed(t), dtype=np.float64)
-                         for t in triple])
-        else:
-            rows.append([np.asarray(t, dtype=np.float64) for t in triple])
+    if any(len(triple) != 4 for triple in triples):
+        raise DataError("each triple must be (prefix, root, suffix, word)")
+    if embedder is not None:
+        words = [t for triple in triples if isinstance(triple[0], str)
+                 for t in triple]
+        vecs = dict(zip(words, embed_rows(embedder, words, np.float64)))
+        triples = [[vecs[t] for t in triple] if isinstance(triple[0], str)
+                   else triple for triple in triples]
+    rows = [[np.asarray(t, dtype=np.float64) for t in triple]
+            for triple in triples]
     dims = {vec.shape for row in rows for vec in row}
     if len(dims) != 1 or len(next(iter(dims))) != 1:
         raise DataError(f"triples must hold 1-D vectors of one dimension, "

@@ -1,15 +1,20 @@
 """Word-to-vector adapters: trained checkpoints and external TSV tables.
 
-Both expose .dim, .embed(word) (stable within a session), and
-.is_trainable; only checkpoint embedders can back fine-tuned decoders.
+Both expose .dim, .embed(word) -> [d] and .embed_many(words) -> [n, d]
+(stable within a session), and .is_trainable; only checkpoint embedders
+can back fine-tuned decoders. Callers holding a word list go through
+embed_rows, which batches through .embed_many.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..encoder import EncoderState, load_checkpoint, word_embedding
+from ..encoder import EncoderState, encode_words, load_checkpoint
 from ..errors import DataError
+
+# the name perfbench/layers.py traces checkpoint encoding under
+word_embedding = encode_words
 
 TSV_HEADER_PREFIX = "#dim "
 
@@ -32,9 +37,18 @@ class CheckpointEmbedder:
         return self.state.config.hidden
 
     def embed(self, word: str) -> np.ndarray:
-        if word not in self._cache:
-            self._cache[word] = word_embedding(self.state, word)
-        return self._cache[word]
+        return self._cached([word])[0]
+
+    def embed_many(self, words) -> np.ndarray:
+        return np.array(self._cached(words)).reshape(len(words), self.dim)
+
+    def _cached(self, words) -> list:
+        """Cached vectors of words; the distinct uncached ones are encoded
+        in one batch first."""
+        missing = [w for w in dict.fromkeys(words) if w not in self._cache]
+        if missing:
+            self._cache.update(zip(missing, word_embedding(self.state, missing)))
+        return [self._cache[w] for w in words]
 
     def invalidate(self) -> None:
         """Drop cached vectors (call after the encoder's weights change)."""
@@ -101,6 +115,27 @@ class TsvEmbedder:
         if word not in self.table:
             raise DataError(f"word {word!r} not in embedding table")
         return self.table[word]
+
+    def embed_many(self, words) -> np.ndarray:
+        return np.array([self.embed(w) for w in words]).reshape(len(words), self.dim)
+
+
+def embed_rows(embedder, words, dtype) -> np.ndarray:
+    """[n, dim] vectors of words in dtype, batched through .embed_many.
+
+    Embedders with only .embed (and .dim) are asked one word at a time.
+    """
+    words = list(words)
+    if hasattr(embedder, "embed_many"):
+        return np.asarray(embedder.embed_many(words), dtype=dtype)
+    rows = []
+    for word in words:
+        vec = np.asarray(embedder.embed(word), dtype=dtype)
+        if vec.shape != (embedder.dim,):
+            raise DataError(f"embedding of {word!r} has shape {vec.shape}, "
+                            f"expected ({embedder.dim},)")
+        rows.append(vec)
+    return np.array(rows, dtype=dtype).reshape(len(words), embedder.dim)
 
 
 def write_embeddings_tsv(path, words, vectors, dim: int | None = None) -> None:

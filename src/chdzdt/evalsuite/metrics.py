@@ -14,25 +14,32 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError, NumericalError
+from .embedder import embed_rows
 
 logger = logging.getLogger(__name__)
 
 
-def _embed_unit(embedder, word: str) -> np.ndarray:
-    vec = np.asarray(embedder.embed(word), dtype=np.float64)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise DataError(f"zero-norm embedding for word {word!r}")
-    return vec / norm
+def _unit_vectors(embedder, words) -> dict:
+    """word -> float64 unit vector for each distinct word, embedded in one batch."""
+    words = list(dict.fromkeys(words))
+    units = {}
+    for word, vec in zip(words, embed_rows(embedder, words, np.float64)):
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise DataError(f"zero-norm embedding for word {word!r}")
+        units[word] = vec / norm
+    return units
+
+
+def _cluster_words(clusters) -> list:
+    return [w for root, members in clusters for w in (root, *members)]
 
 
 def acs(embedder, clusters: Sequence) -> float:
     """Member-count-weighted mean cosine between members and their root."""
-    sims = []
-    for root, members in clusters:
-        r = _embed_unit(embedder, root)
-        for member in members:
-            sims.append(float(r @ _embed_unit(embedder, member)))
+    units = _unit_vectors(embedder, _cluster_words(clusters))
+    sims = [float(units[root] @ units[member])
+            for root, members in clusters for member in members]
     if not sims:
         raise DataError("acs needs at least one cluster member")
     if min(sims) < 0:
@@ -43,24 +50,14 @@ def acs(embedder, clusters: Sequence) -> float:
 
 def aed(embedder, clusters: Sequence) -> float:
     """Mean member-root Euclidean distance, divided by sqrt(d)."""
-    dists = []
-    dim = None
-    for root, members in clusters:
-        r = np.asarray(embedder.embed(root), dtype=np.float64)
-        if dim is None:
-            dim = r.shape[0]
-        if r.shape[0] != dim:
-            raise DataError(f"embedding dim changed at root {root!r}: "
-                            f"{r.shape[0]} != {dim}")
-        for member in members:
-            v = np.asarray(embedder.embed(member), dtype=np.float64)
-            if v.shape[0] != dim:
-                raise DataError(f"embedding dim changed at word {member!r}: "
-                                f"{v.shape[0]} != {dim}")
-            dists.append(float(np.linalg.norm(v - r)))
+    words = _cluster_words(clusters)
+    vectors = embed_rows(embedder, words, np.float64)
+    vecs = dict(zip(words, vectors))
+    dists = [float(np.linalg.norm(vecs[member] - vecs[root]))
+             for root, members in clusters for member in members]
     if not dists:
         raise DataError("aed needs at least one cluster member")
-    return float(np.mean(dists) / math.sqrt(dim))
+    return float(np.mean(dists) / math.sqrt(vectors.shape[1]))
 
 
 def silhouette(points, labels) -> float:
@@ -174,8 +171,8 @@ def cluster_report(embedder, clusters: Sequence, seed: int = 0) -> dict:
     gold = [i for i, (_, members) in enumerate(clusters) for _ in members]
     if not gold:
         raise DataError("cluster_report needs at least one cluster member")
-    points = np.stack([np.asarray(embedder.embed(w), dtype=np.float64)
-                       for _, members in clusters for w in members])
+    points = embed_rows(embedder, [w for _, members in clusters
+                                   for w in members], np.float64)
     pred = kmeans(points, k=len(clusters), seed=seed)
     return {"acs": acs(embedder, clusters),
             "aed": aed(embedder, clusters),
@@ -240,10 +237,11 @@ def similarity_corr(embedder, pairs: Sequence) -> dict:
     """Cosine model scores vs human scores: Pearson, Spearman, Kendall."""
     if len(pairs) < 3:
         raise DataError("similarity_corr needs at least 3 pairs")
+    units = _unit_vectors(embedder, [w for w1, w2, _ in pairs
+                                     for w in (w1, w2)])
     model_scores, human_scores = [], []
     for w1, w2, human in pairs:
-        model_scores.append(float(_embed_unit(embedder, w1)
-                                  @ _embed_unit(embedder, w2)))
+        model_scores.append(float(units[w1] @ units[w2]))
         human_scores.append(float(human))
     x = np.asarray(model_scores)
     y = np.asarray(human_scores)

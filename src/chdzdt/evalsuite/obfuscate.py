@@ -14,7 +14,8 @@ from importlib import resources
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .metrics import _embed_unit, acs, ari, kmeans
+from .embedder import embed_rows
+from .metrics import _unit_vectors, acs, ari, kmeans
 
 MODES = ("star", "hash", "similar")
 _MODE_SYMBOL = {"star": "*", "hash": "#"}
@@ -140,8 +141,9 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
     for mode in MODES:
         if mode not in tuples:
             continue
-        sims = [float(_embed_unit(embedder, clean)
-                      @ _embed_unit(embedder, noisy))
+        units = _unit_vectors(embedder, [w for pair in tuples[mode]
+                                         for w in pair])
+        sims = [float(units[clean] @ units[noisy])
                 for clean, noisy in tuples[mode]]
         if not sims:
             raise DataError(f"no usable tuples for mode {mode}")
@@ -155,9 +157,8 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
                 (root, [obfuscate(m, mode, count, table, rng)
                         for m in members if len(m) >= count])
                 for root, members in clusters]
-            points = np.stack([
-                np.asarray(embedder.embed(w), dtype=np.float64)
-                for _, noisy in noisy_clusters for w in noisy])
+            points = embed_rows(embedder, [w for _, noisy in noisy_clusters
+                                           for w in noisy], np.float64)
             pred = kmeans(points, k=len(clusters), seed=seed)
             report["cluster"][mode] = {
                 "ari": ari(pred, gold),

@@ -18,6 +18,7 @@ from ..chartok import encode_word
 from ..encoder import forward_batch
 from ..errors import ConfigError, DataError
 from .datasets import SENTIMENT_LABELS
+from .embedder import embed_rows
 from .metrics import macro_prf
 from .probe import stratified_split
 
@@ -51,9 +52,7 @@ class _WordSource:
             self.mask = np.stack([t.attention_mask for t in toks])
             self.state = state
         else:
-            self.X = np.stack([
-                np.asarray(embedder.embed(w), dtype=T.default_dtype())
-                for w in self.words])
+            self.X = embed_rows(embedder, self.words, T.default_dtype())
 
     @property
     def dim(self) -> int:
@@ -82,11 +81,6 @@ def _dense_params(d_in: int, d_out: int, rng):
     b = T.Tensor(np.zeros(d_out, dtype=T.default_dtype()),
                  requires_grad=True)
     return w, b
-
-
-def _embed_rows(embedder, words) -> np.ndarray:
-    return np.stack([np.asarray(embedder.embed(w), dtype=T.default_dtype())
-                     for w in words])
 
 
 def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
@@ -177,7 +171,8 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
         opt.step()
     source.finish()
 
-    hidden_t = np.tanh(_embed_rows(embedder, [w for w, _ in test])
+    hidden_t = np.tanh(embed_rows(embedder, [w for w, _ in test],
+                                  T.default_dtype())
                        @ sw.data + sb.data)
     feature_report = {}
     accuracies = []
@@ -326,7 +321,7 @@ def pos_tagger(embedder, sentences, mode: str = "frozen",
 
     test_words = sorted({w for s in test for w, _ in s})
     test_row = {w: i for i, w in enumerate(test_words)}
-    Xt = _embed_rows(embedder, test_words)
+    Xt = embed_rows(embedder, test_words, T.default_dtype())
     idx_t, mask_t, _ = _pack_sequences([[w for w, _ in s] for s in test],
                                        test_row, max_words)
     valid_t = np.nonzero(mask_t.T.reshape(-1))[0]
@@ -442,7 +437,7 @@ def sentiment_classifier(embedder, rows, mode: str = "frozen",
 
     test_words = sorted({w for _, ws in test for w in ws})
     test_row = {w: i for i, w in enumerate(test_words)}
-    Xt = _embed_rows(embedder, test_words)
+    Xt = embed_rows(embedder, test_words, T.default_dtype())
     idx_t, mask_t, _ = _pack_sequences([ws for _, ws in test], test_row,
                                        max_words)
     pred = logits_for(T.Tensor(Xt), idx_t, mask_t).data.argmax(1)

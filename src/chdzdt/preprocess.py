@@ -276,7 +276,11 @@ def read_lexicon(path):
             freq = {}
             for item in freqs.split(","):
                 lab, _, n = item.partition(":")
-                freq[lab] = int(n)
+                try:
+                    freq[lab] = int(n)
+                except ValueError:
+                    raise DataError(f"{path}:{ln}: bad frequency {item!r}, "
+                                    "expected LABEL:count") from None
             entries.append(LexiconEntry(word=word, labels=labels, freq=freq))
     return entries
 
@@ -289,15 +293,26 @@ def all_label_combinations():
 
 
 def lexicon_stats(entries) -> dict:
-    """Counts per label combination (all 31) plus a 5-char-bin length histogram."""
+    """Counts per label combination (all 31) plus a 5-char-bin length histogram.
+
+    Words longer than MAX_WORD_LEN (only a lexicon read from elsewhere has
+    them) are counted under "overlong_words", a key present only then.
+    """
     combos = {c: 0 for c in all_label_combinations()}
     bins = {f"{lo}-{lo + 4}": 0 for lo in range(1, MAX_WORD_LEN, 5)}
+    overlong = 0
     for e in entries:
         combos["+".join(e.labels)] += 1
+        if len(e.word) > MAX_WORD_LEN:
+            overlong += 1
+            continue
         lo = (len(e.word) - 1) // 5 * 5 + 1
         bins[f"{lo}-{lo + 4}"] += 1
-    return {
+    stats = {
         "total_words": len(entries),
         "combinations": combos,
         "length_histogram": bins,
     }
+    if overlong:
+        stats["overlong_words"] = overlong
+    return stats

@@ -230,7 +230,9 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
     finally:
         if log_f is not None:
             log_f.close()
-    state.check_finite()
+    if not state.check_finite():
+        raise NumericalError(f"non-finite weights after step {step}; "
+                             "no checkpoint written")
     if out_path is not None:
         save_checkpoint(state, out_path)
     return state, records

@@ -3,7 +3,8 @@
 Tensors wrap numpy arrays (float32 by default, float64 behind the
 ``precision`` context for gradient checking). Every differentiable op
 attaches a closure that propagates gradients to its inputs; ``backward``
-walks the recorded graph in reverse topological order.
+walks the recorded graph in reverse topological order, then unlinks it so
+reference counting frees it. Inside ``no_grad`` no op records a graph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 _DEFAULT_DTYPE = np.float32
+_GRAD_ENABLED = True
 
 
 def default_dtype():
@@ -40,10 +42,23 @@ def precision(dtype):
         _DEFAULT_DTYPE = old
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: every result is a constant leaf."""
+    global _GRAD_ENABLED
+    old = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = old
+
+
 class Tensor:
     """A numpy-backed node in a dynamically built computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _children=()):
         if isinstance(data, Tensor):
@@ -85,8 +100,7 @@ class Tensor:
 
     @staticmethod
     def _result(data, children, backward):
-        req = any(c.requires_grad for c in children)
-        if not req:
+        if not _GRAD_ENABLED or not any(c.requires_grad for c in children):
             return Tensor(data)
         out = Tensor(data, requires_grad=True, _children=tuple(children))
         out._backward = backward
@@ -130,9 +144,13 @@ class Tensor:
                 if id(child) not in visited:
                     stack.append((child, False))
         self.grad = np.ones_like(self.data)
+        # each closure refers to its own node; dropping closures and input
+        # links once they have run leaves no cycle for the cyclic GC to find
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+            node._prev = ()
 
     # -- elementwise arithmetic --------------------------------------------
 

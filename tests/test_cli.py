@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chdzdt
 from chdzdt import cli
+from chdzdt import tensor as T
 from chdzdt.chartok import build_vocab
 from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint, \
     save_checkpoint
@@ -209,6 +211,19 @@ class TestPreprocess:
         assert (tmp_path / "again.tsv.stats.json").read_bytes() == \
             (ws / "lex.tsv.stats.json").read_bytes()
 
+    def test_overlong_word_dropped_and_stats_unchanged(self, ws, lexicon,
+                                                      tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(ws / "corpus", corpus)
+        with open(corpus / "en.txt", "a", encoding="utf-8") as fh:
+            fh.write("dog " + "abcdefghijkl" * 3 + "\n")
+        out = tmp_path / "lex.tsv"
+        assert run("preprocess", "--in", corpus,
+                   "--labels", ws / "labels.json", "--out", out) == 0
+        assert "abcdefghijkl" not in out.read_text(encoding="utf-8")
+        stats = json.loads((tmp_path / "lex.tsv.stats.json").read_text())
+        assert stats == json.loads((ws / "lex.tsv.stats.json").read_text())
+
 
 class TestPretrain:
 
@@ -269,6 +284,32 @@ class TestPretrain:
                    "--out", out, "--epochs", 0) == 2
         assert "n_layers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_lexicon_frequency_exits_two(self, ws, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("dog\tEN\tEN:2\ncat\tEN\tEN:x\n", encoding="utf-8")
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lex, "--vocab",
+                   ws / "vocab.json", "--out", out, "--epochs", 0) == 2
+        assert f"{lex}:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_weights_exit_three_without_checkpoint(
+            self, ws, lexicon, tmp_path, monkeypatch, capsys):
+        step = T.Adam.step
+
+        def poisoned_step(self):
+            step(self)
+            self.params[0].data[0, 0] = np.nan
+
+        monkeypatch.setattr(T.Adam, "step", poisoned_step)
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--out", out, "--n-blocks", 1,
+                   "--n-heads", 2, "--hidden", 8, "--epochs", 1,
+                   "--batch-size", 16) == 3
+        assert "non-finite weights" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         def blow_up(args):

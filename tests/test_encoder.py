@@ -9,6 +9,7 @@ from chdzdt.encoder import (
     EncoderState,
     ModelConfig,
     count_params,
+    encode_words,
     forward,
     forward_batch,
     load_checkpoint,
@@ -17,7 +18,6 @@ from chdzdt.encoder import (
     loss_total,
     parameter_manifest,
     save_checkpoint,
-    word_embedding,
 )
 from chdzdt.errors import ConfigError, CorruptCheckpointError
 
@@ -125,16 +125,47 @@ class TestForward:
         assert np.allclose(got, expected, atol=1e-5)
 
 
-class TestWordEmbedding:
+class TestEncodeWords:
     def test_repeatable_and_sized(self):
         state = small_state(hidden=8, n_heads=2)
-        a, b = word_embedding(state, "dar"), word_embedding(state, "dar")
+        a, b = encode_words(state, ["dar"])[0], encode_words(state, ["dar"])[0]
         assert np.array_equal(a, b)
         assert a.shape == (8,)
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
-            word_embedding(small_state(), "  ")
+            encode_words(small_state(), ["  "])
+
+    def test_rows_bit_identical_to_batch_of_one(self, monkeypatch):
+        state = small_state(n_blocks=2, n_heads=2, hidden=8)
+        words = ["dar", "kbira", "w", "dar", "abcdefgh", "xyz", "mm", "w"]
+        words = [words[i] for i in np.random.default_rng(0).permutation(8)]
+        single = []
+        for w in words:
+            tok = encode_word(VOC, w, max_chars=6)
+            _, cls, _ = forward_batch(state, tok.ids[None],
+                                      tok.attention_mask[None])
+            single.append(cls.data[0])
+        monkeypatch.setattr("chdzdt.encoder.ENCODE_CHUNK", 3)
+        rows = encode_words(state, words)
+        assert rows.shape == (8, 8)
+        np.testing.assert_array_equal(rows, np.stack(single))
+
+    def test_forward_builds_no_graph(self, monkeypatch):
+        state = small_state()
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = forward_batch(*args, **kwargs)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr("chdzdt.encoder.forward_batch", spy)
+        assert encode_words(state, []).shape == (0, 4)
+        assert encode_words(state, ["dar", "w"]).shape == (2, 4)
+        assert len(seen) == 1
+        assert seen[0]._prev == () and not seen[0].requires_grad
+        assert T._GRAD_ENABLED
 
 
 class TestLosses:

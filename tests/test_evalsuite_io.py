@@ -10,6 +10,7 @@ from chdzdt.evalsuite import datasets as D
 from chdzdt.evalsuite.embedder import (
     CheckpointEmbedder,
     TsvEmbedder,
+    embed_rows,
     load_embedder,
     write_embeddings_tsv,
 )
@@ -73,6 +74,9 @@ class TestTsvEmbedder:
         assert emb.dim == 3 and emb.is_trainable is False
         for word, vec in zip(words, vectors):
             np.testing.assert_array_equal(emb.embed(word), vec)
+        np.testing.assert_array_equal(emb.embed_many(words[::-1]),
+                                      np.stack(vectors[::-1]))
+        assert emb.embed_many([]).shape == (0, 3)
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"
@@ -173,6 +177,44 @@ class TestCheckpointEmbedder:
         again = emb.embed("cat")
         assert again is not first
         np.testing.assert_array_equal(again, first)
+
+    def test_embed_many_matches_embed(self, ckpt):
+        words = ["dog", "cat", "dog", "running", "cat"]
+        rows = load_embedder(ckpt).embed_many(words)
+        single = load_embedder(ckpt)
+        np.testing.assert_array_equal(
+            rows, np.stack([single.embed(w) for w in words]))
+        assert load_embedder(ckpt).embed_many([]).shape == (0, 8)
+
+    def test_embed_many_encodes_only_uncached_words(self, ckpt, monkeypatch):
+        import chdzdt.evalsuite.embedder as E
+        batches = []
+
+        def spy(state, words):
+            batches.append(list(words))
+            return E.encode_words(state, words)
+
+        monkeypatch.setattr(E, "word_embedding", spy)
+        emb = load_embedder(ckpt)
+        emb.embed("cat")
+        emb.embed_many(["dog", "cat", "dog", "ran"])
+        emb.embed_many(["ran", "cat"])
+        assert batches == [["cat"], ["dog", "ran"]]
+
+
+class TestEmbedRows:
+    def test_per_word_fallback_for_embed_only_objects(self):
+        rows = embed_rows(HashEmbedder(), ["ab", "cd"], np.float32)
+        assert rows.dtype == np.float32 and rows.shape == (2, 8)
+        np.testing.assert_array_equal(
+            rows[1], HashEmbedder().embed("cd").astype(np.float32))
+        assert embed_rows(HashEmbedder(), [], np.float64).shape == (0, 8)
+
+    def test_wrong_vector_shape_rejected(self):
+        emb = ConstantEmbedder()
+        emb.dim = 5
+        with pytest.raises(DataError, match="shape"):
+            embed_rows(emb, ["ab"], np.float64)
 
 
 class TestClusterFiles:

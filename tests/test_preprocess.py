@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from chdzdt.errors import ConfigError, DataError
 from chdzdt.preprocess import (
     LABELS,
+    MAX_WORD_LEN,
+    LexiconEntry,
     NormRules,
     SourceStream,
     all_label_combinations,
@@ -228,6 +230,14 @@ class TestLexiconIO:
         with pytest.raises(DataError):
             read_lexicon(p)
 
+    @pytest.mark.parametrize("freq", ["EN:x", "EN", "EN:"])
+    def test_bad_frequency_names_line(self, tmp_path, freq):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"dar\tEN\tEN:1\nkbira\tEN\t{freq}\n",
+                     encoding="utf-8")
+        with pytest.raises(DataError, match=f"{p}:2"):
+            read_lexicon(p)
+
 
 class TestLexiconStats:
     def test_single_word_lexicon(self, rules):
@@ -254,6 +264,16 @@ class TestLexiconStats:
         expected = brute_combo_counts(word_labels)
         for combo, count in stats["combinations"].items():
             assert count == expected.get(combo, 0)
+
+    def test_overlong_words_counted_apart(self):
+        entries = [LexiconEntry(word="a" * (MAX_WORD_LEN + 1), labels=("EN",),
+                                freq={"EN": 1}),
+                   LexiconEntry(word="dar", labels=("DZ",), freq={"DZ": 1})]
+        stats = lexicon_stats(entries)
+        assert stats["overlong_words"] == 1
+        assert stats["total_words"] == 2
+        assert sum(stats["length_histogram"].values()) == 1
+        assert "overlong_words" not in lexicon_stats(entries[1:])
 
     def test_partition_property(self, rules):
         entries = build_lexicon(

@@ -343,3 +343,15 @@ class TestFinetune:
                              seed=0)
         assert not np.array_equal(before,
                                   emb.state.params["char_emb"].data)
+
+    def test_finetune_after_embed_many_reaches_encoder(self):
+        cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2,
+                          hidden=16, seed=2)
+        emb = CheckpointEmbedder(EncoderState.init(cfg, VOC))
+        sents = pos_sentences(n=8)
+        emb.embed_many([w for s in sents for w, _ in s])
+        pos_tagger(emb, sents, mode="finetune", gru_hidden=8, dense_dim=8,
+                   epochs=1, lr=0.01, seed=0, loss_target=0.0)
+        for name, p in emb.state.named_parameters():
+            if name == "char_emb" or name.startswith("block"):
+                assert p.grad is not None and np.any(p.grad != 0), name

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -231,6 +233,41 @@ class TestBackward:
         x = t(np.array(2.0))
         ((x * x) + x).backward()
         assert float(x.grad) == 5.0  # 2x + 1
+
+    def test_graph_freed_by_refcount_after_backward(self):
+        gc.disable()
+        try:
+            x = t(np.array([1.0, -2.0, 3.0]))
+            h = (x * 2.0).tanh()
+            node = weakref.ref(h)
+            loss = (h * h).sum()
+            del h
+            loss.backward()
+            del loss
+            assert node() is None
+            assert x.grad is not None and np.all(x.grad != 0)
+        finally:
+            gc.enable()
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        x = t(np.array([1.0, 2.0]))
+        with T.no_grad():
+            y = (x * x).sum()
+        assert y._prev == () and y._backward is None
+        assert not y.requires_grad
+        assert float(y.data) == 5.0
+
+    def test_flag_restored_after_exception(self):
+        x = t(np.array([1.0, 2.0]))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        y = (x * x).sum()
+        assert y._prev and y._backward is not None
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 class TestProperties:
