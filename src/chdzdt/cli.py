@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from importlib import metadata
@@ -52,6 +51,7 @@ from .evalsuite.metrics import cluster_report, similarity_corr
 from .evalsuite.obfuscate import noise_report
 from .evalsuite.probe import probe_train
 from .evalsuite.taggers import morph_tagger, pos_tagger, sentiment_classifier
+from .fileio import atomic_write
 from .preprocess import (
     NormRules,
     SourceStream,
@@ -124,31 +124,14 @@ def _digest_file(path) -> str:
     return sha.hexdigest()
 
 
-def _atomic_write(path, write_fn) -> None:
-    """Run write_fn against a temp path, then rename over the target."""
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=parent,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def _write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True)
-
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-
-    _atomic_write(path, write)
+    try:
+        text = json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}; nothing written") from exc
+    with atomic_write(path) as fh:
+        fh.write(text + "\n")
 
 
 def _load_json(path, what: str) -> dict:
@@ -256,7 +239,7 @@ def cmd_preprocess(args) -> int:
 
     entries = build_lexicon(streams, rules)
     stats = lexicon_stats(entries)
-    _atomic_write(args.out, lambda tmp: write_lexicon(entries, tmp))
+    write_lexicon(entries, args.out)
     stats_path = args.out + ".stats.json"
     _write_json(stats_path, stats)
     _emit_manifest(args.out + ".manifest.json", "preprocess",
@@ -296,15 +279,9 @@ def cmd_pretrain(args) -> int:
     train_config = TrainConfig.from_dict(train_d)
 
     state, records = train(lexicon, model_config, train_config, vocab)
-    _atomic_write(args.out, lambda tmp: save_checkpoint(state, tmp))
-    log_path = args.out + ".trainlog.jsonl"
-    log_text = "".join(json.dumps(r) + "\n" for r in records)
-
-    def write_log(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(log_text)
-
-    _atomic_write(log_path, write_log)
+    save_checkpoint(state, args.out)
+    with atomic_write(args.out + ".trainlog.jsonl") as fh:
+        fh.write("".join(json.dumps(r) + "\n" for r in records))
     inputs = {"lexicon": args.lexicon}
     if args.model_config:
         inputs["model_config"] = args.model_config
@@ -362,8 +339,7 @@ def cmd_encode(args) -> int:
         words.append(word)
     vectors = embed_rows(embedder, words, np.float64)
 
-    _atomic_write(args.out, lambda tmp: write_embeddings_tsv(
-        tmp, words, vectors, dim=embedder.dim))
+    write_embeddings_tsv(args.out, words, vectors, dim=embedder.dim)
     inputs = {"ckpt": args.ckpt}
     if args.words != "-":
         inputs["words"] = args.words
@@ -473,9 +449,6 @@ def cmd_eval(args) -> int:
         raise UsageError("--mode finetune only applies to tasks "
                          f"{list(FINETUNE_TASKS)}")
     embedder = load_embedder(args.embedder)
-    if args.mode == "finetune" and not embedder.is_trainable:
-        raise ConfigError("finetune needs a checkpoint embedder; external "
-                          "vector tables are frozen")
     kwargs = _eval_kwargs(args.task, args)
     seed = kwargs.get("seed", DEFAULT_SEED)
 
@@ -486,13 +459,13 @@ def cmd_eval(args) -> int:
                "embedder": args.embedder, "data": args.data,
                "params": kwargs, "results": results}
     if args.mode == "finetune":
-        ckpt_out = os.fspath(args.out)
-        root, _ = os.path.splitext(ckpt_out)
-        ckpt_out = root + ".ckpt"
-        _atomic_write(ckpt_out,
-                      lambda tmp: save_checkpoint(embedder.state, tmp))
-        payload["finetuned_checkpoint"] = ckpt_out
+        root, _ = os.path.splitext(os.fspath(args.out))
+        payload["finetuned_checkpoint"] = root + ".ckpt"
+    # the report goes first: a non-finite value in it stops the run
+    # before any file is written
     _write_json(args.out, payload)
+    if args.mode == "finetune":
+        save_checkpoint(embedder.state, payload["finetuned_checkpoint"])
     inputs = {"embedder": args.embedder, "data": args.data}
     if args.params:
         inputs["params"] = args.params
@@ -568,16 +541,11 @@ def cmd_ablation(args) -> int:
     _write_json(os.path.join(args.out, "ablation.json"), report)
     columns = ["variant", "params", "wall_time", "samples_per_sec"]
     columns += report["metric_names"]
-    csv_path = os.path.join(args.out, "ablation.csv")
-
-    def write_csv(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns,
-                                    extrasaction="ignore")
-            writer.writeheader()
-            writer.writerows(report["table"])
-
-    _atomic_write(csv_path, write_csv)
+    with atomic_write(os.path.join(args.out, "ablation.csv"),
+                      newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(report["table"])
     _emit_manifest(os.path.join(args.out, "manifest.json"), "ablation",
                    {"grid": [variant_name(c) for c in grid],
                     "train": train_config.to_dict(), "evals": tasks,

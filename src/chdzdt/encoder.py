@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ import numpy as np
 from . import tensor as T
 from .chartok import CharVocab, TokenizedWord, encode_word
 from .errors import ConfigError, CorruptCheckpointError
+from .fileio import atomic_write
 from .tensor import Tensor, bce_multilabel, dropout, embedding, gelu, layer_norm, softmax, softmax_ce
 
 MAGIC = b"CHDZ"
@@ -309,15 +309,13 @@ def save_checkpoint(state: EncoderState, path) -> None:
         "charset": state.vocab.spec(),
         "tensors": manifest,
     }).encode("utf-8")
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for raw in blobs:
             fh.write(raw)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> EncoderState:
@@ -339,14 +337,14 @@ def load_checkpoint(path) -> EncoderState:
         header = json.loads(blob[16:header_end].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
         charset = header["charset"]
-    except (ValueError, KeyError, TypeError) as exc:
+        vocab = CharVocab(charset["ranges"], charset.get("extras", ()))
+        if vocab.size != config.vocab_size:
+            raise ValueError(f"charset has {vocab.size} symbols, config {config.vocab_size}")
+        tensors = header.get("tensors", [])
+        listed = [(t["name"], tuple(t["shape"])) for t in tensors]
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
         raise CorruptCheckpointError(f"{path}: malformed header: {exc}") from exc
-    vocab = CharVocab(charset["ranges"], charset.get("extras", ()))
-
-    expected = parameter_manifest(config)
-    tensors = header.get("tensors", [])
-    if [(t["name"], tuple(t["shape"])) for t in tensors] != \
-            [(n, tuple(s)) for n, s in expected]:
+    if listed != [(n, tuple(s)) for n, s in parameter_manifest(config)]:
         raise CorruptCheckpointError(f"{path}: tensor manifest does not match config")
     body = blob[header_end:]
     params = {}
@@ -355,11 +353,14 @@ def load_checkpoint(path) -> EncoderState:
     for entry in tensors:
         shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape)) * 4
-        if entry["offset"] != offset or offset + nbytes > len(body):
+        if entry.get("offset") != offset or offset + nbytes > len(body):
             raise CorruptCheckpointError(f"{path}: blob offsets disagree with manifest")
         arr = np.frombuffer(body[offset:offset + nbytes], dtype="<f4").reshape(shape)
         params[entry["name"]] = Tensor(arr.astype(dtype), requires_grad=True)
         offset += nbytes
     if offset != len(body):
         raise CorruptCheckpointError(f"{path}: {len(body) - offset} trailing bytes")
-    return EncoderState(config, vocab, params)
+    state = EncoderState(config, vocab, params)
+    if not state.check_finite():
+        raise CorruptCheckpointError(f"{path}: non-finite weights")
+    return state

@@ -163,27 +163,26 @@ def compose_fit(kind: str, triples, objective: str = "mse",
     else:
         params = [T.Tensor(rng.normal(0, 0.01, (d, d)), requires_grad=True)]
 
-    if kind == "WMul":
-        logP, logR, logS = np.log(P), np.log(R), np.log(S)
-    X_cat = np.concatenate([P, R, S], axis=1) if kind == "MpCnc" else None
-    X_sum = P + R + S if kind == "MpAdd" else None
+    if kind == "WAdd":
+        X = (P, R, S)
+    elif kind == "WMul":
+        X = (np.log(P), np.log(R), np.log(S))
+    elif kind == "MpCnc":
+        X = T.Tensor(np.concatenate([P, R, S], axis=1))
+    else:
+        X = T.Tensor(P + R + S)
 
-    opt = T.Adam(params, lr=lr)
-    for _ in range(epochs):
-        if kind == "WAdd":
+    def loss_fn():
+        if kind in ("WAdd", "WMul"):
             a, b, g = params
-            pred = a * P + b * R + g * S
-        elif kind == "WMul":
-            a, b, g = params
-            pred = (a * logP + b * logR + g * logS).exp()
-        elif kind == "MpCnc":
-            pred = T.Tensor(X_cat).matmul(params[0])
+            pred = a * X[0] + b * X[1] + g * X[2]
+            if kind == "WMul":
+                pred = pred.exp()
         else:
-            pred = T.Tensor(X_sum).matmul(params[0])
-        loss = _fit_loss(pred, W_target, objective)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+            pred = X.matmul(params[0])
+        return _fit_loss(pred, W_target, objective)
+
+    T.fit(params, loss_fn, epochs, lr)
 
     if kind in ("WAdd", "WMul"):
         a, b, g = (float(p.data[0]) for p in params)

@@ -6,6 +6,7 @@ Every parser raises DataError naming the file and line on malformed input.
 from __future__ import annotations
 
 from ..errors import DataError
+from ..fileio import atomic_write
 
 SENTIMENT_LABELS = ("negative", "neutral", "positive")
 
@@ -41,7 +42,7 @@ def read_clusters(path):
 
 
 def write_clusters(path, clusters) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for root, members in clusters:
             f.write("\t".join([root, *members]) + "\n")
 
@@ -125,7 +126,7 @@ def read_pos(path):
 
 
 def write_pos(path, sentences) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for sentence in sentences:
             for word, tag in sentence:
                 f.write(f"{word}\t{tag}\n")

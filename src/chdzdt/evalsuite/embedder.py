@@ -12,6 +12,7 @@ import numpy as np
 
 from ..encoder import EncoderState, encode_words, load_checkpoint
 from ..errors import DataError
+from ..fileio import atomic_write
 
 # the name perfbench/layers.py traces checkpoint encoding under
 word_embedding = encode_words
@@ -155,7 +156,7 @@ def write_embeddings_tsv(path, words, vectors, dim: int | None = None) -> None:
         raise DataError("cannot infer dimension of an empty vector list; "
                         "pass dim explicitly")
     dim = dims.pop()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write(f"{TSV_HEADER_PREFIX}{dim}\n")
         for word, vec in zip(words, vectors):
             floats = " ".join(repr(float(x)) for x in vec)

@@ -114,13 +114,8 @@ def probe_train(embeddings, affix_labels, split=None, fraction: float = 0.6,
     b = T.Tensor(np.zeros(n_labels), requires_grad=True)
     Xtr = T.Tensor(X[train_idx])
     ytr = y[train_idx]
-    opt = T.Adam([W, b], lr=lr)
-    for _ in range(epochs):
-        probs = (Xtr @ W + b).sigmoid()
-        loss = T.bce_multilabel(probs, ytr)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+    T.fit([W, b], lambda: T.bce_multilabel((Xtr @ W + b).sigmoid(), ytr),
+          epochs, lr)
 
     test_probs = 1.0 / (1.0 + np.exp(-(X[test_idx] @ W.data + b.data)))
     y_pred = (test_probs > 0.5).astype(int)

@@ -83,6 +83,35 @@ def _dense_params(d_in: int, d_out: int, rng):
     return w, b
 
 
+def _split(rows, key, fraction: float, seed: int, test_rows):
+    """(train, test): a stratified fraction/seed split of rows on key(row),
+    or all rows against the given test_rows. Both must be non-empty."""
+    if test_rows is None:
+        parts = stratified_split([(i, key(row)) for i, row in enumerate(rows)],
+                                 fraction, seed)
+        train, test = ([rows[i] for i, _ in part] for part in parts)
+    else:
+        train, test = rows, list(test_rows)
+    if not train or not test:
+        raise DataError("both splits must be non-empty")
+    return train, test
+
+
+def _scores(gold: np.ndarray, pred: np.ndarray, labels) -> tuple:
+    """Accuracy and macro_prf of predicted against gold class indices.
+
+    A gold index of -1 (an unknown tag) counts as wrong and sets no label
+    in its one-hot row.
+    """
+    y_true = np.zeros((len(gold), len(labels)), dtype=int)
+    known = gold >= 0
+    y_true[np.nonzero(known)[0], gold[known]] = 1
+    y_pred = np.zeros_like(y_true)
+    y_pred[np.arange(len(pred)), pred] = 1
+    return float(np.mean(pred == gold)), macro_prf(y_true, y_pred,
+                                                   list(labels))
+
+
 def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
                  fraction: float = 0.6, seed: int = 42, epochs: int = 100,
                  lr: float = 0.01, shared_dim: int = 768,
@@ -100,17 +129,9 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
     rows = list(rows)
     if not rows:
         raise DataError("no morphology rows given")
-    if test_rows is None:
-        split_rows = [(i, tuple(sorted(f"{k}={v}"
-                                       for k, v in feats.items())))
-                      for i, (_, feats) in enumerate(rows)]
-        train_part, test_part = stratified_split(split_rows, fraction, seed)
-        train = [rows[i] for i, _ in train_part]
-        test = [rows[i] for i, _ in test_part]
-    else:
-        train, test = rows, list(test_rows)
-    if not train or not test:
-        raise DataError("both splits must be non-empty")
+    train, test = _split(
+        rows, lambda row: tuple(sorted(f"{k}={v}" for k, v in row[1].items())),
+        fraction, seed, test_rows)
 
     if features is None:
         names = sorted({f for _, feats in train for f in feats})
@@ -149,9 +170,7 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
     params += source.encoder_params()
     row_idx = np.array([source.row[w] for w, _ in train])
 
-    opt = T.Adam(params, lr=lr)
-    losses = []
-    for _ in range(epochs):
+    def loss_fn():
         hidden = (source.matrix()[row_idx] @ sw + sb).tanh()
         total = None
         for name, values in tagsets.items():
@@ -163,12 +182,9 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
             else:
                 head_loss = T.softmax_ce(logits, targets[name], "mean")
             total = head_loss if total is None else total + head_loss
-        losses.append(float(total.data))
-        if losses[-1] < loss_target:
-            break
-        opt.zero_grad()
-        total.backward()
-        opt.step()
+        return total
+
+    losses = T.fit(params, loss_fn, epochs, lr, loss_target)
     source.finish()
 
     hidden_t = np.tanh(embed_rows(embedder, [w for w, _ in test],
@@ -201,29 +217,8 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
             "test_size": len(test)}
 
 
-def _bigru_states(emb: T.Tensor, mask: np.ndarray, pf: dict, pb: dict,
-                  hidden: int):
-    """Forward and backward GRU state lists; padded steps keep their state."""
-    n, length = mask.shape
-    zero = T.Tensor(np.zeros((n, hidden), dtype=T.default_dtype()))
-    fwd, h = [], zero
-    for t in range(length):
-        m = mask[:, t][:, None]
-        h_new = T.gru_cell(emb[:, t, :], h, pf)
-        h = h_new * m + h * (1.0 - m)
-        fwd.append(h)
-    bwd, h = [None] * length, zero
-    for t in reversed(range(length)):
-        m = mask[:, t][:, None]
-        h_new = T.gru_cell(emb[:, t, :], h, pb)
-        h = h_new * m + h * (1.0 - m)
-        bwd[t] = h
-    return fwd, bwd
-
-
-def _pack_sequences(seqs, row_of, max_words: int):
-    """Index/mask/length arrays for a batch of word sequences."""
-    seqs = [s[:max_words] for s in seqs]
+def _pack_sequences(seqs, row_of):
+    """Index and mask arrays for a batch of word sequences."""
     n, length = len(seqs), max(len(s) for s in seqs)
     idx = np.zeros((n, length), dtype=np.int64)
     mask = np.zeros((n, length), dtype=T.default_dtype())
@@ -231,7 +226,67 @@ def _pack_sequences(seqs, row_of, max_words: int):
         for t, word in enumerate(seq):
             idx[i, t] = row_of[word]
             mask[i, t] = 1.0
-    return idx, mask, [len(s) for s in seqs]
+    return idx, mask
+
+
+def _time_major(seqs) -> list:
+    """Items of every sequence, position by position: the row order of
+    _every_position."""
+    return [s[t] for t in range(max(len(s) for s in seqs)) for s in seqs
+            if t < len(s)]
+
+
+def _every_position(fwd, bwd, mask):
+    states = T.cat([T.cat([f, b], axis=1) for f, b in zip(fwd, bwd)], axis=0)
+    return states[np.nonzero(mask.T.reshape(-1))[0]]
+
+
+def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
+           readout, seed: int, epochs: int, lr: float, gru_hidden: int,
+           dense_dim: int, loss_target: float):
+    """Train a BiGRU decoder on word sequences; (losses, test predictions).
+
+    Forward and backward GRU states (padded steps keep their state) pass
+    through readout(fwd, bwd, mask), a tanh dense layer and a linear
+    output layer. The test pass builds no autodiff graph.
+    """
+    source = _WordSource(embedder, [w for s in train_seqs for w in s], mode)
+    rng = np.random.default_rng(seed)
+    pf = T.gru_params(source.dim, gru_hidden, rng)
+    pb = T.gru_params(source.dim, gru_hidden, rng)
+    dw, db = _dense_params(2 * gru_hidden, dense_dim, rng)
+    ow, ob = _dense_params(dense_dim, n_out, rng)
+
+    def logits(matrix, idx, mask):
+        emb = matrix[idx]
+        n, length = mask.shape
+        zero = T.Tensor(np.zeros((n, gru_hidden), dtype=T.default_dtype()))
+        states = []
+        for params, steps in ((pf, range(length)),
+                              (pb, reversed(range(length)))):
+            seq, h = [None] * length, zero
+            for t in steps:
+                m = mask[:, t][:, None]
+                h = T.gru_cell(emb[:, t, :], h, params) * m + h * (1.0 - m)
+                seq[t] = h
+            states.append(seq)
+        hidden = (readout(*states, mask) @ dw + db).tanh()
+        return hidden @ ow + ob
+
+    idx, mask = _pack_sequences(train_seqs, source.row)
+    losses = T.fit([*pf.values(), *pb.values(), dw, db, ow, ob,
+                    *source.encoder_params()],
+                   lambda: T.softmax_ce(logits(source.matrix(), idx, mask),
+                                        targets, "mean"),
+                   epochs, lr, loss_target)
+    source.finish()
+
+    words = sorted({w for s in test_seqs for w in s})
+    with T.no_grad():
+        X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
+        idx, mask = _pack_sequences(test_seqs,
+                                    {w: i for i, w in enumerate(words)})
+        return losses, logits(X, idx, mask).data.argmax(1)
 
 
 def pos_tagger(embedder, sentences, mode: str = "frozen",
@@ -260,87 +315,34 @@ def pos_tagger(embedder, sentences, mode: str = "frozen",
         return kept, dropped
 
     usable, skipped = clean(sentences)
-    if test_sentences is None:
-        if len(usable) < 2:
-            raise DataError("need at least 2 non-empty sentences")
-        split_rows = [(i, tuple(sorted({tag for _, tag in sent})))
-                      for i, sent in enumerate(usable)]
-        train_part, test_part = stratified_split(split_rows, fraction, seed)
-        train = [usable[i] for i, _ in train_part]
-        test = [usable[i] for i, _ in test_part]
-    else:
-        train = usable
+    test = None
+    if test_sentences is not None:
         test, dropped = clean(test_sentences)
         skipped += dropped
+    elif len(usable) < 2:
+        raise DataError("need at least 2 non-empty sentences")
     if skipped:
         logger.warning("skipping %d empty sentences", skipped)
-    if not train or not test:
-        raise DataError("both splits must be non-empty")
+    train, test = _split(usable,
+                         lambda sent: tuple(sorted({tag for _, tag in sent})),
+                         fraction, seed, test)
 
     tagset = sorted({tag for sent in train for _, tag in sent})
     col = {tag: j for j, tag in enumerate(tagset)}
+    train_tags = _time_major([[tag for _, tag in s] for s in train])
+    losses, pred = _bigru(
+        embedder, mode, [[w for w, _ in s] for s in train],
+        np.array([col[tag] for tag in train_tags]),
+        [[w for w, _ in s] for s in test], len(tagset), _every_position,
+        seed, epochs, lr, gru_hidden, dense_dim, loss_target)
 
-    source = _WordSource(embedder, [w for s in train for w, _ in s], mode)
-    idx, mask, _ = _pack_sequences([[w for w, _ in s] for s in train],
-                                   source.row, max_words)
-    tgt = np.zeros(idx.shape, dtype=np.int64)
-    for i, sent in enumerate(train):
-        for t, (_, tag) in enumerate(sent):
-            tgt[i, t] = col[tag]
-    valid = np.nonzero(mask.T.reshape(-1))[0]
-    flat_tgt = tgt.T.reshape(-1)[valid]
-
-    rng = np.random.default_rng(seed)
-    pf = T.gru_params(source.dim, gru_hidden, rng)
-    pb = T.gru_params(source.dim, gru_hidden, rng)
-    dw, db = _dense_params(2 * gru_hidden, dense_dim, rng)
-    ow, ob = _dense_params(dense_dim, len(tagset), rng)
-    params = [*pf.values(), *pb.values(), dw, db, ow, ob,
-              *source.encoder_params()]
-
-    def logits_for(matrix, idx, mask, valid_rows):
-        emb = matrix[idx]
-        fwd, bwd = _bigru_states(emb, mask, pf, pb, gru_hidden)
-        states = T.cat([T.cat([f, b], axis=1) for f, b in zip(fwd, bwd)],
-                       axis=0)
-        hidden = (states[valid_rows] @ dw + db).tanh()
-        return hidden @ ow + ob
-
-    opt = T.Adam(params, lr=lr)
-    losses = []
-    for _ in range(epochs):
-        loss = T.softmax_ce(logits_for(source.matrix(), idx, mask, valid),
-                            flat_tgt, "mean")
-        losses.append(float(loss.data))
-        if losses[-1] < loss_target:
-            break
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    source.finish()
-
-    test_words = sorted({w for s in test for w, _ in s})
-    test_row = {w: i for i, w in enumerate(test_words)}
-    Xt = embed_rows(embedder, test_words, T.default_dtype())
-    idx_t, mask_t, _ = _pack_sequences([[w for w, _ in s] for s in test],
-                                       test_row, max_words)
-    valid_t = np.nonzero(mask_t.T.reshape(-1))[0]
-    pred = logits_for(T.Tensor(Xt), idx_t, mask_t, valid_t).data.argmax(1)
-
-    gold_tags = [sent[t][1] for t in range(idx_t.shape[1]) for sent in test
-                 if t < len(sent)]
+    gold_tags = _time_major([[tag for _, tag in s] for s in test])
     unknown = sorted({g for g in gold_tags if g not in col})
     if unknown:
         logger.warning("unknown evaluation tags %s counted as wrong",
                        unknown)
-    gold_idx = np.array([col.get(g, -1) for g in gold_tags])
-    accuracy = float(np.mean(pred == gold_idx))
-    y_true = np.zeros((len(gold_idx), len(tagset)), dtype=int)
-    known = gold_idx >= 0
-    y_true[np.nonzero(known)[0], gold_idx[known]] = 1
-    y_pred = np.zeros_like(y_true)
-    y_pred[np.arange(len(pred)), pred] = 1
-    prf = macro_prf(y_true, y_pred, tagset)
+    accuracy, prf = _scores(np.array([col.get(g, -1) for g in gold_tags]),
+                            pred, tagset)
     return {"mode": mode, "accuracy": accuracy,
             "per_tag": prf["per_label"], "macro_f1": prf["macro_f1"],
             "tagset": tagset, "unknown_tags": unknown,
@@ -348,8 +350,8 @@ def pos_tagger(embedder, sentences, mode: str = "frozen",
             "skipped_empty": skipped,
             "n_train_sentences": len(train),
             "n_test_sentences": len(test),
-            "n_train_tokens": int(len(valid)),
-            "n_test_tokens": int(len(valid_t))}
+            "n_train_tokens": len(train_tags),
+            "n_test_tokens": len(gold_tags)}
 
 
 def sentiment_classifier(embedder, rows, mode: str = "frozen",
@@ -388,66 +390,23 @@ def sentiment_classifier(embedder, rows, mode: str = "frozen",
         return kept
 
     usable = clean(rows)
-    if test_rows is None:
-        if len(usable) < 2:
-            raise DataError("need at least 2 non-empty texts")
-        split_rows = [(i, (label,)) for i, (label, _) in enumerate(usable)]
-        train_part, test_part = stratified_split(split_rows, fraction, seed)
-        train = [usable[i] for i, _ in train_part]
-        test = [usable[i] for i, _ in test_part]
-    else:
-        train = usable
+    test = None
+    if test_rows is not None:
         test = clean(test_rows)
+    elif len(usable) < 2:
+        raise DataError("need at least 2 non-empty texts")
     if skipped:
         logger.warning("skipping %d empty texts", skipped)
-    if not train or not test:
-        raise DataError("both splits must be non-empty")
+    train, test = _split(usable, lambda row: (row[0],), fraction, seed, test)
 
-    source = _WordSource(embedder, [w for _, ws in train for w in ws], mode)
-    idx, mask, _ = _pack_sequences([ws for _, ws in train], source.row,
-                                   max_words)
-    tgt = np.array([col[label] for label, _ in train])
-
-    rng = np.random.default_rng(seed)
-    pf = T.gru_params(source.dim, gru_hidden, rng)
-    pb = T.gru_params(source.dim, gru_hidden, rng)
-    dw, db = _dense_params(2 * gru_hidden, dense_dim, rng)
-    ow, ob = _dense_params(dense_dim, len(SENTIMENT_LABELS), rng)
-    params = [*pf.values(), *pb.values(), dw, db, ow, ob,
-              *source.encoder_params()]
-
-    def logits_for(matrix, idx, mask):
-        emb = matrix[idx]
-        fwd, bwd = _bigru_states(emb, mask, pf, pb, gru_hidden)
-        sentence = T.cat([fwd[-1], bwd[0]], axis=1)
-        return (sentence @ dw + db).tanh() @ ow + ob
-
-    opt = T.Adam(params, lr=lr)
-    losses = []
-    for _ in range(epochs):
-        loss = T.softmax_ce(logits_for(source.matrix(), idx, mask), tgt,
-                            "mean")
-        losses.append(float(loss.data))
-        if losses[-1] < loss_target:
-            break
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    source.finish()
-
-    test_words = sorted({w for _, ws in test for w in ws})
-    test_row = {w: i for i, w in enumerate(test_words)}
-    Xt = embed_rows(embedder, test_words, T.default_dtype())
-    idx_t, mask_t, _ = _pack_sequences([ws for _, ws in test], test_row,
-                                       max_words)
-    pred = logits_for(T.Tensor(Xt), idx_t, mask_t).data.argmax(1)
-    gold = np.array([col[label] for label, _ in test])
-    accuracy = float(np.mean(pred == gold))
-    y_true = np.zeros((len(gold), 3), dtype=int)
-    y_true[np.arange(len(gold)), gold] = 1
-    y_pred = np.zeros_like(y_true)
-    y_pred[np.arange(len(pred)), pred] = 1
-    prf = macro_prf(y_true, y_pred, list(SENTIMENT_LABELS))
+    losses, pred = _bigru(
+        embedder, mode, [ws for _, ws in train],
+        np.array([col[label] for label, _ in train]), [ws for _, ws in test],
+        len(SENTIMENT_LABELS),
+        lambda fwd, bwd, mask: T.cat([fwd[-1], bwd[0]], axis=1),
+        seed, epochs, lr, gru_hidden, dense_dim, loss_target)
+    accuracy, prf = _scores(np.array([col[label] for label, _ in test]),
+                            pred, SENTIMENT_LABELS)
     counts = {"train": {lab: 0 for lab in SENTIMENT_LABELS},
               "test": {lab: 0 for lab in SENTIMENT_LABELS}}
     for label, _ in train:

@@ -18,6 +18,7 @@ from importlib import resources
 
 from .chartok import is_emoji_char
 from .errors import ConfigError, DataError
+from .fileio import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -248,7 +249,7 @@ def build_lexicon(streams, rules: NormRules, max_len: int = MAX_WORD_LEN):
 
 
 def write_lexicon(entries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for e in entries:
             freq = ",".join(f"{lab}:{n}" for lab, n in sorted(e.freq.items()))
             fh.write(f"{e.word}\t{','.join(e.labels)}\t{freq}\n")

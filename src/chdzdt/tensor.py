@@ -474,53 +474,57 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, params: dict) -> Tensor:
     return z * h_prev + (1.0 - z) * h_cand
 
 
-class AdamState:
-    """First/second moment arrays and the shared step counter."""
+class Adam:
+    """Bias-corrected Adam over a parameter list.
+
+    lr is a plain attribute, so a schedule may change it between steps.
+    Parameters whose grad is None are skipped by a step.
+    """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-
-
-def adam_step(params, grads, state: AdamState) -> None:
-    """Bias-corrected Adam update, in place on each param's data."""
-    state.t += 1
-    t = state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[i] / (1.0 - state.beta2 ** t)
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
-
-
-class Adam:
-    """Convenience wrapper pairing a parameter list with its AdamState."""
-
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
-        self.state = AdamState(self.params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-    @property
-    def lr(self) -> float:
-        return self.state.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        self.state.lr = value
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        adam_step(self.params, [p.grad for p in self.params], self.state)
+        """One update, in place on each param's data."""
+        self.t += 1
+        t = self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                continue
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
+            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
+    """Full-batch Adam: one step on loss_fn() per epoch; returns the losses.
+
+    Each epoch's loss is recorded before its step. With a loss_target the
+    loop stops, without stepping, at the first loss below it.
+    """
+    opt = Adam(params, lr=lr)
+    losses = []
+    for _ in range(epochs):
+        loss = loss_fn()
+        losses.append(float(loss.data))
+        if loss_target is not None and losses[-1] < loss_target:
+            break
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    return losses

@@ -320,6 +320,23 @@ class TestPretrain:
         assert "non-finite" in capsys.readouterr().err
 
 
+class TestOutputFiles:
+
+    def test_outputs_get_plain_open_mode_and_leave_no_temp(self, ws,
+                                                           lexicon, ckpt,
+                                                           tmp_path):
+        probe = tmp_path / "plain"
+        with open(probe, "w"):
+            pass
+        outputs = [lexicon, Path(f"{lexicon}.stats.json"),
+                   Path(f"{lexicon}.manifest.json"), ckpt,
+                   Path(f"{ckpt}.trainlog.jsonl"),
+                   Path(f"{ckpt}.manifest.json")]
+        modes = {p.name: p.stat().st_mode & 0o777 for p in outputs}
+        assert set(modes.values()) == {probe.stat().st_mode & 0o777}, modes
+        assert not list(ws.glob("*.tmp"))
+
+
 class TestEncode:
 
     def test_roundtrip_matches_checkpoint_metrics(self, ws, ckpt, tmp_path):
@@ -426,6 +443,20 @@ class TestEval:
                    "--data", ws / "clusters.tsv",
                    "--out", tmp_path / "o.json", "--count", 3) == 2
         assert "count" in capsys.readouterr().err
+
+    def test_non_finite_report_exits_three_without_report(self, tmp_path,
+                                                         capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("#dim 2\nqalb\t1.0 0.5\nrouh\tnan 1.0\n"
+                       "dar\t0.2 0.9\nbab\t0.7 0.1\n", encoding="utf-8")
+        pairs = tmp_path / "sim.tsv"
+        pairs.write_text("qalb\trouh\t3.5\ndar\tbab\t1.0\n"
+                         "qalb\tdar\t2.0\n", encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert run("eval", "--task", "sim", "--embedder", emb,
+                   "--data", pairs, "--out", out) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim.json*"))
 
     def test_failure_leaves_no_report(self, ws, ckpt, tmp_path):
         out = tmp_path / "o.json"

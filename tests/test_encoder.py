@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -255,6 +257,39 @@ class TestCountParams:
         assert counts[0] < counts[1] < counts[2]
 
 
+def _split_checkpoint(raw):
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def _join_checkpoint(raw, header, body):
+    text = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(text)) + text + body
+
+
+def _drop_first_name(raw):
+    header, body = _split_checkpoint(raw)
+    del header["tensors"][0]["name"]
+    return _join_checkpoint(raw, header, body)
+
+
+def _tensors_not_a_list(raw):
+    header, body = _split_checkpoint(raw)
+    header["tensors"] = "x"
+    return _join_checkpoint(raw, header, body)
+
+
+def _reversed_charset_range(raw):
+    header, body = _split_checkpoint(raw)
+    header["charset"]["ranges"] = [[122, 97]]
+    return _join_checkpoint(raw, header, body)
+
+
+def _nan_body(raw):
+    header, body = _split_checkpoint(raw)
+    return _join_checkpoint(raw, header, b"\xff" * len(body))
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         state = small_state(n_blocks=2, hidden=8, n_heads=2, seed=4)
@@ -302,6 +337,34 @@ class TestCheckpoint:
         padded.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(padded)
+
+    def test_header_bit_flips_raise_only_corrupt(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_state(), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw, 8)
+        rng = np.random.default_rng(0)
+        bad = tmp_path / "bad.ckpt"
+        for _ in range(300):
+            flipped = bytearray(raw)
+            flipped[int(rng.integers(16, 16 + hlen))] ^= 1 << int(rng.integers(8))
+            bad.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(bad)
+            except CorruptCheckpointError:
+                pass
+
+    @pytest.mark.parametrize("corrupt", [_drop_first_name, _tensors_not_a_list,
+                                         _reversed_charset_range, _nan_body],
+                             ids=["entry_without_name", "tensors_not_a_list",
+                                  "reversed_charset_range", "all_ff_body"])
+    def test_malformed_checkpoint_raises_corrupt(self, tmp_path, corrupt):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_state(), path)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(bad)
 
 
 class TestGradients:

@@ -1,0 +1,87 @@
+"""Atomic output: every writer replaces its file whole or leaves it alone."""
+
+import os
+
+import numpy as np
+import pytest
+
+from chdzdt.chartok import build_vocab
+from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
+from chdzdt.errors import DataError
+from chdzdt.evalsuite.datasets import write_clusters, write_pos
+from chdzdt.evalsuite.embedder import write_embeddings_tsv
+from chdzdt.fileio import atomic_write
+from chdzdt.preprocess import LexiconEntry, write_lexicon
+
+
+def plain_open_mode(directory) -> int:
+    probe = directory / "plain"
+    with open(probe, "w"):
+        pass
+    return probe.stat().st_mode & 0o777
+
+
+class ExplodingEntry:
+    word, labels = "boom", ("EN",)
+
+    @property
+    def freq(self):
+        raise RuntimeError("fails partway")
+
+
+class TestAtomicWrite:
+    def test_text_and_binary(self, tmp_path):
+        with atomic_write(tmp_path / "a.txt") as fh:
+            fh.write("qahwa\n")
+        with atomic_write(tmp_path / "b.bin", "wb") as fh:
+            fh.write(b"\x00\xff")
+        assert (tmp_path / "a.txt").read_bytes() == "qahwa\n".encode()
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.bin"]
+
+    def test_failure_partway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new" * 10000)
+                fh.flush()
+                raise RuntimeError("fails partway")
+        assert path.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_library_writer_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        write_lexicon([LexiconEntry("chat", ("FR",), {"FR": 1})], path)
+        before = path.read_bytes()
+        entries = [LexiconEntry("dog", ("EN",), {"EN": 2}), ExplodingEntry()]
+        with pytest.raises(RuntimeError):
+            write_lexicon(entries, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["lex.tsv"]
+
+    def test_missing_directory_is_data_error(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(DataError, match="cannot write"):
+            with atomic_write(path) as fh:
+                fh.write("x")
+        assert not (tmp_path / "absent").exists()
+
+    def test_every_writer_gives_plain_open_mode(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        vocab = build_vocab([(97, 122)])
+        state = EncoderState.init(
+            ModelConfig(vocab_size=vocab.size, hidden=4, n_heads=1), vocab)
+        save_checkpoint(state, out / "m.ckpt")
+        write_lexicon([LexiconEntry("chat", ("FR",), {"FR": 1})],
+                      out / "lex.tsv")
+        write_embeddings_tsv(out / "v.tsv", ["a"], [np.zeros(2)])
+        write_clusters(out / "c.tsv", [("dog", ["dog", "dogs"])])
+        write_pos(out / "p.tsv", [[("dog", "N")]])
+        with atomic_write(out / "raw.bin", "wb") as fh:
+            fh.write(b"x")
+        expected = plain_open_mode(tmp_path)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert len(modes) == 6
+        assert set(modes.values()) == {expected}, modes

@@ -1,5 +1,6 @@
 """Morphology, PoS, and sentiment decoders on separable fixtures."""
 
+import gc
 import logging
 
 import numpy as np
@@ -14,6 +15,7 @@ from chdzdt.evalsuite.taggers import (
     pos_tagger,
     sentiment_classifier,
 )
+from chdzdt.tensor import Tensor
 
 VOC = build_vocab([(97, 122)])
 
@@ -297,6 +299,28 @@ class TestSentimentClassifier:
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError, match="'angry'"):
             sentiment_classifier(MarkerEmbedder(), [("angry", "grr")])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: pos_tagger(SuffixEmbedder(), pos_sentences(n=6), gru_hidden=8,
+                       dense_dim=8, epochs=2, seed=0, loss_target=0.0),
+    lambda: sentiment_classifier(MarkerEmbedder(), sentiment_rows(n=12),
+                                 gru_hidden=8, dense_dim=8, epochs=2,
+                                 seed=0, loss_target=0.0),
+], ids=["pos", "sa"])
+def test_frozen_run_leaves_no_graph_for_the_cyclic_gc(run):
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == 0
 
 
 class TestFinetune:

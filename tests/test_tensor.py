@@ -8,13 +8,12 @@ import pytest
 from chdzdt import tensor as T
 from chdzdt.tensor import (
     Adam,
-    AdamState,
     Tensor,
-    adam_step,
     bce_multilabel,
     cat,
     dropout,
     embedding,
+    fit,
     gelu,
     gru_cell,
     gru_params,
@@ -184,18 +183,20 @@ class TestAdam:
     def test_zero_grad_is_fixed_point(self):
         p = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
         before = p.data.copy()
-        state = AdamState([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         for _ in range(5):
-            adam_step([p], [np.zeros(3)], state)
+            p.grad = np.zeros(3)
+            opt.step()
         assert np.array_equal(p.data, before)
 
     def test_first_step_delta(self):
         lr = 0.01
         g = np.array([0.3, -2.0, 0.0001])
         p = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
-        state = AdamState([p], lr=lr)
-        adam_step([p], [g], state)
-        expected = 1.0 - lr * g / (np.abs(g) + state.eps)
+        opt = Adam([p], lr=lr)
+        p.grad = g
+        opt.step()
+        expected = 1.0 - lr * g / (np.abs(g) + opt.eps)
         assert np.allclose(p.data, expected, atol=1e-12)
         assert np.allclose(p.data - 1.0, -lr * np.sign(g), atol=1e-4)
 
@@ -212,6 +213,51 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
+
+
+class TestFit:
+    @staticmethod
+    def quadratic():
+        p = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        seen = []
+
+        def loss_fn():
+            seen.append(p.data.copy())
+            return (p * p).sum()
+
+        return p, seen, loss_fn
+
+    def test_runs_every_epoch_without_target(self):
+        p, seen, loss_fn = self.quadratic()
+        losses = fit([p], loss_fn, epochs=7, lr=0.1)
+        q = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        opt = Adam([q], lr=0.1)
+        for _ in range(7):
+            opt.zero_grad()
+            (q * q).sum().backward()
+            opt.step()
+        assert len(seen) == 7
+        assert p.data.tobytes() == q.data.tobytes()
+        assert losses == [float((x * x).sum()) for x in seen]
+
+    def test_stops_below_target_without_stepping(self):
+        p, _, loss_fn = self.quadratic()
+        full = fit([p], loss_fn, epochs=6, lr=0.1)
+        assert all(a > b for a, b in zip(full, full[1:]))
+        p, seen, loss_fn = self.quadratic()
+        losses = fit([p], loss_fn, epochs=6, lr=0.1,
+                     loss_target=(full[2] + full[3]) / 2)
+        assert losses == full[:4]
+        assert len(seen) == 4
+        assert np.array_equal(p.data, seen[-1])
+
+    def test_one_loss_per_epoch_run(self):
+        p, seen, loss_fn = self.quadratic()
+        assert len(fit([p], loss_fn, epochs=3, lr=0.1,
+                       loss_target=-1.0)) == 3
+        assert fit([p], loss_fn, epochs=0, lr=0.1) == []
+        assert len(fit([p], loss_fn, epochs=5, lr=0.1,
+                       loss_target=np.inf)) == 1
 
 
 class TestBackward:
