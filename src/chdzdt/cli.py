@@ -51,7 +51,7 @@ from .evalsuite.metrics import cluster_report, similarity_corr
 from .evalsuite.obfuscate import noise_report
 from .evalsuite.probe import probe_train
 from .evalsuite.taggers import morph_tagger, pos_tagger, sentiment_classifier
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .preprocess import (
     NormRules,
     SourceStream,
@@ -359,20 +359,14 @@ def cmd_encode(args) -> int:
 def _read_quadruples(path):
     """word TAB word TAB word TAB word composition rows."""
     rows = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4 or not all(parts):
-                raise DataError(f"{path}:{lineno}: expected 'prefix TAB "
-                                "root TAB suffix TAB word'")
-            rows.append(tuple(parts))
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4 or not all(parts):
+            raise DataError(f"{path}:{lineno}: expected 'prefix TAB "
+                            "root TAB suffix TAB word'")
+        rows.append(tuple(parts))
     if not rows:
         raise DataError(f"{path}: no rows found")
     return rows

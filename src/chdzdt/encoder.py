@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .chartok import CharVocab, TokenizedWord, encode_word
+from .chartok import CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
 from .fileio import atomic_write
-from .tensor import Tensor, bce_multilabel, dropout, embedding, gelu, layer_norm, softmax, softmax_ce
+from .tensor import Tensor, dropout, embedding, gelu, layer_norm, softmax
 
 MAGIC = b"CHDZ"
 FORMAT_VERSION = 1
@@ -144,28 +144,6 @@ class EncoderState:
         return all(np.isfinite(p.data).all() for p in self.parameters())
 
 
-@dataclass
-class EncoderOutput:
-    """Hidden states, the CLS row, label probabilities, lazy MLM logits."""
-
-    hidden: Tensor
-    cls: Tensor
-    label_probs: Tensor
-    _state: EncoderState = field(repr=False, default=None)
-    _mlm_logits: Tensor = field(repr=False, default=None)
-
-    def mlm_logits(self) -> Tensor:
-        if self._mlm_logits is None:
-            h = self.hidden
-            if h.ndim == 2:  # single word: project as one batch row
-                h = h.reshape(1, *h.shape)
-                out = h @ self._state.params["mlm_w"] + self._state.params["mlm_b"]
-                self._mlm_logits = out.reshape(out.shape[1], out.shape[2])
-            else:
-                self._mlm_logits = h @ self._state.params["mlm_w"] + self._state.params["mlm_b"]
-        return self._mlm_logits
-
-
 def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
                   train_mode: bool = False, rng=None, attn_sink=None):
     """Run [B, T] id batches through the encoder.
@@ -220,21 +198,6 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
     return x, cls, label_probs
 
 
-def forward(state: EncoderState, tokenized: TokenizedWord, train_mode: bool = False,
-            rng=None) -> EncoderOutput:
-    """Encode one tokenized word."""
-    hidden, cls, probs = forward_batch(
-        state, tokenized.ids[None, :], tokenized.attention_mask[None, :],
-        train_mode=train_mode, rng=rng)
-    t, d = hidden.shape[1], hidden.shape[2]
-    return EncoderOutput(
-        hidden=hidden.reshape(t, d),
-        cls=cls.reshape(d),
-        label_probs=probs.reshape(state.config.n_labels),
-        _state=state,
-    )
-
-
 def encode_words(state: EncoderState, words) -> np.ndarray:
     """Holistic word vectors [n, d]: CLS rows of eval-mode forward passes.
 
@@ -253,42 +216,6 @@ def encode_words(state: EncoderState, words) -> np.ndarray:
                                       np.stack([t.attention_mask for t in chunk]))
             rows.append(cls.data)
     return np.concatenate(rows)
-
-
-def loss_mlm(state: EncoderState, corrupted: TokenizedWord, mask_positions,
-             original_ids, reduction: str = "mean") -> Tensor:
-    """Cross-entropy at the masked positions of one corrupted word.
-
-    original_ids may be the full pre-corruption id sequence or just the
-    ids at the masked positions, in ascending position order.
-    """
-    positions = sorted(mask_positions)
-    if not positions:
-        raise ValueError("mask_positions must be non-empty")
-    seq = state.config.seq_len
-    if min(positions) < 1 or max(positions) >= seq:
-        raise ValueError(f"mask positions {positions} outside character region [1, {seq})")
-    originals = np.asarray(original_ids, dtype=np.int64)
-    if originals.shape[0] == seq:
-        targets = originals[np.asarray(positions)]
-    elif originals.shape[0] == len(positions):
-        targets = originals
-    else:
-        raise ValueError(
-            f"original_ids must have length {seq} or {len(positions)}, got {originals.shape[0]}")
-    output = forward(state, corrupted, train_mode=False)
-    logits = output.mlm_logits()[np.asarray(positions)]
-    return softmax_ce(logits, targets, reduction=reduction)
-
-
-def loss_multilabel(state: EncoderState, output: EncoderOutput, targets) -> Tensor:
-    """Summed per-label binary cross-entropy against a 0/1 target vector."""
-    return bce_multilabel(output.label_probs, targets)
-
-
-def loss_total(mlm, multilabel):
-    """Plain unweighted sum of the two components."""
-    return mlm + multilabel
 
 
 # -- checkpoint container ---------------------------------------------------

@@ -6,25 +6,16 @@ Every parser raises DataError naming the file and line on malformed input.
 from __future__ import annotations
 
 from ..errors import DataError
-from ..fileio import atomic_write
+from ..fileio import atomic_write, read_lines
 
 SENTIMENT_LABELS = ("negative", "neutral", "positive")
-
-
-def _lines(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                yield lineno, line.rstrip("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
 
 
 def read_clusters(path):
     """One cluster per line: root TAB member TAB member..."""
     clusters = []
     roots = set()
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -57,7 +48,7 @@ def read_tuples(path):
     if mode is None:
         raise DataError(f"{path}: tuple files must end in .star/.hash/.sim")
     pairs = []
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -72,7 +63,7 @@ def read_tuples(path):
 def read_affix_dataset(path):
     """word TAB comma-separated affix list."""
     rows = []
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -88,7 +79,7 @@ def read_affix_dataset(path):
 def read_similarity(path):
     """w1 TAB w2 TAB human score."""
     pairs = []
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -108,7 +99,7 @@ def read_pos(path):
     """CoNLL-style: word TAB tag lines, blank line between sentences."""
     sentences = []
     current = []
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             if current:
                 sentences.append(current)
@@ -136,7 +127,7 @@ def write_pos(path, sentences) -> None:
 def read_morph(path):
     """word TAB feature=value;feature=value rows."""
     rows = []
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -165,7 +156,7 @@ def read_morph(path):
 def read_sentiment(path):
     """label TAB text rows; labels restricted to the three polarity classes."""
     rows = []
-    for lineno, line in _lines(path):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")

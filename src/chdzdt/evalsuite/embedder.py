@@ -12,7 +12,7 @@ import numpy as np
 
 from ..encoder import EncoderState, encode_words, load_checkpoint
 from ..errors import DataError
-from ..fileio import atomic_write
+from ..fileio import atomic_write, read_lines
 
 # the name perfbench/layers.py traces checkpoint encoding under
 word_embedding = encode_words
@@ -75,39 +75,37 @@ class TsvEmbedder:
     def from_file(cls, path) -> "TsvEmbedder":
         table: dict = {}
         dim = None
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if lineno == 1:
-                    if not line.startswith(TSV_HEADER_PREFIX):
-                        raise DataError(
-                            f"{path}: missing '{TSV_HEADER_PREFIX}d' header")
-                    try:
-                        dim = int(line[len(TSV_HEADER_PREFIX):])
-                    except ValueError:
-                        raise DataError(f"{path}: bad dimension in header "
-                                        f"{line!r}")
-                    if dim < 1:
-                        raise DataError(f"{path}: dimension must be >= 1")
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected "
-                                    "'word TAB floats'")
-                word, floats = parts
-                if word in table:
-                    raise DataError(f"{path}:{lineno}: duplicate word "
-                                    f"{word!r}")
+        for lineno, line in read_lines(path):
+            if not line:
+                continue
+            if lineno == 1:
+                if not line.startswith(TSV_HEADER_PREFIX):
+                    raise DataError(
+                        f"{path}: missing '{TSV_HEADER_PREFIX}d' header")
                 try:
-                    vec = [float(x) for x in floats.split()]
+                    dim = int(line[len(TSV_HEADER_PREFIX):])
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: non-numeric vector")
-                if len(vec) != dim:
-                    raise DataError(f"{path}:{lineno}: vector has "
-                                    f"{len(vec)} floats, header says {dim}")
-                table[word] = vec
+                    raise DataError(f"{path}: bad dimension in header "
+                                    f"{line!r}")
+                if dim < 1:
+                    raise DataError(f"{path}: dimension must be >= 1")
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected "
+                                "'word TAB floats'")
+            word, floats = parts
+            if word in table:
+                raise DataError(f"{path}:{lineno}: duplicate word "
+                                f"{word!r}")
+            try:
+                vec = [float(x) for x in floats.split()]
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric vector")
+            if len(vec) != dim:
+                raise DataError(f"{path}:{lineno}: vector has "
+                                f"{len(vec)} floats, header says {dim}")
+            table[word] = vec
         if dim is None:
             raise DataError(f"{path}: empty file")
         return cls(table, dim)
@@ -165,8 +163,11 @@ def write_embeddings_tsv(path, words, vectors, dim: int | None = None) -> None:
 
 def load_embedder(path):
     """Sniff checkpoint (magic bytes) vs TSV table and load accordingly."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
+    try:
+        with open(path, "rb") as f:
+            magic = f.read(4)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if magic == b"CHDZ":
         return CheckpointEmbedder.from_file(path)
     return TsvEmbedder.from_file(path)

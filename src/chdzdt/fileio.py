@@ -1,4 +1,8 @@
-"""Atomic file output: a file appears whole under its name, or not at all."""
+"""File I/O shared by every reader and writer.
+
+Output is atomic: a file appears whole under its name, or not at all.
+Input is UTF-8 text read line by line; any failure is a DataError.
+"""
 
 from __future__ import annotations
 
@@ -37,3 +41,14 @@ def atomic_write(path, mode: str = "w", newline: str | None = "\n"):
         if isinstance(exc, OSError):
             raise DataError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def read_lines(path):
+    """(line number, line without its newline) for each line of a UTF-8
+    text file; an OSError or invalid UTF-8 becomes a DataError naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                yield lineno, line.rstrip("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc

@@ -18,7 +18,7 @@ from importlib import resources
 
 from .chartok import is_emoji_char
 from .errors import ConfigError, DataError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -204,11 +204,8 @@ class SourceStream:
         if self.lines is not None:
             yield from self.lines
             return
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                yield from fh
-        except OSError as exc:
-            raise DataError(f"cannot read stream {self.path!r} ({self.label}): {exc}") from exc
+        for _, line in read_lines(self.path):
+            yield line
 
 
 @dataclass
@@ -257,32 +254,26 @@ def write_lexicon(entries, path) -> None:
 
 def read_lexicon(path):
     entries = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon {path}: {exc}") from exc
-    with fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{ln}: expected 3 tab-separated fields")
-            word, labels, freqs = parts
-            labels = tuple(labels.split(","))
-            for lab in labels:
-                if lab not in LABELS:
-                    raise DataError(f"{path}:{ln}: unknown label {lab!r}")
-            freq = {}
-            for item in freqs.split(","):
-                lab, _, n = item.partition(":")
-                try:
-                    freq[lab] = int(n)
-                except ValueError:
-                    raise DataError(f"{path}:{ln}: bad frequency {item!r}, "
-                                    "expected LABEL:count") from None
-            entries.append(LexiconEntry(word=word, labels=labels, freq=freq))
+    for ln, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{ln}: expected 3 tab-separated fields")
+        word, labels, freqs = parts
+        labels = tuple(labels.split(","))
+        for lab in labels:
+            if lab not in LABELS:
+                raise DataError(f"{path}:{ln}: unknown label {lab!r}")
+        freq = {}
+        for item in freqs.split(","):
+            lab, _, n = item.partition(":")
+            try:
+                freq[lab] = int(n)
+            except ValueError:
+                raise DataError(f"{path}:{ln}: bad frequency {item!r}, "
+                                "expected LABEL:count") from None
+        entries.append(LexiconEntry(word=word, labels=labels, freq=freq))
     return entries
 
 

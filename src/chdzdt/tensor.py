@@ -128,6 +128,16 @@ class Tensor:
     def backward(self) -> None:
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
+        self.grad = np.ones_like(self.data)
+        self._unlink(run_backward=True)
+
+    def _unlink(self, run_backward: bool = False) -> None:
+        """Walk the graph behind self from the output back, running each
+        closure if asked, and drop every closure and input link.
+
+        Each closure refers to its own node; with closures and links gone
+        no cycle is left for the cyclic GC to find.
+        """
         order = []
         visited = set()
         stack = [(self, False)]
@@ -143,13 +153,10 @@ class Tensor:
             for child in node._prev:
                 if id(child) not in visited:
                     stack.append((child, False))
-        self.grad = np.ones_like(self.data)
-        # each closure refers to its own node; dropping closures and input
-        # links once they have run leaves no cycle for the cyclic GC to find
         for node in reversed(order):
-            if node._backward is not None:
+            if run_backward and node._backward is not None:
                 node._backward()
-                node._backward = None
+            node._backward = None
             node._prev = ()
 
     # -- elementwise arithmetic --------------------------------------------
@@ -523,6 +530,7 @@ def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
         loss = loss_fn()
         losses.append(float(loss.data))
         if loss_target is not None and losses[-1] < loss_target:
+            loss._unlink()
             break
         opt.zero_grad()
         loss.backward()

@@ -16,7 +16,7 @@ import chdzdt.tensor as T
 from chdzdt.chartok import MASK_ID, build_vocab, decode, default_vocab, \
     encode_word
 from chdzdt.encoder import EncoderState, ModelConfig, count_params, \
-    forward, loss_mlm, loss_multilabel, loss_total, save_checkpoint
+    save_checkpoint
 from chdzdt.evalsuite.ablation import ablation_sweep, default_grid, \
     variant_name
 from chdzdt.evalsuite.embedder import CheckpointEmbedder
@@ -25,7 +25,7 @@ from chdzdt.evalsuite.obfuscate import obfuscated_acs
 from chdzdt.evalsuite.probe import probe_train
 from chdzdt.evalsuite.taggers import pos_tagger, sentiment_classifier
 from chdzdt.preprocess import LexiconEntry, NormRules, normalize_text
-from chdzdt.pretrain import TrainConfig, train
+from chdzdt.pretrain import MaskedBatch, TrainConfig, batch_loss, train
 
 from oracles import brute_acs, brute_aed, brute_ari, brute_kendall, \
     brute_silhouette, finite_diff_max_rel_err
@@ -97,12 +97,13 @@ def test_01_gradients_match_finite_differences():
         corrupted = encode_word(voc, "darja", max_chars=6)
         corrupted.ids[2] = MASK_ID
         targets = [1, 0, 0, 1, 0]
+        batch = MaskedBatch(corrupted=corrupted.ids[None, :],
+                            attention_mask=corrupted.attention_mask[None, :],
+                            mask_positions=[[2]], original_ids=[clean.ids[[2]]],
+                            targets=np.asarray([targets], dtype=np.float64))
 
         def build():
-            out = forward(state, corrupted)
-            lm = loss_mlm(state, corrupted, {2}, clean.ids)
-            lb = loss_multilabel(state, out, targets)
-            return loss_total(lm, lb)
+            return batch_loss(state, batch)[0]
 
         err, _ = finite_diff_max_rel_err(
             build, state.parameters(), np.random.default_rng(0),

@@ -224,6 +224,17 @@ class TestPreprocess:
         stats = json.loads((tmp_path / "lex.tsv.stats.json").read_text())
         assert stats == json.loads((ws / "lex.tsv.stats.json").read_text())
 
+    def test_invalid_utf8_corpus_line_exits_two(self, ws, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(ws / "corpus", corpus)
+        with open(corpus / "en.txt", "ab") as fh:
+            fh.write(b"dog \xff cat\n")
+        out = tmp_path / "lex.tsv"
+        assert run("preprocess", "--in", corpus,
+                   "--labels", ws / "labels.json", "--out", out) == 2
+        assert "en.txt" in capsys.readouterr().err
+        assert not list(tmp_path.glob("lex.tsv*"))
+
 
 class TestPretrain:
 
@@ -292,6 +303,15 @@ class TestPretrain:
         assert run("pretrain", "--lexicon", lex, "--vocab",
                    ws / "vocab.json", "--out", out, "--epochs", 0) == 2
         assert f"{lex}:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_utf8_lexicon_exits_two(self, ws, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_bytes(b"dog\tEN\tEN:2\nc\xfft\tEN\tEN:1\n")
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lex, "--vocab",
+                   ws / "vocab.json", "--out", out, "--epochs", 0) == 2
+        assert str(lex) in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_weights_exit_three_without_checkpoint(
@@ -456,6 +476,20 @@ class TestEval:
         assert run("eval", "--task", "sim", "--embedder", emb,
                    "--data", pairs, "--out", out) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim.json*"))
+
+    @pytest.mark.parametrize("content", [None, b"#dim 2\nqalb\t1.0 0.5\n\xff\n"],
+                             ids=["missing", "invalid_utf8"])
+    def test_unreadable_embedder_exits_two(self, tmp_path, capsys, content):
+        emb = tmp_path / "emb.tsv"
+        if content is not None:
+            emb.write_bytes(content)
+        pairs = tmp_path / "sim.tsv"
+        pairs.write_text("qalb\trouh\t3.5\n", encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert run("eval", "--task", "sim", "--embedder", emb,
+                   "--data", pairs, "--out", out) == 2
+        assert f"cannot read {emb}" in capsys.readouterr().err
         assert not list(tmp_path.glob("sim.json*"))
 
     def test_failure_leaves_no_report(self, ws, ckpt, tmp_path):

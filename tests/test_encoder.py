@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from chdzdt import tensor as T
-from chdzdt.chartok import build_vocab, encode_word
+from chdzdt.chartok import MASK_ID, build_vocab, encode_word
 from chdzdt.encoder import (
     EncoderState,
     ModelConfig,
     count_params,
     encode_words,
-    forward,
     forward_batch,
     load_checkpoint,
-    loss_mlm,
-    loss_multilabel,
-    loss_total,
     parameter_manifest,
     save_checkpoint,
 )
 from chdzdt.errors import ConfigError, CorruptCheckpointError
+from chdzdt.pretrain import MaskedBatch, batch_loss
 
 from oracles import finite_diff_max_rel_err
 
@@ -32,6 +29,21 @@ def small_state(n_blocks=1, n_heads=1, hidden=4, max_chars=6, seed=0, dropout=0.
     cfg = ModelConfig(vocab_size=VOC.size, n_blocks=n_blocks, n_heads=n_heads,
                       hidden=hidden, max_chars=max_chars, dropout=dropout, seed=seed)
     return EncoderState.init(cfg, VOC)
+
+
+def forward_one(state, tok):
+    """forward_batch on a batch of one word: (hidden, cls, label_probs)."""
+    return forward_batch(state, tok.ids[None, :], tok.attention_mask[None, :])
+
+
+def one_row(tok, positions, original_ids, targets=(1, 0, 0, 0, 0)):
+    """A MaskedBatch of one row: tok.ids as given, losses at positions."""
+    positions = sorted(positions)
+    return MaskedBatch(corrupted=tok.ids[None, :],
+                       attention_mask=tok.attention_mask[None, :],
+                       mask_positions=[positions],
+                       original_ids=[np.asarray(original_ids)[positions]],
+                       targets=np.asarray([targets], dtype=np.float64))
 
 
 class TestConfig:
@@ -52,24 +64,24 @@ class TestForward:
     def test_eval_determinism(self):
         state = small_state()
         tok = encode_word(VOC, "dar", max_chars=6)
-        a = forward(state, tok).hidden.data
-        b = forward(state, tok).hidden.data
+        a = forward_one(state, tok)[0].data
+        b = forward_one(state, tok)[0].data
         assert np.array_equal(a, b)
 
     def test_cls_is_row_zero(self):
         state = small_state()
-        out = forward(state, encode_word(VOC, "dar", max_chars=6))
-        assert np.array_equal(out.cls.data, out.hidden.data[0])
+        hidden, cls, _ = forward_one(state, encode_word(VOC, "dar", max_chars=6))
+        assert np.array_equal(cls.data[0], hidden.data[0, 0])
 
     def test_pad_contents_cannot_leak(self):
         state = small_state(n_blocks=2, hidden=8, n_heads=2)
         tok = encode_word(VOC, "ab", max_chars=6)
-        base = forward(state, tok)
+        _, base_cls, base_probs = forward_one(state, tok)
         tampered = encode_word(VOC, "ab", max_chars=6)
         tampered.ids[4] = VOC.stoi["z"]  # PAD slot, mask still 0 there
-        out = forward(state, tampered)
-        assert np.array_equal(base.cls.data, out.cls.data)
-        assert np.array_equal(base.label_probs.data, out.label_probs.data)
+        _, cls, probs = forward_one(state, tampered)
+        assert np.array_equal(base_cls.data, cls.data)
+        assert np.array_equal(base_probs.data, probs.data)
 
     def test_attention_rows_sum_to_one(self):
         state = small_state(n_blocks=2, hidden=8, n_heads=2)
@@ -83,14 +95,15 @@ class TestForward:
 
     def test_label_probs_in_open_interval(self):
         state = small_state()
-        out = forward(state, encode_word(VOC, "abc", max_chars=6))
-        assert ((out.label_probs.data > 0) & (out.label_probs.data < 1)).all()
+        probs = forward_one(state, encode_word(VOC, "abc", max_chars=6))[2].data
+        assert probs.shape == (1, 5)
+        assert ((probs > 0) & (probs < 1)).all()
 
     def test_wrong_length_rejected(self):
         state = small_state(max_chars=6)
         tok = encode_word(VOC, "ab", max_chars=9)
         with pytest.raises(ConfigError):
-            forward(state, tok)
+            forward_one(state, tok)
 
     def test_hand_set_weights_match_straight_line_numpy(self):
         cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=1, hidden=2,
@@ -100,7 +113,7 @@ class TestForward:
         for _, p in state.named_parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape).astype(p.data.dtype)
         tok = encode_word(VOC, "ab", max_chars=2)
-        got = forward(state, tok).hidden.data
+        got = forward_one(state, tok)[0].data[0]
 
         # independent reference computation, plain numpy, float64
         P = {k: v.data.astype(np.float64) for k, v in state.params.items()}
@@ -176,7 +189,7 @@ class TestLosses:
         state.params["mlm_w"].data[...] = 0.0
         state.params["mlm_b"].data[...] = 0.0
         tok = encode_word(VOC, "dar", max_chars=6)
-        loss = loss_mlm(state, tok, {2}, tok.ids)
+        _, loss, _ = batch_loss(state, one_row(tok, {2}, tok.ids))
         assert math.isclose(float(loss.data), math.log(VOC.size), rel_tol=1e-5)
 
     def test_mlm_forced_correct_logits(self):
@@ -185,51 +198,42 @@ class TestLosses:
         state.params["mlm_w"].data[...] = 0.0
         state.params["mlm_b"].data[...] = -50.0
         state.params["mlm_b"].data[tok.ids[2]] = 50.0
-        assert float(loss_mlm(state, tok, {2}, tok.ids).data) < 1e-5
+        assert float(batch_loss(state, one_row(tok, {2}, tok.ids))[1].data) < 1e-5
 
     def test_mlm_mean_linearity(self):
         state = small_state(seed=5)
         tok = encode_word(VOC, "darija", max_chars=6)
-        li = float(loss_mlm(state, tok, {2}, tok.ids).data)
-        lj = float(loss_mlm(state, tok, {4}, tok.ids).data)
-        lij = float(loss_mlm(state, tok, {2, 4}, tok.ids).data)
+
+        def mlm(positions):
+            return float(batch_loss(state, one_row(tok, positions, tok.ids))[1].data)
+
+        li, lj, lij = mlm({2}), mlm({4}), mlm({2, 4})
         assert math.isclose(lij, (li + lj) / 2, rel_tol=1e-5)
-
-    def test_mlm_empty_mask_rejected(self):
-        state = small_state()
-        tok = encode_word(VOC, "dar", max_chars=6)
-        with pytest.raises(ValueError):
-            loss_mlm(state, tok, set(), tok.ids)
-
-    def test_mlm_cls_position_rejected(self):
-        state = small_state()
-        tok = encode_word(VOC, "dar", max_chars=6)
-        with pytest.raises(ValueError):
-            loss_mlm(state, tok, {0}, tok.ids)
 
     def test_multilabel_half_probs(self):
         state = small_state()
         state.params["label_w"].data[...] = 0.0
         state.params["label_b"].data[...] = 0.0
-        out = forward(state, encode_word(VOC, "dar", max_chars=6))
-        loss = loss_multilabel(state, out, [1, 0, 1, 0, 0])
+        tok = encode_word(VOC, "dar", max_chars=6)
+        _, _, loss = batch_loss(state, one_row(tok, {2}, tok.ids, [1, 0, 1, 0, 0]))
         assert math.isclose(float(loss.data), 5 * math.log(2), rel_tol=1e-6)
 
     def test_multilabel_permutation_equivariance(self):
         state = small_state(seed=9)
-        out = forward(state, encode_word(VOC, "dar", max_chars=6))
-        probs = out.label_probs
-        base = float(loss_multilabel(state, out, [1, 0, 0, 1, 0]).data)
+        probs = forward_one(state, encode_word(VOC, "dar", max_chars=6))[2][0]
+        base = float(T.bce_multilabel(probs, [1, 0, 0, 1, 0]).data)
         # permuting (prob, target) pairs together leaves the sum unchanged
         perm = [4, 3, 2, 1, 0]
-        out.label_probs = probs[np.asarray(perm)]
-        permuted = float(loss_multilabel(state, out, [0, 1, 0, 0, 1]).data)
+        permuted = float(T.bce_multilabel(probs[np.asarray(perm)], [0, 1, 0, 0, 1]).data)
         assert math.isclose(base, permuted, rel_tol=1e-6)
 
     def test_total_is_plain_sum(self):
-        assert float(loss_total(T.Tensor(np.array(2.0)), T.Tensor(np.array(1.5))).data) == 3.5
-        x = T.Tensor(np.array(0.7))
-        assert float(loss_total(T.Tensor(np.array(0.0)), x).data) == pytest.approx(0.7)
+        for seed in range(3):
+            state = small_state(seed=seed)
+            tok = encode_word(VOC, "darja", max_chars=6)
+            total, mlm, multilabel = batch_loss(
+                state, one_row(tok, {1, 3}, tok.ids, [0, 1, 1, 0, 1]))
+            assert total.data.tobytes() == (mlm.data + multilabel.data).tobytes()
 
 
 class TestCountParams:
@@ -373,16 +377,11 @@ class TestGradients:
             state = small_state(n_blocks=1, n_heads=1, hidden=4, max_chars=5, seed=1)
             tok = encode_word(VOC, "darja", max_chars=5)
             corrupted = encode_word(VOC, "darja", max_chars=5)
-            from chdzdt.chartok import MASK_ID
-
             corrupted.ids[2] = MASK_ID
-            targets = [1, 0, 0, 1, 0]
+            batch = one_row(corrupted, {2}, tok.ids, [1, 0, 0, 1, 0])
 
             def build():
-                out = forward(state, corrupted)
-                lm = loss_mlm(state, corrupted, {2}, tok.ids)
-                lb = loss_multilabel(state, out, targets)
-                return loss_total(lm, lb)
+                return batch_loss(state, batch)[0]
 
             err, _ = finite_diff_max_rel_err(
                 build, state.parameters(), np.random.default_rng(0), n_samples=20)
@@ -392,16 +391,12 @@ class TestGradients:
         state = small_state(n_blocks=1, n_heads=2, hidden=8, max_chars=5, seed=7)
         tok = encode_word(VOC, "darja", max_chars=5)
         corrupted = encode_word(VOC, "darja", max_chars=5)
-        from chdzdt.chartok import MASK_ID
-
         corrupted.ids[3] = MASK_ID
-        targets = [0, 1, 0, 0, 1]
+        batch = one_row(corrupted, {3}, tok.ids, [0, 1, 0, 0, 1])
         opt = T.Adam(state.parameters(), lr=1e-4)
 
         def total():
-            out = forward(state, corrupted)
-            return loss_total(loss_mlm(state, corrupted, {3}, tok.ids),
-                              loss_multilabel(state, out, targets))
+            return batch_loss(state, batch)[0]
 
         before = total()
         before_val = float(before.data)

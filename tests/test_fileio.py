@@ -1,4 +1,5 @@
-"""Atomic output: every writer replaces its file whole or leaves it alone."""
+"""Atomic output: every writer replaces its file whole or leaves it alone.
+Line input: every reader failure is a DataError naming the file."""
 
 import os
 
@@ -10,7 +11,7 @@ from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
 from chdzdt.errors import DataError
 from chdzdt.evalsuite.datasets import write_clusters, write_pos
 from chdzdt.evalsuite.embedder import write_embeddings_tsv
-from chdzdt.fileio import atomic_write
+from chdzdt.fileio import atomic_write, read_lines
 from chdzdt.preprocess import LexiconEntry, write_lexicon
 
 
@@ -85,3 +86,21 @@ class TestAtomicWrite:
         modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
         assert len(modes) == 6
         assert set(modes.values()) == {expected}, modes
+
+
+class TestReadLines:
+    def test_numbered_lines_without_newlines(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes("dar\r\n\nkbira\tx\n\u00e9".encode("utf-8"))
+        assert list(read_lines(path)) == [(1, "dar"), (2, ""), (3, "kbira\tx"),
+                                          (4, "\u00e9")]
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read .*nope.txt"):
+            list(read_lines(tmp_path / "nope.txt"))
+
+    def test_invalid_utf8_is_data_error_naming_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"dar\n\xffbab\n")
+        with pytest.raises(DataError, match="cannot read .*bad.txt"):
+            list(read_lines(path))

@@ -20,6 +20,8 @@ from chdzdt.pretrain import (
 )
 from chdzdt.preprocess import LexiconEntry
 
+from oracles import finite_diff_max_rel_err
+
 VOC = build_vocab([(97, 122)])  # a-z
 
 
@@ -173,6 +175,26 @@ class TestBatchLoss:
             now = float(batch_loss(state, batch)[0].data)
             assert now < prev
             prev = now
+
+    def test_real_batch_matches_finite_differences(self):
+        # rows masked twice repeat in the hidden[b_idx, t_idx] gather, and
+        # both objectives average over the batch
+        with T.precision("float64"):
+            cfg = ModelConfig(vocab_size=VOC.size, n_blocks=2, n_heads=2,
+                              hidden=8, max_chars=8, dropout=0.0, seed=3)
+            state = EncoderState.init(cfg, VOC)
+            examples = [(encode_word(VOC, w, max_chars=8), labels)
+                        for w, labels in (("dar", ("EN",)), ("kbira", ("AR", "DZ")),
+                                          ("sarout", ("FR",)))]
+            batch = mask_batch(examples, 0.4, np.random.default_rng(0))
+            assert [len(p) for p in batch.mask_positions] == [2, 2, 3]
+
+            def build():
+                return batch_loss(state, batch)[0]
+
+            err, _ = finite_diff_max_rel_err(
+                build, state.parameters(), np.random.default_rng(1), n_samples=40)
+        assert err < 1e-3
 
 
 class TestTrain:

@@ -259,6 +259,25 @@ class TestFit:
         assert len(fit([p], loss_fn, epochs=5, lr=0.1,
                        loss_target=np.inf)) == 1
 
+    @pytest.mark.parametrize("target", [None, 1e9], ids=["no_target", "early_stop"])
+    def test_leaves_no_graph_for_the_cyclic_gc(self, target):
+        w = t(np.random.default_rng(0).normal(size=(3, 3)))
+        x = Tensor(np.eye(3))
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            losses = fit([w], lambda: ((x @ w) * (x @ w)).sum(), epochs=3,
+                         lr=0.1, loss_target=target)
+            gc.collect()
+            leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert len(losses) == (3 if target is None else 1)
+        assert leaked == 0
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
