@@ -9,13 +9,13 @@ and padded to a fixed length of ``1 + max_chars``.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import read_json, read_package_json
 
 SPECIAL_TOKENS = ("PAD", "CLS", "MASK", "UNK", "SEP")
 # private-use code points so they can never collide with real text
@@ -47,28 +47,45 @@ class CharVocab:
 
     def __init__(self, ranges, extras=()):
         chars = set()
+        checked = []
         for interval in ranges:
-            if len(interval) != 2:
-                raise ConfigError(f"range must be [lo, hi], got {interval!r}")
-            lo, hi = int(interval[0]), int(interval[1])
+            try:
+                lo, hi = (operator.index(bound) for bound in interval)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"range must be [lo, hi] integers, got {interval!r}") from None
             if lo > hi:
                 raise ConfigError(f"malformed range [{lo}, {hi}]")
             if lo < 0 or hi > 0x10FFFF or (lo <= 0xDFFF and hi >= 0xD800):
                 raise ConfigError(f"range [{lo}, {hi}] contains invalid code points")
             chars.update(range(lo, hi + 1))
+            checked.append((lo, hi))
         for extra in extras:
-            if len(extra) != 1:
+            if not isinstance(extra, str) or len(extra) != 1:
                 raise ConfigError(f"extras must be single characters, got {extra!r}")
             chars.add(ord(extra))
         for special in SPECIAL_CHARS:
             if ord(special) in chars:
                 raise ConfigError(
                     f"U+{ord(special):04X} is reserved for a special token")
-        self.ranges = tuple(sorted((int(lo), int(hi)) for lo, hi in ranges))
+        self.ranges = tuple(sorted(checked))
         self.extras = tuple(sorted(extras))
         ordered = list(SPECIAL_CHARS) + [chr(cp) for cp in sorted(chars)]
         self.stoi = {ch: i for i, ch in enumerate(ordered)}
         self.itos = ordered
+
+    @classmethod
+    def from_spec(cls, spec: dict, what: str) -> "CharVocab":
+        """The vocabulary a spec() dict describes; `what` names its source
+        in errors."""
+        ranges, extras = spec.get("ranges"), spec.get("extras", [])
+        if not isinstance(ranges, list) or not isinstance(extras, list):
+            raise ConfigError(f"{what} must hold a 'ranges' list and an "
+                              "optional 'extras' list")
+        try:
+            return cls(ranges, extras)
+        except ConfigError as exc:
+            raise ConfigError(f"{what}: {exc}") from None
 
     @property
     def size(self) -> int:
@@ -98,20 +115,13 @@ def build_vocab(range_spec, extras=()) -> CharVocab:
 
 
 def load_vocab_spec(path) -> CharVocab:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"vocabulary spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(spec, dict) or "ranges" not in spec:
-        raise ConfigError(f"vocabulary spec {path} must contain a 'ranges' list")
-    return CharVocab(spec["ranges"], spec.get("extras", ()))
+    return CharVocab.from_spec(read_json(path, "vocabulary spec"),
+                               f"vocabulary spec {path}")
 
 
 def default_vocab() -> CharVocab:
-    raw = resources.files("chdzdt").joinpath("data/charset.json").read_text("utf-8")
-    spec = json.loads(raw)
-    return CharVocab(spec["ranges"], spec.get("extras", ()))
+    return CharVocab.from_spec(read_package_json("charset.json"),
+                               "built-in charset")
 
 
 def encode_word(vocab: CharVocab, word: str, max_chars: int = DEFAULT_MAX_CHARS) -> TokenizedWord:

@@ -51,7 +51,7 @@ from .evalsuite.metrics import cluster_report, similarity_corr
 from .evalsuite.obfuscate import noise_report
 from .evalsuite.probe import probe_train
 from .evalsuite.taggers import morph_tagger, pos_tagger, sentiment_classifier
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_json, read_lines, read_text
 from .preprocess import (
     NormRules,
     SourceStream,
@@ -134,16 +134,6 @@ def _write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
                    seed: int, started: str) -> None:
     manifest = RunManifest(subcommand=subcommand, config=config,
@@ -194,13 +184,6 @@ def _print_table(columns: list, rows: list) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(g, widths)))
 
 
-def _model_config_from(d: dict) -> ModelConfig:
-    try:
-        return ModelConfig.from_dict(d)
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-
-
 def _override(base: dict, flags: dict) -> dict:
     merged = dict(base)
     merged.update({k: v for k, v in flags.items() if v is not None})
@@ -213,8 +196,8 @@ def _load_vocab(path):
 
 def cmd_preprocess(args) -> int:
     started = _utc_now()
-    label_map = _load_json(args.labels, "labels map")
-    if not isinstance(label_map, dict) or not label_map:
+    label_map = read_json(args.labels, "labels map")
+    if not label_map:
         raise ConfigError(f"labels map {args.labels} must be a non-empty "
                           "JSON object of filename -> label")
     streams, inputs = [], {"labels": args.labels}
@@ -260,16 +243,16 @@ def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
-    model_d = _load_json(args.model_config, "model config") \
+    model_d = read_json(args.model_config, "model config") \
         if args.model_config else {}
     model_d = _override(model_d, {"n_blocks": args.n_blocks,
                                   "n_heads": args.n_heads,
                                   "hidden": args.hidden,
                                   "dropout": args.dropout})
     model_d.setdefault("vocab_size", vocab.size)
-    model_config = _model_config_from(model_d)
+    model_config = ModelConfig.from_dict(model_d)
 
-    train_d = _load_json(args.train_config, "train config") \
+    train_d = read_json(args.train_config, "train config") \
         if args.train_config else {}
     train_d = _override(train_d, {"epochs": args.epochs,
                                   "batch_size": args.batch_size,
@@ -307,11 +290,7 @@ def _read_word_lines(source):
         data = sys.stdin.read()
         return data.splitlines(), hashlib.sha256(
             data.encode("utf-8")).hexdigest()
-    try:
-        with open(source, encoding="utf-8") as fh:
-            return fh.read().splitlines(), None
-    except OSError as exc:
-        raise DataError(f"cannot read words file {source}: {exc}") from exc
+    return read_text(source).splitlines(), None
 
 
 def cmd_encode(args) -> int:
@@ -373,10 +352,8 @@ def _read_quadruples(path):
 
 
 def _eval_kwargs(task: str, args) -> dict:
-    file_params = _load_json(args.params, "eval params") \
+    file_params = read_json(args.params, "eval params") \
         if args.params else {}
-    if not isinstance(file_params, dict):
-        raise ConfigError(f"eval params {args.params} must be a JSON object")
     flags = {"seed": args.seed, "count": args.count, "kind": args.kind,
              "objective": args.objective, "fraction": args.fraction,
              "epochs": args.epochs, "lr": args.lr}
@@ -477,19 +454,17 @@ def cmd_ablation(args) -> int:
     lexicon = read_lexicon(args.lexicon)
 
     if args.grid:
-        raw = _load_json(args.grid, "grid")
-        if not isinstance(raw, list):
-            raise ConfigError(f"grid {args.grid} must be a JSON array of "
-                              "model configs")
         grid = []
-        for d in raw:
-            d = dict(d)
-            d.setdefault("vocab_size", vocab.size)
-            grid.append(_model_config_from(d))
+        for i, d in enumerate(read_json(args.grid, "grid", list)):
+            if not isinstance(d, dict):
+                raise ConfigError(f"grid {args.grid} entry {i} must be a "
+                                  "JSON object of model-config fields")
+            grid.append(ModelConfig.from_dict({"vocab_size": vocab.size,
+                                               **d}))
     else:
         grid = default_grid(vocab.size)
 
-    train_d = _load_json(args.train_config, "train config") \
+    train_d = read_json(args.train_config, "train config") \
         if args.train_config else {}
     train_d = _override(train_d, {"epochs": args.epochs,
                                   "batch_size": args.batch_size,
@@ -507,7 +482,7 @@ def cmd_ablation(args) -> int:
     if unknown:
         raise UsageError(f"unknown eval tasks {unknown}; expected a subset "
                          f"of {list(EVAL_TASKS)}")
-    eval_params = _load_json(args.eval_params, "eval params") \
+    eval_params = read_json(args.eval_params, "eval params") \
         if args.eval_params else {}
     evals, inputs = {}, {"lexicon": args.lexicon}
     readers = {"morph": read_clusters, "noise": read_clusters,
@@ -516,8 +491,11 @@ def cmd_ablation(args) -> int:
         path = task_data[task]
         if path is None:
             raise UsageError(f"eval task {task!r} needs {task_flags[task]}")
-        evals[task] = {"data": readers[task](path),
-                       **eval_params.get(task, {})}
+        params = eval_params.get(task, {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"eval params {args.eval_params} entry "
+                              f"{task!r} must be a JSON object")
+        evals[task] = {"data": readers[task](path), **params}
         inputs[task_flags[task].lstrip("-")] = path
     if args.grid:
         inputs["grid"] = args.grid

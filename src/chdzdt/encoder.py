@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .chartok import CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
-from .fileio import atomic_write
+from .fileio import atomic_write, config_from_dict
 from .tensor import Tensor, dropout, embedding, gelu, layer_norm, softmax
 
 MAGIC = b"CHDZ"
@@ -66,7 +66,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        """A config from JSON; an unknown field or a value of the wrong
+        type is a ConfigError."""
+        return config_from_dict(cls, d, "model-config")
 
 
 def parameter_manifest(config: ModelConfig):
@@ -145,7 +147,7 @@ class EncoderState:
 
 
 def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
-                  train_mode: bool = False, rng=None, attn_sink=None):
+                  train_mode: bool = False, rng=None):
     """Run [B, T] id batches through the encoder.
 
     Returns (hidden [B,T,d] Tensor, cls [B,d], label_probs [B,L]).
@@ -179,8 +181,6 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
         q, k, v = heads(proj("q", x)), heads(proj("k", x)), heads(proj("v", x))
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale + Tensor(neg)
         attn = softmax(scores, axis=-1)
-        if attn_sink is not None:
-            attn_sink.append(attn.data.copy())
         if train_mode:
             attn = dropout(attn, cfg.dropout, rng, train=True)
         ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
@@ -263,8 +263,7 @@ def load_checkpoint(path) -> EncoderState:
     try:
         header = json.loads(blob[16:header_end].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        charset = header["charset"]
-        vocab = CharVocab(charset["ranges"], charset.get("extras", ()))
+        vocab = CharVocab.from_spec(header["charset"], "charset")
         if vocab.size != config.vocab_size:
             raise ValueError(f"charset has {vocab.size} symbols, config {config.vocab_size}")
         tensors = header.get("tensors", [])

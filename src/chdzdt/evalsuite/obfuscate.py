@@ -8,12 +8,10 @@ characters with no entry.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..fileio import read_package_json
 from .embedder import embed_rows
 from .metrics import _unit_vectors, acs, ari, kmeans
 
@@ -41,19 +39,9 @@ class ObfuscationTable:
                     raise ConfigError(f"{char!r} maps to itself")
         self.mapping = {c: tuple(v) for c, v in mapping.items()}
 
-    @classmethod
-    def from_file(cls, path) -> "ObfuscationTable":
-        try:
-            with open(path, encoding="utf-8") as f:
-                mapping = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load obfuscation table {path}: {exc}")
-        return cls(mapping)
-
 
 def default_table() -> ObfuscationTable:
-    ref = resources.files("chdzdt.data").joinpath("obfuscation.json")
-    return ObfuscationTable(json.loads(ref.read_text(encoding="utf-8")))
+    return ObfuscationTable(read_package_json("obfuscation.json"))
 
 
 def obfuscate(word: str, mode: str, count: int,

@@ -1,16 +1,25 @@
 """File I/O shared by every reader and writer.
 
 Output is atomic: a file appears whole under its name, or not at all.
-Input is UTF-8 text read line by line; any failure is a DataError.
+Input is UTF-8 text or JSON; a file that cannot be read or decoded is a
+DataError, and JSON of the wrong shape is a ConfigError. No other module
+opens a file in text mode.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import json
 import os
 import secrets
+from importlib import resources
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+_JSON_TYPE_NAMES = {dict: "object", list: "array"}
+# a config field declared with the key's type takes a value of these types
+_FIELD_TYPES = {"int": int, "float": (int, float)}
 
 
 @contextlib.contextmanager
@@ -52,3 +61,50 @@ def read_lines(path):
                 yield lineno, line.rstrip("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file; an OSError or invalid UTF-8 becomes
+    a DataError naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path, what: str, kind: type = dict):
+    """The JSON value of a UTF-8 file, which must be a `kind` (dict or
+    list). Text that does not parse (too deep or too long a number
+    included) or a value of another type is a ConfigError naming path."""
+    text = read_text(path)
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} {path} must be a JSON "
+                          f"{_JSON_TYPE_NAMES[kind]}")
+    return value
+
+
+def read_package_json(name: str):
+    """The JSON value of a data file shipped in the package."""
+    return json.loads(
+        resources.files("chdzdt").joinpath(f"data/{name}").read_text("utf-8"))
+
+
+def config_from_dict(cls, d: dict, what: str):
+    """cls(**d) for a dataclass of int and float fields. An unknown key or
+    a value of the wrong type is a ConfigError: an int field takes a
+    non-bool int, a float field an int or a float."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {unknown}")
+    for name, value in d.items():
+        if isinstance(value, bool) or not isinstance(
+                value, _FIELD_TYPES[fields[name]]):
+            raise ConfigError(f"{what} field {name!r} must be "
+                              f"{fields[name]}, got {value!r}")
+    return cls(**d)

@@ -9,22 +9,23 @@ yields the same text as running it once.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .chartok import is_emoji_char
 from .errors import ConfigError, DataError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, read_json, read_lines, read_package_json
 
 logger = logging.getLogger(__name__)
 
 LABELS = ("AR", "BER", "DZ", "EN", "FR")
 MAX_WORD_LEN = 30
 _TATWEEL = "ـ"
+# rules-file keys with the JSON type and the default each one takes
+_RULE_FIELDS = {"emoji_aliases": {}, "char_unification": {}, "diacritics": [],
+                "elongation_cap": 2, "region_patterns": []}
 
 
 class NormRules:
@@ -38,12 +39,14 @@ class NormRules:
         self.emoji_aliases = dict(emoji_aliases or {})
         self.char_unification = dict(char_unification or {})
         self.diacritics = frozenset(diacritics) | {_TATWEEL}
+        if any(len(c) != 1 for c in self.diacritics):
+            raise ConfigError("diacritics must be single characters")
         self.elongation_cap = int(elongation_cap)
         self.region_patterns = []
         for pat in region_patterns:
             try:
                 self.region_patterns.append(re.compile(pat))
-            except re.error as exc:
+            except (re.error, RecursionError, OverflowError) as exc:
                 raise ConfigError(f"bad region pattern {pat!r}: {exc}") from exc
         # longest alias first so ":-)" is not eaten by ":)"; an alias fires
         # only when not followed by a letter or digit, and letter-initial
@@ -57,33 +60,39 @@ class NormRules:
         self._strip_table = {ord(c): None for c in self.diacritics}
 
     @classmethod
-    def from_file(cls, path) -> "NormRules":
+    def from_dict(cls, raw: dict, what: str) -> "NormRules":
+        """Rules from a JSON object; a missing key takes its default, and a
+        value of the wrong JSON type is a ConfigError naming `what`."""
+        kwargs = {key: raw.get(key, default)
+                  for key, default in _RULE_FIELDS.items()}
+        for key, value in kwargs.items():
+            if type(value) is not type(_RULE_FIELDS[key]):
+                raise ConfigError(f"{what}: {key} must be of type "
+                                  f"{type(_RULE_FIELDS[key]).__name__}")
+        strings = [*kwargs["emoji_aliases"].values(),
+                   *kwargs["char_unification"].values(),
+                   *kwargs["diacritics"], *kwargs["region_patterns"]]
+        if not all(isinstance(v, str) for v in strings):
+            raise ConfigError(f"{what}: aliases, unifications, diacritics "
+                              "and region patterns must be strings")
+        if "" in kwargs["emoji_aliases"] or "" in kwargs["char_unification"]:
+            # an empty source matches between every two characters
+            raise ConfigError(f"{what}: an alias or unification source "
+                              "must not be empty")
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read rules file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"rules file {path} is not valid JSON: {exc}") from exc
-        return cls(
-            emoji_aliases=raw.get("emoji_aliases", {}),
-            char_unification=raw.get("char_unification", {}),
-            diacritics=raw.get("diacritics", ()),
-            elongation_cap=raw.get("elongation_cap", 2),
-            region_patterns=raw.get("region_patterns", ()),
-        )
+            return cls(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{what}: {exc}") from None
+
+    @classmethod
+    def from_file(cls, path) -> "NormRules":
+        return cls.from_dict(read_json(path, "rules file"),
+                             f"rules file {path}")
 
     @classmethod
     def default(cls) -> "NormRules":
-        raw = json.loads(
-            resources.files("chdzdt").joinpath("data/norm_rules.json").read_text("utf-8"))
-        return cls(
-            emoji_aliases=raw["emoji_aliases"],
-            char_unification=raw["char_unification"],
-            diacritics=raw["diacritics"],
-            elongation_cap=raw["elongation_cap"],
-            region_patterns=raw["region_patterns"],
-        )
+        return cls.from_dict(read_package_json("norm_rules.json"),
+                             "built-in rules")
 
 
 def normalize_emojis(text: str, rules: NormRules) -> str:

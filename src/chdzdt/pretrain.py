@@ -3,13 +3,12 @@
 Each step corrupts a batch of tokenized words by replacing a sampled set of
 character positions with MASK, runs one encoder pass, and minimizes the sum
 of the masked-prediction cross-entropy and the multi-label BCE with Adam.
-Progress is logged as line-delimited JSON; checkpoints are written
-atomically and can be resumed with fresh optimizer moments.
+The loop opens no file and has no periodic checkpoints or resume: it
+returns the trained state and its log records for the caller to save.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import sys
@@ -21,14 +20,9 @@ import numpy as np
 
 from . import tensor as T
 from .chartok import CharVocab, MASK_ID, TokenizedWord, encode_word
-from .encoder import (
-    EncoderState,
-    ModelConfig,
-    forward_batch,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .encoder import EncoderState, ModelConfig, forward_batch
 from .errors import ConfigError, DataError, NumericalError
+from .fileio import config_from_dict
 from .preprocess import LABELS, LexiconEntry
 
 logger = logging.getLogger(__name__)
@@ -36,11 +30,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one training segment.
+    """Hyperparameters for one training run.
 
     lr is constant unless warmup_steps > 0, in which case it ramps linearly
     from 0 over that many steps; the effective rate is recorded in the log.
-    checkpoint_every <= 0 disables periodic saves (the final save remains).
     """
 
     epochs: int = 20
@@ -49,7 +42,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 42
     log_every: int = 50
-    checkpoint_every: int = 0
     warmup_steps: int = 0
 
     def __post_init__(self):
@@ -71,11 +63,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown train-config fields: {sorted(extra)}")
-        return cls(**d)
+        """A config from JSON; an unknown field or a value of the wrong
+        type is a ConfigError."""
+        return config_from_dict(cls, d, "train-config")
 
 
 @dataclass
@@ -175,8 +165,8 @@ def _encode_lexicon(lexicon: Sequence[LexiconEntry], vocab: CharVocab,
 
 
 def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
-         cfg: TrainConfig, out_path=None, log_path=None):
-    """Shared loop behind train() and resume(). Returns (state, records)."""
+         cfg: TrainConfig):
+    """Train state in place on lexicon. Returns (state, records)."""
     if not lexicon:
         raise DataError("cannot train on an empty lexicon")
     examples = _encode_lexicon(lexicon, state.vocab, state.config.max_chars)
@@ -185,62 +175,48 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
     records: list = []
     steps_per_epoch = math.ceil(len(examples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    log_f = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        step = 0
-        for epoch in range(1, cfg.epochs + 1):
-            erng = np.random.default_rng([cfg.seed, epoch])
-            order = erng.permutation(len(examples))
-            for start in range(0, len(examples), cfg.batch_size):
-                step += 1
-                chunk = order[start:start + cfg.batch_size]
-                batch = mask_batch([examples[i] for i in chunk],
-                                   cfg.mask_ratio, erng)
-                t0 = time.perf_counter()
-                total, mlm, multilabel = batch_loss(
-                    state, batch, train_mode=True, rng=erng)
-                if not np.isfinite(total.data).all():
-                    bad = [words[i] for i in chunk]
-                    raise NumericalError(
-                        f"non-finite loss at step {step} on batch {bad}")
-                opt.zero_grad()
-                total.backward()
-                if cfg.warmup_steps > 0:
-                    opt.lr = cfg.lr * min(1.0, step / cfg.warmup_steps)
-                opt.step()
-                elapsed = time.perf_counter() - t0
-                if step % cfg.log_every == 0 or step == total_steps:
-                    record = {
-                        "step": step,
-                        "epoch": epoch,
-                        "mlm": float(mlm.data),
-                        "multilabel": float(multilabel.data),
-                        "total": float(total.data),
-                        "lr": opt.lr,
-                        "samples_per_sec": len(chunk) / max(elapsed, 1e-9),
-                    }
-                    records.append(record)
-                    if log_f is not None:
-                        log_f.write(json.dumps(record) + "\n")
-                    print(f"epoch {epoch} step {step} "
-                          f"total {float(total.data):.4f}", file=sys.stderr)
-            if (cfg.checkpoint_every > 0 and out_path is not None
-                    and epoch % cfg.checkpoint_every == 0):
-                save_checkpoint(state, out_path)
-    finally:
-        if log_f is not None:
-            log_f.close()
+    step = 0
+    for epoch in range(1, cfg.epochs + 1):
+        erng = np.random.default_rng([cfg.seed, epoch])
+        order = erng.permutation(len(examples))
+        for start in range(0, len(examples), cfg.batch_size):
+            step += 1
+            chunk = order[start:start + cfg.batch_size]
+            batch = mask_batch([examples[i] for i in chunk],
+                               cfg.mask_ratio, erng)
+            t0 = time.perf_counter()
+            total, mlm, multilabel = batch_loss(
+                state, batch, train_mode=True, rng=erng)
+            if not np.isfinite(total.data).all():
+                bad = [words[i] for i in chunk]
+                raise NumericalError(
+                    f"non-finite loss at step {step} on batch {bad}")
+            opt.zero_grad()
+            total.backward()
+            if cfg.warmup_steps > 0:
+                opt.lr = cfg.lr * min(1.0, step / cfg.warmup_steps)
+            opt.step()
+            elapsed = time.perf_counter() - t0
+            if step % cfg.log_every == 0 or step == total_steps:
+                records.append({
+                    "step": step,
+                    "epoch": epoch,
+                    "mlm": float(mlm.data),
+                    "multilabel": float(multilabel.data),
+                    "total": float(total.data),
+                    "lr": opt.lr,
+                    "samples_per_sec": len(chunk) / max(elapsed, 1e-9),
+                })
+                print(f"epoch {epoch} step {step} "
+                      f"total {float(total.data):.4f}", file=sys.stderr)
     if not state.check_finite():
         raise NumericalError(f"non-finite weights after step {step}; "
                              "no checkpoint written")
-    if out_path is not None:
-        save_checkpoint(state, out_path)
     return state, records
 
 
 def train(lexicon: Sequence[LexiconEntry], model_config: ModelConfig,
-          train_config: TrainConfig, vocab: CharVocab,
-          out_path=None, log_path=None):
+          train_config: TrainConfig, vocab: CharVocab):
     """Pre-train a fresh encoder on a lexicon.
 
     Deterministic given the configs: each epoch reshuffles with an
@@ -248,22 +224,4 @@ def train(lexicon: Sequence[LexiconEntry], model_config: ModelConfig,
     from the same stream. Returns (final EncoderState, log records).
     """
     state = EncoderState.init(model_config, vocab)
-    return _fit(state, lexicon, train_config, out_path=out_path,
-                log_path=log_path)
-
-
-def resume(checkpoint_path, lexicon: Sequence[LexiconEntry],
-           train_config: TrainConfig, out_path=None, log_path=None,
-           model_config: ModelConfig | None = None):
-    """Continue training from a checkpoint with fresh optimizer moments.
-
-    The log starts a new segment (steps count from 1 again). If a
-    model_config is supplied it must match the checkpointed one.
-    """
-    state = load_checkpoint(checkpoint_path)
-    if model_config is not None and model_config != state.config:
-        raise ConfigError(
-            f"checkpoint config {state.config.to_dict()} does not match "
-            f"requested config {model_config.to_dict()}")
-    return _fit(state, lexicon, train_config, out_path=out_path,
-                log_path=log_path)
+    return _fit(state, lexicon, train_config)

@@ -86,6 +86,23 @@ class TestBuildVocab:
         with pytest.raises(ConfigError):
             load_vocab_spec(p)
 
+    @pytest.mark.parametrize("spec", [
+        {"extras": []}, {"ranges": 5}, {"ranges": [[97, 122]], "extras": "a"},
+        {"ranges": [5]}, {"ranges": [[97, 122, 3]]}, {"ranges": [[97, "z"]]},
+        {"ranges": [[97.0, 122]]}, {"ranges": [[None, 122]]},
+        {"ranges": [[122, 97]]}, {"ranges": [[97, 1114112]]},
+        {"ranges": [[97, 122]], "extras": [1]}],
+        ids=["no_ranges", "ranges_int", "extras_string", "range_int",
+             "three_bounds", "string_bound", "float_bound", "null_bound",
+             "reversed", "past_max", "int_extra"])
+    def test_load_spec_rejects_malformed_naming_file(self, tmp_path, spec):
+        import json
+
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec), encoding="utf-8")
+        with pytest.raises(ConfigError, match="vocabulary spec .*spec.json"):
+            load_vocab_spec(p)
+
 
 class TestEncode:
     def test_short_word_layout(self):

@@ -340,6 +340,88 @@ class TestPretrain:
         assert "non-finite" in capsys.readouterr().err
 
 
+def _argv_reading(flag, path, ws, lexicon, ckpt, out):
+    """A command line whose `flag` input is `path`; every other input is
+    good. A repeated flag overrides the earlier one."""
+    if flag in ("--labels", "--rules"):
+        argv = ["preprocess", "--in", ws / "corpus",
+                "--labels", ws / "labels.json"]
+    elif flag in ("--vocab", "--model-config", "--train-config"):
+        argv = ["pretrain", "--lexicon", lexicon]
+    elif flag == "--params":
+        argv = ["eval", "--task", "morph", "--embedder", ckpt,
+                "--data", ws / "clusters.tsv"]
+    elif flag in ("--grid", "--eval-params"):
+        argv = ["ablation", "--lexicon", lexicon, "--vocab",
+                ws / "vocab.json", "--evals", "morph",
+                "--clusters", ws / "clusters.tsv"]
+    else:
+        argv = ["encode", "--ckpt", ckpt]
+    return argv + ["--out", out, flag, path]
+
+
+JSON_INPUTS = {"--labels": b"[]", "--rules": b"[]", "--vocab": b"[]",
+               "--model-config": b"[]", "--train-config": b"[]",
+               "--params": b"[]", "--grid": b"{}", "--eval-params": b"[]"}
+BAD_INPUTS = [(flag, kind) for flag in [*JSON_INPUTS, "--words"]
+              for kind in ("missing", "invalid_utf8", "wrong_json_type")
+              if flag in JSON_INPUTS or kind != "wrong_json_type"]
+
+
+class TestInputs:
+
+    @pytest.mark.parametrize("flag, kind", BAD_INPUTS,
+                             ids=[f"{f[2:]}-{k}" for f, k in BAD_INPUTS])
+    def test_bad_input_file_exits_two_naming_it(self, ws, lexicon, ckpt,
+                                                tmp_path, capsys, flag,
+                                                kind):
+        bad = tmp_path / "input"
+        if kind == "invalid_utf8":
+            bad.write_bytes(b'{"dar": "\xff"}\n')
+        elif kind == "wrong_json_type":
+            bad.write_bytes(JSON_INPUTS[flag])
+        out = tmp_path / "out"
+        assert run(*_argv_reading(flag, bad, ws, lexicon, ckpt, out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") and str(bad) in line
+                   for line in err), err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("flag, content, named", [
+        ("--grid", [{"hidden": 8}, 1], "entry 1"),
+        ("--eval-params", {"morph": 3}, "entry 'morph'")],
+        ids=["grid_entry", "eval_params_entry"])
+    def test_entry_that_is_not_an_object_exits_two(self, ws, lexicon, ckpt,
+                                                   tmp_path, capsys, flag,
+                                                   content, named):
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*_argv_reading(flag, bad, ws, lexicon, ckpt, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, content, field", [
+        ("--train-config", {"epochs": 1.5}, "epochs"),
+        ("--train-config", {"batch_size": 2.5}, "batch_size"),
+        ("--train-config", {"epochs": "x"}, "epochs"),
+        ("--model-config", {"hidden": "8"}, "hidden"),
+        ("--grid", [{"n_heads": 1.0}], "n_heads")],
+        ids=["float_epochs", "float_batch_size", "string_epochs",
+             "string_hidden", "float_grid_heads"])
+    def test_wrong_typed_config_field_exits_two(self, ws, lexicon, ckpt,
+                                                tmp_path, capsys, flag,
+                                                content, field):
+        cfg = tmp_path / "input.json"
+        cfg.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*_argv_reading(flag, cfg, ws, lexicon, ckpt, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field) in err
+        assert not out.exists()
+
+
 class TestOutputFiles:
 
     def test_outputs_get_plain_open_mode_and_leave_no_temp(self, ws,

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from chdzdt import encoder
 from chdzdt import tensor as T
 from chdzdt.chartok import MASK_ID, build_vocab, encode_word
 from chdzdt.encoder import (
@@ -59,6 +60,13 @@ class TestConfig:
         cfg = ModelConfig(vocab_size=31, n_blocks=3, n_heads=4, hidden=32)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 8.5), ("n_blocks", "2"), ("n_heads", True),
+        ("dropout", "0.1"), ("seed", None), ("n_layers", 2)])
+    def test_from_dict_rejects_wrong_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig.from_dict({"vocab_size": 10, field: value})
+
 
 class TestForward:
     def test_eval_determinism(self):
@@ -83,11 +91,20 @@ class TestForward:
         assert np.array_equal(base_cls.data, cls.data)
         assert np.array_equal(base_probs.data, probs.data)
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, monkeypatch):
+        # the encoder calls softmax only for attention
         state = small_state(n_blocks=2, hidden=8, n_heads=2)
         tok = encode_word(VOC, "abc", max_chars=6)
         sink = []
-        forward_batch(state, tok.ids[None, :], tok.attention_mask[None, :], attn_sink=sink)
+
+        def recording_softmax(*args, **kwargs):
+            out = T.softmax(*args, **kwargs)
+            sink.append(out.data.copy())
+            return out
+
+        monkeypatch.setattr(encoder, "softmax", recording_softmax)
+        forward_one(state, tok)
+        assert len(sink) == 2
         for attn in sink:
             assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
             # PAD columns carry exactly zero weight
@@ -289,6 +306,12 @@ def _reversed_charset_range(raw):
     return _join_checkpoint(raw, header, body)
 
 
+def _fractional_hidden(raw):
+    header, body = _split_checkpoint(raw)
+    header["config"]["hidden"] = 4.0
+    return _join_checkpoint(raw, header, body)
+
+
 def _nan_body(raw):
     header, body = _split_checkpoint(raw)
     return _join_checkpoint(raw, header, b"\xff" * len(body))
@@ -359,9 +382,11 @@ class TestCheckpoint:
                 pass
 
     @pytest.mark.parametrize("corrupt", [_drop_first_name, _tensors_not_a_list,
-                                         _reversed_charset_range, _nan_body],
+                                         _reversed_charset_range,
+                                         _fractional_hidden, _nan_body],
                              ids=["entry_without_name", "tensors_not_a_list",
-                                  "reversed_charset_range", "all_ff_body"])
+                                  "reversed_charset_range",
+                                  "float_config_field", "all_ff_body"])
     def test_malformed_checkpoint_raises_corrupt(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(small_state(), path)

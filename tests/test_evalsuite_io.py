@@ -372,15 +372,6 @@ class TestObfuscationTable:
         with pytest.raises(ConfigError, match="candidates"):
             ObfuscationTable({"a": []})
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text('{"a": ["@"]}', encoding="utf-8")
-        assert ObfuscationTable.from_file(path).mapping == {"a": ("@",)}
-        bad = tmp_path / "bad.json"
-        bad.write_text("{", encoding="utf-8")
-        with pytest.raises(ConfigError, match="cannot load"):
-            ObfuscationTable.from_file(bad)
-
 
 class TestObfuscate:
     def test_star_replaces_exactly_count(self):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,30 @@ class TestRegionFilter:
     def test_malformed_pattern_rejected_at_load(self):
         with pytest.raises(ConfigError):
             NormRules(region_patterns=["["])
+
+
+class TestRulesFile:
+    def test_missing_keys_take_defaults(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text('{"elongation_cap": 3}', encoding="utf-8")
+        rules = NormRules.from_file(path)
+        assert rules.elongation_cap == 3
+        assert rules.emoji_aliases == {} and rules.region_patterns == []
+
+    @pytest.mark.parametrize("raw", [
+        {"elongation_cap": 2.5}, {"elongation_cap": True},
+        {"emoji_aliases": [":)"]}, {"char_unification": {"a": 1}},
+        {"diacritics": "ab"}, {"diacritics": ["ab"]},
+        {"region_patterns": [3]}, {"region_patterns": ["(" * 1000]},
+        {"emoji_aliases": {"": "x"}}, {"char_unification": {"": "-"}}],
+        ids=["float_cap", "bool_cap", "alias_list", "int_unification",
+             "diacritics_string", "two_char_diacritic", "int_pattern",
+             "deep_pattern", "empty_alias", "empty_unification"])
+    def test_malformed_rules_are_config_errors(self, tmp_path, raw):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigError, match="rules file .*rules.json"):
+            NormRules.from_file(path)
 
 
 class TestPipeline:

@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from chdzdt import cli
 from chdzdt import tensor as T
 from chdzdt.chartok import CLS_ID, MASK_ID, PAD_ID, build_vocab, encode_word
-from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint
+from chdzdt.encoder import (
+    EncoderState,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from chdzdt.errors import ConfigError, DataError, NumericalError
 from chdzdt.pretrain import (
     MaskedBatch,
@@ -15,10 +21,9 @@ from chdzdt.pretrain import (
     _fit,
     labels_to_targets,
     mask_batch,
-    resume,
     train,
 )
-from chdzdt.preprocess import LexiconEntry
+from chdzdt.preprocess import LexiconEntry, write_lexicon
 
 from oracles import finite_diff_max_rel_err
 
@@ -59,6 +64,17 @@ class TestTrainConfig:
     def test_dict_roundtrip(self):
         cfg = TrainConfig(epochs=3, batch_size=4, lr=0.01, seed=9)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("batch_size", 2.5), ("epochs", "x"),
+        ("seed", True), ("lr", "0.01"), ("mask_ratio", None),
+        ("log_every", [1])])
+    def test_wrong_field_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig.from_dict({field: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert TrainConfig.from_dict({"lr": 1}).lr == 1
 
 
 class TestMaskBatch:
@@ -205,7 +221,8 @@ class TestTrain:
         mc = ModelConfig(**self.CFG)
         tc = TrainConfig(epochs=0, batch_size=8, seed=1)
         out = tmp_path / "m.ckpt"
-        state, records = train(toy_lexicon(), mc, tc, VOC, out_path=out)
+        state, records = train(toy_lexicon(), mc, tc, VOC)
+        save_checkpoint(state, out)
         assert records == []
         fresh = EncoderState.init(mc, VOC)
         for (_, p), (_, q) in zip(state.named_parameters(),
@@ -219,8 +236,10 @@ class TestTrain:
         mc = ModelConfig(**self.CFG)
         tc = TrainConfig(epochs=2, batch_size=8, seed=5, log_every=1)
         out_a, out_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        _, rec_a = train(toy_lexicon(), mc, tc, VOC, out_path=out_a)
-        _, rec_b = train(toy_lexicon(), mc, tc, VOC, out_path=out_b)
+        state_a, rec_a = train(toy_lexicon(), mc, tc, VOC)
+        state_b, rec_b = train(toy_lexicon(), mc, tc, VOC)
+        save_checkpoint(state_a, out_a)
+        save_checkpoint(state_b, out_b)
         strip = lambda r: {k: v for k, v in r.items() if k != "samples_per_sec"}
         assert [strip(r) for r in rec_a] == [strip(r) for r in rec_b]
         assert out_a.read_bytes() == out_b.read_bytes()
@@ -240,10 +259,19 @@ class TestTrain:
         assert records[-1]["total"] < 0.4 * records[0]["total"]
 
     def test_log_file_is_parseable_jsonl_with_increasing_steps(self, tmp_path):
-        mc = ModelConfig(**self.CFG)
-        tc = TrainConfig(epochs=2, batch_size=8, seed=5, log_every=2)
-        log = tmp_path / "train.log"
-        train(toy_lexicon(), mc, tc, VOC, log_path=log)
+        lexicon, vocab = tmp_path / "lex.tsv", tmp_path / "vocab.json"
+        model, tc = tmp_path / "model.json", tmp_path / "train.json"
+        write_lexicon(toy_lexicon(), lexicon)
+        vocab.write_text(json.dumps(VOC.spec()), encoding="utf-8")
+        model.write_text(json.dumps(self.CFG), encoding="utf-8")
+        tc.write_text(json.dumps({"epochs": 2, "batch_size": 8, "seed": 5,
+                                  "log_every": 2}), encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert cli.main([str(a) for a in (
+            "pretrain", "--lexicon", lexicon, "--vocab", vocab,
+            "--model-config", model, "--train-config", tc,
+            "--out", out)]) == 0
+        log = tmp_path / "m.ckpt.trainlog.jsonl"
         rows = [json.loads(line) for line in log.read_text().splitlines()]
         assert rows
         steps = [r["step"] for r in rows]
@@ -273,56 +301,15 @@ class TestTrain:
         with pytest.raises(DataError):
             train([], ModelConfig(**self.CFG), TrainConfig(epochs=1), VOC)
 
-    def test_periodic_checkpoints_written(self, tmp_path):
-        mc = ModelConfig(**self.CFG)
-        tc = TrainConfig(epochs=2, batch_size=8, seed=1, checkpoint_every=1)
-        out = tmp_path / "m.ckpt"
-        state, _ = train(toy_lexicon(), mc, tc, VOC, out_path=out)
-        loaded = load_checkpoint(out)
-        for (_, p), (_, q) in zip(state.named_parameters(),
-                                  loaded.named_parameters()):
-            assert p.data.tobytes() == q.data.tobytes()
-
-
-class TestResume:
-    CFG = dict(vocab_size=VOC.size, n_blocks=1, n_heads=2, hidden=8,
-               max_chars=8, dropout=0.0, seed=3)
-
-    def _pretrained(self, tmp_path):
-        mc = ModelConfig(**self.CFG)
-        tc = TrainConfig(epochs=1, batch_size=8, seed=5)
-        out = tmp_path / "seg1.ckpt"
-        train(toy_lexicon(), mc, tc, VOC, out_path=out)
-        return out
-
     def test_lr_zero_freezes_parameters(self, tmp_path):
-        ckpt = self._pretrained(tmp_path)
+        mc = ModelConfig(**self.CFG)
+        state, _ = train(toy_lexicon(), mc,
+                         TrainConfig(epochs=1, batch_size=8, seed=5), VOC)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(state, ckpt)
         before = load_checkpoint(ckpt)
-        state, _ = resume(ckpt, toy_lexicon(),
-                          TrainConfig(epochs=2, batch_size=8, lr=0.0, seed=6))
+        state, _ = _fit(load_checkpoint(ckpt), toy_lexicon(),
+                        TrainConfig(epochs=2, batch_size=8, lr=0.0, seed=6))
         for (_, p), (_, q) in zip(before.named_parameters(),
                                   state.named_parameters()):
             assert p.data.tobytes() == q.data.tobytes()
-
-    def test_resume_deterministic(self, tmp_path):
-        ckpt = self._pretrained(tmp_path)
-        tc = TrainConfig(epochs=2, batch_size=8, seed=6, log_every=1)
-        _, rec_a = resume(ckpt, toy_lexicon(), tc)
-        _, rec_b = resume(ckpt, toy_lexicon(), tc)
-        strip = lambda r: {k: v for k, v in r.items() if k != "samples_per_sec"}
-        assert [strip(r) for r in rec_a] == [strip(r) for r in rec_b]
-
-    def test_new_segment_restarts_step_count(self, tmp_path):
-        ckpt = self._pretrained(tmp_path)
-        _, records = resume(ckpt, toy_lexicon(),
-                            TrainConfig(epochs=1, batch_size=8, seed=6,
-                                        log_every=1))
-        assert records[0]["step"] == 1
-
-    def test_config_mismatch_rejected(self, tmp_path):
-        ckpt = self._pretrained(tmp_path)
-        other = ModelConfig(vocab_size=VOC.size, n_blocks=2, n_heads=2,
-                            hidden=8, max_chars=8, seed=3)
-        with pytest.raises(ConfigError):
-            resume(ckpt, toy_lexicon(), TrainConfig(epochs=1),
-                   model_config=other)
