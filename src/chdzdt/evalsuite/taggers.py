@@ -237,8 +237,28 @@ def _time_major(seqs) -> list:
 
 
 def _every_position(fwd, bwd, mask):
-    states = T.cat([T.cat([f, b], axis=1) for f, b in zip(fwd, bwd)], axis=0)
-    return states[np.nonzero(mask.T.reshape(-1))[0]]
+    """Forward|backward states of every unpadded position, in the row order
+    of _time_major."""
+    steps, rows = np.nonzero(mask.T)
+    return T.cat([fwd, bwd], axis=2)[rows, steps]
+
+
+def _final_states(fwd, bwd, mask):
+    """Each direction's state after its last step: the sentence encoding."""
+    return T.cat([fwd[:, -1], bwd[:, 0]], axis=1)
+
+
+def _bigru_logits(params, readout, matrix, idx, mask):
+    """Decoder logits for word rows idx [n, L] of matrix under mask [n, L].
+
+    params: forward and backward gru_params, then dense and output weights.
+    """
+    pf, pb, dw, db, ow, ob = params
+    emb = matrix[idx]
+    states = (T.gru_sequence(emb, mask, pf),
+              T.gru_sequence(emb, mask, pb, reverse=True))
+    hidden = (readout(*states, mask) @ dw + db).tanh()
+    return hidden @ ow + ob
 
 
 def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
@@ -254,29 +274,15 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
     rng = np.random.default_rng(seed)
     pf = T.gru_params(source.dim, gru_hidden, rng)
     pb = T.gru_params(source.dim, gru_hidden, rng)
-    dw, db = _dense_params(2 * gru_hidden, dense_dim, rng)
-    ow, ob = _dense_params(dense_dim, n_out, rng)
-
-    def logits(matrix, idx, mask):
-        emb = matrix[idx]
-        n, length = mask.shape
-        zero = T.Tensor(np.zeros((n, gru_hidden), dtype=T.default_dtype()))
-        states = []
-        for params, steps in ((pf, range(length)),
-                              (pb, reversed(range(length)))):
-            seq, h = [None] * length, zero
-            for t in steps:
-                m = mask[:, t][:, None]
-                h = T.gru_cell(emb[:, t, :], h, params) * m + h * (1.0 - m)
-                seq[t] = h
-            states.append(seq)
-        hidden = (readout(*states, mask) @ dw + db).tanh()
-        return hidden @ ow + ob
+    params = (pf, pb, *_dense_params(2 * gru_hidden, dense_dim, rng),
+              *_dense_params(dense_dim, n_out, rng))
 
     idx, mask = _pack_sequences(train_seqs, source.row)
-    losses = T.fit([*pf.values(), *pb.values(), dw, db, ow, ob,
+    losses = T.fit([*pf.values(), *pb.values(), *params[2:],
                     *source.encoder_params()],
-                   lambda: T.softmax_ce(logits(source.matrix(), idx, mask),
+                   lambda: T.softmax_ce(_bigru_logits(params, readout,
+                                                      source.matrix(), idx,
+                                                      mask),
                                         targets, "mean"),
                    epochs, lr, loss_target)
     source.finish()
@@ -286,7 +292,8 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
         X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
         idx, mask = _pack_sequences(test_seqs,
                                     {w: i for i, w in enumerate(words)})
-        return losses, logits(X, idx, mask).data.argmax(1)
+        return losses, _bigru_logits(params, readout, X, idx,
+                                     mask).data.argmax(1)
 
 
 def pos_tagger(embedder, sentences, mode: str = "frozen",
@@ -403,8 +410,7 @@ def sentiment_classifier(embedder, rows, mode: str = "frozen",
         embedder, mode, [ws for _, ws in train],
         np.array([col[label] for label, _ in train]), [ws for _, ws in test],
         len(SENTIMENT_LABELS),
-        lambda fwd, bwd, mask: T.cat([fwd[-1], bwd[0]], axis=1),
-        seed, epochs, lr, gru_hidden, dense_dim, loss_target)
+        _final_states, seed, epochs, lr, gru_hidden, dense_dim, loss_target)
     accuracy, prf = _scores(np.array([col[label] for label, _ in test]),
                             pred, SENTIMENT_LABELS)
     counts = {"train": {lab: 0 for lab in SENTIMENT_LABELS},

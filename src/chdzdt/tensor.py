@@ -54,6 +54,12 @@ def no_grad():
         _GRAD_ENABLED = old
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """Logistic function, stable in both tails: exp(-|a|) never overflows."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+
 class Tensor:
     """A numpy-backed node in a dynamically built computation graph."""
 
@@ -245,12 +251,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        # stable in both tails
-        out_data = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(self.data))),
-            np.exp(-np.abs(self.data)) / (1.0 + np.exp(-np.abs(self.data))),
-        ).astype(self.data.dtype)
+        out_data = _sigmoid(self.data)
 
         def backward():
             self._acc(out.grad * out.data * (1.0 - out.data))
@@ -451,31 +452,129 @@ def bce_multilabel(probs: Tensor, targets, eps: float = 1e-7) -> Tensor:
 
 
 def gru_params(d_in: int, d_h: int, rng: np.random.Generator) -> dict:
-    """Glorot-initialized parameter dict for gru_cell."""
+    """Glorot-initialized parameters for gru_sequence, gates fused z|r|h.
+
+    w is [d_in, 3*d_h], u is [d_h, 3*d_h] and b is [3*d_h]; column block
+    k of w and u is drawn as its own Glorot matrix, w before u, gate by gate.
+    """
     def mat(rows, cols):
         bound = math.sqrt(6.0 / (rows + cols))
-        return Tensor(rng.uniform(-bound, bound, (rows, cols)).astype(_DEFAULT_DTYPE),
-                      requires_grad=True)
+        return rng.uniform(-bound, bound, (rows, cols)).astype(_DEFAULT_DTYPE)
 
-    params = {}
-    for gate in ("z", "r", "h"):
-        params[f"w_{gate}"] = mat(d_in, d_h)
-        params[f"u_{gate}"] = mat(d_h, d_h)
-        params[f"b_{gate}"] = Tensor(np.zeros(d_h, dtype=_DEFAULT_DTYPE), requires_grad=True)
-    return params
+    blocks = [(mat(d_in, d_h), mat(d_h, d_h)) for _ in ("z", "r", "h")]
+    return {"w": Tensor(np.concatenate([w for w, _ in blocks], axis=1),
+                        requires_grad=True),
+            "u": Tensor(np.concatenate([u for _, u in blocks], axis=1),
+                        requires_grad=True),
+            "b": Tensor(np.zeros(3 * d_h, dtype=_DEFAULT_DTYPE),
+                        requires_grad=True)}
+
+
+def gru_sequence(x: Tensor, mask, params: dict, reverse: bool = False,
+                 h0: Tensor | None = None) -> Tensor:
+    """A masked GRU layer over [n, L, d_in] input: the [n, L, d_h] states.
+
+    One step: z|r = sigmoid(x_t W_zr + h U_zr + b_zr),
+    c = tanh(x_t W_h + (r*h) U_h + b_h), new = z*h + (1-z)*c, and
+    h' = new*m + h*(1-m) for the step's mask column m, so padded steps
+    keep their state. reverse runs t = L-1 .. 0; h0 (default zeros) is the
+    state before the first step. The input projection of all steps is one
+    GEMM; the whole layer is one autodiff node whose backward runs BPTT by
+    hand and finishes the weight gradients with one GEMM over all n*L rows.
+    """
+    w, u, b = params["w"], params["u"], params["b"]
+    if x.ndim != 3:
+        raise ValueError(f"gru_sequence expects [n, L, d] input, got {x.shape}")
+    n, length, d_in = x.shape
+    d_h = u.shape[0]
+    if w.shape != (d_in, 3 * d_h) or u.shape != (d_h, 3 * d_h) or b.shape != (3 * d_h,):
+        raise ValueError(f"gru_sequence: params w {w.shape}, u {u.shape}, b {b.shape} "
+                         f"do not fit input width {d_in}")
+    dtype = x.data.dtype
+    m = np.asarray(mask, dtype=dtype)
+    if m.shape != (n, length):
+        raise ValueError(f"gru_sequence: mask {m.shape} vs input {x.shape}")
+    children = (x, w, u, b) if h0 is None else (x, w, u, b, h0)
+    record = _GRAD_ENABLED and any(c.requires_grad for c in children)
+
+    u_zr = u.data[:, :2 * d_h]
+    u_h = u.data[:, 2 * d_h:]
+    gx = (x.data.reshape(n * length, d_in) @ w.data + b.data).reshape(n, length, 3 * d_h)
+    h = np.zeros((n, d_h), dtype=dtype) if h0 is None else h0.data
+    first = h
+    steps = range(length - 1, -1, -1) if reverse else range(length)
+    out_data = np.empty((n, length, d_h), dtype=dtype)
+    if record:
+        zr_seq = np.empty((n, length, 2 * d_h), dtype=dtype)
+        c_seq = np.empty((n, length, d_h), dtype=dtype)
+    for t in steps:
+        zr = _sigmoid(gx[:, t, :2 * d_h] + h @ u_zr)
+        z, r = zr[:, :d_h], zr[:, d_h:]
+        c = np.tanh(gx[:, t, 2 * d_h:] + (r * h) @ u_h)
+        mt = m[:, t, None]
+        h = (z * h + (1.0 - z) * c) * mt + h * (1.0 - mt)
+        out_data[:, t] = h
+        if record:
+            zr_seq[:, t] = zr
+            c_seq[:, t] = c
+    if not record:
+        return Tensor(out_data)
+
+    def backward():
+        g = out.grad
+        # state before each step, in the input's [n, L] layout
+        h_prev = np.empty_like(out_data)
+        if reverse:
+            h_prev[:, :-1] = out_data[:, 1:]
+            h_prev[:, -1] = first
+        else:
+            h_prev[:, 1:] = out_data[:, :-1]
+            h_prev[:, 0] = first
+        # gradient of each step's pre-activations, z|r|h
+        da = np.empty((n, length, 3 * d_h), dtype=dtype)
+        dh = np.zeros((n, d_h), dtype=dtype)
+        for t in reversed(steps):
+            dh = dh + g[:, t]
+            mt = m[:, t, None]
+            hp = h_prev[:, t]
+            z, r = zr_seq[:, t, :d_h], zr_seq[:, t, d_h:]
+            c = c_seq[:, t]
+            dnew = dh * mt
+            dac = dnew * (1.0 - z) * (1.0 - c * c)
+            da[:, t, 2 * d_h:] = dac
+            drh = dac @ u_h.T
+            da[:, t, :d_h] = dnew * (hp - c) * z * (1.0 - z)
+            da[:, t, d_h:2 * d_h] = drh * hp * r * (1.0 - r)
+            dh = dh * (1.0 - mt) + dnew * z + drh * r + da[:, t, :2 * d_h] @ u_zr.T
+        rows = da.reshape(n * length, 3 * d_h)
+        if u.requires_grad:
+            du = np.empty_like(u.data)
+            du[:, :2 * d_h] = h_prev.reshape(-1, d_h).T @ rows[:, :2 * d_h]
+            rh = (zr_seq[:, :, d_h:] * h_prev).reshape(-1, d_h)
+            du[:, 2 * d_h:] = rh.T @ rows[:, 2 * d_h:]
+            u._acc(du)
+        if w.requires_grad:
+            w._acc(x.data.reshape(n * length, d_in).T @ rows)
+        b._acc(rows.sum(axis=0))
+        if x.requires_grad:
+            x._acc((rows @ w.data.T).reshape(x.shape))
+        if h0 is not None:
+            h0._acc(dh)
+
+    out = Tensor._result(out_data, children, backward)
+    return out
 
 
 def gru_cell(x_t: Tensor, h_prev: Tensor, params: dict) -> Tensor:
-    """One GRU step on [B, d_in] input and [B, d_h] state.
-
-    Update gate z keeps the previous state: h' = z*h_prev + (1-z)*h_cand.
+    """One GRU step on [B, d_in] input and [B, d_h] state: gru_sequence of
+    length one. The update gate z keeps the previous state:
+    h' = z*h_prev + (1-z)*h_cand.
     """
     if x_t.ndim != 2 or h_prev.ndim != 2:
         raise ValueError(f"gru_cell expects 2-D x and h, got {x_t.shape} and {h_prev.shape}")
-    z = (x_t @ params["w_z"] + h_prev @ params["u_z"] + params["b_z"]).sigmoid()
-    r = (x_t @ params["w_r"] + h_prev @ params["u_r"] + params["b_r"]).sigmoid()
-    h_cand = (x_t @ params["w_h"] + (r * h_prev) @ params["u_h"] + params["b_h"]).tanh()
-    return z * h_prev + (1.0 - z) * h_cand
+    n, d_in = x_t.shape
+    out = gru_sequence(x_t.reshape(n, 1, d_in), np.ones((n, 1)), params, h0=h_prev)
+    return out.reshape(n, h_prev.shape[1])
 
 
 class Adam:
@@ -497,18 +596,32 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        """One update, in place on each param's data."""
+        """One update, in place on each param's data and moments.
+
+        Rounds exactly as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps) would; two scratch arrays
+        per step stand in for that formula's temporaries.
+        """
         self.t += 1
-        t = self.t
-        for i, p in enumerate(self.params):
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            step = np.multiply(g, g)
+            step *= 1.0 - self.beta2
+            v *= self.beta2
+            v += step
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=step)
+            denom = np.divide(v, c2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            step /= denom
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

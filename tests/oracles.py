@@ -15,10 +15,15 @@ def finite_diff_max_rel_err(build_loss, params, rng, n_samples=20, h=1e-4):
     """Compare autodiff grads against central finite differences.
 
     build_loss() must rebuild the scalar loss Tensor from the current
-    param data on every call. Relative error uses a 1e-6 denominator
-    floor so near-zero gradient pairs do not blow up the ratio.
-    Returns (max_rel_err, samples) with one (analytic, numeric) pair per sample.
+    param data on every call; anything it closes over that is not in
+    params (an integer mask, an index array) is held fixed. Gradients left
+    on params by an earlier call are cleared first. Relative error uses a
+    1e-6 denominator floor so near-zero gradient pairs do not blow up the
+    ratio. Returns (max_rel_err, samples) with one (analytic, numeric) pair
+    per sample.
     """
+    for p in params:
+        p.grad = None
     loss = build_loss()
     loss.backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
@@ -48,6 +53,41 @@ def finite_diff_max_rel_err(build_loss, params, rng, n_samples=20, h=1e-4):
         samples.append((a, numeric))
         max_err = max(max_err, err)
     return max_err, samples
+
+
+def brute_gru_states(x, mask, w, u, b, reverse=False):
+    """Masked GRU states [n, L, h] with one scalar loop per unit.
+
+    Gate k of the fused [d, 3h] / [h, 3h] / [3h] arrays is column block k,
+    in the order z, r, h. A step whose mask is 0 keeps the previous state.
+    """
+    n, length, d = x.shape
+    hd = u.shape[0]
+
+    def sig(a):
+        return 1.0 / (1.0 + math.exp(-a))
+
+    out = np.zeros((n, length, hd))
+    for i in range(n):
+        h = [0.0] * hd
+        steps = range(length - 1, -1, -1) if reverse else range(length)
+        for t in steps:
+            xt = x[i, t]
+
+            def pre(gate, j, state):
+                col = gate * hd + j
+                return (math.fsum(xt[k] * w[k, col] for k in range(d))
+                        + math.fsum(state[k] * u[k, col] for k in range(hd))
+                        + b[col])
+
+            z = [sig(pre(0, j, h)) for j in range(hd)]
+            r = [sig(pre(1, j, h)) for j in range(hd)]
+            rh = [r[k] * h[k] for k in range(hd)]
+            cand = [math.tanh(pre(2, j, rh)) for j in range(hd)]
+            if mask[i, t]:
+                h = [z[j] * h[j] + (1.0 - z[j]) * cand[j] for j in range(hd)]
+            out[i, t] = h
+    return out
 
 
 def brute_acs(vectors, clusters):

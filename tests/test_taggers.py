@@ -10,12 +10,21 @@ from chdzdt.chartok import build_vocab
 from chdzdt.encoder import EncoderState, ModelConfig
 from chdzdt.errors import ConfigError, DataError
 from chdzdt.evalsuite.embedder import CheckpointEmbedder
+from chdzdt import tensor as T
+from chdzdt.evalsuite import taggers
 from chdzdt.evalsuite.taggers import (
+    _bigru_logits,
+    _every_position,
+    _final_states,
+    _pack_sequences,
+    _time_major,
     morph_tagger,
     pos_tagger,
     sentiment_classifier,
 )
 from chdzdt.tensor import Tensor
+
+from oracles import finite_diff_max_rel_err
 
 VOC = build_vocab([(97, 122)])
 
@@ -321,6 +330,61 @@ def test_frozen_run_leaves_no_graph_for_the_cyclic_gc(run):
         gc.garbage.clear()
         gc.enable()
     assert leaked == 0
+
+
+UNEQUAL_SENTENCES = [["a", "b", "c", "d"], ["c", "a"], ["b"],
+                     ["d", "d", "a"]]
+
+
+@pytest.mark.parametrize("readout", [_every_position, _final_states],
+                         ids=["pos", "sa"])
+def test_bigru_loss_matches_finite_differences(readout):
+    with T.precision("float64"):
+        rng = np.random.default_rng(8)
+        row = {w: i for i, w in enumerate("abcd")}
+        matrix = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        params = (T.gru_params(5, 3, rng), T.gru_params(5, 3, rng),
+                  *(Tensor(rng.normal(size=shape), requires_grad=True)
+                    for shape in ((6, 4), (4,), (4, 3), (3,))))
+        for gru in params[:2]:
+            gru["b"].data[...] = rng.normal(size=9)
+        idx, mask = _pack_sequences(UNEQUAL_SENTENCES, row)
+        n_rows = (len(_time_major(UNEQUAL_SENTENCES))
+                  if readout is _every_position else len(UNEQUAL_SENTENCES))
+        targets = rng.integers(0, 3, n_rows)
+
+        def build():
+            return T.softmax_ce(
+                _bigru_logits(params, readout, matrix, idx, mask), targets)
+
+        for param in [matrix, *params[0].values(), *params[1].values(),
+                      *params[2:]]:
+            err, _ = finite_diff_max_rel_err(
+                build, [param], np.random.default_rng(9), n_samples=20)
+            assert err < 1e-3
+
+
+@pytest.mark.parametrize("run", [
+    lambda: pos_tagger(SuffixEmbedder(), pos_sentences(n=6), gru_hidden=8,
+                       dense_dim=8, epochs=2, seed=0),
+    lambda: sentiment_classifier(MarkerEmbedder(), sentiment_rows(n=12),
+                                 gru_hidden=8, dense_dim=8, epochs=2, seed=0),
+], ids=["pos", "sa"])
+def test_test_pass_records_no_graph(run, monkeypatch):
+    outputs = []
+    gru_sequence = T.gru_sequence
+
+    def recording(*args, **kwargs):
+        out = gru_sequence(*args, **kwargs)
+        outputs.append((T._GRAD_ENABLED, out))
+        return out
+
+    monkeypatch.setattr(taggers.T, "gru_sequence", recording)
+    run()
+    test_pass = [out for enabled, out in outputs if not enabled]
+    assert len(test_pass) == 2
+    for out in test_pass:
+        assert out._prev == () and out._backward is None
 
 
 class TestFinetune:

@@ -17,12 +17,13 @@ from chdzdt.tensor import (
     gelu,
     gru_cell,
     gru_params,
+    gru_sequence,
     layer_norm,
     softmax,
     softmax_ce,
 )
 
-from oracles import finite_diff_max_rel_err
+from oracles import brute_gru_states, finite_diff_max_rel_err
 
 
 def t(data, grad=True):
@@ -158,7 +159,7 @@ class TestGRU:
 
     def test_update_gate_keeps_previous_state(self):
         params = self._zero_params(3, 4)
-        params["b_z"].data[...] = 50.0  # force z -> 1
+        params["b"].data[:4] = 50.0  # force z -> 1
         h_prev = Tensor(np.array([[1.0, -2.0, 3.0, 0.5]]))
         out = gru_cell(Tensor(np.ones((1, 3))), h_prev, params)
         assert np.allclose(out.data, h_prev.data, atol=1e-6)
@@ -177,6 +178,88 @@ class TestGRU:
             err, _ = finite_diff_max_rel_err(
                 build, [x, h] + list(params.values()), np.random.default_rng(3), n_samples=25)
         assert err < 1e-3
+
+
+RAGGED_MASK = np.array([[1, 1, 1, 1, 1],
+                        [1, 1, 1, 0, 0],
+                        [1, 0, 0, 0, 0]])
+
+
+class TestGRUSequence:
+    @staticmethod
+    def _inputs(seed):
+        rng = np.random.default_rng(seed)
+        params = gru_params(3, 4, rng)
+        params["b"].data[...] = rng.normal(size=12)
+        x = Tensor(rng.normal(size=(3, 5, 3)), requires_grad=True)
+        return rng, params, x
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
+    def test_matches_stepped_cells_and_scalar_reference(self, reverse):
+        with T.precision("float64"):
+            _, params, x = self._inputs(11)
+            out = gru_sequence(x, RAGGED_MASK, params, reverse=reverse).data
+            h = Tensor(np.zeros((3, 4)))
+            stepped = np.zeros_like(out)
+            for step in (range(4, -1, -1) if reverse else range(5)):
+                m = RAGGED_MASK[:, step][:, None].astype(np.float64)
+                h = gru_cell(x[:, step, :], h, params) * m + h * (1.0 - m)
+                stepped[:, step] = h.data
+            brute = brute_gru_states(x.data, RAGGED_MASK, params["w"].data,
+                                     params["u"].data, params["b"].data,
+                                     reverse)
+        assert np.abs(out - stepped).max() < 1e-12
+        assert np.abs(out - brute).max() < 1e-12
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "rev"])
+    def test_finite_difference_ragged_mask(self, reverse):
+        with T.precision("float64"):
+            rng, params, x = self._inputs(12)
+            h0 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            weights = Tensor(rng.normal(size=(3, 5, 4)))
+
+            def build():
+                return (gru_sequence(x, RAGGED_MASK, params, reverse=reverse,
+                                     h0=h0) * weights).sum()
+
+            for param in [x, h0, *params.values()]:
+                err, _ = finite_diff_max_rel_err(
+                    build, [param], np.random.default_rng(5), n_samples=20)
+                assert err < 1e-3
+
+    def test_no_grad_records_no_graph(self):
+        _, params, x = self._inputs(13)
+        with T.no_grad():
+            out = gru_sequence(x, RAGGED_MASK, params)
+        assert out._prev == () and out._backward is None
+        assert not out.requires_grad
+
+    def test_shape_errors(self):
+        _, params, x = self._inputs(14)
+        with pytest.raises(ValueError, match="mask"):
+            gru_sequence(x, RAGGED_MASK[:, :4], params)
+        with pytest.raises(ValueError, match="width"):
+            gru_sequence(Tensor(np.ones((3, 5, 2))), RAGGED_MASK, params)
+        with pytest.raises(ValueError, match=r"\[n, L, d\]"):
+            gru_sequence(Tensor(np.ones((3, 5))), RAGGED_MASK, params)
+
+
+def _sigmoid_three_exps(a):
+    """The original out-of-place sigmoid: exp(-|a|) evaluated three times."""
+    return np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
+                    np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a)))
+                    ).astype(a.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bytes_match_three_exp_formula(dtype):
+    rng = np.random.default_rng(21)
+    a = np.concatenate([rng.normal(scale=s, size=2000) for s in (1, 10, 100)]
+                       + [[0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 1e4, -1e4,
+                           np.inf, -np.inf]]).astype(dtype)
+    out = Tensor(a).sigmoid().data
+    assert out.dtype == dtype
+    assert out.tobytes() == _sigmoid_three_exps(a).tobytes()
 
 
 class TestAdam:
@@ -199,6 +282,36 @@ class TestAdam:
         expected = 1.0 - lr * g / (np.abs(g) + opt.eps)
         assert np.allclose(p.data, expected, atol=1e-12)
         assert np.allclose(p.data - 1.0, -lr * np.sign(g), atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_out_of_place_formula(self, dtype):
+        rng = np.random.default_rng(17)
+        shapes = [(5, 7), (7,), (3, 2)]
+        inits = [rng.normal(size=s).astype(dtype) for s in shapes]
+        grads = [[rng.normal(scale=10.0 ** k, size=s).astype(dtype)
+                  for k, s in enumerate(shapes)] for _ in range(6)]
+        params = [Tensor(x.copy(), requires_grad=True) for x in inits]
+        opt = Adam(params, lr=0.03)
+        ref = [x.copy() for x in inits]
+        m = [np.zeros_like(x) for x in inits]
+        v = [np.zeros_like(x) for x in inits]
+        b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+        for step, gs in enumerate(grads, start=1):
+            for i, (p, g) in enumerate(zip(params, gs)):
+                p.grad = None if i == 1 else g
+            opt.step()
+            for i, g in enumerate(gs):
+                if i == 1:
+                    continue
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                m_hat = m[i] / (1.0 - b1 ** step)
+                v_hat = v[i] / (1.0 - b2 ** step)
+                ref[i] -= (0.03 * m_hat / (np.sqrt(v_hat) + eps)).astype(dtype)
+        for p, r in zip(params, ref):
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == r.tobytes()
+        assert params[1].data.tobytes() == inits[1].tobytes()
 
     def test_determinism(self):
         def run():
