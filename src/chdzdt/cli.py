@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import Callable
 from datetime import datetime, timezone
 from importlib import metadata
 
@@ -25,14 +26,10 @@ import numpy as np
 from .chartok import default_vocab, load_vocab_spec
 from .encoder import ModelConfig, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
-from .evalsuite.ablation import (
-    EVAL_TASKS,
-    ablation_sweep,
-    default_grid,
-    variant_name,
-)
+from .evalsuite.ablation import ablation_sweep, default_grid, variant_name
 from .evalsuite.compose import KINDS, compose_eval, compose_fit, shift_positive
 from .evalsuite.datasets import (
+    TUPLE_MODES,
     read_affix_dataset,
     read_clusters,
     read_morph,
@@ -51,7 +48,8 @@ from .evalsuite.metrics import cluster_report, similarity_corr
 from .evalsuite.obfuscate import noise_report
 from .evalsuite.probe import probe_train
 from .evalsuite.taggers import morph_tagger, pos_tagger, sentiment_classifier
-from .fileio import atomic_write, read_json, read_lines, read_text
+from .fileio import atomic_write, check_fields, read_json, read_lines, \
+    read_text
 from .preprocess import (
     NormRules,
     SourceStream,
@@ -65,25 +63,6 @@ from .pretrain import TrainConfig, train
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 42
-
-TUPLE_SUFFIXES = (".star", ".hash", ".sim")
-
-FINETUNE_TASKS = ("tag", "pos", "sa")
-
-TASK_PARAMS = {
-    "morph": {"seed"},
-    "noise": {"count", "seed"},
-    "probe": {"fraction", "seed", "lr", "epochs"},
-    "compose": {"kind", "objective", "lr", "epochs", "seed"},
-    "sim": set(),
-    "tag": {"fraction", "seed", "epochs", "lr", "shared_dim",
-            "loss_target"},
-    "pos": {"fraction", "seed", "epochs", "lr", "gru_hidden", "dense_dim",
-            "max_words", "loss_target"},
-    "sa": {"fraction", "seed", "epochs", "lr", "gru_hidden", "dense_dim",
-           "max_words", "loss_target"},
-}
-
 
 class UsageError(Exception):
     """Flag combination the parser cannot catch; exits 1."""
@@ -351,82 +330,151 @@ def _read_quadruples(path):
     return rows
 
 
-def _eval_kwargs(task: str, args) -> dict:
-    file_params = read_json(args.params, "eval params") \
-        if args.params else {}
-    flags = {"seed": args.seed, "count": args.count, "kind": args.kind,
-             "objective": args.objective, "fraction": args.fraction,
-             "epochs": args.epochs, "lr": args.lr}
-    kwargs = _override(file_params, flags)
-    unknown = sorted(set(kwargs) - TASK_PARAMS[task])
-    if unknown:
-        raise ConfigError(f"task {task!r} does not accept parameters "
-                          f"{unknown}; allowed: "
-                          f"{sorted(TASK_PARAMS[task])}")
-    if "seed" in TASK_PARAMS[task]:
-        kwargs.setdefault("seed", DEFAULT_SEED)
-    return kwargs
+def _read_noise(path) -> dict:
+    """noise_report data: clean-noisy pairs from a tuple file (the mode
+    comes from its suffix), else clusters."""
+    if str(path).endswith(tuple(TUPLE_MODES)):
+        pairs, mode = read_tuples(path)
+        return {"tuples": {mode: pairs}}
+    return {"clusters": read_clusters(path)}
 
 
-def _run_eval_task(task: str, embedder, data_path: str, mode: str,
-                   kwargs: dict) -> dict:
-    if task == "morph":
-        return cluster_report(embedder, read_clusters(data_path), **kwargs)
-    if task == "noise":
-        if str(data_path).endswith(TUPLE_SUFFIXES):
-            pairs, tuple_mode = read_tuples(data_path)
-            return noise_report(embedder, tuples={tuple_mode: pairs},
-                                **kwargs)
-        return noise_report(embedder, clusters=read_clusters(data_path),
-                            **kwargs)
-    if task == "probe":
-        rows = read_affix_dataset(data_path)
-        embeddings = embed_rows(embedder, [w for w, _ in rows], np.float64)
-        return probe_train(embeddings, [affixes for _, affixes in rows],
-                           **kwargs)
-    if task == "compose":
-        kind = kwargs.pop("kind", None)
-        if kind is None:
-            raise UsageError("--task compose needs --kind "
-                             f"(one of {sorted(KINDS)})")
-        quads = _read_quadruples(data_path)
-        vectors = embed_rows(embedder, [w for quad in quads for w in quad],
-                             np.float64)
-        triples = [tuple(q) for q in vectors.reshape(len(quads), 4, -1)]
-        shift = 0.0
-        if kind == "WMul":
-            triples, shift = shift_positive(triples)
-        model = compose_fit(kind, triples, **kwargs)
-        report = compose_eval(model, triples)
-        report["shift"] = shift
-        return report
-    if task == "sim":
-        return similarity_corr(embedder, read_similarity(data_path))
-    if task == "tag":
-        return morph_tagger(embedder, read_morph(data_path), mode=mode,
-                            **kwargs)
-    if task == "pos":
-        return pos_tagger(embedder, read_pos(data_path), mode=mode,
-                          **kwargs)
-    if task == "sa":
-        return sentiment_classifier(embedder, read_sentiment(data_path),
-                                    mode=mode, **kwargs)
-    raise UsageError(f"unknown task {task!r}")
+def _run_probe(embedder, rows, mode, kwargs) -> dict:
+    embeddings = embed_rows(embedder, [w for w, _ in rows], np.float64)
+    return probe_train(embeddings, [affixes for _, affixes in rows],
+                       **kwargs)
+
+
+def _run_compose(embedder, quads, mode, kwargs) -> dict:
+    kind = kwargs.pop("kind", None)
+    if kind is None:
+        raise UsageError("--task compose needs --kind "
+                         f"(one of {sorted(KINDS)})")
+    vectors = embed_rows(embedder, [w for quad in quads for w in quad],
+                         np.float64)
+    triples = [tuple(q) for q in vectors.reshape(len(quads), 4, -1)]
+    shift = 0.0
+    if kind == "WMul":
+        triples, shift = shift_positive(triples)
+    model = compose_fit(kind, triples, **kwargs)
+    report = compose_eval(model, triples)
+    report["shift"] = shift
+    return report
+
+
+def _noise_columns(report) -> dict:
+    columns = {f"noise_{m}_acs": v for m, v in report["tuple_acs"].items()}
+    columns.update({f"noise_{m}_ari": stats["ari"]
+                    for m, stats in report["cluster"].items()})
+    return columns
+
+
+@dataclass(frozen=True)
+class Task:
+    """One evaluation task. read: data path -> data; run: (embedder, data,
+    mode, kwargs) -> report; params: keyword -> int, float or str;
+    finetune: whether --mode finetune applies; flag: the ablation flag
+    naming the data, None if ablation skips the task; headline: report ->
+    flat ablation columns."""
+
+    read: Callable
+    run: Callable
+    params: dict
+    finetune: bool = False
+    flag: str | None = None
+    headline: Callable | None = None
+
+
+_SPLIT = {"fraction": float, "seed": int, "epochs": int, "lr": float,
+          "loss_target": float}
+_BIGRU = {**_SPLIT, "gru_hidden": int, "dense_dim": int, "max_words": int}
+
+# Runners look the task functions up by name in this module when called,
+# so a name rebound on the module is the one that runs.
+TASKS = {
+    "morph": Task(read_clusters,
+                  lambda e, d, m, kw: cluster_report(e, d, **kw),
+                  {"seed": int}, flag="--clusters",
+                  headline=lambda r: {f"morph_{k}": r[k] for k in
+                                      ("acs", "aed", "silhouette", "ari")}),
+    "noise": Task(_read_noise, lambda e, d, m, kw: noise_report(e, **d, **kw),
+                  {"count": int, "seed": int}, flag="--clusters",
+                  headline=_noise_columns),
+    "probe": Task(read_affix_dataset, _run_probe,
+                  {"fraction": float, "seed": int, "lr": float,
+                   "epochs": int}),
+    "compose": Task(_read_quadruples, _run_compose,
+                    {"kind": str, "objective": str, "lr": float,
+                     "epochs": int, "seed": int}),
+    "sim": Task(read_similarity,
+                lambda e, d, m, kw: similarity_corr(e, d), {}),
+    "tag": Task(read_morph,
+                lambda e, d, m, kw: morph_tagger(e, d, mode=m, **kw),
+                {**_SPLIT, "shared_dim": int}, finetune=True,
+                flag="--tag-data",
+                headline=lambda r: {"tag_overall": r["overall"]}),
+    "pos": Task(read_pos, lambda e, d, m, kw: pos_tagger(e, d, mode=m, **kw),
+                _BIGRU, finetune=True, flag="--pos-data",
+                headline=lambda r: {"pos_accuracy": r["accuracy"],
+                                    "pos_macro_f1": r["macro_f1"]}),
+    "sa": Task(read_sentiment,
+               lambda e, d, m, kw: sentiment_classifier(e, d, mode=m, **kw),
+               _BIGRU, finetune=True, flag="--sa-data",
+               headline=lambda r: {"sa_accuracy": r["accuracy"],
+                                   "sa_macro_f1": r["macro_f1"]}),
+}
+
+ABLATION_TASKS = tuple(name for name, task in TASKS.items() if task.flag)
+
+
+def _task_kwargs(name: str, params: dict, seed: int) -> dict:
+    """params checked against TASKS[name].params, with seed as the default
+    of a task that takes one."""
+    check_fields(params, TASKS[name].params, f"task {name!r} parameter")
+    if "seed" in TASKS[name].params:
+        return {"seed": seed, **params}
+    return dict(params)
+
+
+def ablation_evaluate(data: dict, params: dict | None = None,
+                      seed: int = DEFAULT_SEED):
+    """ablation_sweep's evaluate: a frozen run of each task in data (an
+    ABLATION_TASKS name -> what its reader returns) with its keywords from
+    params (name -> dict), giving the headline columns. The keywords are
+    checked here, before any variant trains."""
+    runs = [(TASKS[name], task_data,
+             _task_kwargs(name, (params or {}).get(name, {}), seed))
+            for name, task_data in data.items()]
+
+    def evaluate(embedder) -> dict:
+        columns = {}
+        for task, task_data, kwargs in runs:
+            columns.update(task.headline(
+                task.run(embedder, task_data, "frozen", dict(kwargs))))
+        return columns
+
+    return evaluate
 
 
 def cmd_eval(args) -> int:
     started = _utc_now()
-    if args.mode == "finetune" and args.task not in FINETUNE_TASKS:
+    task = TASKS[args.task]
+    if args.mode == "finetune" and not task.finetune:
         raise UsageError("--mode finetune only applies to tasks "
-                         f"{list(FINETUNE_TASKS)}")
+                         f"{[n for n, t in TASKS.items() if t.finetune]}")
     embedder = load_embedder(args.embedder)
-    kwargs = _eval_kwargs(args.task, args)
+    file_params = read_json(args.params, "eval params") \
+        if args.params else {}
+    flags = {k: vars(args)[k] for k in ("seed", "count", "kind", "objective",
+                                        "fraction", "epochs", "lr")}
+    kwargs = _task_kwargs(args.task, _override(file_params, flags),
+                          DEFAULT_SEED)
     seed = kwargs.get("seed", DEFAULT_SEED)
 
-    results = _run_eval_task(args.task, embedder, args.data, args.mode,
-                             dict(kwargs))
-    payload = {"task": args.task, "mode": args.mode
-               if args.task in FINETUNE_TASKS else None,
+    results = task.run(embedder, task.read(args.data), args.mode,
+                       dict(kwargs))
+    payload = {"task": args.task,
+               "mode": args.mode if task.finetune else None,
                "embedder": args.embedder, "data": args.data,
                "params": kwargs, "results": results}
     if args.mode == "finetune":
@@ -471,32 +519,25 @@ def cmd_ablation(args) -> int:
                                   "lr": args.lr, "seed": args.seed})
     train_config = TrainConfig.from_dict(train_d)
 
-    task_data = {"morph": args.clusters, "noise": args.clusters,
-                 "tag": args.tag_data, "pos": args.pos_data,
-                 "sa": args.sa_data}
-    task_flags = {"morph": "--clusters", "noise": "--clusters",
-                  "tag": "--tag-data", "pos": "--pos-data",
-                  "sa": "--sa-data"}
     tasks = [t for t in args.evals.split(",") if t]
-    unknown = sorted(set(tasks) - set(EVAL_TASKS))
+    unknown = sorted(set(tasks) - set(ABLATION_TASKS))
     if unknown:
         raise UsageError(f"unknown eval tasks {unknown}; expected a subset "
-                         f"of {list(EVAL_TASKS)}")
+                         f"of {list(ABLATION_TASKS)}")
     eval_params = read_json(args.eval_params, "eval params") \
         if args.eval_params else {}
-    evals, inputs = {}, {"lexicon": args.lexicon}
-    readers = {"morph": read_clusters, "noise": read_clusters,
-               "tag": read_morph, "pos": read_pos, "sa": read_sentiment}
-    for task in tasks:
-        path = task_data[task]
+    data, inputs = {}, {"lexicon": args.lexicon}
+    for name in tasks:
+        flag = TASKS[name].flag
+        path = vars(args)[flag[2:].replace("-", "_")]
         if path is None:
-            raise UsageError(f"eval task {task!r} needs {task_flags[task]}")
-        params = eval_params.get(task, {})
-        if not isinstance(params, dict):
+            raise UsageError(f"eval task {name!r} needs {flag}")
+        if not isinstance(eval_params.get(name, {}), dict):
             raise ConfigError(f"eval params {args.eval_params} entry "
-                              f"{task!r} must be a JSON object")
-        evals[task] = {"data": readers[task](path), **params}
-        inputs[task_flags[task].lstrip("-")] = path
+                              f"{name!r} must be a JSON object")
+        data[name] = TASKS[name].read(path)
+        inputs[flag.lstrip("-")] = path
+    evaluate = ablation_evaluate(data, eval_params, args.seed)
     if args.grid:
         inputs["grid"] = args.grid
     if args.train_config:
@@ -507,8 +548,8 @@ def cmd_ablation(args) -> int:
         inputs["eval_params"] = args.eval_params
 
     os.makedirs(args.out, exist_ok=True)
-    report = ablation_sweep(grid, lexicon, vocab, train_config, evals,
-                            seed=args.seed, out_dir=args.out)
+    report = ablation_sweep(grid, lexicon, vocab, train_config, evaluate,
+                            out_dir=args.out)
 
     _write_json(os.path.join(args.out, "ablation.json"), report)
     columns = ["variant", "params", "wall_time", "samples_per_sec"]
@@ -589,9 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="run one evaluation task")
-    p.add_argument("--task", required=True,
-                   choices=("morph", "noise", "probe", "compose", "sim",
-                            "tag", "pos", "sa"),
+    p.add_argument("--task", required=True, choices=tuple(TASKS),
                    help="evaluation task to run")
     p.add_argument("--embedder", required=True,
                    help="checkpoint or embeddings-TSV file")
@@ -627,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-config",
                    help="train config JSON (flags override)")
     p.add_argument("--evals", required=True,
-                   help="comma-separated eval tasks: morph,noise,tag,"
-                        "pos,sa")
+                   help="comma-separated eval tasks: "
+                        + ",".join(ABLATION_TASKS))
     p.add_argument("--clusters", help="clusters TSV for morph/noise")
     p.add_argument("--tag-data", help="morph-tagging TSV for tag")
     p.add_argument("--pos-data", help="PoS file for pos")

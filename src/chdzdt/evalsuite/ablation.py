@@ -1,10 +1,13 @@
-"""Architecture sweep: pre-train encoder variants, evaluate a shared task
-bundle, and consolidate one comparable metric-by-variant table.
+"""Architecture sweep: pre-train encoder variants, evaluate each with a
+caller-supplied callable, and consolidate one comparable
+metric-by-variant table.
 
 The default grid varies one factor at a time around the N=2, H=2, d=16
 base: depth N in {1,2,3}, heads H in {1,2,4}, width d in {8,16,32},
-seven distinct configurations in total. Variant failures are isolated:
-the sweep continues and the report marks every cell of a failed row.
+seven distinct configurations in total. Which tasks run, on which data,
+is the caller's choice (the CLI builds it from its task table). Variant
+failures are isolated: the sweep continues and the report marks every
+cell of a failed row.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ from ..encoder import ModelConfig, count_params, save_checkpoint
 from ..errors import ConfigError
 from ..pretrain import TrainConfig, train
 from .embedder import CheckpointEmbedder
-from .metrics import cluster_report
-from .obfuscate import noise_report
-from .taggers import morph_tagger, pos_tagger, sentiment_classifier
 
 logger = logging.getLogger(__name__)
 
@@ -28,8 +28,6 @@ GRID_ROWS = (
     (2, 1, 16), (2, 4, 16),
     (2, 2, 8), (2, 2, 32),
 )
-
-EVAL_TASKS = ("morph", "noise", "tag", "pos", "sa")
 
 FAILED = "failed"
 
@@ -45,69 +43,20 @@ def default_grid(vocab_size: int, **overrides) -> list:
             for n, h, d in GRID_ROWS]
 
 
-def _run_evals(embedder, evals: dict, seed: int) -> dict:
-    """Flat metric dict for one trained variant."""
-    metrics: dict = {}
-    for task in EVAL_TASKS:
-        if task not in evals:
-            continue
-        spec = evals[task]
-        if isinstance(spec, dict):
-            kwargs = dict(spec)
-            data = kwargs.pop("data")
-        else:
-            data, kwargs = spec, {}
-        kwargs.setdefault("seed", seed)
-        if task == "morph":
-            rep = cluster_report(embedder, data, **kwargs)
-            for key in ("acs", "aed", "silhouette", "ari"):
-                metrics[f"morph_{key}"] = rep[key]
-        elif task == "noise":
-            rep = noise_report(embedder, clusters=data, **kwargs)
-            for mode, value in rep["tuple_acs"].items():
-                metrics[f"noise_{mode}_acs"] = value
-            for mode, stats in rep["cluster"].items():
-                metrics[f"noise_{mode}_ari"] = stats["ari"]
-        elif task == "tag":
-            rep = morph_tagger(embedder, data, **kwargs)
-            metrics["tag_overall"] = rep["overall"]
-        elif task == "pos":
-            rep = pos_tagger(embedder, data, **kwargs)
-            metrics["pos_accuracy"] = rep["accuracy"]
-            metrics["pos_macro_f1"] = rep["macro_f1"]
-        elif task == "sa":
-            rep = sentiment_classifier(embedder, data, **kwargs)
-            metrics["sa_accuracy"] = rep["accuracy"]
-            metrics["sa_macro_f1"] = rep["macro_f1"]
-    return metrics
-
-
 def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
-                   evals: dict | None = None, seed: int = 42,
-                   out_dir=None) -> dict:
-    """Train every variant on the shared lexicon and evaluate the bundle.
+                   evaluate=None, out_dir=None) -> dict:
+    """Train every variant on the shared lexicon and evaluate it.
 
-    evals maps task names to datasets: "morph" and "noise" take (root,
-    members) clusters, "tag" takes (word, features) rows, "pos" takes
-    tagged sentences, "sa" takes (label, text) rows. A dict value passes
-    extra keyword arguments with the dataset under "data". With out_dir,
-    each variant's trained checkpoint is saved as <variant>.ckpt there.
-    A failed variant is recorded with its error and the sweep continues;
-    the consolidated table covers every (variant, metric) cell, marking
-    the cells of failed variants.
+    evaluate(embedder) -> {column: value} runs once on each trained
+    variant; without it the table holds only the efficiency columns.
+    With out_dir, each variant's trained checkpoint is saved as
+    <variant>.ckpt there. A failed variant is recorded with its error and
+    the sweep continues; the consolidated table covers every (variant,
+    metric) cell, marking the cells of failed variants.
     """
     grid = list(grid)
     if not grid:
         raise ConfigError("ablation grid is empty")
-    evals = dict(evals or {})
-    unknown = sorted(set(evals) - set(EVAL_TASKS))
-    if unknown:
-        raise ConfigError(f"unknown eval tasks {unknown}; "
-                          f"expected a subset of {list(EVAL_TASKS)}")
-    for task, spec in evals.items():
-        if isinstance(spec, dict) and "data" not in spec:
-            raise ConfigError(f"eval task {task!r}: dict form needs "
-                              "a 'data' entry")
     names = [variant_name(c) for c in grid]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
@@ -129,8 +78,8 @@ def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
                 path = os.path.join(out_dir, row["variant"] + ".ckpt")
                 save_checkpoint(state, path)
                 row["checkpoint"] = path
-            row["metrics"] = _run_evals(CheckpointEmbedder(state), evals,
-                                        seed)
+            if evaluate is not None:
+                row["metrics"] = evaluate(CheckpointEmbedder(state))
         except Exception as exc:
             row["status"] = FAILED
             row["error"] = f"{type(exc).__name__}: {exc}"

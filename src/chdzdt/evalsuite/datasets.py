@@ -10,6 +10,9 @@ from ..fileio import atomic_write, read_lines
 
 SENTIMENT_LABELS = ("negative", "neutral", "positive")
 
+# tuple-file suffix -> obfuscation mode
+TUPLE_MODES = {".star": "star", ".hash": "hash", ".sim": "similar"}
+
 
 def read_clusters(path):
     """One cluster per line: root TAB member TAB member..."""
@@ -42,7 +45,7 @@ def read_tuples(path):
     """clean TAB noisy pairs; the mode comes from the filename suffix."""
     name = str(path)
     mode = None
-    for suffix, m in ((".star", "star"), (".hash", "hash"), (".sim", "similar")):
+    for suffix, m in TUPLE_MODES.items():
         if name.endswith(suffix):
             mode = m
     if mode is None:

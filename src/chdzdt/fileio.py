@@ -9,17 +9,17 @@ opens a file in text mode.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import secrets
+import typing
 from importlib import resources
 
 from .errors import ConfigError, DataError
 
 _JSON_TYPE_NAMES = {dict: "object", list: "array"}
-# a config field declared with the key's type takes a value of these types
-_FIELD_TYPES = {"int": int, "float": (int, float)}
+# a field declared with the key's type takes a value of these types
+_FIELD_TYPES = {int: int, float: (int, float), str: str}
 
 
 @contextlib.contextmanager
@@ -94,17 +94,22 @@ def read_package_json(name: str):
         resources.files("chdzdt").joinpath(f"data/{name}").read_text("utf-8"))
 
 
-def config_from_dict(cls, d: dict, what: str):
-    """cls(**d) for a dataclass of int and float fields. An unknown key or
-    a value of the wrong type is a ConfigError: an int field takes a
-    non-bool int, a float field an int or a float."""
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - set(fields))
+def check_fields(d: dict, types: dict, what: str) -> None:
+    """Check d against types (field name -> int, float or str). An unknown
+    key or a value of the wrong type is a ConfigError: an int field takes
+    a non-bool int, a float field an int or a float."""
+    unknown = sorted(set(d) - set(types))
     if unknown:
-        raise ConfigError(f"unknown {what} fields: {unknown}")
+        raise ConfigError(f"unknown {what} fields: {unknown}; "
+                          f"allowed: {sorted(types)}")
     for name, value in d.items():
         if isinstance(value, bool) or not isinstance(
-                value, _FIELD_TYPES[fields[name]]):
+                value, _FIELD_TYPES[types[name]]):
             raise ConfigError(f"{what} field {name!r} must be "
-                              f"{fields[name]}, got {value!r}")
+                              f"{types[name].__name__}, got {value!r}")
+
+
+def config_from_dict(cls, d: dict, what: str):
+    """cls(**d) for a dataclass, once check_fields accepts d."""
+    check_fields(d, typing.get_type_hints(cls), what)
     return cls(**d)

@@ -2,11 +2,11 @@
 
 import pytest
 
+from chdzdt import cli
 from chdzdt.chartok import build_vocab
 from chdzdt.encoder import count_params
 from chdzdt.errors import ConfigError
 from chdzdt.evalsuite.ablation import (
-    EVAL_TASKS,
     GRID_ROWS,
     ablation_sweep,
     default_grid,
@@ -81,7 +81,8 @@ class TestGrid:
 def report():
     grid = default_grid(VOC.size, seed=0)[:2]
     return ablation_sweep(grid, toy_lexicon(), VOC, quick_train_config(),
-                          {"morph": toy_clusters()}, seed=0)
+                          cli.ablation_evaluate({"morph": toy_clusters()},
+                                                seed=0))
 
 
 class TestSweep:
@@ -113,7 +114,8 @@ class TestSweep:
         grid = default_grid(VOC.size, seed=0)[:2]
         again = ablation_sweep(grid, toy_lexicon(), VOC,
                                quick_train_config(),
-                               {"morph": toy_clusters()}, seed=0)
+                               cli.ablation_evaluate(
+                                   {"morph": toy_clusters()}, seed=0))
         for a, b in zip(report["variants"], again["variants"]):
             assert a["metrics"] == b["metrics"]
 
@@ -122,7 +124,8 @@ class TestSweep:
         bad = default_grid(VOC.size + 1, seed=0)[1]
         report = ablation_sweep([good, bad], toy_lexicon(), VOC,
                                 quick_train_config(),
-                                {"morph": toy_clusters()}, seed=0)
+                                cli.ablation_evaluate(
+                                    {"morph": toy_clusters()}, seed=0))
         assert report["n_failed"] == 1
         ok_row, bad_row = report["variants"]
         assert ok_row["status"] == "ok"
@@ -142,18 +145,18 @@ class TestSweep:
         sa = [("positive", f"{r}a {r}o") for r in ROOTS]
         sa += [("negative", f"{r}o {r}a") for r in ROOTS]
         sa += [("neutral", f"{r}a {r}a") for r in ROOTS]
-        evals = {
-            "morph": toy_clusters(),
-            "noise": {"data": toy_clusters(), "count": 1},
-            "tag": {"data": tag_rows, "shared_dim": 8, "epochs": 2,
-                    "lr": 0.05},
-            "pos": {"data": pos, "gru_hidden": 4, "dense_dim": 4,
-                    "epochs": 2},
-            "sa": {"data": sa, "gru_hidden": 4, "dense_dim": 4,
-                   "epochs": 2},
+        data = {"morph": toy_clusters(),
+                "noise": {"clusters": toy_clusters()},
+                "tag": tag_rows, "pos": pos, "sa": sa}
+        params = {
+            "noise": {"count": 1},
+            "tag": {"shared_dim": 8, "epochs": 2, "lr": 0.05},
+            "pos": {"gru_hidden": 4, "dense_dim": 4, "epochs": 2},
+            "sa": {"gru_hidden": 4, "dense_dim": 4, "epochs": 2},
         }
         report = ablation_sweep(grid, toy_lexicon(), VOC,
-                                quick_train_config(), evals, seed=0)
+                                quick_train_config(),
+                                cli.ablation_evaluate(data, params, seed=0))
         assert report["n_failed"] == 0
         names = set(report["metric_names"])
         assert {"morph_acs", "morph_aed", "morph_silhouette",
@@ -163,17 +166,6 @@ class TestSweep:
                 "noise_similar_ari"} <= names
         assert {"tag_overall", "pos_accuracy", "pos_macro_f1",
                 "sa_accuracy", "sa_macro_f1"} <= names
-
-    def test_unknown_eval_task_rejected(self):
-        with pytest.raises(ConfigError, match="unknown eval tasks"):
-            ablation_sweep(default_grid(VOC.size)[:1], toy_lexicon(), VOC,
-                           quick_train_config(), {"parsing": []})
-
-    def test_eval_dict_without_data_rejected(self):
-        with pytest.raises(ConfigError, match="'data'"):
-            ablation_sweep(default_grid(VOC.size)[:1], toy_lexicon(), VOC,
-                           quick_train_config(),
-                           {"morph": {"seed": 3}})
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -186,4 +178,4 @@ class TestSweep:
                            quick_train_config())
 
     def test_task_names_match_declared_set(self):
-        assert EVAL_TASKS == ("morph", "noise", "tag", "pos", "sa")
+        assert cli.ABLATION_TASKS == ("morph", "noise", "tag", "pos", "sa")

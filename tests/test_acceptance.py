@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import chdzdt.tensor as T
+from chdzdt import cli
 from chdzdt.chartok import MASK_ID, build_vocab, decode, default_vocab, \
     encode_word
 from chdzdt.encoder import EncoderState, ModelConfig, count_params, \
@@ -252,7 +253,7 @@ def test_11_ablation_harness():
         default_grid(voc.size), lexicon, voc,
         TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=42,
                     log_every=1000),
-        {"morph": clusters}, seed=0)
+        cli.ablation_evaluate({"morph": clusters}, seed=0))
     assert report["grid_size"] == 7 and report["n_failed"] == 0
     assert len(report["table"]) == 7
     assert report["metric_names"] == ["morph_acs", "morph_aed", "morph_ari",

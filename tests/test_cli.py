@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, outputs, manifests."""
 
+import inspect
 import io
 import json
 import os
@@ -142,6 +143,13 @@ class TestParser:
     def test_missing_subcommand_is_an_error(self, capsys):
         assert run() == 1
         capsys.readouterr()
+
+    def test_eval_task_choices_are_the_task_table(self):
+        sub_action = next(a for a in cli.build_parser()._actions
+                          if hasattr(a, "choices") and a.choices)
+        task = next(a for a in sub_action.choices["eval"]._actions
+                    if a.dest == "task")
+        assert tuple(task.choices) == tuple(cli.TASKS)
 
     def test_console_script_runs(self, tmp_path):
         # Resolve the declared entry point in a child started away from the
@@ -546,6 +554,22 @@ class TestEval:
                    "--out", tmp_path / "o.json", "--count", 3) == 2
         assert "count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, params", [
+        ("morph", {"seed": "x"}), ("noise", {"count": 1.5}),
+        ("morph", {"seed": True})],
+        ids=["string_seed", "float_count", "bool_seed"])
+    def test_wrong_typed_task_param_exits_two(self, ws, ckpt, tmp_path,
+                                              capsys, task, params):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params), encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("eval", "--task", task, "--embedder", ckpt,
+                   "--data", ws / "clusters.tsv", "--out", out,
+                   "--params", params_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(next(iter(params))) in err
+        assert not list(tmp_path.glob("o.json*"))
+
     def test_non_finite_report_exits_three_without_report(self, tmp_path,
                                                          capsys):
         emb = tmp_path / "emb.tsv"
@@ -642,3 +666,59 @@ class TestAblation:
                    "--epochs", 1) == 1
         assert "--tag-data" in capsys.readouterr().err
         assert not (out / "ablation.json").exists()
+
+    def test_unknown_eval_task_rejected(self, ws, lexicon, tmp_path,
+                                        capsys):
+        out = tmp_path / "sweep"
+        assert run("ablation", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--evals", "parsing", "--out", out,
+                   "--epochs", 1) == 1
+        assert "unknown eval tasks" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_eval_params_rejected_before_training(self, ws, lexicon,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        import chdzdt.evalsuite.ablation as ablation
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant trained")
+
+        monkeypatch.setattr(ablation, "train", no_training)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([
+            {"n_blocks": 1, "n_heads": 1, "hidden": 8},
+            {"n_blocks": 1, "n_heads": 2, "hidden": 8}]), encoding="utf-8")
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"morph": {"bogus": 1}}),
+                          encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert run("ablation", "--grid", grid, "--lexicon", lexicon,
+                   "--vocab", ws / "vocab.json", "--evals", "morph",
+                   "--clusters", ws / "clusters.tsv", "--eval-params",
+                   params, "--out", out, "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bogus" in err
+        assert not out.exists()
+
+
+# the function each task's runner calls, by its name in chdzdt.cli
+TASK_FUNCTIONS = {"morph": "cluster_report", "noise": "noise_report",
+                  "probe": "probe_train", "compose": "compose_fit",
+                  "sim": "similarity_corr", "tag": "morph_tagger",
+                  "pos": "pos_tagger", "sa": "sentiment_classifier"}
+
+
+class TestTaskTable:
+
+    def test_ablation_tasks_are_the_flagged_entries(self):
+        assert cli.ABLATION_TASKS == ("morph", "noise", "tag", "pos", "sa")
+
+    @pytest.mark.parametrize("task", list(TASK_FUNCTIONS))
+    def test_params_are_keywords_of_the_task_function(self, task):
+        keywords = inspect.signature(
+            getattr(cli, TASK_FUNCTIONS[task])).parameters
+        assert set(cli.TASKS[task].params) <= set(keywords)
+
+    def test_every_task_is_covered(self):
+        assert set(TASK_FUNCTIONS) == set(cli.TASKS)
