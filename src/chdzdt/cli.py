@@ -526,6 +526,13 @@ def cmd_ablation(args) -> int:
                          f"of {list(ABLATION_TASKS)}")
     eval_params = read_json(args.eval_params, "eval params") \
         if args.eval_params else {}
+    # a key naming a real task outside --evals is allowed, so one params
+    # file can serve several sweeps; a misspelled one is not
+    stray = sorted(set(eval_params) - set(ABLATION_TASKS))
+    if stray:
+        raise ConfigError(f"eval params {args.eval_params} name unknown "
+                          f"tasks {stray}; expected keys from "
+                          f"{list(ABLATION_TASKS)}")
     data, inputs = {}, {"lexicon": args.lexicon}
     for name in tasks:
         flag = TASKS[name].flag

@@ -20,7 +20,7 @@ from . import tensor as T
 from .chartok import CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
 from .fileio import atomic_write, config_from_dict
-from .tensor import Tensor, dropout, embedding, gelu, layer_norm, softmax
+from .tensor import Tensor, dropout, embedding, gelu, layer_norm, linear, softmax
 
 MAGIC = b"CHDZ"
 FORMAT_VERSION = 1
@@ -151,8 +151,9 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
     """Run [B, T] id batches through the encoder.
 
     Returns (hidden [B,T,d] Tensor, cls [B,d], label_probs [B,L]).
-    PAD columns get an additive -1e9 before the attention softmax, which
-    underflows their weights to exactly zero.
+    PAD columns get an additive -1e9 after the 1/sqrt(d_head) scaling
+    inside the attention softmax, which underflows their weights to
+    exactly zero.
     """
     cfg = state.config
     p = state.params
@@ -165,7 +166,7 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
     b, t = ids.shape
     d, h = cfg.hidden, cfg.n_heads
     dh = d // h
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
     neg = ((attn_mask[:, None, None, :] == 0) * -1e9).astype(T.default_dtype())
 
     x = embedding(p["char_emb"], ids) + p["pos_emb"]
@@ -173,14 +174,13 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
         pre = f"block{i}."
 
         def proj(which, inp):
-            return inp @ p[pre + f"attn_{which}_w"] + p[pre + f"attn_{which}_b"]
+            return linear(inp, p[pre + f"attn_{which}_w"], p[pre + f"attn_{which}_b"])
 
         def heads(z):
             return z.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
 
         q, k, v = heads(proj("q", x)), heads(proj("k", x)), heads(proj("v", x))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale + Tensor(neg)
-        attn = softmax(scores, axis=-1)
+        attn = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1, scale=scale, add=neg)
         if train_mode:
             attn = dropout(attn, cfg.dropout, rng, train=True)
         ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
@@ -188,13 +188,14 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
         if train_mode:
             ctx = dropout(ctx, cfg.dropout, rng, train=True)
         x = layer_norm(x + ctx, p[pre + "ln1_g"], p[pre + "ln1_b"], eps=LN_EPS)
-        ff = gelu(x @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]) @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
+        ff = linear(gelu(linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"])),
+                    p[pre + "ffn_w2"], p[pre + "ffn_b2"])
         if train_mode:
             ff = dropout(ff, cfg.dropout, rng, train=True)
         x = layer_norm(x + ff, p[pre + "ln2_g"], p[pre + "ln2_b"], eps=LN_EPS)
 
     cls = x[:, 0]
-    label_probs = (cls @ p["label_w"] + p["label_b"]).sigmoid()
+    label_probs = linear(cls, p["label_w"], p["label_b"]).sigmoid()
     return x, cls, label_probs
 
 
@@ -268,21 +269,25 @@ def load_checkpoint(path) -> EncoderState:
             raise ValueError(f"charset has {vocab.size} symbols, config {config.vocab_size}")
         tensors = header.get("tensors", [])
         listed = [(t["name"], tuple(t["shape"])) for t in tensors]
-    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            ConfigError) as exc:
         raise CorruptCheckpointError(f"{path}: malformed header: {exc}") from exc
-    if listed != [(n, tuple(s)) for n, s in parameter_manifest(config)]:
+    # every block lists tensors, so a larger n_blocks cannot match; checked
+    # before the manifest is built, whose length grows with n_blocks
+    if config.n_blocks > len(listed) or \
+            listed != [(n, tuple(s)) for n, s in parameter_manifest(config)]:
         raise CorruptCheckpointError(f"{path}: tensor manifest does not match config")
     body = blob[header_end:]
     params = {}
     offset = 0
     dtype = T.default_dtype()
-    for entry in tensors:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 4
+    # shapes come from the manifest: the header's may be equal floats
+    for (name, shape), entry in zip(parameter_manifest(config), tensors):
+        nbytes = math.prod(shape) * 4
         if entry.get("offset") != offset or offset + nbytes > len(body):
             raise CorruptCheckpointError(f"{path}: blob offsets disagree with manifest")
         arr = np.frombuffer(body[offset:offset + nbytes], dtype="<f4").reshape(shape)
-        params[entry["name"]] = Tensor(arr.astype(dtype), requires_grad=True)
+        params[name] = Tensor(arr.astype(dtype), requires_grad=True)
         offset += nbytes
     if offset != len(body):
         raise CorruptCheckpointError(f"{path}: {len(body) - offset} trailing bytes")

@@ -171,11 +171,11 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
     row_idx = np.array([source.row[w] for w, _ in train])
 
     def loss_fn():
-        hidden = (source.matrix()[row_idx] @ sw + sb).tanh()
+        hidden = T.linear(source.matrix()[row_idx], sw, sb).tanh()
         total = None
         for name, values in tagsets.items():
             hw, hb = heads[name]
-            logits = hidden @ hw + hb
+            logits = T.linear(hidden, hw, hb)
             if len(values) == 2:
                 head_loss = T.bce_multilabel(
                     logits.sigmoid(), targets[name][:, None].astype(float))
@@ -257,8 +257,8 @@ def _bigru_logits(params, readout, matrix, idx, mask):
     emb = matrix[idx]
     states = (T.gru_sequence(emb, mask, pf),
               T.gru_sequence(emb, mask, pb, reverse=True))
-    hidden = (readout(*states, mask) @ dw + db).tanh()
-    return hidden @ ow + ob
+    hidden = T.linear(readout(*states, mask), dw, db).tanh()
+    return T.linear(hidden, ow, ob)
 
 
 def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,

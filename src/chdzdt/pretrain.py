@@ -145,7 +145,7 @@ def batch_loss(state: EncoderState, batch: MaskedBatch,
     t_idx = np.concatenate([np.asarray(p, dtype=np.int64)
                             for p in batch.mask_positions])
     picked = hidden[b_idx, t_idx]
-    logits = picked @ state.params["mlm_w"] + state.params["mlm_b"]
+    logits = T.linear(picked, state.params["mlm_w"], state.params["mlm_b"])
     mlm = T.softmax_ce(logits, np.concatenate(batch.original_ids),
                        reduction="mean")
     multilabel = T.bce_multilabel(label_probs, batch.targets)

@@ -5,6 +5,11 @@ Tensors wrap numpy arrays (float32 by default, float64 behind the
 attaches a closure that propagates gradients to its inputs; ``backward``
 walks the recorded graph in reverse topological order, then unlinks it so
 reference counting frees it. Inside ``no_grad`` no op records a graph.
+
+The encoder's layers are single nodes with hand-written backward passes:
+``linear`` (x @ w + b as 2-D GEMMs over all leading rows), ``layer_norm``,
+``softmax`` (with an optional scale and constant additive mask), ``gelu``
+and the BiGRU's ``gru_sequence``.
 """
 
 from __future__ import annotations
@@ -109,24 +114,32 @@ class Tensor:
         out._backward = backward
         return out
 
-    def _acc(self, g) -> None:
-        # accumulate an already shape-matched gradient
+    def _acc(self, g, owned: bool = False) -> None:
+        """Accumulate an already shape-matched gradient.
+
+        owned says g is a fresh array nothing else refers to, so a first
+        gradient adopts it; a view or an array also handed to another
+        operand is copied.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g if owned and g.dtype == self.data.dtype \
+                else g.astype(self.data.dtype)
         else:
             self.grad += g
 
     @staticmethod
     def _unbroadcast(grad, shape):
-        """Sum a gradient down to the shape the operand had before broadcasting."""
-        while grad.ndim > len(shape):
-            grad = grad.sum(axis=0)
-        for ax, dim in enumerate(shape):
-            if dim == 1 and grad.shape[ax] != 1:
-                grad = grad.sum(axis=ax, keepdims=True)
-        return grad
+        """Sum a gradient down to the shape the operand had before
+        broadcasting; grad itself when no axis was broadcast."""
+        lead = grad.ndim - len(shape)
+        axes = tuple(range(lead)) + tuple(
+            lead + ax for ax, dim in enumerate(shape)
+            if dim == 1 and grad.shape[lead + ax] != 1)
+        if not axes:
+            return grad
+        return grad.sum(axis=axes).reshape(shape)
 
     def backward(self) -> None:
         if self.size != 1:
@@ -174,8 +187,9 @@ class Tensor:
 
         def backward():
             g = out.grad
-            self._acc(self._unbroadcast(g, self.data.shape))
-            other._acc(self._unbroadcast(g, other.data.shape))
+            for t in (self, other):
+                u = self._unbroadcast(g, t.data.shape)
+                t._acc(u, owned=u is not g)
 
         out = self._result(out_data, (self, other), backward)
         return out
@@ -188,8 +202,8 @@ class Tensor:
 
         def backward():
             g = out.grad
-            self._acc(self._unbroadcast(g * other.data, self.data.shape))
-            other._acc(self._unbroadcast(g * self.data, other.data.shape))
+            self._acc(self._unbroadcast(g * other.data, self.data.shape), owned=True)
+            other._acc(self._unbroadcast(g * self.data, other.data.shape), owned=True)
 
         out = self._result(out_data, (self, other), backward)
         return out
@@ -207,10 +221,21 @@ class Tensor:
 
     def __truediv__(self, other):
         other = self._wrap(other)
-        return self * other ** -1.0
+        out_data = self.data / other.data
+
+        def backward():
+            g = out.grad
+            if self.requires_grad:
+                self._acc(self._unbroadcast(g / other.data, self.data.shape), owned=True)
+            if other.requires_grad:
+                other._acc(self._unbroadcast(-g * out_data / other.data,
+                                             other.data.shape), owned=True)
+
+        out = self._result(out_data, (self, other), backward)
+        return out
 
     def __rtruediv__(self, other):
-        return self._wrap(other) * self ** -1.0
+        return self._wrap(other) / self
 
     def __pow__(self, n):
         if not isinstance(n, (int, float)):
@@ -218,7 +243,7 @@ class Tensor:
         out_data = self.data ** n
 
         def backward():
-            self._acc(out.grad * n * self.data ** (n - 1))
+            self._acc(out.grad * n * self.data ** (n - 1), owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -227,7 +252,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward():
-            self._acc(out.grad * out.data)
+            self._acc(out.grad * out.data, owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -236,7 +261,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def backward():
-            self._acc(out.grad / self.data)
+            self._acc(out.grad / self.data, owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -245,7 +270,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward():
-            self._acc(out.grad * (1.0 - out.data * out.data))
+            self._acc(out.grad * (1.0 - out.data * out.data), owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -254,7 +279,7 @@ class Tensor:
         out_data = _sigmoid(self.data)
 
         def backward():
-            self._acc(out.grad * out.data * (1.0 - out.data))
+            self._acc(out.grad * out.data * (1.0 - out.data), owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -268,7 +293,7 @@ class Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._acc(np.broadcast_to(g, self.data.shape).astype(self.data.dtype))
+            self._acc(np.broadcast_to(g, self.data.shape).astype(self.data.dtype), owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -309,7 +334,7 @@ class Tensor:
         def backward():
             buf = np.zeros_like(self.data)
             np.add.at(buf, idx, out.grad)
-            self._acc(buf)
+            self._acc(buf, owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out
@@ -327,8 +352,8 @@ class Tensor:
 
         def backward():
             g = out.grad
-            self._acc(self._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
-            other._acc(self._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+            self._acc(self._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape), owned=True)
+            other._acc(self._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape), owned=True)
 
         out = self._result(out_data, (self, other), backward)
         return out
@@ -363,35 +388,111 @@ def embedding(table: Tensor, ids) -> Tensor:
     def backward():
         buf = np.zeros_like(table.data)
         np.add.at(buf, ids, out.grad)
-        table._acc(buf)
+        table._acc(buf, owned=True)
 
     out = Tensor._result(out_data, (table,), backward)
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[..., d_in] @ w[d_in, d_out] + b[d_out] as one node.
+
+    Leading axes are flattened into rows, so the forward product and both
+    backward products are 2-D GEMMs; the weight gradient is one GEMM over
+    every row.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ValueError(f"linear: input {x.shape}, weight {w.shape} and "
+                         f"bias {b.shape} do not fit")
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    out_data = (x2 @ w.data + b.data).reshape(x.shape[:-1] + (d_out,))
+
+    def backward():
+        g = out.grad.reshape(-1, d_out)
+        if w.requires_grad:
+            w._acc(x2.T @ g, owned=True)
+        if b.requires_grad:
+            b._acc(g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            x._acc((g @ w.data.T).reshape(x.shape), owned=True)
+
+    out = Tensor._result(out_data, (x, w, b), backward)
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean, unit variance, then scale and
+    shift. One node; the input gradient is the closed form of Ba et al.
+    2016: inv * (dy - mean(dy) - xhat * mean(dy * xhat)) with dy = g * gain.
+    """
     d = x.shape[-1]
     if d == 0:
         raise ValueError("layer_norm over an empty last dimension")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return xc * inv * gain + bias
+    # means as sums times 1/d: ndarray.mean costs more Python per call
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    xhat = xc * inv
+    out_data = xhat * gain.data + bias.data
+
+    def backward():
+        g = out.grad
+        if gain.requires_grad:
+            gain._acc(Tensor._unbroadcast(g * xhat, gain.shape), owned=True)
+        if bias.requires_grad:
+            db = Tensor._unbroadcast(g, bias.shape)
+            bias._acc(db, owned=db is not g)
+        if x.requires_grad:
+            dy = g * gain.data
+            dx = dy - dy.sum(axis=-1, keepdims=True) * (1.0 / d)
+            dy *= xhat
+            dx -= xhat * (dy.sum(axis=-1, keepdims=True) * (1.0 / d))
+            dx *= inv
+            x._acc(dx, owned=True)
+
+    out = Tensor._result(out_data, (x, gain, bias), backward)
+    return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shift = x.data.max(axis=axis, keepdims=True)  # constant, no grad path
-    e = (x - Tensor(shift)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor, axis: int = -1, *, scale: float = 1.0, add=None) -> Tensor:
+    """softmax(x * scale + add) along axis, as one node.
+
+    add is a constant array (no gradient) broadcast onto the scaled input;
+    -1e9 on masked columns underflows their weights to exactly 0.
+    """
+    z = x.data * scale if scale != 1.0 else x.data
+    if add is not None:
+        z = z + add
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward():
+        gs = out.grad * out_data
+        dz = gs - out_data * gs.sum(axis=axis, keepdims=True)
+        if scale != 1.0:
+            dz *= scale
+        x._acc(dz, owned=True)
+
+    out = Tensor._result(out_data, (x,), backward)
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))), as
+    one node."""
     c = math.sqrt(2.0 / math.pi)
-    inner = (x + 0.044715 * (x * x * x)) * c
-    return 0.5 * x * (1.0 + inner.tanh())
+    xd = x.data
+    th = np.tanh((xd + 0.044715 * (xd * xd * xd)) * c)
+    out_data = 0.5 * xd * (1.0 + th)
+
+    def backward():
+        slope = 0.5 * (1.0 + th) + (0.5 * xd) * (1.0 - th * th) \
+            * (c * (1.0 + 3.0 * 0.044715 * (xd * xd)))
+        x._acc(out.grad * slope, owned=True)
+
+    out = Tensor._result(out_data, (x,), backward)
+    return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:
@@ -423,7 +524,7 @@ def softmax_ce(logits: Tensor, target_ids, reduction: str = "mean") -> Tensor:
     def backward():
         sm = np.exp(log_probs)
         sm[np.arange(n), targets] -= 1.0
-        logits._acc((out.grad * scale) * sm.astype(logits.data.dtype))
+        logits._acc((out.grad * scale) * sm.astype(logits.data.dtype), owned=True)
 
     out = Tensor._result(out_data, (logits,), backward)
     return out
@@ -445,7 +546,7 @@ def bce_multilabel(probs: Tensor, targets, eps: float = 1e-7) -> Tensor:
     def backward():
         inside = (probs.data > eps) & (probs.data < 1.0 - eps)
         g = (p - y) / (p * (1.0 - p)) * inside
-        probs._acc((out.grad * scale) * g.astype(probs.data.dtype))
+        probs._acc((out.grad * scale) * g.astype(probs.data.dtype), owned=True)
 
     out = Tensor._result(out_data, (probs,), backward)
     return out
@@ -552,14 +653,14 @@ def gru_sequence(x: Tensor, mask, params: dict, reverse: bool = False,
             du[:, :2 * d_h] = h_prev.reshape(-1, d_h).T @ rows[:, :2 * d_h]
             rh = (zr_seq[:, :, d_h:] * h_prev).reshape(-1, d_h)
             du[:, 2 * d_h:] = rh.T @ rows[:, 2 * d_h:]
-            u._acc(du)
+            u._acc(du, owned=True)
         if w.requires_grad:
-            w._acc(x.data.reshape(n * length, d_in).T @ rows)
-        b._acc(rows.sum(axis=0))
+            w._acc(x.data.reshape(n * length, d_in).T @ rows, owned=True)
+        b._acc(rows.sum(axis=0), owned=True)
         if x.requires_grad:
-            x._acc((rows @ w.data.T).reshape(x.shape))
+            x._acc((rows @ w.data.T).reshape(x.shape), owned=True)
         if h0 is not None:
-            h0._acc(dh)
+            h0._acc(dh, owned=True)
 
     out = Tensor._result(out_data, children, backward)
     return out
@@ -594,13 +695,19 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # two scratch rows per dtype, as long as its largest parameter, so
+        # that a step allocates no array
+        sizes = {}
+        for p in self.params:
+            sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
+        self._scratch = {dt: np.empty((2, n), dt) for dt, n in sizes.items()}
 
     def step(self) -> None:
         """One update, in place on each param's data and moments.
 
         Rounds exactly as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-        p -= lr * (m/c1) / (sqrt(v/c2) + eps) would; two scratch arrays
-        per step stand in for that formula's temporaries.
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps) would; the two scratch rows
+        stand in for that formula's temporaries.
         """
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
@@ -609,13 +716,15 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            step = np.multiply(g, g)
+            scratch = self._scratch[p.data.dtype][:, :p.data.size]
+            step, denom = (row.reshape(p.data.shape) for row in scratch)
+            np.multiply(g, g, out=step)
             step *= 1.0 - self.beta2
             v *= self.beta2
             v += step
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=step)
-            denom = np.divide(v, c2)
+            np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
             denom += self.eps
             np.divide(m, c1, out=step)

@@ -55,6 +55,38 @@ def finite_diff_max_rel_err(build_loss, params, rng, n_samples=20, h=1e-4):
     return max_err, samples
 
 
+def composite_layer_norm(x, gain, bias, eps):
+    """The layer norm as the engine once composed it from elementwise ops:
+    means as sums times 1/d, and a -0.5 power of the variance."""
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * (1.0 / d)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * (1.0 / d)
+    return xc * (var + eps) ** -0.5 * gain + bias
+
+
+def composite_softmax(x, axis=-1, scale=1.0, add=0.0):
+    """Scale, then add, then exp of the max-shifted input times the
+    reciprocal of its sum."""
+    z = x * scale + add
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e * e.sum(axis=axis, keepdims=True) ** -1.0
+
+
+def composite_gelu(x):
+    """tanh-approximation GELU in the engine's former op order."""
+    inner = (x + 0.044715 * (x * x * x)) * math.sqrt(2.0 / math.pi)
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def composite_linear(x, w, b):
+    """x @ w + b by one dot product per output entry."""
+    out = np.empty(x.shape[:-1] + (w.shape[1],))
+    for idx in np.ndindex(*x.shape[:-1]):
+        for j in range(w.shape[1]):
+            out[idx + (j,)] = math.fsum(x[idx] * w[:, j]) + b[j]
+    return out
+
+
 def brute_gru_states(x, mask, w, u, b, reverse=False):
     """Masked GRU states [n, L, h] with one scalar loop per unit.
 

@@ -701,6 +701,41 @@ class TestAblation:
         assert err.startswith("error: ") and "bogus" in err
         assert not out.exists()
 
+    def test_eval_params_key_outside_tasks_rejected_before_training(
+            self, ws, lexicon, tmp_path, capsys, monkeypatch):
+        import chdzdt.evalsuite.ablation as ablation
+
+        trained = []
+        real_train = ablation.train
+
+        def spy(*args, **kwargs):
+            trained.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(ablation, "train", spy)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}]), encoding="utf-8")
+        params = tmp_path / "params.json"
+
+        def sweep(keys, out):
+            params.write_text(json.dumps(keys), encoding="utf-8")
+            return run("ablation", "--grid", grid, "--lexicon", lexicon,
+                       "--vocab", ws / "vocab.json", "--evals", "morph",
+                       "--clusters", ws / "clusters.tsv", "--eval-params",
+                       params, "--out", out, "--epochs", 1)
+
+        bad = tmp_path / "bad"
+        assert sweep({"morf": {"seed": "x"}}, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "morf" in err
+        assert not trained and not bad.exists()
+        # a real ablation task missing from --evals keeps a shared file valid
+        good = tmp_path / "good"
+        assert sweep({"tag": {"shared_dim": 4}}, good) == 0
+        assert len(trained) == 1
+        assert (good / "ablation.json").exists()
+
 
 # the function each task's runner calls, by its name in chdzdt.cli
 TASK_FUNCTIONS = {"morph": "cluster_report", "noise": "noise_report",

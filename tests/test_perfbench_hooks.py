@@ -32,6 +32,29 @@ def test_traced_names_exist_and_restore(monkeypatch):
         assert _bound(owner, attr) is orig, (owner, attr)
 
 
+def test_forward_calls_layer_ops_by_encoder_name(monkeypatch):
+    # the traced tensor.layer_norm / softmax / gelu spans wrap these names
+    import numpy as np
+
+    from chdzdt import encoder
+    from chdzdt.chartok import build_vocab
+
+    vocab = build_vocab([(97, 122)])
+    cfg = encoder.ModelConfig(vocab_size=vocab.size, n_blocks=3, n_heads=2,
+                              hidden=8, max_chars=6)
+    state = encoder.EncoderState.init(cfg, vocab)
+    calls = {}
+    for name in ("layer_norm", "softmax", "gelu"):
+        def spy(*args, _orig=getattr(encoder, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, name, spy)
+    ids = np.zeros((2, cfg.seq_len), dtype=np.int64)
+    encoder.forward_batch(state, ids, np.ones_like(ids))
+    assert calls == {"layer_norm": 6, "softmax": 3, "gelu": 3}
+
+
 WORDS = ("dog", "dogs", "cat", "cats", "run", "runs", "pen", "pens")
 CLUSTERS = "dog\tdog\tdogs\ncat\tcat\tcats\nrun\trun\truns\n"
 

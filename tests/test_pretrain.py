@@ -212,6 +212,29 @@ class TestBatchLoss:
                 build, state.parameters(), np.random.default_rng(1), n_samples=40)
         assert err < 1e-3
 
+    def test_training_graph_size_is_pinned(self):
+        # the toy recipe N2-H2-d16 at B=16 with dropout: 2 embedding nodes,
+        # 26 per block and 8 for the heads and losses. Every node costs
+        # Python time in forward and backward, so a change that grows the
+        # graph must update this count on purpose.
+        cfg = ModelConfig(vocab_size=VOC.size, n_blocks=2, n_heads=2,
+                          hidden=16, dropout=0.1, seed=0)
+        state = EncoderState.init(cfg, VOC)
+        words = [w.word for w in toy_lexicon(16)]
+        rng = np.random.default_rng(0)
+        batch = mask_batch(examples_for(words, max_chars=cfg.max_chars),
+                           0.15, rng)
+        total, _, _ = batch_loss(state, batch, train_mode=True, rng=rng)
+        seen, stack, ops = set(), [total], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops += bool(node._prev)
+                stack.extend(node._prev)
+        assert ops == 62
+        total._unlink()
+
 
 class TestTrain:
     CFG = dict(vocab_size=VOC.size, n_blocks=1, n_heads=2, hidden=8,

@@ -1,14 +1,22 @@
 """Every line and JSON reader, fed arbitrary bytes, fails only with a
-package error."""
+package error; the checkpoint loader only with CorruptCheckpointError."""
 
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chdzdt.chartok import load_vocab_spec
-from chdzdt.errors import ChdzdtError
+from chdzdt.chartok import build_vocab, load_vocab_spec
+from chdzdt.encoder import (
+    MAGIC,
+    EncoderState,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
+from chdzdt.errors import ChdzdtError, CorruptCheckpointError
 from chdzdt.evalsuite.datasets import (
     read_affix_dataset,
     read_clusters,
@@ -114,3 +122,138 @@ def test_json_readers_raise_only_package_errors(fuzz_dir, name):
             pass
 
     check()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_parts(tmp_path_factory):
+    """(bytes before the header, header dict, body) of a small checkpoint."""
+    vocab = build_vocab([(97, 100)])
+    path = tmp_path_factory.mktemp("ckpt") / "enc.ckpt"
+    save_checkpoint(EncoderState.init(
+        ModelConfig(vocab_size=vocab.size, n_blocks=1, n_heads=1, hidden=2,
+                    max_chars=2, ffn_mult=1, n_labels=1), vocab), path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    return (blob[:16], json.loads(blob[16:16 + header_len]),
+            blob[16 + header_len:])
+
+
+def _container(header: bytes, body: bytes = b"") -> bytes:
+    return MAGIC + struct.pack("<IQ", 1, len(header)) + header + body
+
+
+# an edit value meaning "the same numbers, written as floats"
+AS_FLOATS = object()
+
+
+def _floats(value):
+    if isinstance(value, list):
+        return [_floats(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
+def _set_path(doc, path, value):
+    """doc with the entry at path (keys and list indices) set to value, or
+    with its numbers as floats for AS_FLOATS; a path doc lacks is a no-op."""
+    try:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        old = node[path[-1]]
+        node[path[-1]] = _floats(old) if value is AS_FLOATS else value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
+
+def _edit(header, edits):
+    """A copy of header with each (path, value) edit applied in turn."""
+    doc = json.loads(json.dumps(header))
+    for path, value in edits:
+        doc = _set_path(doc, path, value)
+    return doc
+
+
+# header fields a mutation replaces, with values past the checks' edges
+HEADER_PATHS = [("config",), ("config", "n_blocks"), ("config", "hidden"),
+                ("config", "vocab_size"), ("config", "max_chars"),
+                ("config", "n_heads"), ("config", "dropout"), ("charset",),
+                ("charset", "ranges"), ("tensors",), ("tensors", 0),
+                ("tensors", 0, "shape"), ("tensors", 0, "offset"),
+                ("tensors", 0, "name"), ("tensors", 3, "shape", 0)]
+HEADER_VALUES = (JSON_VALUES
+                 | st.sampled_from([10 ** 9, 2 ** 62, 2.0, [1e300]])
+                 | st.lists(st.integers(-1, 2 ** 40), max_size=3))
+HEADER_EDITS = (st.tuples(st.sampled_from(HEADER_PATHS), HEADER_VALUES)
+                | st.sampled_from(HEADER_PATHS).map(lambda p: (p, AS_FLOATS)))
+
+
+def _check_load(path, content):
+    path.write_bytes(content)
+    try:
+        load_checkpoint(path)
+    except CorruptCheckpointError:
+        pass
+
+
+def test_checkpoint_random_bytes(fuzz_dir):
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | st.binary(max_size=64).map(
+        lambda b: MAGIC + b))
+    def check(content):
+        _check_load(fuzz_dir / "random.ckpt", content)
+
+    check()
+
+
+def test_checkpoint_valid_magic_random_header(fuzz_dir, checkpoint_parts):
+    _, header, body = checkpoint_parts
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.binary(max_size=200).map(lambda h: _container(h, body))
+           | JSON_CONTENTS.map(lambda h: _container(h, body))
+           | st.integers(1, 10 ** 5).map(
+               lambda n: _container(b"[" * n + b"]" * n, body))
+           | st.lists(HEADER_EDITS, min_size=1, max_size=3).map(
+               lambda edits: _container(json.dumps(_edit(header, edits))
+                                        .encode("utf-8"), body)))
+    def check(content):
+        _check_load(fuzz_dir / "header.ckpt", content)
+
+    check()
+
+
+def test_checkpoint_valid_header_random_body(fuzz_dir, checkpoint_parts):
+    prefix, header, body = checkpoint_parts
+    head = prefix + json.dumps(header).encode("utf-8")
+    assert len(head) == len(prefix) + struct.unpack_from("<Q", prefix, 8)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=2 * len(body))
+           | st.binary(min_size=len(body), max_size=len(body)))
+    def check(content):
+        _check_load(fuzz_dir / "body.ckpt", head + content)
+
+    check()
+
+
+@pytest.mark.parametrize("edit, loads", [
+    # equal float shapes once reached numpy's reshape as a TypeError
+    ([(("tensors", i, "shape"), AS_FLOATS) for i in range(24)], True),
+    # a deep header once escaped json.loads as a RecursionError
+    (None, False),
+    # a huge n_blocks once built its whole manifest before any check
+    ([(("config", "n_blocks"), 10 ** 12)], False),
+], ids=["float_shapes", "deep_nesting", "huge_n_blocks"])
+def test_checkpoint_header_regressions(fuzz_dir, checkpoint_parts, edit,
+                                       loads):
+    _, header, body = checkpoint_parts
+    raw = b"[" * 10 ** 5 + b"]" * 10 ** 5 if edit is None \
+        else json.dumps(_edit(header, edit)).encode("utf-8")
+    path = fuzz_dir / "regression.ckpt"
+    path.write_bytes(_container(raw, body))
+    if loads:
+        assert load_checkpoint(path).n_params() == len(body) // 4
+    else:
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)

@@ -19,11 +19,19 @@ from chdzdt.tensor import (
     gru_params,
     gru_sequence,
     layer_norm,
+    linear,
     softmax,
     softmax_ce,
 )
 
-from oracles import brute_gru_states, finite_diff_max_rel_err
+from oracles import (
+    brute_gru_states,
+    composite_gelu,
+    composite_layer_norm,
+    composite_linear,
+    composite_softmax,
+    finite_diff_max_rel_err,
+)
 
 
 def t(data, grad=True):
@@ -562,3 +570,174 @@ class TestGradCheckAllOps:
                 return (y.mean(axis=1) * y.sum(axis=1)).sum() + (x ** 3).mean()
 
             self._check(build, [x], n=15)
+
+
+# per-row key lengths of a [2, 2, 5, 5] attention score block: ragged PAD
+PAD_ADD = np.where(np.arange(5)[None, :] < np.array([[5], [2]]), 0.0,
+                   -1e9)[:, None, None, :]
+
+
+class TestFusedOps:
+    """Each single-node op against finite differences for every input, and
+    its forward against the composite formula it replaced."""
+
+    @staticmethod
+    def _fd(build, param, seed=0, n=20):
+        err, _ = finite_diff_max_rel_err(build, [param],
+                                         np.random.default_rng(seed),
+                                         n_samples=n)
+        assert err < 1e-5, f"finite-difference mismatch: {err}"
+
+    @staticmethod
+    def _inputs(seed, *shapes):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=s), requires_grad=True)
+                for s in shapes]
+
+    def test_layer_norm_grads_and_forward(self):
+        with T.precision("float64"):
+            x, gain, bias, mix = self._inputs(30, (2, 3, 6), (6,), (6,),
+                                              (2, 3, 6))
+
+            def build():
+                return (layer_norm(x, gain, bias, eps=1e-5) * mix).sum()
+
+            for param in (x, gain, bias):
+                self._fd(build, param)
+            out = layer_norm(x, gain, bias, eps=1e-5).data
+        ref = composite_layer_norm(x.data, gain.data, bias.data, 1e-5)
+        assert np.abs(out - ref).max() < 1e-12
+
+    def test_softmax_ragged_mask_and_scale(self):
+        with T.precision("float64"):
+            x, mix = self._inputs(31, (2, 2, 5, 5), (2, 2, 5, 5))
+
+            def build():
+                return (softmax(x, axis=-1, scale=0.35, add=PAD_ADD)
+                        * mix).sum()
+
+            self._fd(build, x, n=30)
+            out = softmax(x, axis=-1, scale=0.35, add=PAD_ADD)
+            out.sum().backward()
+        ref = composite_softmax(x.data, -1, 0.35, PAD_ADD)
+        assert np.abs(out.data - ref).max() < 1e-12
+        # PAD weights and their gradients are exactly zero
+        pad = np.broadcast_to(PAD_ADD < 0, out.shape)
+        assert not out.data[pad].any() and not x.grad[pad].any()
+
+    def test_softmax_other_axis(self):
+        with T.precision("float64"):
+            x, mix = self._inputs(32, (4, 3), (4, 3))
+            self._fd(lambda: (softmax(x, axis=0) * mix).sum(), x)
+            out = softmax(x, axis=0).data
+        assert np.abs(out - composite_softmax(x.data, 0)).max() < 1e-12
+
+    def test_gelu(self):
+        with T.precision("float64"):
+            x, mix = self._inputs(33, (3, 7), (3, 7))
+            x.data *= 3.0
+            self._fd(lambda: (gelu(x) * mix).sum(), x)
+            out = gelu(x).data
+        assert np.abs(out - composite_gelu(x.data)).max() < 1e-12
+
+    def test_linear_3d_input(self):
+        with T.precision("float64"):
+            x, w, b, mix = self._inputs(34, (2, 3, 4), (4, 5), (5,),
+                                        (2, 3, 5))
+
+            def build():
+                return (linear(x, w, b) * mix).sum()
+
+            for param in (x, w, b):
+                self._fd(build, param)
+            out = linear(x, w, b).data
+        assert out.shape == (2, 3, 5)
+        ref = composite_linear(x.data, w.data, b.data)
+        assert np.abs(out - ref).max() < 1e-12
+
+    def test_linear_shape_error(self):
+        x, w, b = self._inputs(35, (2, 4), (3, 5), (5,))
+        with pytest.raises(ValueError, match=r"\(2, 4\).*\(3, 5\)"):
+            linear(x, w, b)
+
+    def test_truediv_both_operands_broadcast(self):
+        with T.precision("float64"):
+            a, b, mix = self._inputs(36, (3, 4), (1, 4), (3, 4))
+            b.data = np.abs(b.data) + 0.5
+
+            def build():
+                return (a / b * mix).sum() + (2.0 / b).sum()
+
+            for param in (a, b):
+                self._fd(build, param)
+            out = (a / b).data
+        assert np.array_equal(out, a.data / b.data)
+
+    def test_fused_ops_are_one_node_each(self):
+        x, gain, bias, w, b = self._inputs(37, (2, 4), (4,), (4,), (4, 4),
+                                           (4,))
+        outs = [layer_norm(x, gain, bias), softmax(x, scale=0.5, add=0.0),
+                gelu(x), linear(x, w, b), x / gain]
+        for out in outs:
+            assert all(not child._prev for child in out._prev)
+
+    def test_no_grad_records_no_graph(self):
+        x, gain, bias, w, b = self._inputs(38, (2, 4), (4,), (4,), (4, 4),
+                                           (4,))
+        with T.no_grad():
+            outs = [layer_norm(x, gain, bias), softmax(x), gelu(x),
+                    linear(x, w, b), x / gain]
+        assert all(o._prev == () and not o.requires_grad for o in outs)
+
+
+def _graph(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+    return nodes
+
+
+def _assert_no_shared_grads(nodes):
+    grads = [n.grad for n in nodes if n.grad is not None]
+    assert grads
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradientOwnership:
+    """First gradients are adopted without a copy only when nothing else
+    refers to them; no two tensors may end up sharing a gradient buffer."""
+
+    def test_add_of_two_leaves(self):
+        x, w = t(np.ones((2, 3))), t(np.full((2, 3), 2.0))
+        loss = (x + w).sum()
+        loss.backward()
+        assert not np.shares_memory(x.grad, w.grad)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+    def test_reused_node_and_views(self):
+        rng = np.random.default_rng(40)
+        x, w, gain, bias = (t(rng.normal(size=s))
+                            for s in ((2, 3, 4), (4, 4), (4,), (4,)))
+        h = linear(x, w, bias)
+        y = layer_norm(h + h, gain, bias)
+        z = softmax(y.reshape(6, 4).transpose(1, 0), scale=2.0) + gelu(h).reshape(4, 6)
+        loss = cat([z, h.reshape(4, 6)], axis=0).sum() + (x / (w.sum() + 10.0)).sum()
+        nodes = _graph(loss)
+        loss.backward()
+        _assert_no_shared_grads(nodes)
+
+    def test_layer_norm_bias_without_broadcast(self):
+        # a 1-D input gives bias the output's own shape: its gradient is g
+        x, gain, bias = (t(np.arange(4.0) + k) for k in range(3))
+        y = layer_norm(x, gain, bias)
+        loss = (y + y).sum()
+        nodes = _graph(loss)
+        loss.backward()
+        _assert_no_shared_grads(nodes)
+        np.testing.assert_array_equal(bias.grad, np.full(4, 2.0))
