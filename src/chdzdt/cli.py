@@ -34,6 +34,7 @@ from .evalsuite.datasets import (
     read_clusters,
     read_morph,
     read_pos,
+    read_quadruples,
     read_sentiment,
     read_similarity,
     read_tuples,
@@ -48,8 +49,7 @@ from .evalsuite.metrics import cluster_report, similarity_corr
 from .evalsuite.obfuscate import noise_report
 from .evalsuite.probe import probe_train
 from .evalsuite.taggers import morph_tagger, pos_tagger, sentiment_classifier
-from .fileio import atomic_write, check_fields, read_json, read_lines, \
-    read_text
+from .fileio import atomic_write, check_fields, read_json, read_text
 from .preprocess import (
     NormRules,
     SourceStream,
@@ -116,8 +116,8 @@ def _write_json(path, obj) -> None:
 def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
                    seed: int, started: str) -> None:
     manifest = RunManifest(subcommand=subcommand, config=config,
-                           inputs={k: _digest_file(v) if v else "-"
-                                   for k, v in inputs.items()},
+                           inputs={k: _digest_file(v)
+                                   for k, v in inputs.items() if v},
                            seed=seed, version=_tool_version(),
                            started=started, finished=_utc_now())
     _write_json(path, asdict(manifest))
@@ -196,8 +196,7 @@ def cmd_preprocess(args) -> int:
         inputs[name] = path
     rules = NormRules.from_file(args.rules) if args.rules \
         else NormRules.default()
-    if args.rules:
-        inputs["rules"] = args.rules
+    inputs["rules"] = args.rules
 
     entries = build_lexicon(streams, rules)
     stats = lexicon_stats(entries)
@@ -244,17 +243,13 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(state, args.out)
     with atomic_write(args.out + ".trainlog.jsonl") as fh:
         fh.write("".join(json.dumps(r) + "\n" for r in records))
-    inputs = {"lexicon": args.lexicon}
-    if args.model_config:
-        inputs["model_config"] = args.model_config
-    if args.train_config:
-        inputs["train_config"] = args.train_config
-    if args.vocab:
-        inputs["vocab"] = args.vocab
     _emit_manifest(args.out + ".manifest.json", "pretrain",
                    {"model": model_config.to_dict(),
                     "train": train_config.to_dict(), "out": args.out},
-                   inputs, train_config.seed, started)
+                   {"lexicon": args.lexicon, "vocab": args.vocab,
+                    "model_config": args.model_config,
+                    "train_config": args.train_config},
+                   train_config.seed, started)
 
     summary = {"checkpoint": args.out, "params": state.n_params(),
                "words": len(lexicon), "steps": len(records)}
@@ -298,36 +293,18 @@ def cmd_encode(args) -> int:
     vectors = embed_rows(embedder, words, np.float64)
 
     write_embeddings_tsv(args.out, words, vectors, dim=embedder.dim)
-    inputs = {"ckpt": args.ckpt}
-    if args.words != "-":
-        inputs["words"] = args.words
-    manifest_inputs = dict(inputs)
     _emit_manifest(args.out + ".manifest.json", "encode",
                    {"ckpt": args.ckpt, "words": args.words,
                     "out": args.out, "n_written": len(words),
                     "n_skipped": skipped,
                     **({"stdin_sha256": stdin_digest}
                        if stdin_digest else {})},
-                   manifest_inputs, args.seed, started)
+                   {"ckpt": args.ckpt,
+                    "words": None if args.words == "-" else args.words},
+                   args.seed, started)
     _print_report({"written": len(words), "skipped": skipped,
                    "dim": embedder.dim, "out": args.out})
     return 0
-
-
-def _read_quadruples(path):
-    """word TAB word TAB word TAB word composition rows."""
-    rows = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected 'prefix TAB "
-                            "root TAB suffix TAB word'")
-        rows.append(tuple(parts))
-    if not rows:
-        raise DataError(f"{path}: no rows found")
-    return rows
 
 
 def _read_noise(path) -> dict:
@@ -388,6 +365,9 @@ class Task:
 _SPLIT = {"fraction": float, "seed": int, "epochs": int, "lr": float,
           "loss_target": float}
 _BIGRU = {**_SPLIT, "gru_hidden": int, "dense_dim": int, "max_words": int}
+# the least value of each task keyword that bounds a count, a size or a rate
+_MINIMUM = {"seed": 0, "epochs": 0, "lr": 0.0, "count": 1, "max_words": 1,
+            "gru_hidden": 1, "dense_dim": 1, "shared_dim": 1}
 
 # Runners look the task functions up by name in this module when called,
 # so a name rebound on the module is the one that runs.
@@ -403,7 +383,7 @@ TASKS = {
     "probe": Task(read_affix_dataset, _run_probe,
                   {"fraction": float, "seed": int, "lr": float,
                    "epochs": int}),
-    "compose": Task(_read_quadruples, _run_compose,
+    "compose": Task(read_quadruples, _run_compose,
                     {"kind": str, "objective": str, "lr": float,
                      "epochs": int, "seed": int}),
     "sim": Task(read_similarity,
@@ -428,12 +408,16 @@ ABLATION_TASKS = tuple(name for name, task in TASKS.items() if task.flag)
 
 
 def _task_kwargs(name: str, params: dict, seed: int) -> dict:
-    """params checked against TASKS[name].params, with seed as the default
-    of a task that takes one."""
+    """params checked against TASKS[name].params and _MINIMUM, with seed as
+    the default of a task that takes one."""
     check_fields(params, TASKS[name].params, f"task {name!r} parameter")
-    if "seed" in TASKS[name].params:
-        return {"seed": seed, **params}
-    return dict(params)
+    kwargs = {"seed": seed, **params} if "seed" in TASKS[name].params \
+        else dict(params)
+    for key, low in _MINIMUM.items():
+        if not kwargs.get(key, low) >= low:
+            raise ConfigError(f"task {name!r} parameter {key!r} must be "
+                              f">= {low}, got {kwargs[key]!r}")
+    return kwargs
 
 
 def ablation_evaluate(data: dict, params: dict | None = None,
@@ -485,13 +469,11 @@ def cmd_eval(args) -> int:
     _write_json(args.out, payload)
     if args.mode == "finetune":
         save_checkpoint(embedder.state, payload["finetuned_checkpoint"])
-    inputs = {"embedder": args.embedder, "data": args.data}
-    if args.params:
-        inputs["params"] = args.params
     _emit_manifest(args.out + ".manifest.json", "eval",
                    {"task": args.task, "mode": args.mode,
                     "params": kwargs, "out": args.out},
-                   inputs, seed, started)
+                   {"embedder": args.embedder, "data": args.data,
+                    "params": args.params}, seed, started)
     _print_report(results)
     return 0
 
@@ -533,7 +515,10 @@ def cmd_ablation(args) -> int:
         raise ConfigError(f"eval params {args.eval_params} name unknown "
                           f"tasks {stray}; expected keys from "
                           f"{list(ABLATION_TASKS)}")
-    data, inputs = {}, {"lexicon": args.lexicon}
+    data = {}
+    inputs = {"lexicon": args.lexicon, "grid": args.grid,
+              "train_config": args.train_config, "vocab": args.vocab,
+              "eval_params": args.eval_params}
     for name in tasks:
         flag = TASKS[name].flag
         path = vars(args)[flag[2:].replace("-", "_")]
@@ -545,14 +530,6 @@ def cmd_ablation(args) -> int:
         data[name] = TASKS[name].read(path)
         inputs[flag.lstrip("-")] = path
     evaluate = ablation_evaluate(data, eval_params, args.seed)
-    if args.grid:
-        inputs["grid"] = args.grid
-    if args.train_config:
-        inputs["train_config"] = args.train_config
-    if args.vocab:
-        inputs["vocab"] = args.vocab
-    if args.eval_params:
-        inputs["eval_params"] = args.eval_params
 
     os.makedirs(args.out, exist_ok=True)
     report = ablation_sweep(grid, lexicon, vocab, train_config, evaluate,

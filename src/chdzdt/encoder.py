@@ -51,6 +51,8 @@ class ModelConfig:
                 f"hidden ({self.hidden}) must be divisible by n_heads ({self.n_heads})")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def seq_len(self) -> int:

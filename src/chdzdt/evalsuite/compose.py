@@ -12,20 +12,68 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .. import tensor as T
 from ..errors import DataError
-from .embedder import embed_rows
 
 logger = logging.getLogger(__name__)
 
-KINDS = ("Add", "Mul", "WAdd", "WMul", "MpCnc", "MpAdd")
 SHIFT_EPS = 1e-3
 _SHIFT_HINT = ("WMul exponentiates components, which requires strictly "
                "positive values; apply shift_positive(triples, eps=1e-3) "
                "first and record the shift in the report")
+_SCALARS = ("alpha", "beta", "gamma")
+
+
+def _logs(*prs) -> tuple:
+    """The logs of P, R and S, which must be strictly positive."""
+    if any(np.min(x) <= 0 for x in prs):
+        raise DataError(_SHIFT_HINT)
+    return tuple(np.log(x) for x in prs)
+
+
+def _mix(f, P, R, S) -> T.Tensor:
+    return f["alpha"] * P + f["beta"] * R + f["gamma"] * S
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One composition function, which compose_fit trains and
+    compose_batch runs without a graph.
+
+    fields: its trained fields: none, _SCALARS, or ("W",) for a matrix of
+    shape (dim, span * dim). forward: (fields as Tensors, *inputs as
+    Tensors) -> composed vectors, with W in its training orientation
+    [span * dim, dim]. inputs: (P, R, S) -> the constant arrays forward
+    reads, built once per fit or batch.
+    """
+
+    fields: tuple
+    forward: Callable
+    inputs: Callable = lambda *prs: prs
+    span: int = 1
+
+
+_TABLE = {
+    "Add": _Kind((), lambda f, P, R, S: P + R + S),
+    "Mul": _Kind((), lambda f, P, R, S: P * R * S),
+    "WAdd": _Kind(_SCALARS, _mix),
+    "WMul": _Kind(_SCALARS, lambda f, *logs: _mix(f, *logs).exp(), _logs),
+    "MpCnc": _Kind(("W",), lambda f, X: X @ f["W"],
+                   lambda *prs: (np.concatenate(prs, axis=1),), span=3),
+    "MpAdd": _Kind(("W",), lambda f, X: X @ f["W"],
+                   lambda P, R, S: (P + R + S,)),
+}
+KINDS = tuple(_TABLE)
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _TABLE:
+        raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
+    return _TABLE[kind]
 
 
 @dataclass
@@ -40,46 +88,27 @@ class CompositionModel:
     W: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.kind in ("WAdd", "WMul"):
-            if None in (self.alpha, self.beta, self.gamma):
-                raise DataError(f"{self.kind} needs alpha, beta and gamma")
-        if self.kind == "MpCnc":
-            if self.W is None or self.W.shape != (self.dim, 3 * self.dim):
-                raise DataError(f"MpCnc needs W of shape "
-                                f"({self.dim}, {3 * self.dim})")
-        if self.kind == "MpAdd":
-            if self.W is None or self.W.shape != (self.dim, self.dim):
-                raise DataError(f"MpAdd needs W of shape "
-                                f"({self.dim}, {self.dim})")
+        spec = _kind(self.kind)
+        if spec.fields == _SCALARS and None in (self.alpha, self.beta,
+                                                self.gamma):
+            raise DataError(f"{self.kind} needs alpha, beta and gamma")
+        if "W" in spec.fields:
+            shape = (self.dim, spec.span * self.dim)
+            if self.W is None or self.W.shape != shape:
+                raise DataError(f"{self.kind} needs W of shape {shape}")
 
     def compose_batch(self, P, R, S) -> np.ndarray:
-        P, R, S = (np.asarray(x, dtype=np.float64) for x in (P, R, S))
-        if self.kind == "Add":
-            return P + R + S
-        if self.kind == "Mul":
-            return P * R * S
-        if self.kind == "WAdd":
-            return self.alpha * P + self.beta * R + self.gamma * S
-        if self.kind == "WMul":
-            _require_positive(P, R, S)
-            return np.exp(self.alpha * np.log(P) + self.beta * np.log(R)
-                          + self.gamma * np.log(S))
-        if self.kind == "MpCnc":
-            return np.concatenate([P, R, S], axis=1) @ self.W.T
-        return (P + R + S) @ self.W.T
+        spec = _TABLE[self.kind]
+        inputs = spec.inputs(*(np.asarray(x, dtype=np.float64)
+                               for x in (P, R, S)))
+        fields = {name: T.Tensor(np.asarray(getattr(self, name),
+                                            dtype=np.float64).T)
+                  for name in spec.fields}
+        with T.no_grad():
+            return spec.forward(fields, *map(T.Tensor, inputs)).data
 
     def compose(self, p, r, s) -> np.ndarray:
-        batch = self.compose_batch(np.asarray(p)[None], np.asarray(r)[None],
-                                   np.asarray(s)[None])
-        return batch[0]
-
-
-def _require_positive(*arrays) -> None:
-    for arr in arrays:
-        if np.min(arr) <= 0:
-            raise DataError(_SHIFT_HINT)
+        return self.compose_batch(*(np.asarray(x)[None] for x in (p, r, s)))[0]
 
 
 def shift_positive(triples, eps: float = SHIFT_EPS):
@@ -96,25 +125,18 @@ def shift_positive(triples, eps: float = SHIFT_EPS):
     return shifted, shift
 
 
-def _as_arrays(triples, embedder=None):
+def _as_arrays(triples):
     if not triples:
         raise DataError("no composition triples given")
     if any(len(triple) != 4 for triple in triples):
         raise DataError("each triple must be (prefix, root, suffix, word)")
-    if embedder is not None:
-        words = [t for triple in triples if isinstance(triple[0], str)
-                 for t in triple]
-        vecs = dict(zip(words, embed_rows(embedder, words, np.float64)))
-        triples = [[vecs[t] for t in triple] if isinstance(triple[0], str)
-                   else triple for triple in triples]
     rows = [[np.asarray(t, dtype=np.float64) for t in triple]
             for triple in triples]
     dims = {vec.shape for row in rows for vec in row}
     if len(dims) != 1 or len(next(iter(dims))) != 1:
         raise DataError(f"triples must hold 1-D vectors of one dimension, "
                         f"got shapes {sorted(dims)}")
-    stacked = [np.stack([row[i] for row in rows]) for i in range(4)]
-    return stacked[0], stacked[1], stacked[2], stacked[3]
+    return tuple(np.stack([row[i] for row in rows]) for i in range(4))
 
 
 def _fit_loss(pred: T.Tensor, target: np.ndarray, objective: str) -> T.Tensor:
@@ -131,63 +153,37 @@ def compose_fit(kind: str, triples, objective: str = "mse",
                 lr: float = 0.05, epochs: int = 300,
                 seed: int = 0) -> CompositionModel:
     """Fit a composition model on (p, r, s, w) vector triples."""
-    if kind not in KINDS:
-        raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
+    spec = _kind(kind)
     if objective not in ("mse", "cosine"):
         raise DataError(f"objective must be 'mse' or 'cosine', "
                         f"got {objective!r}")
     P, R, S, W_target = _as_arrays(triples)
     d = P.shape[1]
-    if kind == "Add":
-        return CompositionModel("Add", d)
-    if kind == "Mul":
-        return CompositionModel("Mul", d)
-    if kind == "WMul":
-        _require_positive(P, R, S)
+    if not spec.fields:
+        return CompositionModel(kind, d)
+    X = spec.inputs(P, R, S)
 
     if objective == "cosine":
         keep = np.linalg.norm(W_target, axis=1) > 0
         if not np.all(keep):
             logger.warning("cosine objective: skipping %d zero-vector "
                            "targets", int((~keep).sum()))
-            P, R, S, W_target = P[keep], R[keep], S[keep], W_target[keep]
-        if len(P) == 0:
+            X, W_target = [x[keep] for x in X], W_target[keep]
+        if len(W_target) == 0:
             raise DataError("no usable triples after dropping zero targets")
 
     rng = np.random.default_rng(seed)
-    if kind in ("WAdd", "WMul"):
-        params = [T.Tensor(np.ones(1), requires_grad=True) for _ in range(3)]
-    elif kind == "MpCnc":
-        params = [T.Tensor(rng.normal(0, 0.01, (3 * d, d)),
-                           requires_grad=True)]
-    else:
-        params = [T.Tensor(rng.normal(0, 0.01, (d, d)), requires_grad=True)]
-
-    if kind == "WAdd":
-        X = (P, R, S)
-    elif kind == "WMul":
-        X = (np.log(P), np.log(R), np.log(S))
-    elif kind == "MpCnc":
-        X = T.Tensor(np.concatenate([P, R, S], axis=1))
-    else:
-        X = T.Tensor(P + R + S)
-
-    def loss_fn():
-        if kind in ("WAdd", "WMul"):
-            a, b, g = params
-            pred = a * X[0] + b * X[1] + g * X[2]
-            if kind == "WMul":
-                pred = pred.exp()
-        else:
-            pred = X.matmul(params[0])
-        return _fit_loss(pred, W_target, objective)
-
-    T.fit(params, loss_fn, epochs, lr)
-
-    if kind in ("WAdd", "WMul"):
-        a, b, g = (float(p.data[0]) for p in params)
-        return CompositionModel(kind, d, alpha=a, beta=b, gamma=g)
-    return CompositionModel(kind, d, W=params[0].data.T.copy())
+    params = {name: T.Tensor(rng.normal(0, 0.01, (spec.span * d, d))
+                             if name == "W" else np.ones(1),
+                             requires_grad=True)
+              for name in spec.fields}
+    X = [T.Tensor(x) for x in X]
+    T.fit(list(params.values()),
+          lambda: _fit_loss(spec.forward(params, *X), W_target, objective),
+          epochs, lr)
+    return CompositionModel(kind, d, **{
+        name: p.data.T.copy() if name == "W" else float(p.data[0])
+        for name, p in params.items()})
 
 
 def block_norms(model: CompositionModel) -> dict:
@@ -195,20 +191,22 @@ def block_norms(model: CompositionModel) -> dict:
     if model.W is None:
         raise DataError(f"{model.kind} has no matrix")
     norms = {"W": float(np.linalg.norm(model.W))}
-    if model.kind == "MpCnc":
-        d = model.dim
-        for name, j in (("W_p", 0), ("W_r", 1), ("W_s", 2)):
-            norms[name] = float(np.linalg.norm(model.W[:, j * d:(j + 1) * d]))
+    span = _TABLE[model.kind].span
+    if span > 1:
+        for name, block in zip(("W_p", "W_r", "W_s"),
+                               np.split(model.W, span, axis=1)):
+            norms[name] = float(np.linalg.norm(block))
     return norms
 
 
-def compose_eval(model: CompositionModel, triples, embedder=None) -> dict:
-    """ACS and AED between composed and gold word vectors on test triples.
+def compose_eval(model: CompositionModel, triples) -> dict:
+    """ACS and AED between composed and gold word vectors on test
+    (p, r, s, w) vector triples.
 
     Pairs where either vector has zero norm are skipped with a warning.
     Matrix kinds also report Frobenius norms and export W itself.
     """
-    P, R, S, W_target = _as_arrays(triples, embedder)
+    P, R, S, W_target = _as_arrays(triples)
     pred = model.compose_batch(P, R, S)
     pred_norm = np.linalg.norm(pred, axis=1)
     gold_norm = np.linalg.norm(W_target, axis=1)
@@ -228,9 +226,8 @@ def compose_eval(model: CompositionModel, triples, embedder=None) -> dict:
         "acs": float(cosines.mean()),
         "aed": float(dists.mean() / math.sqrt(model.dim)),
     }
-    if model.kind in ("WAdd", "WMul"):
-        report["params"] = {"alpha": model.alpha, "beta": model.beta,
-                            "gamma": model.gamma}
+    if _TABLE[model.kind].fields == _SCALARS:
+        report["params"] = {name: getattr(model, name) for name in _SCALARS}
     if model.W is not None:
         report["frobenius"] = block_norms(model)
         report["W"] = model.W.tolist()

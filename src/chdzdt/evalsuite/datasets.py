@@ -79,6 +79,22 @@ def read_affix_dataset(path):
     return rows
 
 
+def read_quadruples(path):
+    """prefix TAB root TAB suffix TAB word composition rows."""
+    rows = []
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4 or not all(parts):
+            raise DataError(f"{path}:{lineno}: expected 'prefix TAB "
+                            "root TAB suffix TAB word'")
+        rows.append(tuple(parts))
+    if not rows:
+        raise DataError(f"{path}: no rows found")
+    return rows
+
+
 def read_similarity(path):
     """w1 TAB w2 TAB human score."""
     pairs = []

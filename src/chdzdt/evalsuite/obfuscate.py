@@ -56,8 +56,7 @@ def obfuscate(word: str, mode: str, count: int,
         raise ValueError(f"word {word!r} is shorter than count {count}")
     if rng is None:
         rng = np.random.default_rng(0)
-    if mode == "similar" and table is None:
-        table = default_table()
+    table = _resolve_table(mode, table)
     chars = list(word)
     positions = rng.choice(len(chars), size=count, replace=False)
     for pos in positions:
@@ -88,18 +87,22 @@ def make_noisy_tuples(words, mode: str, count: int,
             for w in words if len(w) >= count]
 
 
+def _noisy_clusters(clusters, mode: str, count: int, table, seed: int):
+    """(pairs, grouped): make_noisy_tuples over every cluster member, and
+    the same noisy words regrouped as (root, noisy members) per cluster."""
+    pairs = make_noisy_tuples([m for _, members in clusters for m in members],
+                              mode, count, table, seed)
+    rest = iter([noisy for _, noisy in pairs])
+    return pairs, [(root, [next(rest) for m in members if len(m) >= count])
+                   for root, members in clusters]
+
+
 def obfuscated_acs(embedder, clusters, mode: str, count: int,
                    table: ObfuscationTable | None = None,
                    seed: int = 0) -> float:
     """ACS with every cluster member obfuscated; roots stay clean."""
-    table = _resolve_table(mode, table)
-    rng = np.random.default_rng(seed)
-    noisy_clusters = []
-    for root, members in clusters:
-        noisy = [obfuscate(m, mode, count, table, rng)
-                 for m in members if len(m) >= count]
-        if noisy:
-            noisy_clusters.append((root, noisy))
+    _, grouped = _noisy_clusters(clusters, mode, count, table, seed)
+    noisy_clusters = [c for c in grouped if c[1]]
     if not noisy_clusters:
         raise DataError(f"no cluster member is long enough for count={count}")
     return acs(embedder, noisy_clusters)
@@ -119,12 +122,14 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
         raise DataError("noise_report needs tuples and/or clusters")
     table = _resolve_table("similar", table)
     tuples = dict(tuples or {})
+    noisy_clusters = {}
     if clusters is not None:
-        member_words = [m for _, members in clusters for m in members]
+        gold = [i for i, (_, members) in enumerate(clusters)
+                for m in members if len(m) >= count]
         for mode in MODES:
-            if mode not in tuples:
-                tuples[mode] = make_noisy_tuples(member_words, mode, count,
-                                                 table, seed)
+            pairs, noisy_clusters[mode] = _noisy_clusters(clusters, mode,
+                                                          count, table, seed)
+            tuples.setdefault(mode, pairs)
     report: dict = {"count": count, "tuple_acs": {}, "cluster": {}}
     for mode in MODES:
         if mode not in tuples:
@@ -136,20 +141,12 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
         if not sims:
             raise DataError(f"no usable tuples for mode {mode}")
         report["tuple_acs"][mode] = float(np.mean(sims))
-    if clusters is not None:
-        gold = [i for i, (_, members) in enumerate(clusters)
-                for m in members if len(m) >= count]
-        for mode in MODES:
-            rng = np.random.default_rng(seed)
-            noisy_clusters = [
-                (root, [obfuscate(m, mode, count, table, rng)
-                        for m in members if len(m) >= count])
-                for root, members in clusters]
-            points = embed_rows(embedder, [w for _, noisy in noisy_clusters
-                                           for w in noisy], np.float64)
-            pred = kmeans(points, k=len(clusters), seed=seed)
-            report["cluster"][mode] = {
-                "ari": ari(pred, gold),
-                "acs": acs(embedder, [c for c in noisy_clusters if c[1]]),
-            }
+    for mode, grouped in noisy_clusters.items():
+        points = embed_rows(embedder, [w for _, noisy in grouped
+                                       for w in noisy], np.float64)
+        pred = kmeans(points, k=len(clusters), seed=seed)
+        report["cluster"][mode] = {
+            "ari": ari(pred, gold),
+            "acs": acs(embedder, [c for c in grouped if c[1]]),
+        }
     return report

@@ -71,6 +71,11 @@ def stratified_split(rows, fraction: float, seed: int = 42):
     return train, test
 
 
+def _probe(W: T.Tensor, b: T.Tensor, X: T.Tensor) -> T.Tensor:
+    """Each affix's presence probability for the embedding rows X."""
+    return (X @ W + b).sigmoid()
+
+
 def probe_train(embeddings, affix_labels, split=None, fraction: float = 0.6,
                 seed: int = 42, lr: float = 0.05, epochs: int = 200) -> dict:
     """One-vs-rest logistic probe from embeddings to affix presence.
@@ -114,11 +119,11 @@ def probe_train(embeddings, affix_labels, split=None, fraction: float = 0.6,
     b = T.Tensor(np.zeros(n_labels), requires_grad=True)
     Xtr = T.Tensor(X[train_idx])
     ytr = y[train_idx]
-    T.fit([W, b], lambda: T.bce_multilabel((Xtr @ W + b).sigmoid(), ytr),
+    T.fit([W, b], lambda: T.bce_multilabel(_probe(W, b, Xtr), ytr),
           epochs, lr)
 
-    test_probs = 1.0 / (1.0 + np.exp(-(X[test_idx] @ W.data + b.data)))
-    y_pred = (test_probs > 0.5).astype(int)
+    with T.no_grad():
+        y_pred = (_probe(W, b, T.Tensor(X[test_idx])).data > 0.5).astype(int)
     report = macro_prf(y[test_idx].astype(int), y_pred, names,
                        exclude=excluded)
     report["excluded_affixes"] = [names[j] for j in excluded]

@@ -112,6 +112,14 @@ def _scores(gold: np.ndarray, pred: np.ndarray, labels) -> tuple:
                                                    list(labels))
 
 
+def _morph_logits(shared, heads, X: T.Tensor) -> dict:
+    """Feature name -> head logits for word rows X: a tanh shared dense
+    layer, then one linear head per feature."""
+    hidden = T.linear(X, *shared).tanh()
+    return {name: T.linear(hidden, hw, hb)
+            for name, (hw, hb) in heads.items()}
+
+
 def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
                  fraction: float = 0.6, seed: int = 42, epochs: int = 100,
                  lr: float = 0.01, shared_dim: int = 768,
@@ -171,11 +179,10 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
     row_idx = np.array([source.row[w] for w, _ in train])
 
     def loss_fn():
-        hidden = T.linear(source.matrix()[row_idx], sw, sb).tanh()
+        logits_of = _morph_logits((sw, sb), heads, source.matrix()[row_idx])
         total = None
         for name, values in tagsets.items():
-            hw, hb = heads[name]
-            logits = T.linear(hidden, hw, hb)
+            logits = logits_of[name]
             if len(values) == 2:
                 head_loss = T.bce_multilabel(
                     logits.sigmoid(), targets[name][:, None].astype(float))
@@ -187,14 +194,13 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
     losses = T.fit(params, loss_fn, epochs, lr, loss_target)
     source.finish()
 
-    hidden_t = np.tanh(embed_rows(embedder, [w for w, _ in test],
-                                  T.default_dtype())
-                       @ sw.data + sb.data)
+    with T.no_grad():
+        logits_of = _morph_logits((sw, sb), heads, T.Tensor(embed_rows(
+            embedder, [w for w, _ in test], T.default_dtype())))
     feature_report = {}
     accuracies = []
     for name, values in tagsets.items():
-        hw, hb = heads[name]
-        logits = hidden_t @ hw.data + hb.data
+        logits = logits_of[name].data
         if len(values) == 2:
             pred = (logits[:, 0] > 0).astype(int)
         else:

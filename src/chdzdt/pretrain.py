@@ -45,8 +45,9 @@ class TrainConfig:
     warmup_steps: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.mask_ratio < 1.0:
@@ -55,8 +56,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.log_every < 1:
             raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
-        if self.warmup_steps < 0:
-            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chdzdt
 from chdzdt import cli
@@ -44,6 +46,24 @@ CLUSTER_TEXT = "dog\tdog\tdogs\ncat\tcat\tcats\nrun\truns\trunning\n"
 TAG_TEXT = ("dog\tnum=sing\ndogs\tnum=plur\ncat\tnum=sing\ncats\tnum=plur\n"
             "chien\tnum=sing\nchiens\tnum=plur\nchat\tnum=sing\n"
             "les\tnum=plur\nran\tnum=sing\nruns\tnum=plur\n")
+
+# one tiny data file per eval task, by its name in the ws directory
+TASK_DATA = {
+    "morph": ("clusters.tsv", CLUSTER_TEXT),
+    "noise": ("clusters.tsv", CLUSTER_TEXT),
+    "tag": ("tag.tsv", TAG_TEXT),
+    "probe": ("affix.tsv", "dogs\ts\ncats\ts\nrunning\tning\nruns\ts\n"
+                           "chiens\ts\ndog\t\ncat\t\nchien\t\n"),
+    "compose": ("compose.tsv", "un\tdo\tne\tundone\nre\trun\ts\treruns\n"
+                               "de\tcode\tr\tdecoder\nun\tcat\ts\tuncats\n"),
+    "sim": ("sim.tsv", "dog\tdogs\t3.5\ncat\tcats\t3.0\ndog\tcat\t1.0\n"),
+    "pos": ("pos.conll", "the\tDET\ndog\tNOUN\nran\tVERB\n\n"
+                         "les\tDET\nchiens\tNOUN\ncourent\tVERB\n\n"
+                         "the\tDET\ncats\tNOUN\n\ndogs\tNOUN\nrun\tVERB\n"),
+    "sa": ("senti.tsv", "positive\tthe dog runs\nnegative\tthe cat ran\n"
+                        "neutral\tles chiens\npositive\tdogs run\n"
+                        "negative\tcats ran\nneutral\tle chat court\n"),
+}
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -94,8 +114,8 @@ def ws(tmp_path_factory):
         encoding="utf-8")
     (root / "vocab.json").write_text(json.dumps({"ranges": [[97, 122]]}),
                                      encoding="utf-8")
-    (root / "clusters.tsv").write_text(CLUSTER_TEXT, encoding="utf-8")
-    (root / "tag.tsv").write_text(TAG_TEXT, encoding="utf-8")
+    for name, text in TASK_DATA.values():
+        (root / name).write_text(text, encoding="utf-8")
     return root
 
 
@@ -757,3 +777,151 @@ class TestTaskTable:
 
     def test_every_task_is_covered(self):
         assert set(TASK_FUNCTIONS) == set(cli.TASKS)
+
+
+# out-of-range task parameters that used to escape as tracebacks, or (pos
+# epochs) ran an untrained tagger with exit 0
+BOUND_CASES = [
+    ("noise", ["--count", 0], {}, "count"),
+    ("morph", ["--seed", -1], {}, "seed"),
+    ("noise", ["--seed", -1], {}, "seed"),
+    ("pos", [], {"max_words": 0}, "max_words"),
+    ("pos", [], {"gru_hidden": 0}, "gru_hidden"),
+    ("sa", [], {"dense_dim": 0}, "dense_dim"),
+    ("pos", ["--epochs", -1], {}, "epochs"),
+]
+
+
+class TestParamBounds:
+
+    @pytest.mark.parametrize(
+        "task, flags, params, key", BOUND_CASES,
+        ids=[f"{t}-{k}" for t, _, _, k in BOUND_CASES])
+    def test_out_of_range_task_param_exits_two(self, ws, ckpt, tmp_path,
+                                               capsys, task, flags, params,
+                                               key):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params), encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("eval", "--task", task, "--embedder", ckpt,
+                   "--data", ws / TASK_DATA[task][0], "--out", out,
+                   "--params", params_file, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not list(tmp_path.glob("o.json*"))
+
+    @pytest.mark.parametrize("where", ["flag", "model_config"])
+    def test_negative_pretrain_seed_exits_two(self, ws, lexicon, tmp_path,
+                                              capsys, where):
+        out = tmp_path / "o.ckpt"
+        argv = ["pretrain", "--lexicon", lexicon, "--vocab",
+                ws / "vocab.json", "--out", out, "--epochs", 0]
+        if where == "flag":
+            argv += ["--seed", -1]
+        else:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            argv += ["--model-config", cfg]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert not list(tmp_path.glob("o.ckpt*"))
+
+
+class TestManifestInputs:
+
+    @pytest.fixture
+    def configs(self, ws, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}), encoding="utf-8")
+        train = tmp_path / "train.json"
+        train.write_text(json.dumps({"epochs": 0}), encoding="utf-8")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}]), encoding="utf-8")
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"morph": {"seed": 1}}),
+                          encoding="utf-8")
+        return {"model_config": model, "train_config": train,
+                "grid": grid, "eval_params": params,
+                "vocab": ws / "vocab.json"}
+
+    @staticmethod
+    def inputs(path) -> set:
+        return set(json.loads(Path(path).read_text())["inputs"])
+
+    def test_pretrain_inputs(self, lexicon, tmp_path, configs):
+        out = tmp_path / "bare.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--out", out,
+                   "--n-blocks", 1, "--n-heads", 1, "--hidden", 8,
+                   "--epochs", 0) == 0
+        assert self.inputs(f"{out}.manifest.json") == {"lexicon"}
+        out = tmp_path / "full.ckpt"
+        names = ("model_config", "train_config", "vocab")
+        flags = [a for n in names for a in (f"--{n.replace('_', '-')}",
+                                            configs[n])]
+        assert run("pretrain", "--lexicon", lexicon, "--out", out,
+                   *flags) == 0
+        assert self.inputs(f"{out}.manifest.json") == {"lexicon", *names}
+
+    def test_ablation_inputs(self, ws, lexicon, tmp_path, configs,
+                             monkeypatch):
+        one_variant = json.loads(configs["grid"].read_text())[0]
+        monkeypatch.setattr(cli, "default_grid", lambda size: [
+            ModelConfig(vocab_size=size, **one_variant)])
+        common = ["ablation", "--lexicon", lexicon, "--evals", "morph",
+                  "--clusters", ws / "clusters.tsv", "--epochs", 0]
+        assert run(*common, "--out", tmp_path / "bare") == 0
+        assert self.inputs(tmp_path / "bare" / "manifest.json") == \
+            {"lexicon", "clusters"}
+        names = ("grid", "train_config", "vocab", "eval_params")
+        flags = [a for n in names for a in (f"--{n.replace('_', '-')}",
+                                            configs[n])]
+        assert run(*common, *flags, "--out", tmp_path / "full") == 0
+        assert self.inputs(tmp_path / "full" / "manifest.json") == \
+            {"lexicon", "clusters", *names}
+
+
+# small widths and few epochs, so that one example runs in a fraction of
+# a second; a drawn value replaces the one here
+SMALL_PARAMS = {"probe": {"epochs": 3}, "compose": {"kind": "MpAdd",
+                                                    "epochs": 3},
+                "tag": {"shared_dim": 3, "epochs": 2},
+                "pos": {"gru_hidden": 2, "dense_dim": 3, "epochs": 2},
+                "sa": {"gru_hidden": 2, "dense_dim": 3, "epochs": 2}}
+ODD_FLOATS = st.sampled_from([1e30, float("inf"), float("nan")])
+PARAM_VALUES = {
+    "seed": st.integers(-2, 3) | st.just(2 ** 64),
+    "fraction": st.floats(0.05, 0.95) | st.sampled_from([0.0, 1.0, -1.0]),
+    "kind": st.sampled_from(["Add", "Mul", "WAdd", "WMul", "MpCnc",
+                             "MpAdd", "Cat"]),
+    "objective": st.sampled_from(["mse", "cosine", "hinge"]),
+    int: st.integers(-2, 4),
+    float: st.floats(-2, 2) | ODD_FLOATS,
+}
+
+
+def task_params(task):
+    types = cli.TASKS[task].params
+    return st.fixed_dictionaries({}, optional={
+        key: PARAM_VALUES.get(key, PARAM_VALUES.get(types[key]))
+        for key in types})
+
+
+class TestParamsFuzz:
+
+    @pytest.mark.parametrize("task", list(cli.TASKS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_task_params_exit_with_a_code(self, ws, ckpt, task, data):
+        params = {**SMALL_PARAMS.get(task, {}),
+                  **data.draw(task_params(task))}
+        work = ws / "fuzz"
+        work.mkdir(exist_ok=True)
+        (work / "params.json").write_text(json.dumps(params),
+                                          encoding="utf-8")
+        assert run("eval", "--task", task, "--embedder", ckpt,
+                   "--data", ws / TASK_DATA[task][0],
+                   "--out", work / "o.json",
+                   "--params", work / "params.json") in (0, 1, 2, 3)

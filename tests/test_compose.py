@@ -1,5 +1,6 @@
 """Composition functions: fitting, evaluation, and Frobenius reporting."""
 
+import dataclasses
 import logging
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from chdzdt.errors import DataError
+from chdzdt.evalsuite import compose
 from chdzdt.evalsuite.compose import (
     KINDS,
     CompositionModel,
@@ -180,17 +182,6 @@ class TestComposeFit:
         np.testing.assert_array_equal(a.W, b.W)
 
 
-class DictEmbedder:
-    is_trainable = False
-
-    def __init__(self, table):
-        self.table = table
-        self.dim = len(next(iter(table.values())))
-
-    def embed(self, word):
-        return np.asarray(self.table[word], dtype=np.float64)
-
-
 class TestComposeEval:
     def test_perfect_reconstruction(self):
         triples = make_triples(np.random.default_rng(0), n=10)
@@ -243,15 +234,26 @@ class TestComposeEval:
                                                   n=5))
         assert report["params"] == {"alpha": 2.0, "beta": 1.0, "gamma": 0.5}
 
-    def test_word_triples_with_embedder(self):
-        table = {"un": [1.0, 0.0], "happy": [0.0, 2.0], "ness": [1.0, 1.0],
-                 "unhappiness": [2.0, 3.0]}
-        emb = DictEmbedder(table)
-        report = compose_eval(CompositionModel("Add", 2),
-                              [("un", "happy", "ness", "unhappiness")],
-                              embedder=emb)
-        assert report["acs"] == pytest.approx(1.0)
-        assert report["aed"] == pytest.approx(0.0)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_and_batch_run_the_one_forward(self, kind, monkeypatch):
+        spec = compose._TABLE[kind]
+        graphs = []
+
+        def spy(*args):
+            out = spec.forward(*args)
+            graphs.append(out.requires_grad)
+            return out
+
+        monkeypatch.setitem(compose._TABLE, kind,
+                            dataclasses.replace(spec, forward=spy))
+        triples, _ = shift_positive(make_triples(np.random.default_rng(4),
+                                                 n=6))
+        model = compose_fit(kind, triples, epochs=3)
+        # Add and Mul have no fields and return without fitting
+        assert graphs == ([True] * 3 if spec.fields else [])
+        graphs.clear()
+        compose_eval(model, triples)
+        assert graphs == [False]
 
     def test_all_kinds_listed(self):
         assert KINDS == ("Add", "Mul", "WAdd", "WMul", "MpCnc", "MpAdd")

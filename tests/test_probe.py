@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chdzdt.errors import DataError
+from chdzdt.evalsuite import probe
 from chdzdt.evalsuite.probe import probe_train, stratified_split
 
 
@@ -108,6 +109,20 @@ class TestProbeTrain:
             assert key in report
         for entry in report["per_label"].values():
             assert set(entry) == {"precision", "recall", "f1", "support"}
+
+    def test_test_split_scored_by_the_training_forward(self, monkeypatch):
+        graphs = []
+        forward = probe._probe
+
+        def spy(*args):
+            out = forward(*args)
+            graphs.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(probe, "_probe", spy)
+        X, labels = separable_instance(seed=3, n=40, n_labels=2)
+        probe_train(X, labels, seed=3, epochs=4)
+        assert graphs == [True] * 4 + [False]
 
     def test_no_labels_rejected(self):
         with pytest.raises(DataError, match="no affix"):

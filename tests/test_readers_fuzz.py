@@ -22,6 +22,7 @@ from chdzdt.evalsuite.datasets import (
     read_clusters,
     read_morph,
     read_pos,
+    read_quadruples,
     read_sentiment,
     read_similarity,
     read_tuples,
@@ -37,6 +38,7 @@ READERS = {
     "similarity": (read_similarity, "sim.tsv"),
     "pos": (read_pos, "pos.conll"),
     "morph": (read_morph, "morph.tsv"),
+    "quadruples": (read_quadruples, "compose.tsv"),
     "sentiment": (read_sentiment, "senti.tsv"),
     "lexicon": (read_lexicon, "lex.tsv"),
     "tsv_embedder": (TsvEmbedder.from_file, "emb.tsv"),

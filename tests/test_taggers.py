@@ -213,6 +213,20 @@ class TestMorphTagger:
                               shared_dim=16, epochs=30, lr=0.05)
         assert report["features"]["tense"]["tagset"] == ["NA", "past"]
 
+    def test_test_split_scored_by_the_training_forward(self, monkeypatch):
+        graphs = []
+        forward = taggers._morph_logits
+
+        def spy(*args):
+            out = forward(*args)
+            graphs.append({v.requires_grad for v in out.values()})
+            return out
+
+        monkeypatch.setattr(taggers, "_morph_logits", spy)
+        morph_tagger(Suffix2Embedder(), morph_rows(), shared_dim=8,
+                     epochs=3, loss_target=0.0)
+        assert graphs == [{True}] * 3 + [{False}]
+
     def test_empty_rows_rejected(self):
         with pytest.raises(DataError, match="no morphology"):
             morph_tagger(Suffix2Embedder(), [])
