@@ -193,7 +193,9 @@ def cmd_preprocess(args) -> int:
         if not os.path.isfile(path):
             raise DataError(f"input file {path} does not exist")
         streams.append(SourceStream(path=path, label=label, kind=kind))
-        inputs[name] = path
+        # a namespace of their own, so a corpus file named like a fixed
+        # key ("labels", "rules") keeps both digests
+        inputs[f"corpus/{name}"] = path
     rules = NormRules.from_file(args.rules) if args.rules \
         else NormRules.default()
     inputs["rules"] = args.rules

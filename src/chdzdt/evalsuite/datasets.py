@@ -1,12 +1,13 @@
 """Loaders for the evaluation file formats (UTF-8, LF, TAB-separated).
 
-Every parser raises DataError naming the file and line on malformed input.
+Each reader but read_pos (where a blank line ends a sentence) parses its
+rows with fileio.read_rows, whose error contract read_pos keeps too.
 """
 
 from __future__ import annotations
 
 from ..errors import DataError
-from ..fileio import atomic_write, read_lines
+from ..fileio import atomic_write, finite_floats, read_lines, read_rows
 
 SENTIMENT_LABELS = ("negative", "neutral", "positive")
 
@@ -16,23 +17,17 @@ TUPLE_MODES = {".star": "star", ".hash": "hash", ".sim": "similar"}
 
 def read_clusters(path):
     """One cluster per line: root TAB member TAB member..."""
-    clusters = []
     roots = set()
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) < 2 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected "
-                            "'root TAB member [TAB member...]'")
-        root, members = parts[0], parts[1:]
-        if root in roots:
-            raise DataError(f"{path}:{lineno}: duplicate root {root!r}")
-        roots.add(root)
-        clusters.append((root, members))
-    if not clusters:
-        raise DataError(f"{path}: no clusters found")
-    return clusters
+
+    def parse(fields):
+        if len(fields) < 2 or not all(fields):
+            raise ValueError("expected 'root TAB member [TAB member...]'")
+        if fields[0] in roots:
+            raise ValueError(f"duplicate root {fields[0]!r}")
+        roots.add(fields[0])
+        return fields[0], fields[1:]
+
+    return read_rows(path, parse, "clusters")
 
 
 def write_clusters(path, clusters) -> None:
@@ -43,75 +38,48 @@ def write_clusters(path, clusters) -> None:
 
 def read_tuples(path):
     """clean TAB noisy pairs; the mode comes from the filename suffix."""
-    name = str(path)
-    mode = None
-    for suffix, m in TUPLE_MODES.items():
-        if name.endswith(suffix):
-            mode = m
+    mode = next((m for suffix, m in TUPLE_MODES.items()
+                 if str(path).endswith(suffix)), None)
     if mode is None:
         raise DataError(f"{path}: tuple files must end in .star/.hash/.sim")
-    pairs = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected 'clean TAB noisy'")
-        pairs.append((parts[0], parts[1]))
-    if not pairs:
-        raise DataError(f"{path}: no tuples found")
-    return pairs, mode
+
+    def parse(fields):
+        if len(fields) != 2 or not all(fields):
+            raise ValueError("expected 'clean TAB noisy'")
+        return fields[0], fields[1]
+
+    return read_rows(path, parse, "tuples"), mode
 
 
 def read_affix_dataset(path):
     """word TAB comma-separated affix list."""
-    rows = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise DataError(f"{path}:{lineno}: expected 'word TAB affixes'")
-        affixes = tuple(a for a in parts[1].split(",") if a)
-        rows.append((parts[0], affixes))
-    if not rows:
-        raise DataError(f"{path}: no rows found")
-    return rows
+    def parse(fields):
+        if len(fields) != 2 or not fields[0]:
+            raise ValueError("expected 'word TAB affixes'")
+        return fields[0], tuple(a for a in fields[1].split(",") if a)
+
+    return read_rows(path, parse, "rows")
 
 
 def read_quadruples(path):
     """prefix TAB root TAB suffix TAB word composition rows."""
-    rows = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected 'prefix TAB "
-                            "root TAB suffix TAB word'")
-        rows.append(tuple(parts))
-    if not rows:
-        raise DataError(f"{path}: no rows found")
-    return rows
+    def parse(fields):
+        if len(fields) != 4 or not all(fields):
+            raise ValueError("expected 'prefix TAB root TAB suffix TAB word'")
+        return tuple(fields)
+
+    return read_rows(path, parse, "rows")
 
 
 def read_similarity(path):
     """w1 TAB w2 TAB human score."""
-    pairs = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not parts[0] or not parts[1]:
-            raise DataError(f"{path}:{lineno}: expected 'w1 TAB w2 TAB score'")
-        try:
-            score = float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric score {parts[2]!r}")
-        pairs.append((parts[0], parts[1], score))
-    if not pairs:
-        raise DataError(f"{path}: no pairs found")
-    return pairs
+    def parse(fields):
+        if len(fields) != 3 or not fields[0] or not fields[1]:
+            raise ValueError("expected 'w1 TAB w2 TAB score'")
+        (score,) = finite_floats([fields[2]], f"score {fields[2]!r}")
+        return fields[0], fields[1], score
+
+    return read_rows(path, parse, "pairs")
 
 
 def read_pos(path):
@@ -145,47 +113,34 @@ def write_pos(path, sentences) -> None:
 
 def read_morph(path):
     """word TAB feature=value;feature=value rows."""
-    rows = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected 'word TAB features'")
+    def parse(fields):
+        if len(fields) != 2 or not all(fields):
+            raise ValueError("expected 'word TAB features'")
         feats = {}
-        for item in parts[1].split(";"):
+        for item in fields[1].split(";"):
             if not item:
                 continue
             if "=" not in item:
-                raise DataError(f"{path}:{lineno}: feature item {item!r} "
-                                "lacks '='")
+                raise ValueError(f"feature item {item!r} lacks '='")
             key, value = item.split("=", 1)
             if not key or not value:
-                raise DataError(f"{path}:{lineno}: empty feature or value "
-                                f"in {item!r}")
+                raise ValueError(f"empty feature or value in {item!r}")
             feats[key] = value
         if not feats:
-            raise DataError(f"{path}:{lineno}: no features")
-        rows.append((parts[0], feats))
-    if not rows:
-        raise DataError(f"{path}: no rows found")
-    return rows
+            raise ValueError("no features")
+        return fields[0], feats
+
+    return read_rows(path, parse, "rows")
 
 
 def read_sentiment(path):
     """label TAB text rows; labels restricted to the three polarity classes."""
-    rows = []
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected 'label TAB text'")
-        label, text = parts
-        if label not in SENTIMENT_LABELS:
-            raise DataError(f"{path}:{lineno}: unknown label {label!r}; "
-                            f"expected one of {SENTIMENT_LABELS}")
-        rows.append((label, text))
-    if not rows:
-        raise DataError(f"{path}: no rows found")
-    return rows
+    def parse(fields):
+        if len(fields) != 2 or not all(fields):
+            raise ValueError("expected 'label TAB text'")
+        if fields[0] not in SENTIMENT_LABELS:
+            raise ValueError(f"unknown label {fields[0]!r}; "
+                             f"expected one of {SENTIMENT_LABELS}")
+        return fields[0], fields[1]
+
+    return read_rows(path, parse, "rows")

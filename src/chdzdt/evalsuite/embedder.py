@@ -12,7 +12,7 @@ import numpy as np
 
 from ..encoder import EncoderState, encode_words, load_checkpoint
 from ..errors import DataError
-from ..fileio import atomic_write, read_lines
+from ..fileio import atomic_write, finite_floats, read_rows
 
 # the name perfbench/layers.py traces checkpoint encoding under
 word_embedding = encode_words
@@ -75,39 +75,32 @@ class TsvEmbedder:
     def from_file(cls, path) -> "TsvEmbedder":
         table: dict = {}
         dim = None
-        for lineno, line in read_lines(path):
-            if not line:
-                continue
-            if lineno == 1:
-                if not line.startswith(TSV_HEADER_PREFIX):
-                    raise DataError(
-                        f"{path}: missing '{TSV_HEADER_PREFIX}d' header")
+
+        def parse(fields):
+            nonlocal dim
+            if dim is None:
+                header = "\t".join(fields)
+                if not header.startswith(TSV_HEADER_PREFIX):
+                    raise ValueError(f"missing '{TSV_HEADER_PREFIX}d' header")
                 try:
-                    dim = int(line[len(TSV_HEADER_PREFIX):])
+                    dim = int(header[len(TSV_HEADER_PREFIX):])
                 except ValueError:
-                    raise DataError(f"{path}: bad dimension in header "
-                                    f"{line!r}")
+                    raise ValueError(f"bad dimension in header {header!r}")
                 if dim < 1:
-                    raise DataError(f"{path}: dimension must be >= 1")
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected "
-                                "'word TAB floats'")
-            word, floats = parts
+                    raise ValueError("dimension must be >= 1")
+                return
+            if len(fields) != 2:
+                raise ValueError("expected 'word TAB floats'")
+            word, floats = fields
             if word in table:
-                raise DataError(f"{path}:{lineno}: duplicate word "
-                                f"{word!r}")
-            try:
-                vec = [float(x) for x in floats.split()]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector")
+                raise ValueError(f"duplicate word {word!r}")
+            vec = finite_floats(floats.split(), "vector")
             if len(vec) != dim:
-                raise DataError(f"{path}:{lineno}: vector has "
-                                f"{len(vec)} floats, header says {dim}")
+                raise ValueError(f"vector has {len(vec)} floats, "
+                                 f"header says {dim}")
             table[word] = vec
-        if dim is None:
-            raise DataError(f"{path}: empty file")
+
+        read_rows(path, parse, "vectors")
         return cls(table, dim)
 
     def embed(self, word: str) -> np.ndarray:

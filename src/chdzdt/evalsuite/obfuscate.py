@@ -49,11 +49,11 @@ def obfuscate(word: str, mode: str, count: int,
               rng: np.random.Generator | None = None) -> str:
     """Replace `count` distinct character positions of `word`."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ConfigError(f"count must be >= 1, got {count}")
     if len(word) < count:
-        raise ValueError(f"word {word!r} is shorter than count {count}")
+        raise ConfigError(f"word {word!r} is shorter than count {count}")
     if rng is None:
         rng = np.random.default_rng(0)
     table = _resolve_table(mode, table)

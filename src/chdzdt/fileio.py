@@ -1,15 +1,16 @@
 """File I/O shared by every reader and writer.
 
 Output is atomic: a file appears whole under its name, or not at all.
-Input is UTF-8 text or JSON; a file that cannot be read or decoded is a
-DataError, and JSON of the wrong shape is a ConfigError. No other module
-opens a file in text mode.
+Input is UTF-8 text, TAB-separated rows or JSON; a file that cannot be
+read or decoded is a DataError, and JSON of the wrong shape is a
+ConfigError. No other module opens a file in text mode.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import secrets
 import typing
@@ -61,6 +62,34 @@ def read_lines(path):
                 yield lineno, line.rstrip("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_rows(path, parse, what: str) -> list:
+    """parse(fields) of the TAB-split fields of each non-blank line, in
+    order. A ValueError from parse becomes a DataError naming path and
+    line; a file with no non-blank line is a DataError ("no {what} found")."""
+    rows = []
+    for lineno, line in read_lines(path):
+        if line:
+            try:
+                rows.append(parse(line.split("\t")))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no {what} found")
+    return rows
+
+
+def finite_floats(texts, what: str) -> list:
+    """float(t) for each of texts; a text that is no number, or a NaN or
+    infinite one, is a ValueError naming what (a read_rows parse error)."""
+    try:
+        values = [float(t) for t in texts]
+    except ValueError:
+        raise ValueError(f"non-numeric {what}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite {what}")
+    return values
 
 
 def read_text(path) -> str:

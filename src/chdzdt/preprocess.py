@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .chartok import is_emoji_char
 from .errors import ConfigError, DataError
-from .fileio import atomic_write, read_json, read_lines, read_package_json
+from .fileio import atomic_write, read_json, read_lines, read_package_json, read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -262,28 +262,26 @@ def write_lexicon(entries, path) -> None:
 
 
 def read_lexicon(path):
-    entries = []
-    for ln, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{ln}: expected 3 tab-separated fields")
-        word, labels, freqs = parts
+    """The LexiconEntry of each word TAB labels TAB LABEL:count,... row."""
+    def parse(fields):
+        if len(fields) != 3:
+            raise ValueError("expected 3 tab-separated fields")
+        word, labels, freqs = fields
         labels = tuple(labels.split(","))
         for lab in labels:
             if lab not in LABELS:
-                raise DataError(f"{path}:{ln}: unknown label {lab!r}")
+                raise ValueError(f"unknown label {lab!r}")
         freq = {}
         for item in freqs.split(","):
             lab, _, n = item.partition(":")
             try:
                 freq[lab] = int(n)
             except ValueError:
-                raise DataError(f"{path}:{ln}: bad frequency {item!r}, "
-                                "expected LABEL:count") from None
-        entries.append(LexiconEntry(word=word, labels=labels, freq=freq))
-    return entries
+                raise ValueError(f"bad frequency {item!r}, "
+                                 "expected LABEL:count") from None
+        return LexiconEntry(word=word, labels=labels, freq=freq)
+
+    return read_rows(path, parse, "lexicon entries")
 
 
 def all_label_combinations():

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
@@ -741,13 +743,18 @@ def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
     """Full-batch Adam: one step on loss_fn() per epoch; returns the losses.
 
     Each epoch's loss is recorded before its step. With a loss_target the
-    loop stops, without stepping, at the first loss below it.
+    loop stops, without stepping, at the first loss below it. A non-finite
+    loss is a NumericalError naming its epoch, raised before its step.
     """
     opt = Adam(params, lr=lr)
     losses = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         loss = loss_fn()
         losses.append(float(loss.data))
+        if not math.isfinite(losses[-1]):
+            loss._unlink()
+            raise NumericalError(f"non-finite loss {losses[-1]} at epoch "
+                                 f"{epoch} of {epochs}")
         if loss_target is not None and losses[-1] < loss_target:
             loss._unlink()
             break

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, outputs, manifests."""
 
+import hashlib
 import inspect
 import io
 import json
@@ -208,9 +209,31 @@ class TestPreprocess:
         manifest = json.loads((ws / "lex.tsv.manifest.json").read_text())
         assert manifest["subcommand"] == "preprocess"
         assert manifest["seed"] == 42
-        assert set(manifest["inputs"]) == {"labels", "en.txt", "fr.txt"}
+        assert set(manifest["inputs"]) == {"labels", "corpus/en.txt",
+                                           "corpus/fr.txt"}
         assert all(len(d) == 64 for d in manifest["inputs"].values())
         assert manifest["started"] <= manifest["finished"]
+
+    def test_corpus_file_named_labels_keeps_the_map_digest(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "labels").write_text("dog cat\n", encoding="utf-8")
+        (corpus / "fr.txt").write_text("chien chat\n", encoding="utf-8")
+        labels = tmp_path / "map.json"
+        labels.write_text(json.dumps({"labels": "EN", "fr.txt": "FR"}),
+                          encoding="utf-8")
+        out = tmp_path / "lex.tsv"
+        assert run("preprocess", "--in", corpus, "--labels", labels,
+                   "--out", out) == 0
+        manifest = json.loads((tmp_path / "lex.tsv.manifest.json")
+                              .read_text())
+
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert manifest["inputs"] == {
+            "labels": sha(labels), "corpus/labels": sha(corpus / "labels"),
+            "corpus/fr.txt": sha(corpus / "fr.txt")}
 
     def test_empty_labels_map_errors_without_output(self, ws, tmp_path):
         labels = tmp_path / "labels.json"
@@ -591,9 +614,14 @@ class TestEval:
         assert not list(tmp_path.glob("o.json*"))
 
     def test_non_finite_report_exits_three_without_report(self, tmp_path,
-                                                         capsys):
+                                                         capsys,
+                                                         monkeypatch):
+        # the readers refuse non-finite inputs, so the NaN comes from the
+        # task itself
+        monkeypatch.setattr(cli, "similarity_corr",
+                            lambda e, d: {"pearson": float("nan")})
         emb = tmp_path / "emb.tsv"
-        emb.write_text("#dim 2\nqalb\t1.0 0.5\nrouh\tnan 1.0\n"
+        emb.write_text("#dim 2\nqalb\t1.0 0.5\nrouh\t0.3 1.0\n"
                        "dar\t0.2 0.9\nbab\t0.7 0.1\n", encoding="utf-8")
         pairs = tmp_path / "sim.tsv"
         pairs.write_text("qalb\trouh\t3.5\ndar\tbab\t1.0\n"
@@ -603,6 +631,35 @@ class TestEval:
                    "--data", pairs, "--out", out) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not list(tmp_path.glob("sim.json*"))
+
+    @pytest.mark.parametrize("vector, score, where", [
+        ("nan 1.0", "3.5", "emb.tsv:3"), ("1e999 1.0", "3.5", "emb.tsv:3"),
+        ("0.3 1.0", "nan", "sim.tsv:1")],
+        ids=["nan_vector", "overflowing_vector", "nan_score"])
+    def test_non_finite_input_exits_two_without_report(self, tmp_path,
+                                                       capsys, vector,
+                                                       score, where):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(f"#dim 2\nqalb\t1.0 0.5\nrouh\t{vector}\n"
+                       "dar\t0.2 0.9\nbab\t0.7 0.1\n", encoding="utf-8")
+        pairs = tmp_path / "sim.tsv"
+        pairs.write_text(f"qalb\trouh\t{score}\ndar\tbab\t1.0\n"
+                         "qalb\tdar\t2.0\n", encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert run("eval", "--task", "sim", "--embedder", emb,
+                   "--data", pairs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / where}: non-finite")
+        assert not list(tmp_path.glob("sim.json*"))
+
+    def test_diverging_probe_exits_three_without_report(self, ws, ckpt,
+                                                        tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert run("eval", "--task", "probe", "--embedder", ckpt,
+                   "--data", ws / "affix.tsv", "--out", out,
+                   "--lr", 1e308, "--epochs", 20) == 3
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o.json*"))
 
     @pytest.mark.parametrize("content", [None, b"#dim 2\nqalb\t1.0 0.5\n\xff\n"],
                              ids=["missing", "invalid_utf8"])

@@ -131,6 +131,14 @@ class TestTsvEmbedder:
         with pytest.raises(DataError, match="non-numeric"):
             TsvEmbedder.from_file(path)
 
+    @pytest.mark.parametrize("row", ["dog\tnan 1", "cat\t1e999 3",
+                                     "bab\t1 -inf"])
+    def test_non_finite_vector_cites_line(self, tmp_path, row):
+        path = tmp_path / "v.tsv"
+        path.write_text(f"#dim 2\na\t1 2\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"v\.tsv:3: non-finite vector"):
+            TsvEmbedder.from_file(path)
+
     def test_dim_mismatch_row(self, tmp_path):
         path = tmp_path / "v.tsv"
         path.write_text("#dim 3\na\t1 2\n", encoding="utf-8")
@@ -296,6 +304,14 @@ class TestAffixAndSimilarityFiles:
         with pytest.raises(DataError, match=":1.*non-numeric"):
             D.read_similarity(path)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity", "1e999"])
+    def test_similarity_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"cat\tkat\t0.9\ncat\tdog\t{score}\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=rf"s\.tsv:2: non-finite score"):
+            D.read_similarity(path)
+
 
 class TestPosMorphSentimentFiles:
     def test_pos_round_trip(self, tmp_path):
@@ -414,11 +430,11 @@ class TestObfuscate:
         assert obfuscate("z", "similar", 1, table) == "*"
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ConfigError, match="mode"):
             obfuscate("word", "blur", 1)
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ConfigError, match="count"):
             obfuscate("word", "star", 0)
-        with pytest.raises(ValueError, match="shorter"):
+        with pytest.raises(ConfigError, match="shorter"):
             obfuscate("ab", "star", 3)
 
     def test_deterministic_under_seeded_rng(self):
@@ -494,3 +510,7 @@ class TestNoiseMetrics:
     def test_needs_some_input(self):
         with pytest.raises(DataError, match="tuples"):
             noise_report(ConstantEmbedder())
+
+    def test_count_below_one_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="count"):
+            noise_report(ConstantEmbedder(), clusters=CLUSTERS, count=0)

@@ -16,7 +16,7 @@ from chdzdt.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from chdzdt.errors import ChdzdtError, CorruptCheckpointError
+from chdzdt.errors import ChdzdtError, CorruptCheckpointError, DataError
 from chdzdt.evalsuite.datasets import (
     read_affix_dataset,
     read_clusters,
@@ -42,6 +42,20 @@ READERS = {
     "sentiment": (read_sentiment, "senti.tsv"),
     "lexicon": (read_lexicon, "lex.tsv"),
     "tsv_embedder": (TsvEmbedder.from_file, "emb.tsv"),
+}
+
+# two valid lines of each reader's format
+VALID_LINES = {
+    "clusters": "dar\tdiar\tdwira\nbab\tbiban\n",
+    "tuples": "dar\td*r\nbab\t*ab\n",
+    "affix": "diar\ti,ar\nbab\t\n",
+    "similarity": "dar\tdiar\t3.5\nbab\tdar\t1\n",
+    "pos": "dar\tNOUN\nkbira\tADJ\n",
+    "morph": "dar\tnum=sing\ndiar\tnum=plur\n",
+    "quadruples": "el\tdar\tna\teldarna\nel\tbab\tek\telbabek\n",
+    "sentiment": "positive\tdar kbira\nnegative\tbab sghir\n",
+    "lexicon": "dar\tDZ\tDZ:2\nbab\tAR,DZ\tAR:1,DZ:1\n",
+    "tsv_embedder": "#dim 2\ndar\t0.5 -1\n",
 }
 
 # pieces of the formats, so that some inputs get past the first checks
@@ -107,6 +121,26 @@ def test_only_package_errors_escape(fuzz_dir, name):
             pass
 
     check()
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_one_line_contract(tmp_path, name):
+    """A bad third line is an error naming file:3; blank lines are skipped,
+    and a file of blank lines only is an error."""
+    reader, filename = READERS[name]
+    path = tmp_path / filename
+    path.write_text(VALID_LINES[name], encoding="utf-8")
+    assert reader(path)
+    path.write_text(VALID_LINES[name] + "x\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"{filename}:3: "):
+        reader(path)
+    path.write_text("\n" + VALID_LINES[name].replace("\n", "\n\n")
+                    + "x\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"{filename}:6: "):
+        reader(path)
+    path.write_text("\n\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"{filename}: no "):
+        reader(path)
 
 
 @pytest.mark.parametrize("name", list(JSON_READERS))

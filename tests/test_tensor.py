@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chdzdt import tensor as T
+from chdzdt.errors import NumericalError
 from chdzdt.tensor import (
     Adam,
     Tensor,
@@ -379,6 +380,19 @@ class TestFit:
         assert fit([p], loss_fn, epochs=0, lr=0.1) == []
         assert len(fit([p], loss_fn, epochs=5, lr=0.1,
                        loss_target=np.inf)) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_loss_stops_before_its_step(self, bad):
+        p, seen, loss_fn = self.quadratic()
+
+        def loss_turning_bad():
+            loss = loss_fn()
+            return loss * bad if len(seen) == 3 else loss
+
+        with pytest.raises(NumericalError, match="at epoch 3 of 5"):
+            fit([p], loss_turning_bad, epochs=5, lr=0.1)
+        assert len(seen) == 3
+        assert np.array_equal(p.data, seen[-1])
 
     @pytest.mark.parametrize("target", [None, 1e9], ids=["no_target", "early_stop"])
     def test_leaves_no_graph_for_the_cyclic_gc(self, target):
