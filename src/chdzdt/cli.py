@@ -75,7 +75,7 @@ class RunManifest:
     subcommand: str
     config: dict
     inputs: dict
-    seed: int
+    seed: int | None
     version: str
     started: str
     finished: str
@@ -114,7 +114,7 @@ def _write_json(path, obj) -> None:
 
 
 def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
-                   seed: int, started: str) -> None:
+                   seed: int | None, started: str) -> None:
     manifest = RunManifest(subcommand=subcommand, config=config,
                            inputs={k: _digest_file(v)
                                    for k, v in inputs.items() if v},
@@ -173,6 +173,16 @@ def _load_vocab(path):
     return load_vocab_spec(path) if path else default_vocab()
 
 
+def _train_config(args) -> TrainConfig:
+    """--train-config, overridden by the training flags the subcommand
+    has."""
+    train_d = read_json(args.train_config, "train config") \
+        if args.train_config else {}
+    flags = {k: vars(args).get(k) for k in ("epochs", "batch_size", "lr",
+                                            "mask_ratio", "seed")}
+    return TrainConfig.from_dict(_override(train_d, flags))
+
+
 def cmd_preprocess(args) -> int:
     started = _utc_now()
     label_map = read_json(args.labels, "labels map")
@@ -209,7 +219,7 @@ def cmd_preprocess(args) -> int:
                    {"in": args.in_dir, "out": args.out,
                     "rules": args.rules or "default",
                     "sources": {n: label_map[n] for n in sorted(label_map)}},
-                   inputs, args.seed, started)
+                   inputs, None, started)
 
     print(f"lexicon: {args.out} ({stats['total_words']} words)")
     combos = {k: v for k, v in stats["combinations"].items() if v}
@@ -232,14 +242,7 @@ def cmd_pretrain(args) -> int:
     model_d.setdefault("vocab_size", vocab.size)
     model_config = ModelConfig.from_dict(model_d)
 
-    train_d = read_json(args.train_config, "train config") \
-        if args.train_config else {}
-    train_d = _override(train_d, {"epochs": args.epochs,
-                                  "batch_size": args.batch_size,
-                                  "lr": args.lr,
-                                  "mask_ratio": args.mask_ratio,
-                                  "seed": args.seed})
-    train_config = TrainConfig.from_dict(train_d)
+    train_config = _train_config(args)
 
     state, records = train(lexicon, model_config, train_config, vocab)
     save_checkpoint(state, args.out)
@@ -303,7 +306,7 @@ def cmd_encode(args) -> int:
                        if stdin_digest else {})},
                    {"ckpt": args.ckpt,
                     "words": None if args.words == "-" else args.words},
-                   args.seed, started)
+                   None, started)
     _print_report({"written": len(words), "skipped": skipped,
                    "dim": embedder.dim, "out": args.out})
     return 0
@@ -496,12 +499,7 @@ def cmd_ablation(args) -> int:
     else:
         grid = default_grid(vocab.size)
 
-    train_d = read_json(args.train_config, "train config") \
-        if args.train_config else {}
-    train_d = _override(train_d, {"epochs": args.epochs,
-                                  "batch_size": args.batch_size,
-                                  "lr": args.lr, "seed": args.seed})
-    train_config = TrainConfig.from_dict(train_d)
+    train_config = _train_config(args)
 
     tasks = [t for t in args.evals.split(",") if t]
     unknown = sorted(set(tasks) - set(ABLATION_TASKS))
@@ -578,8 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", help="normalization rules JSON "
                                    "(default: built-in rules)")
     p.add_argument("--out", required=True, help="output lexicon TSV path")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="echoed into the manifest (default 42)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("pretrain",
@@ -611,8 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", required=True,
                    help="file with one word per line, or - for stdin")
     p.add_argument("--out", required=True, help="output embeddings TSV")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="echoed into the manifest (default 42)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("eval", help="run one evaluation task")

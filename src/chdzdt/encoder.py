@@ -24,7 +24,6 @@ from .tensor import Tensor, dropout, embedding, gelu, layer_norm, linear, softma
 
 MAGIC = b"CHDZ"
 FORMAT_VERSION = 1
-LN_EPS = 1e-5
 # words per graph-free forward in encode_words; bounds its working memory
 ENCODE_CHUNK = 256
 
@@ -184,17 +183,17 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
         q, k, v = heads(proj("q", x)), heads(proj("k", x)), heads(proj("v", x))
         attn = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1, scale=scale, add=neg)
         if train_mode:
-            attn = dropout(attn, cfg.dropout, rng, train=True)
+            attn = dropout(attn, cfg.dropout, rng)
         ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
         ctx = proj("o", ctx)
         if train_mode:
-            ctx = dropout(ctx, cfg.dropout, rng, train=True)
-        x = layer_norm(x + ctx, p[pre + "ln1_g"], p[pre + "ln1_b"], eps=LN_EPS)
+            ctx = dropout(ctx, cfg.dropout, rng)
+        x = layer_norm(x + ctx, p[pre + "ln1_g"], p[pre + "ln1_b"])
         ff = linear(gelu(linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"])),
                     p[pre + "ffn_w2"], p[pre + "ffn_b2"])
         if train_mode:
-            ff = dropout(ff, cfg.dropout, rng, train=True)
-        x = layer_norm(x + ff, p[pre + "ln2_g"], p[pre + "ln2_b"], eps=LN_EPS)
+            ff = dropout(ff, cfg.dropout, rng)
+        x = layer_norm(x + ff, p[pre + "ln2_g"], p[pre + "ln2_b"])
 
     cls = x[:, 0]
     label_probs = linear(cls, p["label_w"], p["label_b"]).sigmoid()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..encoder import EncoderState, encode_words, load_checkpoint
+from ..encoder import MAGIC, EncoderState, encode_words, load_checkpoint
 from ..errors import DataError
 from ..fileio import atomic_write, finite_floats, read_rows
 
@@ -62,8 +62,6 @@ class TsvEmbedder:
     is_trainable = False
 
     def __init__(self, table: dict, dim: int):
-        if not table:
-            raise DataError("embedding table is empty")
         for word, vec in table.items():
             if len(vec) != dim:
                 raise DataError(f"vector for {word!r} has dim {len(vec)}, "
@@ -101,6 +99,8 @@ class TsvEmbedder:
             table[word] = vec
 
         read_rows(path, parse, "vectors")
+        if not table:
+            raise DataError(f"{path}: embedding table is empty")
         return cls(table, dim)
 
     def embed(self, word: str) -> np.ndarray:
@@ -130,23 +130,15 @@ def embed_rows(embedder, words, dtype) -> np.ndarray:
     return np.array(rows, dtype=dtype).reshape(len(words), embedder.dim)
 
 
-def write_embeddings_tsv(path, words, vectors, dim: int | None = None) -> None:
-    """word TAB space-separated floats, '#dim d' header, UTF-8, LF.
-
-    dim is only needed when vectors may be empty (header-only files).
-    """
+def write_embeddings_tsv(path, words, vectors, dim: int) -> None:
+    """word TAB space-separated floats, '#dim d' header, UTF-8, LF; every
+    vector must have dim floats."""
     vectors = [np.asarray(v) for v in vectors]
     if len(words) != len(vectors):
         raise DataError(f"{len(words)} words vs {len(vectors)} vectors")
-    dims = {v.shape[0] for v in vectors}
-    if dim is not None:
-        dims.add(dim)
+    dims = {v.shape[0] for v in vectors} | {dim}
     if len(dims) > 1:
         raise DataError(f"inconsistent vector dims: {sorted(dims)}")
-    if not dims:
-        raise DataError("cannot infer dimension of an empty vector list; "
-                        "pass dim explicitly")
-    dim = dims.pop()
     with atomic_write(path) as f:
         f.write(f"{TSV_HEADER_PREFIX}{dim}\n")
         for word, vec in zip(words, vectors):
@@ -158,9 +150,9 @@ def load_embedder(path):
     """Sniff checkpoint (magic bytes) vs TSV table and load accordingly."""
     try:
         with open(path, "rb") as f:
-            magic = f.read(4)
+            magic = f.read(len(MAGIC))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if magic == b"CHDZ":
+    if magic == MAGIC:
         return CheckpointEmbedder.from_file(path)
     return TsvEmbedder.from_file(path)

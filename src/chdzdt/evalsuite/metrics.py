@@ -97,8 +97,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int,
     return centers
 
 
-def kmeans(points, k: int, n_init: int = 10, seed: int = 0) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding, best inertia of n_init runs.
+def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding, best inertia of 10 runs.
 
     300 iteration cap, 1e-6 relative inertia tolerance; an emptied cluster
     is re-seeded from the point farthest from its centroid.
@@ -110,7 +110,7 @@ def kmeans(points, k: int, n_init: int = 10, seed: int = 0) -> np.ndarray:
         raise DataError(f"k must lie in [1, {len(points)}], got {k}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_init):
+    for _ in range(10):
         centers = _kmeans_pp_init(points, k, rng)
         prev_inertia = np.inf
         for _ in range(300):
@@ -249,7 +249,7 @@ def similarity_corr(embedder, pairs: Sequence) -> dict:
             "kendall": kendall(x, y)}
 
 
-def macro_prf(y_true, y_pred, label_names: Sequence[str] | None = None,
+def macro_prf(y_true, y_pred, label_names: Sequence[str],
               exclude: Sequence[int] = ()) -> dict:
     """Per-label precision/recall/F1 plus macro averages.
 
@@ -262,12 +262,9 @@ def macro_prf(y_true, y_pred, label_names: Sequence[str] | None = None,
     if y_true.shape != y_pred.shape or y_true.ndim != 2:
         raise DataError(f"label matrices must match: {y_true.shape} vs "
                         f"{y_pred.shape}")
-    n_labels = y_true.shape[1]
-    if label_names is None:
-        label_names = [str(i) for i in range(n_labels)]
     per_label = {}
     kept = []
-    for j in range(n_labels):
+    for j in range(y_true.shape[1]):
         tp = int(((y_true[:, j] == 1) & (y_pred[:, j] == 1)).sum())
         fp = int(((y_true[:, j] == 0) & (y_pred[:, j] == 1)).sum())
         fn = int(((y_true[:, j] == 1) & (y_pred[:, j] == 0)).sum())

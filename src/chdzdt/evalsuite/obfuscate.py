@@ -8,6 +8,8 @@ characters with no entry.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ConfigError, DataError
@@ -40,14 +42,17 @@ class ObfuscationTable:
         self.mapping = {c: tuple(v) for c, v in mapping.items()}
 
 
+@functools.cache
 def default_table() -> ObfuscationTable:
+    """The package's table, read once per process and shared."""
     return ObfuscationTable(read_package_json("obfuscation.json"))
 
 
 def obfuscate(word: str, mode: str, count: int,
               table: ObfuscationTable | None = None,
               rng: np.random.Generator | None = None) -> str:
-    """Replace `count` distinct character positions of `word`."""
+    """Replace `count` distinct character positions of `word`; similar
+    mode draws from `table`, by default default_table()."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if count < 1:
@@ -56,7 +61,8 @@ def obfuscate(word: str, mode: str, count: int,
         raise ConfigError(f"word {word!r} is shorter than count {count}")
     if rng is None:
         rng = np.random.default_rng(0)
-    table = _resolve_table(mode, table)
+    if mode == "similar" and table is None:
+        table = default_table()
     chars = list(word)
     positions = rng.choice(len(chars), size=count, replace=False)
     for pos in positions:
@@ -71,37 +77,27 @@ def obfuscate(word: str, mode: str, count: int,
     return "".join(chars)
 
 
-def _resolve_table(mode: str, table: ObfuscationTable | None):
-    if mode == "similar" and table is None:
-        return default_table()
-    return table
-
-
-def make_noisy_tuples(words, mode: str, count: int,
-                      table: ObfuscationTable | None = None,
-                      seed: int = 0):
+def make_noisy_tuples(words, mode: str, count: int, seed: int = 0):
     """(clean, noisy) pairs with a seeded rng, skipping too-short words."""
-    table = _resolve_table(mode, table)
     rng = np.random.default_rng(seed)
-    return [(w, obfuscate(w, mode, count, table, rng))
+    return [(w, obfuscate(w, mode, count, rng=rng))
             for w in words if len(w) >= count]
 
 
-def _noisy_clusters(clusters, mode: str, count: int, table, seed: int):
+def _noisy_clusters(clusters, mode: str, count: int, seed: int):
     """(pairs, grouped): make_noisy_tuples over every cluster member, and
     the same noisy words regrouped as (root, noisy members) per cluster."""
     pairs = make_noisy_tuples([m for _, members in clusters for m in members],
-                              mode, count, table, seed)
+                              mode, count, seed)
     rest = iter([noisy for _, noisy in pairs])
     return pairs, [(root, [next(rest) for m in members if len(m) >= count])
                    for root, members in clusters]
 
 
 def obfuscated_acs(embedder, clusters, mode: str, count: int,
-                   table: ObfuscationTable | None = None,
                    seed: int = 0) -> float:
     """ACS with every cluster member obfuscated; roots stay clean."""
-    _, grouped = _noisy_clusters(clusters, mode, count, table, seed)
+    _, grouped = _noisy_clusters(clusters, mode, count, seed)
     noisy_clusters = [c for c in grouped if c[1]]
     if not noisy_clusters:
         raise DataError(f"no cluster member is long enough for count={count}")
@@ -109,8 +105,7 @@ def obfuscated_acs(embedder, clusters, mode: str, count: int,
 
 
 def noise_report(embedder, tuples: dict | None = None, clusters=None,
-                 count: int = 1, table: ObfuscationTable | None = None,
-                 seed: int = 0) -> dict:
+                 count: int = 1, seed: int = 0) -> dict:
     """Robustness summary over all three modes.
 
     tuples: mode -> (clean, noisy) pair list; modes not supplied are
@@ -120,7 +115,6 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
     """
     if tuples is None and clusters is None:
         raise DataError("noise_report needs tuples and/or clusters")
-    table = _resolve_table("similar", table)
     tuples = dict(tuples or {})
     noisy_clusters = {}
     if clusters is not None:
@@ -128,7 +122,7 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
                 for m in members if len(m) >= count]
         for mode in MODES:
             pairs, noisy_clusters[mode] = _noisy_clusters(clusters, mode,
-                                                          count, table, seed)
+                                                          count, seed)
             tuples.setdefault(mode, pairs)
     report: dict = {"count": count, "tuple_acs": {}, "cluster": {}}
     for mode in MODES:

@@ -187,7 +187,7 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
                 head_loss = T.bce_multilabel(
                     logits.sigmoid(), targets[name][:, None].astype(float))
             else:
-                head_loss = T.softmax_ce(logits, targets[name], "mean")
+                head_loss = T.softmax_ce(logits, targets[name])
             total = head_loss if total is None else total + head_loss
         return total
 
@@ -289,7 +289,7 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
                    lambda: T.softmax_ce(_bigru_logits(params, readout,
                                                       source.matrix(), idx,
                                                       mask),
-                                        targets, "mean"),
+                                        targets),
                    epochs, lr, loss_target)
     source.finish()
 

@@ -99,17 +99,7 @@ def normalize_emojis(text: str, rules: NormRules) -> str:
     """Turn textual emoticons into emoji and cap identical-emoji runs at 2."""
     for pattern, dst in rules._alias_res:
         text = pattern.sub(dst, text)
-    out = []
-    run_char, run_len = None, 0
-    for ch in text:
-        if ch == run_char and is_emoji_char(ch):
-            run_len += 1
-            if run_len > 2:
-                continue
-        else:
-            run_char, run_len = ch, 1
-        out.append(ch)
-    return "".join(out)
+    return _cap_runs(text, 2, is_emoji_char)
 
 
 def normalize_chars(text: str, rules: NormRules) -> str:
@@ -122,12 +112,18 @@ def cap_elongation(text: str, k: int = 2) -> str:
     """Shorten runs of more than k identical alphabetic characters to k."""
     if k < 1:
         raise ConfigError(f"elongation cap must be >= 1, got {k}")
+    return _cap_runs(text, k, str.isalpha)
+
+
+def _cap_runs(text: str, k: int, capped) -> str:
+    """Shorten runs of more than k identical characters c with capped(c)
+    true to k."""
     out = []
     run_char, run_len = None, 0
     for ch in text:
         if ch == run_char:
             run_len += 1
-            if run_len > k and ch.isalpha():
+            if run_len > k and capped(ch):
                 continue
         else:
             run_char, run_len = ch, 1
@@ -224,11 +220,11 @@ class LexiconEntry:
     freq: dict = field(default_factory=dict)
 
 
-def build_lexicon(streams, rules: NormRules, max_len: int = MAX_WORD_LEN):
+def build_lexicon(streams, rules: NormRules):
     """Run every stream through the pipeline and merge into one word list.
 
     Label sets are unions across streams; per-label frequencies accumulate;
-    words longer than max_len Unicode scalars are dropped. Output is sorted
+    words longer than MAX_WORD_LEN Unicode scalars are dropped. Output is sorted
     lexicographically so identical inputs give identical files.
     """
     if not streams:
@@ -242,7 +238,7 @@ def build_lexicon(streams, rules: NormRules, max_len: int = MAX_WORD_LEN):
                 dropped += 1
                 continue
             for word in normalize_text(line, rules).split():
-                if len(word) > max_len:
+                if len(word) > MAX_WORD_LEN:
                     continue
                 counts.setdefault(word, {}).setdefault(stream.label, 0)
                 counts[word][stream.label] += 1

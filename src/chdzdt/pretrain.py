@@ -30,11 +30,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters for one training run.
-
-    lr is constant unless warmup_steps > 0, in which case it ramps linearly
-    from 0 over that many steps; the effective rate is recorded in the log.
-    """
+    """Hyperparameters for one training run."""
 
     epochs: int = 20
     batch_size: int = 32
@@ -42,10 +38,9 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 42
     log_every: int = 50
-    warmup_steps: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "seed", "warmup_steps"):
+        for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
@@ -145,8 +140,7 @@ def batch_loss(state: EncoderState, batch: MaskedBatch,
                             for p in batch.mask_positions])
     picked = hidden[b_idx, t_idx]
     logits = T.linear(picked, state.params["mlm_w"], state.params["mlm_b"])
-    mlm = T.softmax_ce(logits, np.concatenate(batch.original_ids),
-                       reduction="mean")
+    mlm = T.softmax_ce(logits, np.concatenate(batch.original_ids))
     multilabel = T.bce_multilabel(label_probs, batch.targets)
     return mlm + multilabel, mlm, multilabel
 
@@ -192,8 +186,6 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
                     f"non-finite loss at step {step} on batch {bad}")
             opt.zero_grad()
             total.backward()
-            if cfg.warmup_steps > 0:
-                opt.lr = cfg.lr * min(1.0, step / cfg.warmup_steps)
             opt.step()
             elapsed = time.perf_counter() - t0
             if step % cfg.log_every == 0 or step == total_steps:

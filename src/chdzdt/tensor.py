@@ -23,26 +23,23 @@ from .errors import NumericalError
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
+LN_EPS = 1e-5
+BCE_EPS = 1e-7
 
 
 def default_dtype():
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}, use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily switch the construction dtype, e.g. precision('float64')."""
     global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"unsupported dtype {dtype}, use float32 or float64")
     old = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    _DEFAULT_DTYPE = dtype.type
     try:
         yield
     finally:
@@ -424,7 +421,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then scale and
     shift. One node; the input gradient is the closed form of Ba et al.
     2016: inv * (dy - mean(dy) - xhat * mean(dy * xhat)) with dy = g * gain.
@@ -434,7 +431,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError("layer_norm over an empty last dimension")
     # means as sums times 1/d: ndarray.mean costs more Python per call
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    inv = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / d) + LN_EPS) ** -0.5
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
@@ -497,15 +494,16 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    if not train or p <= 0.0:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    if p <= 0.0:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return x * Tensor(keep)
 
 
-def softmax_ce(logits: Tensor, target_ids, reduction: str = "mean") -> Tensor:
-    """Cross-entropy over the last axis of [n, V] logits; grad is softmax minus one-hot."""
+def softmax_ce(logits: Tensor, target_ids) -> Tensor:
+    """Mean cross-entropy over the rows of [n, V] logits; grad is (softmax
+    minus one-hot) / n."""
     if logits.ndim != 2:
         raise ValueError(f"softmax_ce expects [n, V] logits, got shape {logits.shape}")
     targets = np.asarray(target_ids, dtype=np.int64).reshape(-1)
@@ -514,13 +512,11 @@ def softmax_ce(logits: Tensor, target_ids, reduction: str = "mean") -> Tensor:
         raise ValueError(f"softmax_ce: {n} rows but {targets.shape[0]} targets")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"softmax_ce target out of range [0, {v})")
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(z).sum(axis=1, keepdims=True))
     log_probs = z - log_z
     nll = -log_probs[np.arange(n), targets]
-    scale = 1.0 / n if reduction == "mean" else 1.0
+    scale = 1.0 / n
     out_data = np.asarray(nll.sum() * scale, dtype=logits.data.dtype)
 
     def backward():
@@ -532,21 +528,22 @@ def softmax_ce(logits: Tensor, target_ids, reduction: str = "mean") -> Tensor:
     return out
 
 
-def bce_multilabel(probs: Tensor, targets, eps: float = 1e-7) -> Tensor:
+def bce_multilabel(probs: Tensor, targets) -> Tensor:
     """Summed binary cross-entropy over the label axis; mean over rows if batched.
 
-    Probabilities are clamped to [eps, 1-eps] so exact 0/1 never produce NaN.
+    Probabilities are clamped to [BCE_EPS, 1-BCE_EPS] so exact 0/1 never
+    produce NaN.
     """
     y = np.asarray(targets, dtype=probs.data.dtype)
     if y.shape != probs.shape:
         raise ValueError(f"bce_multilabel: probs {probs.shape} vs targets {y.shape}")
-    p = np.clip(probs.data, eps, 1.0 - eps)
+    p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
     per_elem = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     scale = 1.0 / probs.shape[0] if probs.ndim == 2 else 1.0
     out_data = np.asarray(per_elem.sum() * scale, dtype=probs.data.dtype)
 
     def backward():
-        inside = (probs.data > eps) & (probs.data < 1.0 - eps)
+        inside = (probs.data > BCE_EPS) & (probs.data < 1.0 - BCE_EPS)
         g = (p - y) / (p * (1.0 - p)) * inside
         probs._acc((out.grad * scale) * g.astype(probs.data.dtype), owned=True)
 
@@ -683,17 +680,16 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, params: dict) -> Tensor:
 class Adam:
     """Bias-corrected Adam over a parameter list.
 
-    lr is a plain attribute, so a schedule may change it between steps.
     Parameters whose grad is None are skipped by a step.
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -744,7 +740,8 @@ def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
 
     Each epoch's loss is recorded before its step. With a loss_target the
     loop stops, without stepping, at the first loss below it. A non-finite
-    loss is a NumericalError naming its epoch, raised before its step.
+    loss is a NumericalError naming its epoch, raised before its step; so
+    are non-finite weights after the last step.
     """
     opt = Adam(params, lr=lr)
     losses = []
@@ -761,4 +758,7 @@ def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
         opt.zero_grad()
         loss.backward()
         opt.step()
+    if not all(np.isfinite(p.data).all() for p in opt.params):
+        raise NumericalError(f"non-finite weights after step {opt.t} of "
+                             f"{epochs}")
     return losses

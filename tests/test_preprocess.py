@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chdzdt.chartok import is_emoji_char
 from chdzdt.errors import ConfigError, DataError
 from chdzdt.preprocess import (
     LABELS,
@@ -11,6 +12,7 @@ from chdzdt.preprocess import (
     LexiconEntry,
     NormRules,
     SourceStream,
+    _cap_runs,
     all_label_combinations,
     build_lexicon,
     cap_elongation,
@@ -25,7 +27,7 @@ from chdzdt.preprocess import (
     write_lexicon,
 )
 
-from oracles import brute_combo_counts
+from oracles import brute_combo_counts, regex_cap_runs
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,12 @@ class TestCapElongation:
     def test_bad_cap_rejected(self):
         with pytest.raises(ConfigError):
             cap_elongation("x", 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="aabé\nو!!.✅❤😀", max_size=40),
+           st.integers(1, 3), st.sampled_from([str.isalpha, is_emoji_char]))
+    def test_cap_runs_matches_regex_oracle(self, text, k, capped):
+        assert _cap_runs(text, k, capped) == regex_cap_runs(text, k, capped)
 
 
 class TestFixSpacing:

@@ -304,14 +304,6 @@ class TestTrain:
                         "lr", "samples_per_sec"):
                 assert key in row
 
-    def test_warmup_ramps_lr_linearly(self):
-        mc = ModelConfig(**self.CFG)
-        tc = TrainConfig(epochs=1, batch_size=6, seed=2, log_every=1,
-                         lr=0.01, warmup_steps=4)
-        _, records = train(toy_lexicon(), mc, tc, VOC)
-        lrs = [r["lr"] for r in records[:4]]
-        assert lrs == pytest.approx([0.0025, 0.005, 0.0075, 0.01])
-
     def test_non_finite_loss_aborts_with_step_and_batch(self):
         mc = ModelConfig(**self.CFG)
         state = EncoderState.init(mc, VOC)

@@ -65,7 +65,7 @@ class TestLayerNorm:
 
     def test_hand_row(self):
         x = Tensor(np.array([[1.0, -1.0]]))
-        out = layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+        out = layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-5)
 
     def test_zero_gain_broadcasts_bias(self):
@@ -90,12 +90,8 @@ class TestSoftmaxCE:
         loss = softmax_ce(Tensor(logits), [3])
         assert float(loss.data) < 1e-6
 
-    def test_two_positions_sum(self):
-        loss = softmax_ce(Tensor(np.zeros((2, 10))), [1, 2], reduction="sum")
-        assert math.isclose(float(loss.data), 2 * math.log(10), rel_tol=1e-9)
-
     def test_mean_reduction(self):
-        loss = softmax_ce(Tensor(np.zeros((2, 10))), [1, 2], reduction="mean")
+        loss = softmax_ce(Tensor(np.zeros((2, 10))), [1, 2])
         assert math.isclose(float(loss.data), math.log(10), rel_tol=1e-9)
 
     def test_target_out_of_range(self):
@@ -104,7 +100,7 @@ class TestSoftmaxCE:
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = t(np.random.default_rng(1).normal(size=(3, 6)))
-        loss = softmax_ce(logits, [0, 2, 5], reduction="sum")
+        loss = softmax_ce(logits, [0, 2, 5]) * 3.0
         loss.backward()
         p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
@@ -394,6 +390,12 @@ class TestFit:
         assert len(seen) == 3
         assert np.array_equal(p.data, seen[-1])
 
+    def test_non_finite_weights_after_last_step(self):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(NumericalError,
+                           match="non-finite weights after step 1 of 1"):
+            fit([p], lambda: p.sum(), epochs=1, lr=math.inf)
+
     @pytest.mark.parametrize("target", [None, 1e9], ids=["no_target", "early_stop"])
     def test_leaves_no_graph_for_the_cyclic_gc(self, target):
         w = t(np.random.default_rng(0).normal(size=(3, 3)))
@@ -489,15 +491,10 @@ class TestProperties:
 
         assert run() == run()
 
-    def test_dropout_eval_mode_is_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        out = dropout(x, 0.5, np.random.default_rng(0), train=False)
-        assert out is x
-
     def test_dropout_train_mode_scales(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((1000,)))
-        out = dropout(x, 0.25, rng, train=True)
+        out = dropout(x, 0.25, rng)
         kept = out.data[out.data > 0]
         assert np.allclose(kept, 1 / 0.75)
         assert abs((out.data > 0).mean() - 0.75) < 0.05
@@ -614,11 +611,11 @@ class TestFusedOps:
                                               (2, 3, 6))
 
             def build():
-                return (layer_norm(x, gain, bias, eps=1e-5) * mix).sum()
+                return (layer_norm(x, gain, bias) * mix).sum()
 
             for param in (x, gain, bias):
                 self._fd(build, param)
-            out = layer_norm(x, gain, bias, eps=1e-5).data
+            out = layer_norm(x, gain, bias).data
         ref = composite_layer_norm(x.data, gain.data, bias.data, 1e-5)
         assert np.abs(out - ref).max() < 1e-12
 
