@@ -529,7 +529,7 @@ def cmd_ablation(args) -> int:
                               f"{name!r} must be a JSON object")
         data[name] = TASKS[name].read(path)
         inputs[flag.lstrip("-")] = path
-    evaluate = ablation_evaluate(data, eval_params, args.seed)
+    evaluate = ablation_evaluate(data, eval_params, train_config.seed)
 
     os.makedirs(args.out, exist_ok=True)
     report = ablation_sweep(grid, lexicon, vocab, train_config, evaluate,
@@ -547,7 +547,7 @@ def cmd_ablation(args) -> int:
                    {"grid": [variant_name(c) for c in grid],
                     "train": train_config.to_dict(), "evals": tasks,
                     "out": args.out},
-                   inputs, args.seed, started)
+                   inputs, train_config.seed, started)
 
     _print_table(columns, report["table"])
     if report["n_failed"]:
@@ -555,6 +555,22 @@ def cmd_ablation(args) -> int:
               "failed", file=sys.stderr)
         return 2
     return 0
+
+
+def _training_flags(p) -> None:
+    """The encoder-training flags pretrain and ablation share; the ones
+    left unset keep the --train-config value."""
+    p.add_argument("--lexicon", required=True, help="lexicon TSV file")
+    p.add_argument("--vocab", help="character vocabulary spec JSON "
+                                   "(default: built-in charset)")
+    p.add_argument("--train-config",
+                   help="train config JSON (flags override)")
+    p.add_argument("--epochs", type=int, help="training epochs")
+    p.add_argument("--batch-size", type=int, help="examples per batch")
+    p.add_argument("--lr", type=float, help="Adam learning rate")
+    p.add_argument("--seed", type=int,
+                   help="training seed (default: the train config's, "
+                        "else 42)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,25 +596,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain",
                        help="pre-train an encoder on a lexicon")
-    p.add_argument("--lexicon", required=True, help="lexicon TSV file")
+    _training_flags(p)
     p.add_argument("--model-config",
                    help="model config JSON (flags override)")
-    p.add_argument("--train-config",
-                   help="train config JSON (flags override)")
-    p.add_argument("--vocab", help="character vocabulary spec JSON "
-                                   "(default: built-in charset)")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--n-blocks", type=int, help="transformer block count")
     p.add_argument("--n-heads", type=int, help="attention head count")
     p.add_argument("--hidden", type=int, help="hidden width")
     p.add_argument("--dropout", type=float, help="dropout probability")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--batch-size", type=int, help="examples per batch")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
     p.add_argument("--mask-ratio", type=float,
                    help="fraction of characters masked")
-    p.add_argument("--seed", type=int,
-                   help="training seed (default 42)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("encode",
@@ -638,13 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablation",
                        help="train a variant grid and compare metrics")
+    _training_flags(p)
     p.add_argument("--grid", help="JSON array of model configs "
                                   "(default: the built-in 7-variant grid)")
-    p.add_argument("--lexicon", required=True, help="lexicon TSV file")
-    p.add_argument("--vocab", help="character vocabulary spec JSON "
-                                   "(default: built-in charset)")
-    p.add_argument("--train-config",
-                   help="train config JSON (flags override)")
     p.add_argument("--evals", required=True,
                    help="comma-separated eval tasks: "
                         + ",".join(ABLATION_TASKS))
@@ -655,11 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-params",
                    help="JSON object of per-task keyword arguments")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--batch-size", type=int, help="examples per batch")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="sweep seed (default 42)")
     p.set_defaults(func=cmd_ablation)
     return parser
 

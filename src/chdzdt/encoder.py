@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,12 +58,7 @@ class ModelConfig:
         return 1 + self.max_chars
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "n_blocks": self.n_blocks,
-            "n_heads": self.n_heads, "hidden": self.hidden,
-            "ffn_mult": self.ffn_mult, "max_chars": self.max_chars,
-            "n_labels": self.n_labels, "dropout": self.dropout, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .. import tensor as T
-from ..errors import DataError
+from ..errors import DataError, NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -204,10 +204,14 @@ def compose_eval(model: CompositionModel, triples) -> dict:
     (p, r, s, w) vector triples.
 
     Pairs where either vector has zero norm are skipped with a warning.
-    Matrix kinds also report Frobenius norms and export W itself.
+    Matrix kinds also report Frobenius norms and export W itself. A
+    non-finite composed vector is a NumericalError.
     """
     P, R, S, W_target = _as_arrays(triples)
     pred = model.compose_batch(P, R, S)
+    if not np.isfinite(pred).all():
+        raise NumericalError(f"{model.kind}: composed vectors are not "
+                             "finite")
     pred_norm = np.linalg.norm(pred, axis=1)
     gold_norm = np.linalg.norm(W_target, axis=1)
     keep = (pred_norm > 0) & (gold_norm > 0)

@@ -1,9 +1,10 @@
 """Word-to-vector adapters: trained checkpoints and external TSV tables.
 
-Both expose .dim, .embed(word) -> [d] and .embed_many(words) -> [n, d]
-(stable within a session), and .is_trainable; only checkpoint embedders
-can back fine-tuned decoders. Callers holding a word list go through
-embed_rows, which batches through .embed_many.
+The embedder contract is .dim and .embed_many(words) -> [n, d] (stable
+within a session); both adapters also have .embed(word) -> [d]. Callers
+holding a word list go through embed_rows, which batches through
+.embed_many and asks an embedder with only .embed one word at a time.
+Fine-tuned decoders need a CheckpointEmbedder; a vector table is frozen.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ TSV_HEADER_PREFIX = "#dim "
 
 class CheckpointEmbedder:
     """Embeds words with a trained encoder's CLS vector, cached per word."""
-
-    is_trainable = True
 
     def __init__(self, state: EncoderState):
         self.state = state
@@ -58,8 +57,6 @@ class CheckpointEmbedder:
 
 class TsvEmbedder:
     """Fixed word->vector table loaded from a '#dim d'-headed TSV file."""
-
-    is_trainable = False
 
     def __init__(self, table: dict, dim: int):
         for word, vec in table.items():

@@ -19,27 +19,23 @@ from .embedder import embed_rows
 logger = logging.getLogger(__name__)
 
 
-def _unit_vectors(embedder, words) -> dict:
-    """word -> float64 unit vector for each distinct word, embedded in one batch."""
-    words = list(dict.fromkeys(words))
+def _cosines(embedder, pairs) -> list:
+    """float64 cosine of each (a, b) word pair; the distinct words are
+    embedded in one batch, and a zero-norm one is a DataError."""
+    words = list(dict.fromkeys(w for pair in pairs for w in pair))
     units = {}
     for word, vec in zip(words, embed_rows(embedder, words, np.float64)):
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise DataError(f"zero-norm embedding for word {word!r}")
         units[word] = vec / norm
-    return units
-
-
-def _cluster_words(clusters) -> list:
-    return [w for root, members in clusters for w in (root, *members)]
+    return [float(units[a] @ units[b]) for a, b in pairs]
 
 
 def acs(embedder, clusters: Sequence) -> float:
     """Member-count-weighted mean cosine between members and their root."""
-    units = _unit_vectors(embedder, _cluster_words(clusters))
-    sims = [float(units[root] @ units[member])
-            for root, members in clusters for member in members]
+    sims = _cosines(embedder, [(root, member) for root, members in clusters
+                               for member in members])
     if not sims:
         raise DataError("acs needs at least one cluster member")
     if min(sims) < 0:
@@ -50,7 +46,7 @@ def acs(embedder, clusters: Sequence) -> float:
 
 def aed(embedder, clusters: Sequence) -> float:
     """Mean member-root Euclidean distance, divided by sqrt(d)."""
-    words = _cluster_words(clusters)
+    words = [w for root, members in clusters for w in (root, *members)]
     vectors = embed_rows(embedder, words, np.float64)
     vecs = dict(zip(words, vectors))
     dists = [float(np.linalg.norm(vecs[member] - vecs[root]))
@@ -182,11 +178,17 @@ def cluster_report(embedder, clusters: Sequence, seed: int = 0) -> dict:
             "n_words": len(gold)}
 
 
-def pearson(x, y) -> float:
+def _score_vectors(x, y) -> tuple:
+    """x and y as float64 vectors of one shape."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError(f"score vectors must match: {x.shape} vs {y.shape}")
+    return x, y
+
+
+def pearson(x, y) -> float:
+    x, y = _score_vectors(x, y)
     xc, yc = x - x.mean(), y - y.mean()
     denom = math.sqrt(float((xc ** 2).sum()) * float((yc ** 2).sum()))
     if denom == 0.0:
@@ -209,19 +211,13 @@ def _ranks(x: np.ndarray) -> np.ndarray:
 
 
 def spearman(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"score vectors must match: {x.shape} vs {y.shape}")
+    x, y = _score_vectors(x, y)
     return pearson(_ranks(x), _ranks(y))
 
 
 def kendall(x, y) -> float:
     """Sign-form tau: mean of sign(xi-xj)*sign(yi-yj) over i<j pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"score vectors must match: {x.shape} vs {y.shape}")
+    x, y = _score_vectors(x, y)
     n = len(x)
     if n < 2:
         raise DataError("kendall needs at least two scores")
@@ -237,14 +233,8 @@ def similarity_corr(embedder, pairs: Sequence) -> dict:
     """Cosine model scores vs human scores: Pearson, Spearman, Kendall."""
     if len(pairs) < 3:
         raise DataError("similarity_corr needs at least 3 pairs")
-    units = _unit_vectors(embedder, [w for w1, w2, _ in pairs
-                                     for w in (w1, w2)])
-    model_scores, human_scores = [], []
-    for w1, w2, human in pairs:
-        model_scores.append(float(units[w1] @ units[w2]))
-        human_scores.append(float(human))
-    x = np.asarray(model_scores)
-    y = np.asarray(human_scores)
+    x = np.asarray(_cosines(embedder, [(w1, w2) for w1, w2, _ in pairs]))
+    y = np.asarray([float(human) for _, _, human in pairs])
     return {"pearson": pearson(x, y), "spearman": spearman(x, y),
             "kendall": kendall(x, y)}
 

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..fileio import read_package_json
 from .embedder import embed_rows
-from .metrics import _unit_vectors, acs, ari, kmeans
+from .metrics import _cosines, acs, ari, kmeans
 
 MODES = ("star", "hash", "similar")
 _MODE_SYMBOL = {"star": "*", "hash": "#"}
@@ -128,10 +128,7 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
     for mode in MODES:
         if mode not in tuples:
             continue
-        units = _unit_vectors(embedder, [w for pair in tuples[mode]
-                                         for w in pair])
-        sims = [float(units[clean] @ units[noisy])
-                for clean, noisy in tuples[mode]]
+        sims = _cosines(embedder, tuples[mode])
         if not sims:
             raise DataError(f"no usable tuples for mode {mode}")
         report["tuple_acs"][mode] = float(np.mean(sims))

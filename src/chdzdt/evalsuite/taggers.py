@@ -18,7 +18,7 @@ from ..chartok import encode_word
 from ..encoder import forward_batch
 from ..errors import ConfigError, DataError
 from .datasets import SENTIMENT_LABELS
-from .embedder import embed_rows
+from .embedder import CheckpointEmbedder, embed_rows
 from .metrics import macro_prf
 from .probe import stratified_split
 
@@ -31,47 +31,37 @@ NA_LABEL = "NA"
 def _check_mode(embedder, mode: str) -> None:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "finetune" and not getattr(embedder, "is_trainable", False):
+    if mode == "finetune" and not isinstance(embedder, CheckpointEmbedder):
         raise ConfigError("finetune needs a checkpoint embedder; external "
                           "vector tables are frozen")
 
 
-class _WordSource:
-    """Embedding matrix over unique words, rebuilt per epoch when finetuning."""
+def _word_rows(embedder, words, mode: str):
+    """(row, rows, encoder_params) over the distinct words: row maps a word
+    to its index, rows() gives the [n, dim] Tensor of their vectors, and
+    encoder_params are the weights a finetuning step also updates.
 
-    def __init__(self, embedder, words, mode: str):
-        self.embedder = embedder
-        self.mode = mode
-        self.words = sorted(set(words))
-        self.row = {w: i for i, w in enumerate(self.words)}
-        if mode == "finetune":
-            state = embedder.state
-            toks = [encode_word(state.vocab, w, state.config.max_chars)
-                    for w in self.words]
-            self.ids = np.stack([t.ids for t in toks])
-            self.mask = np.stack([t.attention_mask for t in toks])
-            self.state = state
-        else:
-            self.X = embed_rows(embedder, self.words, T.default_dtype())
+    Frozen vectors are embedded once and rows() returns that constant. In
+    finetune mode each rows() call is a forward pass with a graph, so the
+    loss reaches the encoder; it drops the embedder's cached vectors,
+    which the step after it makes stale.
+    """
+    words = sorted(set(words))
+    row = {w: i for i, w in enumerate(words)}
+    if mode == "frozen":
+        X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
+        return row, lambda: X, []
+    state = embedder.state
+    toks = [encode_word(state.vocab, w, state.config.max_chars)
+            for w in words]
+    ids = np.stack([t.ids for t in toks])
+    mask = np.stack([t.attention_mask for t in toks])
 
-    @property
-    def dim(self) -> int:
-        return self.embedder.dim
+    def rows() -> T.Tensor:
+        embedder.invalidate()
+        return forward_batch(state, ids, mask)[1]
 
-    def matrix(self) -> T.Tensor:
-        if self.mode == "finetune":
-            _, cls, _ = forward_batch(self.state, self.ids, self.mask)
-            return cls
-        return T.Tensor(self.X)
-
-    def encoder_params(self) -> list:
-        if self.mode == "finetune":
-            return list(self.state.params.values())
-        return []
-
-    def finish(self) -> None:
-        if self.mode == "finetune" and hasattr(self.embedder, "invalidate"):
-            self.embedder.invalidate()
+    return row, rows, list(state.params.values())
 
 
 def _dense_params(d_in: int, d_out: int, rng):
@@ -166,20 +156,21 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
                             "missing from the declared tagset")
         targets[name] = np.array([col[lab] for lab in labels])
 
-    source = _WordSource(embedder, [w for w, _ in train], mode)
+    row, rows, encoder_params = _word_rows(embedder, [w for w, _ in train],
+                                           mode)
     rng = np.random.default_rng(seed)
-    sw, sb = _dense_params(source.dim, shared_dim, rng)
+    sw, sb = _dense_params(embedder.dim, shared_dim, rng)
     heads = {name: _dense_params(shared_dim,
                                  1 if len(values) == 2 else len(values), rng)
              for name, values in tagsets.items()}
     params = [sw, sb]
     for hw, hb in heads.values():
         params += [hw, hb]
-    params += source.encoder_params()
-    row_idx = np.array([source.row[w] for w, _ in train])
+    params += encoder_params
+    row_idx = np.array([row[w] for w, _ in train])
 
     def loss_fn():
-        logits_of = _morph_logits((sw, sb), heads, source.matrix()[row_idx])
+        logits_of = _morph_logits((sw, sb), heads, rows()[row_idx])
         total = None
         for name, values in tagsets.items():
             logits = logits_of[name]
@@ -192,7 +183,6 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
         return total
 
     losses = T.fit(params, loss_fn, epochs, lr, loss_target)
-    source.finish()
 
     with T.no_grad():
         logits_of = _morph_logits((sw, sb), heads, T.Tensor(embed_rows(
@@ -276,22 +266,21 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
     through readout(fwd, bwd, mask), a tanh dense layer and a linear
     output layer. The test pass builds no autodiff graph.
     """
-    source = _WordSource(embedder, [w for s in train_seqs for w in s], mode)
+    row, rows, encoder_params = _word_rows(
+        embedder, [w for s in train_seqs for w in s], mode)
     rng = np.random.default_rng(seed)
-    pf = T.gru_params(source.dim, gru_hidden, rng)
-    pb = T.gru_params(source.dim, gru_hidden, rng)
+    pf = T.gru_params(embedder.dim, gru_hidden, rng)
+    pb = T.gru_params(embedder.dim, gru_hidden, rng)
     params = (pf, pb, *_dense_params(2 * gru_hidden, dense_dim, rng),
               *_dense_params(dense_dim, n_out, rng))
 
-    idx, mask = _pack_sequences(train_seqs, source.row)
+    idx, mask = _pack_sequences(train_seqs, row)
     losses = T.fit([*pf.values(), *pb.values(), *params[2:],
-                    *source.encoder_params()],
+                    *encoder_params],
                    lambda: T.softmax_ce(_bigru_logits(params, readout,
-                                                      source.matrix(), idx,
-                                                      mask),
+                                                      rows(), idx, mask),
                                         targets),
                    epochs, lr, loss_target)
-    source.finish()
 
     words = sorted({w for s in test_seqs for w in s})
     with T.no_grad():

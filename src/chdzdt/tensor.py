@@ -382,15 +382,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"embedding id out of range for table of {table.data.shape[0]} rows")
-    out_data = table.data[ids]
-
-    def backward():
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, out.grad)
-        table._acc(buf, owned=True)
-
-    out = Tensor._result(out_data, (table,), backward)
-    return out
+    return table[ids]
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

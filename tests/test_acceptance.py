@@ -47,8 +47,6 @@ SENTI_RECIPE = dict(gru_hidden=32, dense_dim=32, epochs=100, lr=0.02,
 class TableEmbedder:
     """Dict-backed vectors for metric cross-checks."""
 
-    is_trainable = False
-
     def __init__(self, table):
         self.table = table
         self.dim = len(next(iter(table.values())))

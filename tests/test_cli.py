@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -670,7 +671,11 @@ class TestEval:
         assert run("eval", "--task", "compose", "--kind", kind,
                    "--embedder", ckpt, "--data", ws / "compose.tsv",
                    "--out", out, "--lr", 1e308, "--epochs", 1) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        if kind == "MpCnc":
+            # its weights stay finite; the composed vectors overflow
+            assert "MpCnc: composed vectors" in err
         assert not list(tmp_path.glob("o.json*"))
 
     def test_header_only_embedder_exits_two_naming_it(self, tmp_path,
@@ -837,6 +842,35 @@ class TestAblation:
         assert sweep({"tag": {"shared_dim": 4}}, good) == 0
         assert len(trained) == 1
         assert (good / "ablation.json").exists()
+
+    def test_train_config_seed_reaches_training_and_manifest(
+            self, ws, lexicon, tmp_path, monkeypatch):
+        import chdzdt.evalsuite.ablation as ablation
+
+        seeds = []
+        real_train = ablation.train
+
+        def spy(lexicon, config, train_config, vocab):
+            seeds.append(train_config.seed)
+            return real_train(lexicon, config, train_config, vocab)
+
+        monkeypatch.setattr(ablation, "train", spy)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}]), encoding="utf-8")
+        train = tmp_path / "train.json"
+        train.write_text(json.dumps({"seed": 7, "epochs": 0}),
+                         encoding="utf-8")
+
+        def sweep(out, *flags):
+            assert run("ablation", "--grid", grid, "--lexicon", lexicon,
+                       "--vocab", ws / "vocab.json", "--evals", "morph",
+                       "--clusters", ws / "clusters.tsv",
+                       "--train-config", train, "--out", out, *flags) == 0
+            return json.loads((out / "manifest.json").read_text())["seed"]
+
+        assert sweep(tmp_path / "config") == 7 and seeds == [7]
+        assert sweep(tmp_path / "flag", "--seed", 9) == 9 and seeds[1:] == [9]
 
 
 # the function each task's runner calls, by its name in chdzdt.cli
@@ -1007,3 +1041,49 @@ class TestParamsFuzz:
                    "--data", ws / TASK_DATA[task][0],
                    "--out", work / "o.json",
                    "--params", work / "params.json") in (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ablation_eval_params_exit_zero_or_two(self, ws, lexicon,
+                                                    tmp_path_factory, data):
+        import chdzdt.evalsuite.ablation as ablation
+
+        evals = data.draw(st.lists(st.sampled_from(cli.ABLATION_TASKS),
+                                   min_size=1, max_size=2, unique=True))
+        drawn = data.draw(st.fixed_dictionaries({}, optional={
+            name: task_params(name) | st.just([])
+            for name in cli.ABLATION_TASKS}))
+        # each task in --evals runs at SMALL_PARAMS where nothing is drawn
+        params = {**drawn, **{name: {**SMALL_PARAMS.get(name, {}),
+                                     **drawn.get(name, {})}
+                              for name in evals
+                              if isinstance(drawn.get(name, {}), dict)}}
+        work = tmp_path_factory.mktemp("ablation-fuzz")
+        grid = work / "grid.json"
+        grid.write_text(json.dumps([{"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}]), encoding="utf-8")
+        (work / "params.json").write_text(json.dumps(params),
+                                          encoding="utf-8")
+        data_flags = {cli.TASKS[name].flag: ws / TASK_DATA[name][0]
+                      for name in evals}
+        trained = []
+        real_train = ablation.train
+
+        def spy(*args):
+            trained.append(args)
+            return real_train(*args)
+
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stderr(err):
+            mp.setattr(ablation, "train", spy)
+            code = run("ablation", "--grid", grid, "--lexicon", lexicon,
+                       "--vocab", ws / "vocab.json",
+                       "--evals", ",".join(evals),
+                       *(a for pair in data_flags.items() for a in pair),
+                       "--eval-params", work / "params.json",
+                       "--out", work / "sweep", "--epochs", 0)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if not trained:
+            assert code == 2 and err.getvalue().startswith("error: ")
+            assert not (work / "sweep").exists()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chdzdt.errors import DataError
+from chdzdt.errors import DataError, NumericalError
 from chdzdt.evalsuite import compose
 from chdzdt.evalsuite.compose import (
     KINDS,
@@ -219,6 +219,13 @@ class TestComposeEval:
         zero = np.zeros(3)
         with pytest.raises(DataError, match="zero-norm"):
             compose_eval(CompositionModel("Add", 3), [(zero,) * 4])
+
+    def test_non_finite_composition_raises_naming_the_kind(self):
+        model = CompositionModel("MpCnc", 4, W=np.full((4, 12), 1e308))
+        triples = [(np.ones(4), np.ones(4), np.ones(4), np.ones(4))]
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="MpCnc: composed"):
+            compose_eval(model, triples)
 
     def test_raw_matrix_exported(self):
         rng = np.random.default_rng(2)

@@ -30,7 +30,6 @@ VOC = build_vocab([(97, 122)])
 class ConstantEmbedder:
     """Same unit-ish vector for every word."""
 
-    is_trainable = False
     dim = 3
 
     def embed(self, word):
@@ -40,7 +39,6 @@ class ConstantEmbedder:
 class FirstCharEmbedder:
     """One-hot over the first character's code point (mod 64)."""
 
-    is_trainable = False
     dim = 64
 
     def embed(self, word):
@@ -51,8 +49,6 @@ class FirstCharEmbedder:
 
 class HashEmbedder:
     """Deterministic pseudo-random vector per word."""
-
-    is_trainable = False
 
     def __init__(self, dim=8):
         self.dim = dim
@@ -71,7 +67,7 @@ class TestTsvEmbedder:
                    np.array([0.1, 0.2, 0.3])]
         write_embeddings_tsv(path, words, vectors, dim=3)
         emb = TsvEmbedder.from_file(path)
-        assert emb.dim == 3 and emb.is_trainable is False
+        assert emb.dim == 3 and not isinstance(emb, CheckpointEmbedder)
         for word, vec in zip(words, vectors):
             np.testing.assert_array_equal(emb.embed(word), vec)
         np.testing.assert_array_equal(emb.embed_many(words[::-1]),
@@ -165,7 +161,6 @@ class TestCheckpointEmbedder:
     def test_load_embedder_sniffs_checkpoint(self, ckpt):
         emb = load_embedder(ckpt)
         assert isinstance(emb, CheckpointEmbedder)
-        assert emb.is_trainable is True
         assert emb.dim == 8
         vec = emb.embed("cat")
         assert vec.shape == (8,) and np.all(np.isfinite(vec))

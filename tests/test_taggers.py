@@ -41,7 +41,6 @@ def _word_rng(word):
 class SuffixEmbedder:
     """Last-character one-hot plus per-word noise."""
 
-    is_trainable = False
     dim = 12
 
     def embed(self, word):
@@ -53,7 +52,6 @@ class SuffixEmbedder:
 class Suffix2Embedder:
     """Last two characters one-hot in separate blocks plus noise."""
 
-    is_trainable = False
     dim = 24
 
     def embed(self, word):
@@ -67,7 +65,6 @@ class Suffix2Embedder:
 class LastCharEmbedder:
     """Last-character one-hot with no noise; words of one suffix coincide."""
 
-    is_trainable = False
     dim = 12
 
     def embed(self, word):
@@ -79,7 +76,6 @@ class LastCharEmbedder:
 class MarkerEmbedder:
     """Marker words carry a loud class direction; fillers stay quiet."""
 
-    is_trainable = False
     dim = 16
     MARKERS = {"splendid": 0, "awful": 1, "okay": 2}
 
@@ -405,6 +401,15 @@ class TestFinetune:
     def test_tsv_style_embedder_rejected(self):
         with pytest.raises(ConfigError, match="frozen"):
             pos_tagger(SuffixEmbedder(), pos_sentences(n=4),
+                       mode="finetune")
+
+    def test_finetune_needs_a_checkpoint_embedder(self):
+        class ClaimsTrainable(SuffixEmbedder):
+            is_trainable = True
+
+        with pytest.raises(ConfigError,
+                           match="finetune needs a checkpoint embedder"):
+            pos_tagger(ClaimsTrainable(), pos_sentences(n=4),
                        mode="finetune")
 
     def test_finetune_updates_encoder_and_beats_frozen(self):
