@@ -19,10 +19,10 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 from datetime import datetime, timezone
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .chartok import default_vocab, load_vocab_spec
 from .encoder import ModelConfig, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
@@ -81,13 +81,6 @@ class RunManifest:
     finished: str
 
 
-def _tool_version() -> str:
-    try:
-        return metadata.version("chdzdt")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -118,7 +111,7 @@ def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
     manifest = RunManifest(subcommand=subcommand, config=config,
                            inputs={k: _digest_file(v)
                                    for k, v in inputs.items() if v},
-                           seed=seed, version=_tool_version(),
+                           seed=seed, version=__version__,
                            started=started, finished=_utc_now())
     _write_json(path, asdict(manifest))
 

@@ -124,8 +124,7 @@ class EncoderState:
                 data = rng.normal(0.0, config.hidden ** -0.5,
                                   shape).astype(dtype)
             else:
-                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-                data = rng.uniform(-limit, limit, shape).astype(dtype)
+                data = T.glorot(rng, *shape)
             params[name] = Tensor(data, requires_grad=True)
         return cls(config, vocab, params)
 

@@ -65,9 +65,7 @@ def _word_rows(embedder, words, mode: str):
 
 
 def _dense_params(d_in: int, d_out: int, rng):
-    bound = np.sqrt(6.0 / (d_in + d_out))
-    w = T.Tensor(rng.uniform(-bound, bound, (d_in, d_out))
-                 .astype(T.default_dtype()), requires_grad=True)
+    w = T.Tensor(T.glorot(rng, d_in, d_out), requires_grad=True)
     b = T.Tensor(np.zeros(d_out, dtype=T.default_dtype()),
                  requires_grad=True)
     return w, b
@@ -85,6 +83,45 @@ def _split(rows, key, fraction: float, seed: int, test_rows):
     if not train or not test:
         raise DataError("both splits must be non-empty")
     return train, test
+
+
+def _sequences(rows, test_rows, sequence, max_words: int, noun: str, key,
+               fraction: float, seed: int):
+    """(train, test, skipped, truncated) for sequence decoders.
+
+    Each row of rows (and of test_rows, when given) becomes a (row, seq)
+    pair, seq = sequence(row) cut to max_words; rows with an empty seq
+    are skipped. train and test are the _split of the pairs on key(pair);
+    skipped and truncated count the empty and the cut sequences of both.
+    """
+    skipped = truncated = 0
+    usable, test = [], (None if test_rows is None else [])
+    for kept, batch in ((usable, rows), (test, test_rows or ())):
+        for row in batch:
+            seq = list(sequence(row))
+            if not seq:
+                skipped += 1
+                continue
+            if len(seq) > max_words:
+                truncated += 1
+            kept.append((row, seq[:max_words]))
+    if test is None and len(usable) < 2:
+        raise DataError(f"need at least 2 non-empty {noun}")
+    if skipped:
+        logger.warning("skipping %d empty %s", skipped, noun)
+    train, test = _split(usable, key, fraction, seed, test)
+    return train, test, skipped, truncated
+
+
+def _gold_indices(gold, col: dict, feature=None):
+    """(indices, unknown): the class index in col of each gold tag, -1 for
+    a tag col lacks, and the sorted unknown tags, which are logged once."""
+    unknown = sorted({g for g in gold if g not in col})
+    if unknown:
+        where = "" if feature is None else f"feature {feature!r}: "
+        logger.warning("%sunknown evaluation tags %s counted as wrong",
+                       where, unknown)
+    return np.array([col.get(g, -1) for g in gold]), unknown
 
 
 def _scores(gold: np.ndarray, pred: np.ndarray, labels) -> tuple:
@@ -110,14 +147,15 @@ def _morph_logits(shared, heads, X: T.Tensor) -> dict:
             for name, (hw, hb) in heads.items()}
 
 
-def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
+def morph_tagger(embedder, rows, mode: str = "frozen",
                  fraction: float = 0.6, seed: int = 42, epochs: int = 100,
                  lr: float = 0.01, shared_dim: int = 768,
                  loss_target: float = 0.1, test_rows=None) -> dict:
     """Multi-task morphological-feature tagger on word embeddings.
 
     rows: (word, {feature: value}) pairs; rows missing a feature get the
-    ordinary class NA. One shared dense layer feeds one head per feature
+    ordinary class NA. Each feature's tagset is the values it takes in
+    the training split. One shared dense layer feeds one head per feature
     (sigmoid when binary, softmax beyond); the loss is the sum of all
     heads' cross-entropies. Overall accuracy is the unweighted mean of
     per-feature accuracies. Unknown evaluation tags count as wrong with
@@ -131,30 +169,15 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
         rows, lambda row: tuple(sorted(f"{k}={v}" for k, v in row[1].items())),
         fraction, seed, test_rows)
 
-    if features is None:
-        names = sorted({f for _, feats in train for f in feats})
-        tagsets = {name: sorted({feats.get(name, NA_LABEL)
-                                 for _, feats in train})
-                   for name in names}
-    else:
-        tagsets = {}
-        for name, values in features.items():
-            values = sorted(set(values))
-            if any(name not in feats for _, feats in train):
-                values = sorted(set(values) | {NA_LABEL})
-            tagsets[name] = values
+    tagsets = {name: sorted({feats.get(name, NA_LABEL) for _, feats in train})
+               for name in sorted({f for _, feats in train for f in feats})}
     if not tagsets:
         raise DataError("no features to tag")
-
-    targets = {}
-    for name, values in tagsets.items():
-        col = {v: j for j, v in enumerate(values)}
-        labels = [feats.get(name, NA_LABEL) for _, feats in train]
-        bad = sorted({lab for lab in labels if lab not in col})
-        if bad:
-            raise DataError(f"feature {name!r}: training value {bad[0]!r} "
-                            "missing from the declared tagset")
-        targets[name] = np.array([col[lab] for lab in labels])
+    cols = {name: {v: j for j, v in enumerate(values)}
+            for name, values in tagsets.items()}
+    targets = {name: np.array([col[feats.get(name, NA_LABEL)]
+                               for _, feats in train])
+               for name, col in cols.items()}
 
     row, rows, encoder_params = _word_rows(embedder, [w for w, _ in train],
                                            mode)
@@ -184,9 +207,11 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
 
     losses = T.fit(params, loss_fn, epochs, lr, loss_target)
 
+    test_row, test_matrix, _ = _word_rows(embedder, [w for w, _ in test],
+                                          "frozen")
     with T.no_grad():
-        logits_of = _morph_logits((sw, sb), heads, T.Tensor(embed_rows(
-            embedder, [w for w, _ in test], T.default_dtype())))
+        logits_of = _morph_logits((sw, sb), heads, test_matrix()[
+            np.array([test_row[w] for w, _ in test])])
     feature_report = {}
     accuracies = []
     for name, values in tagsets.items():
@@ -195,14 +220,10 @@ def morph_tagger(embedder, rows, features=None, mode: str = "frozen",
             pred = (logits[:, 0] > 0).astype(int)
         else:
             pred = logits.argmax(axis=1)
-        col = {v: j for j, v in enumerate(values)}
-        gold = [feats.get(name, NA_LABEL) for _, feats in test]
-        unknown = sorted({g for g in gold if g not in col})
-        if unknown:
-            logger.warning("feature %r: unknown evaluation tags %s counted "
-                           "as wrong", name, unknown)
-        acc = float(np.mean([col.get(g, -1) == p
-                             for g, p in zip(gold, pred)]))
+        gold, unknown = _gold_indices(
+            [feats.get(name, NA_LABEL) for _, feats in test], cols[name],
+            name)
+        acc = float(np.mean(pred == gold))
         accuracies.append(acc)
         feature_report[name] = {"accuracy": acc, "tagset": list(values),
                                 "support": len(gold),
@@ -282,12 +303,11 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
                                         targets),
                    epochs, lr, loss_target)
 
-    words = sorted({w for s in test_seqs for w in s})
+    test_row, test_matrix, _ = _word_rows(
+        embedder, [w for s in test_seqs for w in s], "frozen")
     with T.no_grad():
-        X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
-        idx, mask = _pack_sequences(test_seqs,
-                                    {w: i for i, w in enumerate(words)})
-        return losses, _bigru_logits(params, readout, X, idx,
+        idx, mask = _pack_sequences(test_seqs, test_row)
+        return losses, _bigru_logits(params, readout, test_matrix(), idx,
                                      mask).data.argmax(1)
 
 
@@ -305,29 +325,12 @@ def pos_tagger(embedder, sentences, mode: str = "frozen",
     test_sentences overrides the stratified fraction/seed split.
     """
     _check_mode(embedder, mode)
-
-    def clean(batch):
-        kept, dropped = [], 0
-        for sent in batch:
-            sent = list(sent)
-            if not sent:
-                dropped += 1
-                continue
-            kept.append(sent[:max_words])
-        return kept, dropped
-
-    usable, skipped = clean(sentences)
-    test = None
-    if test_sentences is not None:
-        test, dropped = clean(test_sentences)
-        skipped += dropped
-    elif len(usable) < 2:
-        raise DataError("need at least 2 non-empty sentences")
-    if skipped:
-        logger.warning("skipping %d empty sentences", skipped)
-    train, test = _split(usable,
-                         lambda sent: tuple(sorted({tag for _, tag in sent})),
-                         fraction, seed, test)
+    train, test, skipped, _ = _sequences(
+        sentences, test_sentences, lambda sent: sent, max_words, "sentences",
+        lambda pair: tuple(sorted({tag for _, tag in pair[1]})),
+        fraction, seed)
+    train = [sent for _, sent in train]
+    test = [sent for _, sent in test]
 
     tagset = sorted({tag for sent in train for _, tag in sent})
     col = {tag: j for j, tag in enumerate(tagset)}
@@ -339,12 +342,8 @@ def pos_tagger(embedder, sentences, mode: str = "frozen",
         seed, epochs, lr, gru_hidden, dense_dim, loss_target)
 
     gold_tags = _time_major([[tag for _, tag in s] for s in test])
-    unknown = sorted({g for g in gold_tags if g not in col})
-    if unknown:
-        logger.warning("unknown evaluation tags %s counted as wrong",
-                       unknown)
-    accuracy, prf = _scores(np.array([col.get(g, -1) for g in gold_tags]),
-                            pred, tagset)
+    gold, unknown = _gold_indices(gold_tags, col)
+    accuracy, prf = _scores(gold, pred, tagset)
     return {"mode": mode, "accuracy": accuracy,
             "per_tag": prf["per_label"], "macro_f1": prf["macro_f1"],
             "tagset": tagset, "unknown_tags": unknown,
@@ -372,34 +371,16 @@ def sentiment_classifier(embedder, rows, mode: str = "frozen",
     """
     _check_mode(embedder, mode)
     col = {lab: j for j, lab in enumerate(SENTIMENT_LABELS)}
-    skipped = 0
-    n_truncated = 0
-
-    def clean(batch):
-        nonlocal skipped, n_truncated
-        kept = []
-        for label, text in batch:
-            if label not in col:
-                raise DataError(f"unknown sentiment label {label!r}")
-            words = text.split()
-            if not words:
-                skipped += 1
-                continue
-            if len(words) > max_words:
-                n_truncated += 1
-                words = words[:max_words]
-            kept.append((label, words))
-        return kept
-
-    usable = clean(rows)
-    test = None
-    if test_rows is not None:
-        test = clean(test_rows)
-    elif len(usable) < 2:
-        raise DataError("need at least 2 non-empty texts")
-    if skipped:
-        logger.warning("skipping %d empty texts", skipped)
-    train, test = _split(usable, lambda row: (row[0],), fraction, seed, test)
+    rows = list(rows)
+    test_rows = None if test_rows is None else list(test_rows)
+    for label, _ in rows + (test_rows or []):
+        if label not in col:
+            raise DataError(f"unknown sentiment label {label!r}")
+    train, test, skipped, n_truncated = _sequences(
+        rows, test_rows, lambda row: row[1].split(), max_words, "texts",
+        lambda pair: (pair[0][0],), fraction, seed)
+    train = [(label, words) for (label, _), words in train]
+    test = [(label, words) for (label, _), words in test]
 
     losses, pred = _bigru(
         embedder, mode, [ws for _, ws in train],

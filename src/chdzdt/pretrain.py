@@ -9,7 +9,6 @@ returns the trained state and its log records for the caller to save.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 import time
@@ -24,8 +23,6 @@ from .encoder import EncoderState, ModelConfig, forward_batch
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import config_from_dict
 from .preprocess import LABELS, LexiconEntry
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -71,10 +68,6 @@ class MaskedBatch:
     mask_positions: list         # per example, ascending character positions
     original_ids: list           # per example, the ids the masks replaced
     targets: np.ndarray          # [B, n_labels] float multi-hot
-
-    @property
-    def size(self) -> int:
-        return self.corrupted.shape[0]
 
 
 def labels_to_targets(labels: Sequence[str]) -> np.ndarray:
@@ -212,7 +205,11 @@ def train(lexicon: Sequence[LexiconEntry], model_config: ModelConfig,
 
     Deterministic given the configs: each epoch reshuffles with an
     epoch-derived rng, batches are consumed in order, and dropout draws come
-    from the same stream. Returns (final EncoderState, log records).
+    from the same stream. Returns (final EncoderState, log records). The
+    label head needs one output per language label.
     """
+    if model_config.n_labels != len(LABELS):
+        raise ConfigError(f"n_labels must be {len(LABELS)}, one per label "
+                          f"in {LABELS}; got {model_config.n_labels}")
     state = EncoderState.init(model_config, vocab)
     return _fit(state, lexicon, train_config)

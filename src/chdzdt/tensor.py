@@ -97,12 +97,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph plumbing ----------------------------------------------------
 
     @staticmethod
@@ -543,17 +537,21 @@ def bce_multilabel(probs: Tensor, targets) -> Tensor:
     return out
 
 
+def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A [rows, cols] Glorot-uniform draw in the default dtype:
+    U(-b, b) with b = sqrt(6 / (rows + cols))."""
+    bound = math.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-bound, bound, (rows, cols)).astype(_DEFAULT_DTYPE)
+
+
 def gru_params(d_in: int, d_h: int, rng: np.random.Generator) -> dict:
     """Glorot-initialized parameters for gru_sequence, gates fused z|r|h.
 
     w is [d_in, 3*d_h], u is [d_h, 3*d_h] and b is [3*d_h]; column block
     k of w and u is drawn as its own Glorot matrix, w before u, gate by gate.
     """
-    def mat(rows, cols):
-        bound = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, (rows, cols)).astype(_DEFAULT_DTYPE)
-
-    blocks = [(mat(d_in, d_h), mat(d_h, d_h)) for _ in ("z", "r", "h")]
+    blocks = [(glorot(rng, d_in, d_h), glorot(rng, d_h, d_h))
+              for _ in ("z", "r", "h")]
     return {"w": Tensor(np.concatenate([w for w, _ in blocks], axis=1),
                         requires_grad=True),
             "u": Tensor(np.concatenate([u for _, u in blocks], axis=1),

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -173,6 +174,14 @@ class TestParser:
                     if a.dest == "task")
         assert tuple(task.choices) == tuple(cli.TASKS)
 
+    def test_package_version_is_the_project_version(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)",
+                            PYPROJECT.read_text(encoding="utf-8"),
+                            re.M | re.S).group(1)
+        version = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M)
+        assert version.group(1) == chdzdt.__version__
+
     def test_console_script_runs(self, tmp_path):
         # Resolve the declared entry point in a child started away from the
         # checkout, importing the same package as this test; where the
@@ -302,6 +311,7 @@ class TestPretrain:
         assert manifest["subcommand"] == "pretrain"
         assert manifest["config"]["model"]["hidden"] == 8
         assert manifest["seed"] == 0
+        assert manifest["version"] == chdzdt.__version__
 
     def test_epochs_zero_equals_init(self, ws, lexicon, tmp_path):
         out = tmp_path / "init.ckpt"
@@ -347,6 +357,20 @@ class TestPretrain:
                    "--out", out, "--epochs", 0) == 2
         assert "n_layers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_label_head_width_other_than_the_label_set_exits_two(
+            self, ws, lexicon, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"n_labels": 3}), encoding="utf-8")
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--model-config", cfg, "--out", out,
+                   "--n-blocks", 1, "--n-heads", 2, "--hidden", 8,
+                   "--epochs", 1, "--batch-size", 8) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_labels" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("o.ckpt*"))
 
     def test_bad_lexicon_frequency_exits_two(self, ws, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"

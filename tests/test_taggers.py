@@ -194,21 +194,6 @@ class TestMorphTagger:
         assert stats["accuracy"] <= 0.5
         assert any("dual" in rec.message for rec in caplog.records)
 
-    def test_train_value_outside_declared_tagset(self):
-        rows = [(s + "a", {"number": "dual"}) for s in STEMS]
-        with pytest.raises(DataError, match="dual"):
-            morph_tagger(Suffix2Embedder(), rows,
-                         features={"number": ["sing", "plur"]},
-                         shared_dim=8, epochs=2)
-
-    def test_declared_tagset_gains_na_when_needed(self):
-        rows = [(s + "d", {"tense": "past"}) for s in STEMS]
-        rows += [(s + "a", {}) for s in STEMS]
-        report = morph_tagger(Suffix2Embedder(), rows,
-                              features={"tense": ["past"]},
-                              shared_dim=16, epochs=30, lr=0.05)
-        assert report["features"]["tense"]["tagset"] == ["NA", "past"]
-
     def test_test_split_scored_by_the_training_forward(self, monkeypatch):
         graphs = []
         forward = taggers._morph_logits
@@ -268,6 +253,14 @@ class TestPosTagger:
         assert report["skipped_empty"] == 2
         assert any("empty" in rec.message for rec in caplog.records)
 
+    def test_empty_test_sentence_skipped(self):
+        test = pos_sentences(n=3, seed=4) + [[]]
+        report = pos_tagger(SuffixEmbedder(), pos_sentences(n=6),
+                            test_sentences=test, gru_hidden=8, dense_dim=8,
+                            epochs=1, seed=0)
+        assert report["skipped_empty"] == 1
+        assert report["n_test_sentences"] == 3
+
     def test_unknown_eval_tag(self, caplog):
         train = pos_sentences(n=10)
         test = [[(STEMS[0] + "a", "X"), (STEMS[1] + "o", "V")]]
@@ -315,9 +308,22 @@ class TestSentimentClassifier:
         assert report["skipped_empty"] == 1
         assert any("empty" in rec.message for rec in caplog.records)
 
+    def test_test_rows_cleaned_like_training_rows(self):
+        test = [("positive", " ".join(["word"] * 39 + ["splendid"])),
+                ("neutral", "   "), ("negative", "an awful day")]
+        report = sentiment_classifier(MarkerEmbedder(), sentiment_rows(n=10),
+                                      test_rows=test, gru_hidden=8,
+                                      dense_dim=8, epochs=1, seed=0)
+        assert report["skipped_empty"] == 1
+        assert report["n_truncated"] == 1
+        assert report["test_size"] == 2
+
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError, match="'angry'"):
             sentiment_classifier(MarkerEmbedder(), [("angry", "grr")])
+        with pytest.raises(DataError, match="'angry'"):
+            sentiment_classifier(MarkerEmbedder(), sentiment_rows(n=10),
+                                 test_rows=[("angry", "grr")])
 
 
 @pytest.mark.parametrize("run", [
