@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .chartok import default_vocab, load_vocab_spec
 from .encoder import ModelConfig, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
@@ -79,6 +79,7 @@ class RunManifest:
     version: str
     started: str
     finished: str
+    blas_threads: dict  # each BLAS thread variable as the run saw it
 
 
 def _utc_now() -> str:
@@ -112,7 +113,9 @@ def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
                            inputs={k: _digest_file(v)
                                    for k, v in inputs.items() if v},
                            seed=seed, version=__version__,
-                           started=started, finished=_utc_now())
+                           started=started, finished=_utc_now(),
+                           blas_threads={var: os.environ.get(var)
+                                         for var in BLAS_THREAD_VARS})
     _write_json(path, asdict(manifest))
 
 
@@ -524,7 +527,6 @@ def cmd_ablation(args) -> int:
         inputs[flag.lstrip("-")] = path
     evaluate = ablation_evaluate(data, eval_params, train_config.seed)
 
-    os.makedirs(args.out, exist_ok=True)
     report = ablation_sweep(grid, lexicon, vocab, train_config, evaluate,
                             out_dir=args.out)
 

@@ -49,10 +49,11 @@ def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
 
     evaluate(embedder) -> {column: value} runs once on each trained
     variant; without it the table holds only the efficiency columns.
-    With out_dir, each variant's trained checkpoint is saved as
-    <variant>.ckpt there. A failed variant is recorded with its error and
-    the sweep continues; the consolidated table covers every (variant,
-    metric) cell, marking the cells of failed variants.
+    With out_dir, made once the grid is checked, each variant's trained
+    checkpoint is saved as <variant>.ckpt there. A failed variant is
+    recorded with its error and the sweep continues; the consolidated
+    table covers every (variant, metric) cell, marking the cells of
+    failed variants.
     """
     grid = list(grid)
     if not grid:
@@ -61,6 +62,8 @@ def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         raise ConfigError(f"duplicate grid variants {dupes}")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
 
     variants = []
     for config in grid:

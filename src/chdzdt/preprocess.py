@@ -8,6 +8,7 @@ yields the same text as running it once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import re
@@ -132,9 +133,21 @@ def _cap_runs(text: str, k: int, capped) -> str:
 
 
 def fix_spacing(text: str) -> str:
-    """Detach punctuation from words, separate emojis, collapse spaces."""
+    """Detach punctuation from words, separate emojis, collapse spaces.
+
+    Whitespace ends every run, so each whitespace token is spaced on its
+    own and the tokens are joined by one space.
+    """
+    return " ".join([_space_token(tok) for tok in text.split()])
+
+
+@functools.lru_cache(maxsize=2**16)
+def _space_token(token: str) -> str:
+    """Split one whitespace-free token into its word, punctuation and
+    emoji runs. Memoized, since corpus words repeat; `build_lexicon`
+    empties the memo before and after each call."""
     tokens = []
-    current = []  # (kind, chars) of the run being built
+    current = []  # chars of the run being built
     kind = None
 
     def flush():
@@ -142,11 +155,8 @@ def fix_spacing(text: str) -> str:
             tokens.append("".join(current))
             current.clear()
 
-    for ch in text:
-        if ch.isspace():
-            flush()
-            kind = None
-        elif is_emoji_char(ch):
+    for ch in token:
+        if is_emoji_char(ch):
             flush()
             tokens.append(ch)
             kind = None
@@ -227,23 +237,29 @@ def build_lexicon(streams, rules: NormRules):
     words longer than MAX_WORD_LEN Unicode scalars are dropped. Output is sorted
     lexicographically so identical inputs give identical files.
     """
-    if not streams:
-        raise DataError("build_lexicon needs at least one stream")
+    # a fresh memo per call keeps its time and memory independent of
+    # earlier calls in the same process
+    _space_token.cache_clear()
     counts: dict = {}
-    for stream in streams:
-        dropped = 0
-        for line in stream.iter_lines():
-            line = line.rstrip("\n")
-            if stream.kind == "social" and not region_filter(line, rules.region_patterns):
-                dropped += 1
-                continue
-            for word in normalize_text(line, rules).split():
-                if len(word) > MAX_WORD_LEN:
+    try:
+        if not streams:
+            raise DataError("build_lexicon needs at least one stream")
+        for stream in streams:
+            dropped = 0
+            for line in stream.iter_lines():
+                line = line.rstrip("\n")
+                if stream.kind == "social" and not region_filter(line, rules.region_patterns):
+                    dropped += 1
                     continue
-                counts.setdefault(word, {}).setdefault(stream.label, 0)
-                counts[word][stream.label] += 1
-        if dropped:
-            logger.info("region filter dropped %d lines from %s", dropped, stream.label)
+                for word in normalize_text(line, rules).split():
+                    if len(word) > MAX_WORD_LEN:
+                        continue
+                    counts.setdefault(word, {}).setdefault(stream.label, 0)
+                    counts[word][stream.label] += 1
+            if dropped:
+                logger.info("region filter dropped %d lines from %s", dropped, stream.label)
+    finally:
+        _space_token.cache_clear()
     return [
         LexiconEntry(word=w, labels=tuple(sorted(freq)), freq=dict(sorted(freq.items())))
         for w, freq in sorted(counts.items())

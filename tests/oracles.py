@@ -7,6 +7,7 @@ between the two routes is meaningful.
 
 import math
 import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -220,3 +221,34 @@ def regex_cap_runs(text, k, capped):
                   lambda m: m.group(0)[:k] if capped(m.group(1))
                   else m.group(0),
                   text, flags=re.DOTALL)
+
+
+def char_loop_fix_spacing(text, is_emoji):
+    """Punctuation runs detached from words, each emoji (is_emoji(c) true)
+    on its own, whitespace runs collapsed to one space: one pass over the
+    characters of the whole text."""
+    tokens = []
+    current = []
+    kind = None
+
+    def flush():
+        if current:
+            tokens.append("".join(current))
+            current.clear()
+
+    for ch in text:
+        if ch.isspace():
+            flush()
+            kind = None
+        elif is_emoji(ch):
+            flush()
+            tokens.append(ch)
+            kind = None
+        else:
+            k = "punct" if unicodedata.category(ch).startswith("P") else "word"
+            if k != kind:
+                flush()
+                kind = k
+            current.append(ch)
+    flush()
+    return " ".join(tokens)

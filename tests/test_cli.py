@@ -26,6 +26,9 @@ from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint, \
 from chdzdt.errors import NumericalError
 from chdzdt.evalsuite.embedder import CheckpointEmbedder, TsvEmbedder
 from chdzdt.evalsuite.metrics import acs
+from chdzdt.preprocess import write_lexicon
+
+from universe import make_universe
 
 GOLDEN_LEXICON = """\
 cat\tEN\tEN:1
@@ -312,6 +315,37 @@ class TestPretrain:
         assert manifest["config"]["model"]["hidden"] == 8
         assert manifest["seed"] == 0
         assert manifest["version"] == chdzdt.__version__
+
+    def test_checkpoint_bytes_independent_of_blas_env(self, tmp_path):
+        # At d16 on the 500-word lexicon, a host with more than one core
+        # threads the BLAS matmuls by default, and the sums round
+        # differently; the package pins one thread unless the caller set
+        # a count, which then wins.
+        lexicon = tmp_path / "lex.tsv"
+        write_lexicon(make_universe()[0], lexicon)
+        code = RUN_ENTRY_POINT.format(value=console_script("chdzdt"))
+        env = {k: v for k, v in os.environ.items()
+               if k not in chdzdt.BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(chdzdt.__file__).parents[1]), env.get("PYTHONPATH")]))
+        pinned = dict.fromkeys(chdzdt.BLAS_THREAD_VARS, "1")
+        runs = {}
+        for name, extra in (("unset", {}), ("one", pinned),
+                            ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / f"{name}.ckpt"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "pretrain", "--lexicon",
+                 str(lexicon), "--out", str(out), "--hidden", "16",
+                 "--epochs", "1", "--seed", "0"],
+                capture_output=True, text=True, cwd=tmp_path,
+                env={**env, **extra})
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads(
+                (tmp_path / f"{name}.ckpt.manifest.json").read_text())
+            runs[name] = out.read_bytes(), manifest["blas_threads"]
+        assert runs["unset"][0] == runs["one"][0]
+        assert runs["unset"][1] == runs["one"][1] == pinned
+        assert runs["two"][1] == {**pinned, "OPENBLAS_NUM_THREADS": "2"}
 
     def test_epochs_zero_equals_init(self, ws, lexicon, tmp_path):
         out = tmp_path / "init.ckpt"
@@ -805,6 +839,21 @@ class TestAblation:
                    ws / "vocab.json", "--evals", "parsing", "--out", out,
                    "--epochs", 1) == 1
         assert "unknown eval tasks" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_variants_exit_two_without_out_dir(self, ws, lexicon,
+                                                         tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(
+            [{"hidden": 8, "n_blocks": 1, "n_heads": 1}] * 2),
+            encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert run("ablation", "--grid", grid, "--lexicon", lexicon,
+                   "--vocab", ws / "vocab.json", "--evals", "morph",
+                   "--clusters", ws / "clusters.tsv", "--out", out,
+                   "--epochs", 1) == 2
+        assert "error: duplicate grid variants ['N1-H1-d8']" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_eval_params_rejected_before_training(self, ws, lexicon,

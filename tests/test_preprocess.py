@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chdzdt import preprocess
 from chdzdt.chartok import is_emoji_char
 from chdzdt.errors import ConfigError, DataError
 from chdzdt.preprocess import (
@@ -27,7 +28,15 @@ from chdzdt.preprocess import (
     write_lexicon,
 )
 
-from oracles import brute_combo_counts, regex_cap_runs
+from oracles import brute_combo_counts, char_loop_fix_spacing, regex_cap_runs
+
+
+# every character str.isspace() accepts (ASCII and C1 controls, the
+# information separators, no-break, typographic and ideographic spaces),
+# plus U+200B and ZWJ, which it does not
+WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680" + \
+    "".join(map(chr, range(0x2000, 0x200C))) + \
+    "\u2028\u2029\u202f\u205f\u3000\u200d"
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +117,12 @@ class TestFixSpacing:
     def test_punct_run_is_one_token(self):
         assert fix_spacing("quoi?!") == "quoi ?!"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=WHITESPACE + " ab3éشدوء!?.,:;«»—…؟،()-"
+                   "✅❤😀🙂\u064e\u0651ـ", max_size=40))
+    def test_matches_char_loop(self, text):
+        assert fix_spacing(text) == char_loop_fix_spacing(text, is_emoji_char)
+
 
 class TestStripDiacritics:
     def test_golden_tashkil_tatweel(self, rules):
@@ -175,7 +190,8 @@ class TestPipeline:
         assert normalize_text("bienvenue:-)ici", rules) == "bienvenue 🙂 ici"
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet="abzé ء شدو3!?.,:«»—…✅❤😀🙂-)('َّـ", max_size=40))
+    @given(st.text(alphabet="abzé ء شدو3!?.,:«»—…✅❤😀🙂-)('َّـ" + WHITESPACE,
+                   max_size=40))
     def test_idempotent_on_arbitrary_text(self, text):
         rules = NormRules.default()
         once = normalize_text(text, rules)
@@ -235,6 +251,29 @@ class TestBuildLexicon:
             assert 1 <= len(e.word) <= 30
             assert not any(c.isspace() for c in e.word)
             assert e.labels
+
+    def test_spacing_memo_empty_after_return(self, rules):
+        fix_spacing("warm: the memo")
+        build_lexicon([_stream(["dar, kbira!", "dar"], "DZ")], rules)
+        assert preprocess._space_token.cache_info().currsize == 0
+
+    def test_spacing_memo_empty_after_data_error(self, rules, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"ok\n\xff\xfe\n")
+        streams = [_stream(["dar, kbira!"], "DZ"),
+                   SourceStream(path=str(bad), label="AR")]
+        with pytest.raises(DataError, match="bad.txt"):
+            build_lexicon(streams, rules)
+        assert preprocess._space_token.cache_info().currsize == 0
+        fix_spacing("warm")
+        with pytest.raises(DataError):
+            build_lexicon([], rules)
+        assert preprocess._space_token.cache_info().currsize == 0
+
+    def test_back_to_back_calls_equal(self, rules):
+        streams = [_stream(["dar, kbira! ✅✅", "wesh... dar"], "DZ"),
+                   _stream(["dar kbira"], "AR")]
+        assert build_lexicon(streams, rules) == build_lexicon(streams, rules)
 
     def test_missing_file_names_source(self, rules):
         with pytest.raises(DataError, match="nope.txt"):
