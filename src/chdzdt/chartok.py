@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import read_json, read_package_json
+from .fileio import check_fields, read_json, read_package_json
 
 SPECIAL_TOKENS = ("PAD", "CLS", "MASK", "UNK", "SEP")
 # private-use code points so they can never collide with real text
@@ -78,12 +78,11 @@ class CharVocab:
     def from_spec(cls, spec: dict, what: str) -> "CharVocab":
         """The vocabulary a spec() dict describes; `what` names its source
         in errors."""
-        ranges, extras = spec.get("ranges"), spec.get("extras", [])
-        if not isinstance(ranges, list) or not isinstance(extras, list):
-            raise ConfigError(f"{what} must hold a 'ranges' list and an "
-                              "optional 'extras' list")
+        check_fields(spec, {"ranges": list, "extras": list}, what)
+        if "ranges" not in spec:
+            raise ConfigError(f"{what} must hold a 'ranges' list")
         try:
-            return cls(ranges, extras)
+            return cls(spec["ranges"], spec.get("extras", []))
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
 

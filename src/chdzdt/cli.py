@@ -191,6 +191,7 @@ def cmd_preprocess(args) -> int:
         if isinstance(spec, str):
             label, kind = spec, "standard"
         elif isinstance(spec, dict) and "label" in spec:
+            check_fields(spec, {"label": str, "kind": str}, f"labels map entry {name!r}")
             label, kind = spec["label"], spec.get("kind", "standard")
         else:
             raise ConfigError(f"labels map entry {name!r} must be a label "
@@ -252,7 +253,7 @@ def cmd_pretrain(args) -> int:
                     "train_config": args.train_config},
                    train_config.seed, started)
 
-    summary = {"checkpoint": args.out, "params": state.n_params(),
+    summary = {"checkpoint": args.out, "params": state.flat.size,
                "words": len(lexicon), "steps": len(records)}
     if records:
         summary["final_total_loss"] = records[-1]["total"]

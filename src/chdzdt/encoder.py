@@ -9,6 +9,7 @@ head over the five language labels on the CLS state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -85,34 +86,42 @@ def parameter_manifest(config: ModelConfig):
 
 
 def count_params(config: ModelConfig) -> int:
-    """Closed-form learnable count; equals the floats a checkpoint serializes.
+    """Learnable count; equals the floats a checkpoint serializes."""
+    return sum(math.prod(shape) for _, shape in parameter_manifest(config))
 
-    Head count does not appear: attention projections are [d, d] however
-    they are split.
-    """
-    d, f, v, seq, lab = (config.hidden, config.ffn_mult * config.hidden,
-                         config.vocab_size, config.seq_len, config.n_labels)
-    per_block = 4 * (d * d + d) + 2 * d + (d * f + f) + (f * d + d) + 2 * d
-    return (v * d + seq * d + config.n_blocks * per_block
-            + (d * v + v) + (d * lab + lab))
+
+def _tensor_table(manifest) -> list:
+    """A checkpoint header's name, shape and body byte offset per tensor."""
+    starts = itertools.accumulate((math.prod(s) for _, s in manifest), initial=0)
+    return [{"name": name, "shape": list(shape), "offset": 4 * start}
+            for (name, shape), start in zip(manifest, starts)]
 
 
 class EncoderState:
-    """All learnable parameters plus the config and vocabulary they assume."""
+    """All learnable parameters plus the config and vocabulary they assume.
 
-    def __init__(self, config: ModelConfig, vocab: CharVocab, params: dict):
+    Every weight lives in one array, flat, in parameter_manifest order:
+    the layout of a checkpoint body. params[name] is a Tensor over a view
+    of flat, so an in-place update of a param writes into flat.
+    """
+
+    def __init__(self, config: ModelConfig, vocab: CharVocab, flat: np.ndarray):
         if vocab.size != config.vocab_size:
             raise ConfigError(
                 f"vocab size {vocab.size} does not match config vocab_size {config.vocab_size}")
         self.config = config
         self.vocab = vocab
-        self.params = params
+        self.flat = flat
+        manifest = parameter_manifest(config)
+        ends = np.cumsum([math.prod(shape) for _, shape in manifest])
+        self.params = {name: Tensor(piece.reshape(shape), requires_grad=True)
+                       for (name, shape), piece in zip(manifest, np.split(flat, ends))}
 
     @classmethod
     def init(cls, config: ModelConfig, vocab: CharVocab) -> "EncoderState":
         rng = np.random.default_rng(config.seed)
         dtype = T.default_dtype()
-        params = {}
+        draws = []
         for name, shape in parameter_manifest(config):
             base = name.rsplit(".", 1)[-1]
             if base.startswith("ln") and base.endswith("_g"):
@@ -125,20 +134,14 @@ class EncoderState:
                                   shape).astype(dtype)
             else:
                 data = T.glorot(rng, *shape)
-            params[name] = Tensor(data, requires_grad=True)
-        return cls(config, vocab, params)
+            draws.append(data.ravel())
+        return cls(config, vocab, np.concatenate(draws))
 
     def parameters(self):
-        return [self.params[name] for name, _ in parameter_manifest(self.config)]
-
-    def named_parameters(self):
-        return [(name, self.params[name]) for name, _ in parameter_manifest(self.config)]
-
-    def n_params(self) -> int:
-        return sum(p.data.size for p in self.parameters())
+        return list(self.params.values())
 
     def check_finite(self) -> bool:
-        return all(np.isfinite(p.data).all() for p in self.parameters())
+        return bool(np.isfinite(self.flat).all())
 
 
 def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
@@ -218,27 +221,19 @@ def encode_words(state: EncoderState, words) -> np.ndarray:
 
 
 def save_checkpoint(state: EncoderState, path) -> None:
-    """Magic, version, JSON header with tensor manifest, float32 LE blobs."""
-    manifest = []
-    blobs = []
-    offset = 0
-    for name, p in state.named_parameters():
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(p.data.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+    """Magic, version, JSON header with tensor manifest, then the weight
+    buffer as float32 LE."""
     header = json.dumps({
         "config": state.config.to_dict(),
         "charset": state.vocab.spec(),
-        "tensors": manifest,
+        "tensors": _tensor_table(parameter_manifest(state.config)),
     }).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+        fh.write(state.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> EncoderState:
@@ -262,31 +257,24 @@ def load_checkpoint(path) -> EncoderState:
         vocab = CharVocab.from_spec(header["charset"], "charset")
         if vocab.size != config.vocab_size:
             raise ValueError(f"charset has {vocab.size} symbols, config {config.vocab_size}")
-        tensors = header.get("tensors", [])
-        listed = [(t["name"], tuple(t["shape"])) for t in tensors]
+        tensors = list(header.get("tensors", []))
     except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
             ConfigError) as exc:
         raise CorruptCheckpointError(f"{path}: malformed header: {exc}") from exc
     # every block lists tensors, so a larger n_blocks cannot match; checked
-    # before the manifest is built, whose length grows with n_blocks
-    if config.n_blocks > len(listed) or \
-            listed != [(n, tuple(s)) for n, s in parameter_manifest(config)]:
+    # before the manifest is built, whose length grows with n_blocks. The
+    # layout comes from the config: a shape or offset may be equal floats.
+    if config.n_blocks > len(tensors) or \
+            tensors != _tensor_table(parameter_manifest(config)):
         raise CorruptCheckpointError(f"{path}: tensor manifest does not match config")
-    body = blob[header_end:]
-    params = {}
-    offset = 0
-    dtype = T.default_dtype()
-    # shapes come from the manifest: the header's may be equal floats
-    for (name, shape), entry in zip(parameter_manifest(config), tensors):
-        nbytes = math.prod(shape) * 4
-        if entry.get("offset") != offset or offset + nbytes > len(body):
-            raise CorruptCheckpointError(f"{path}: blob offsets disagree with manifest")
-        arr = np.frombuffer(body[offset:offset + nbytes], dtype="<f4").reshape(shape)
-        params[name] = Tensor(arr.astype(dtype), requires_grad=True)
-        offset += nbytes
-    if offset != len(body):
-        raise CorruptCheckpointError(f"{path}: {len(body) - offset} trailing bytes")
-    state = EncoderState(config, vocab, params)
+    size = count_params(config)
+    excess = len(blob) - header_end - 4 * size
+    if excess < 0:
+        raise CorruptCheckpointError(f"{path}: body is {-excess} bytes short")
+    if excess:
+        raise CorruptCheckpointError(f"{path}: {excess} trailing bytes")
+    flat = np.frombuffer(blob, dtype="<f4", count=size, offset=header_end)
+    state = EncoderState(config, vocab, flat.astype(T.default_dtype()))
     if not state.check_finite():
         raise CorruptCheckpointError(f"{path}: non-finite weights")
     return state

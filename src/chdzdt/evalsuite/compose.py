@@ -97,6 +97,8 @@ class CompositionModel:
             if self.W is None or self.W.shape != shape:
                 raise DataError(f"{self.kind} needs W of shape {shape}")
 
+    # an overflow gives non-finite rows, which compose_eval reports
+    @np.errstate(over="ignore", invalid="ignore")
     def compose_batch(self, P, R, S) -> np.ndarray:
         spec = _TABLE[self.kind]
         inputs = spec.inputs(*(np.asarray(x, dtype=np.float64)

@@ -61,7 +61,7 @@ def _word_rows(embedder, words, mode: str):
         embedder.invalidate()
         return forward_batch(state, ids, mask)[1]
 
-    return row, rows, list(state.params.values())
+    return row, rows, state.parameters()
 
 
 def _dense_params(d_in: int, d_out: int, rng):

@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError
 
 _JSON_TYPE_NAMES = {dict: "object", list: "array"}
 # a field declared with the key's type takes a value of these types
-_FIELD_TYPES = {int: int, float: (int, float), str: str}
+_FIELD_TYPES = {int: int, float: (int, float), str: str, dict: dict, list: list}
 
 
 @contextlib.contextmanager
@@ -124,9 +124,9 @@ def read_package_json(name: str):
 
 
 def check_fields(d: dict, types: dict, what: str) -> None:
-    """Check d against types (field name -> int, float or str). An unknown
-    key or a value of the wrong type is a ConfigError: an int field takes
-    a non-bool int, a float field an int or a float."""
+    """Check d against types (field name -> int, float, str, dict or list).
+    An unknown key or a value of the wrong type is a ConfigError: an int
+    field takes a non-bool int, a float field an int or a float."""
     unknown = sorted(set(d) - set(types))
     if unknown:
         raise ConfigError(f"unknown {what} fields: {unknown}; "

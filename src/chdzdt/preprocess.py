@@ -17,16 +17,14 @@ from dataclasses import dataclass, field
 
 from .chartok import is_emoji_char
 from .errors import ConfigError, DataError
-from .fileio import atomic_write, read_json, read_lines, read_package_json, read_rows
+from .fileio import (atomic_write, check_fields, read_json, read_lines,
+                     read_package_json, read_rows)
 
 logger = logging.getLogger(__name__)
 
 LABELS = ("AR", "BER", "DZ", "EN", "FR")
 MAX_WORD_LEN = 30
 _TATWEEL = "ـ"
-# rules-file keys with the JSON type and the default each one takes
-_RULE_FIELDS = {"emoji_aliases": {}, "char_unification": {}, "diacritics": [],
-                "elongation_cap": 2, "region_patterns": []}
 
 
 class NormRules:
@@ -62,26 +60,24 @@ class NormRules:
 
     @classmethod
     def from_dict(cls, raw: dict, what: str) -> "NormRules":
-        """Rules from a JSON object; a missing key takes its default, and a
-        value of the wrong JSON type is a ConfigError naming `what`."""
-        kwargs = {key: raw.get(key, default)
-                  for key, default in _RULE_FIELDS.items()}
-        for key, value in kwargs.items():
-            if type(value) is not type(_RULE_FIELDS[key]):
-                raise ConfigError(f"{what}: {key} must be of type "
-                                  f"{type(_RULE_FIELDS[key]).__name__}")
-        strings = [*kwargs["emoji_aliases"].values(),
-                   *kwargs["char_unification"].values(),
-                   *kwargs["diacritics"], *kwargs["region_patterns"]]
+        """Rules from a JSON object of __init__'s keys; a missing key takes its
+        default, an unknown key or a wrong JSON type is a ConfigError naming `what`."""
+        check_fields(raw, {"emoji_aliases": dict, "char_unification": dict,
+                           "diacritics": list, "elongation_cap": int,
+                           "region_patterns": list}, what)
+        aliases = raw.get("emoji_aliases", {})
+        unification = raw.get("char_unification", {})
+        strings = [*aliases.values(), *unification.values(),
+                   *raw.get("diacritics", []), *raw.get("region_patterns", [])]
         if not all(isinstance(v, str) for v in strings):
             raise ConfigError(f"{what}: aliases, unifications, diacritics "
                               "and region patterns must be strings")
-        if "" in kwargs["emoji_aliases"] or "" in kwargs["char_unification"]:
+        if "" in aliases or "" in unification:
             # an empty source matches between every two characters
             raise ConfigError(f"{what}: an alias or unification source "
                               "must not be empty")
         try:
-            return cls(**kwargs)
+            return cls(**raw)
         except ConfigError as exc:
             raise ConfigError(f"{what}: {exc}") from None
 
@@ -274,7 +270,10 @@ def write_lexicon(entries, path) -> None:
 
 
 def read_lexicon(path):
-    """The LexiconEntry of each word TAB labels TAB LABEL:count,... row."""
+    """The LexiconEntry of each word TAB labels TAB LABEL:count,... row; the
+    counts name exactly the row's labels, each is >= 1, no word repeats."""
+    seen = set()
+
     def parse(fields):
         if len(fields) != 3:
             raise ValueError("expected 3 tab-separated fields")
@@ -283,14 +282,23 @@ def read_lexicon(path):
         for lab in labels:
             if lab not in LABELS:
                 raise ValueError(f"unknown label {lab!r}")
+        items = freqs.split(",")
         freq = {}
-        for item in freqs.split(","):
+        for item in items:
             lab, _, n = item.partition(":")
             try:
                 freq[lab] = int(n)
             except ValueError:
                 raise ValueError(f"bad frequency {item!r}, "
                                  "expected LABEL:count") from None
+            if freq[lab] < 1:
+                raise ValueError(f"frequency {item!r} is below 1")
+        if len(freq) != len(items) or sorted(freq) != sorted(labels):
+            raise ValueError(f"frequencies {freqs!r} do not count exactly "
+                             f"the labels {','.join(labels)!r}")
+        if word in seen:
+            raise ValueError(f"word {word!r} is listed twice")
+        seen.add(word)
         return LexiconEntry(word=word, labels=labels, freq=freq)
 
     return read_rows(path, parse, "lexicon entries")

@@ -725,6 +725,7 @@ class Adam:
             p.grad = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
     """Full-batch Adam: one step on loss_fn() per epoch; returns the losses.
 

@@ -5,8 +5,10 @@ finite differences) and shares no code with the package, so agreement
 between the two routes is meaningful.
 """
 
+import json
 import math
 import re
+import struct
 import unicodedata
 from collections import Counter
 
@@ -252,3 +254,22 @@ def char_loop_fix_spacing(text, is_emoji):
             current.append(ch)
     flush()
     return " ".join(tokens)
+
+
+def per_tensor_checkpoint_bytes(state):
+    """A format-1 checkpoint of an encoder state, serialized one tensor at
+    a time: magic, version, header length, a JSON header naming each
+    tensor's shape and byte offset, then each tensor as float32 LE in
+    params order."""
+    manifest, blobs, offset = [], [], 0
+    for name, p in state.params.items():
+        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+        manifest.append({"name": name, "shape": list(p.data.shape),
+                         "offset": offset})
+        blobs.append(raw)
+        offset += len(raw)
+    header = json.dumps({"config": state.config.to_dict(),
+                         "charset": state.vocab.spec(),
+                         "tensors": manifest}).encode("utf-8")
+    return (b"CHDZ" + struct.pack("<I", 1) + struct.pack("<Q", len(header))
+            + header + b"".join(blobs))

@@ -441,6 +441,25 @@ class TestPretrain:
         assert "non-finite weights" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rows, line, reason", [
+        ("wesh\tDZ\tXX:3\n", 1, "do not count exactly the labels"),
+        ("wesh\tDZ\tDZ:3,DZ:4\n", 1, "do not count exactly the labels"),
+        ("wesh\tDZ\tDZ:-5\n", 1, "below 1"),
+        ("wesh\tDZ\tDZ:3\nwesh\tDZ\tDZ:1\n", 2, "listed twice")],
+        ids=["other_label_counted", "label_counted_twice", "count_below_one",
+             "repeated_word"])
+    def test_bad_lexicon_row_exits_two_naming_its_line(self, ws, tmp_path,
+                                                       capsys, rows, line,
+                                                       reason):
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(rows, encoding="utf-8")
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--out", out, "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lexicon}:{line}: ") and reason in err
+        assert not list(tmp_path.glob("o.ckpt*"))
+
     def test_numerical_failure_exits_three(self, monkeypatch, capsys):
         def blow_up(args):
             raise NumericalError("non-finite loss at step 7")
@@ -495,6 +514,25 @@ class TestInputs:
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: ") and str(bad) in line
                    for line in err), err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("flag, content, key", [
+        ("--rules", {"char_unifcation": {"x": "y"}}, "char_unifcation"),
+        ("--vocab", {"ranges": [[97, 122]], "extra": ["-"]}, "extra"),
+        ("--labels", {"en.txt": "EN",
+                      "fr.txt": {"label": "FR", "knd": "social"}}, "knd")],
+        ids=["rules", "vocab", "labels_entry"])
+    def test_unknown_key_exits_two_without_output(self, ws, lexicon, ckpt,
+                                                  tmp_path, capsys, flag,
+                                                  content, key):
+        # a misspelled key was once ignored: its setting silently took
+        # the default
+        bad = tmp_path / "input.json"
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*_argv_reading(flag, bad, ws, lexicon, ckpt, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("flag, content, named", [
@@ -627,6 +665,8 @@ class TestEval:
         tuned = load_checkpoint(side)
         assert tuned.config.to_dict() == load_checkpoint(
             ckpt).config.to_dict()
+        # a finetune that updated a copy of the weights would save them unchanged
+        assert side.read_bytes() != ckpt.read_bytes()
 
     def test_tsv_embedder_finetune_rejected(self, ws, ckpt, tmp_path,
                                             capsys):
@@ -711,6 +751,7 @@ class TestEval:
         assert err.startswith(f"error: {tmp_path / where}: non-finite")
         assert not list(tmp_path.glob("sim.json*"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_probe_exits_three_without_report(self, ws, ckpt,
                                                         tmp_path, capsys):
         out = tmp_path / "o.json"
@@ -720,6 +761,7 @@ class TestEval:
         assert "non-finite loss" in capsys.readouterr().err
         assert not list(tmp_path.glob("o.json*"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["WAdd", "WMul", "MpAdd", "MpCnc"])
     def test_diverging_compose_exits_three_without_report(self, ws, ckpt,
                                                           tmp_path, capsys,

@@ -127,7 +127,7 @@ class TestForward:
                           ffn_mult=2, max_chars=2, dropout=0.0, seed=3)
         state = EncoderState.init(cfg, VOC)
         rng = np.random.default_rng(42)
-        for _, p in state.named_parameters():
+        for p in state.parameters():
             p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape).astype(p.data.dtype)
         tok = encode_word(VOC, "ab", max_chars=2)
         got = forward_one(state, tok)[0].data[0]
@@ -258,7 +258,7 @@ class TestCountParams:
         for kwargs in ({"hidden": 2, "n_blocks": 1, "n_heads": 1, "max_chars": 4},
                        {"hidden": 8, "n_blocks": 3, "n_heads": 2, "max_chars": 6}):
             state = small_state(**kwargs)
-            assert state.n_params() == count_params(state.config)
+            assert state.flat.size == count_params(state.config)
 
     def test_doubling_blocks_adds_block_worth(self):
         c1 = ModelConfig(vocab_size=50, n_blocks=1, n_heads=2, hidden=16)
@@ -325,7 +325,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.config == state.config
         assert loaded.vocab.spec() == state.vocab.spec()
-        for (name, p), (name2, q) in zip(state.named_parameters(), loaded.named_parameters()):
+        for (name, p), (name2, q) in zip(state.params.items(), loaded.params.items()):
             assert name == name2
             assert p.data.tobytes() == q.data.tobytes()
 
@@ -364,6 +364,20 @@ class TestCheckpoint:
         padded.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(padded)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw + b"\x00\x00", "2 trailing bytes"),
+        (lambda raw: raw[:-2], "body is 2 bytes short")],
+        ids=["two_extra", "two_missing"])
+    def test_body_length_not_a_float_multiple_rejected(self, tmp_path, edit,
+                                                       message):
+        # checked before the body is read as float32, which would raise
+        # a bare ValueError on such a length
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_state(), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CorruptCheckpointError, match=message):
+            load_checkpoint(path)
 
     def test_header_bit_flips_raise_only_corrupt(self, tmp_path):
         path = tmp_path / "model.ckpt"

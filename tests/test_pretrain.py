@@ -25,7 +25,7 @@ from chdzdt.pretrain import (
 )
 from chdzdt.preprocess import LexiconEntry, write_lexicon
 
-from oracles import finite_diff_max_rel_err
+from oracles import finite_diff_max_rel_err, per_tensor_checkpoint_bytes
 
 VOC = build_vocab([(97, 122)])  # a-z
 
@@ -248,8 +248,8 @@ class TestTrain:
         save_checkpoint(state, out)
         assert records == []
         fresh = EncoderState.init(mc, VOC)
-        for (_, p), (_, q) in zip(state.named_parameters(),
-                                  fresh.named_parameters()):
+        for (_, p), (_, q) in zip(state.params.items(),
+                                  fresh.params.items()):
             assert p.data.tobytes() == q.data.tobytes()
         loaded = load_checkpoint(out)
         assert loaded.params["char_emb"].data.tobytes() == \
@@ -325,6 +325,35 @@ class TestTrain:
         before = load_checkpoint(ckpt)
         state, _ = _fit(load_checkpoint(ckpt), toy_lexicon(),
                         TrainConfig(epochs=2, batch_size=8, lr=0.0, seed=6))
-        for (_, p), (_, q) in zip(before.named_parameters(),
-                                  state.named_parameters()):
+        for (_, p), (_, q) in zip(before.params.items(),
+                                  state.params.items()):
             assert p.data.tobytes() == q.data.tobytes()
+
+
+class TestCheckpointBytes:
+    """save_checkpoint writes the weight buffer whole; the bytes equal a
+    tensor-by-tensor serialization of the same state."""
+
+    CFG = dict(vocab_size=VOC.size, n_blocks=2, n_heads=2, hidden=8,
+               max_chars=8, dropout=0.1, seed=3)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("epochs", [0, 2], ids=["fresh", "trained"])
+    def test_equal_per_tensor_oracle_and_survive_a_round_trip(
+            self, tmp_path, dtype, epochs):
+        with T.precision(dtype):
+            state, _ = train(toy_lexicon(), ModelConfig(**self.CFG),
+                             TrainConfig(epochs=epochs, batch_size=8,
+                                         seed=5), VOC)
+            assert state.flat.dtype == np.dtype(dtype)
+            path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+            save_checkpoint(state, path)
+            save_checkpoint(load_checkpoint(path), again)
+        assert path.read_bytes() == per_tensor_checkpoint_bytes(state)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_params_view_the_buffer_after_training(self):
+        state, _ = train(toy_lexicon(), ModelConfig(**self.CFG),
+                         TrainConfig(epochs=1, batch_size=8, seed=5), VOC)
+        for name, p in state.params.items():
+            assert np.shares_memory(p.data, state.flat), name

@@ -465,6 +465,17 @@ class TestFinetune:
         emb.embed_many([w for s in sents for w, _ in s])
         pos_tagger(emb, sents, mode="finetune", gru_hidden=8, dense_dim=8,
                    epochs=1, lr=0.01, seed=0, loss_target=0.0)
-        for name, p in emb.state.named_parameters():
+        for name, p in emb.state.params.items():
             if name == "char_emb" or name.startswith("block"):
                 assert p.grad is not None and np.any(p.grad != 0), name
+
+    def test_encoder_params_view_the_buffer_after_finetune(self):
+        cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2,
+                          hidden=16, seed=2)
+        emb = CheckpointEmbedder(EncoderState.init(cfg, VOC))
+        before = emb.state.flat.copy()
+        pos_tagger(emb, pos_sentences(n=8), mode="finetune", gru_hidden=8,
+                   dense_dim=8, epochs=2, lr=0.01, seed=0)
+        assert not np.array_equal(before, emb.state.flat)
+        for name, p in emb.state.params.items():
+            assert np.shares_memory(p.data, emb.state.flat), name
