@@ -150,9 +150,14 @@ def _encode_lexicon(lexicon: Sequence[LexiconEntry], vocab: CharVocab,
     return examples
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
          cfg: TrainConfig):
-    """Train state in place on lexicon. Returns (state, records)."""
+    """Train state in place on lexicon. Returns (state, records).
+
+    A diverging run overflows silently; its non-finite loss or weights
+    are the NumericalError that reports it.
+    """
     if not lexicon:
         raise DataError("cannot train on an empty lexicon")
     examples = _encode_lexicon(lexicon, state.vocab, state.config.max_chars)

@@ -10,11 +10,16 @@ The encoder's layers are single nodes with hand-written backward passes:
 ``linear`` (x @ w + b as 2-D GEMMs over all leading rows), ``layer_norm``,
 ``softmax`` (with an optional scale and constant additive mask), ``gelu``
 and the BiGRU's ``gru_sequence``.
+
+``Adam`` updates its parameters in place through flat moment buffers, a
+block of at most ``BLOCK`` floats per pass of its formula; a step
+allocates no array.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +30,8 @@ _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 LN_EPS = 1e-5
 BCE_EPS = 1e-7
+# floats an Adam step updates per pass of its formula
+BLOCK = 2 ** 15
 
 
 def default_dtype():
@@ -668,9 +675,17 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, params: dict) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam over a parameter list.
+    """Bias-corrected Adam over a parameter list of one dtype.
 
-    Parameters whose grad is None are skipped by a step.
+    The moments m and v are two flat buffers in params order. A step walks
+    each run of consecutive params that have a grad in blocks of at most
+    BLOCK floats: it gathers a block's grad pieces into one scratch row,
+    updates that block of m and v, and subtracts each piece of the step
+    from its param's data in place, so a step allocates no array and an
+    encoder param stays a view of its state's flat buffer. Parameters
+    whose grad is None are skipped, and their moments do not move. Every
+    param's data must be C-contiguous: its flat view is where the step
+    writes.
     """
 
     beta1 = 0.9
@@ -681,44 +696,86 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        # two scratch rows per dtype, as long as its largest parameter, so
-        # that a step allocates no array
-        sizes = {}
-        for p in self.params:
-            sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
-        self._scratch = {dt: np.empty((2, n), dt) for dt, n in sizes.items()}
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError("Adam needs params of one dtype, got "
+                             + ", ".join(sorted(map(str, dtypes))))
+        for i, p in enumerate(self.params):
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"Adam: the data of param {i}, shape "
+                                 f"{p.data.shape}, is not C-contiguous")
+        dtype = dtypes.pop() if dtypes else _DEFAULT_DTYPE
+        self._ends = [0, *itertools.accumulate(p.data.size
+                                               for p in self.params)]
+        total = self._ends[-1]
+        self.m = np.zeros(total, dtype)
+        self.v = np.zeros(total, dtype)
+        # two rows, one block long: the gathered grads, then the formula's
+        # temporaries
+        self._scratch = np.empty((2, min(BLOCK, total)), dtype)
+        self._plans = {}
+
+    def _plan(self, live) -> list:
+        """The blocks of one live set (which params have a grad), each
+        (m, v, step, g, pieces): views of the block's moments and of the
+        two scratch rows, and per param in the block (index, start, stop,
+        its piece of step) with start:stop a range of its flat data."""
+        ends, blocks = self._ends, []
+        for has_grad, run in itertools.groupby(range(len(live)),
+                                               key=live.__getitem__):
+            run = list(run)
+            if not has_grad:
+                continue
+            stop = ends[run[-1] + 1]
+            for lo in range(ends[run[0]], stop, BLOCK):
+                hi = min(lo + BLOCK, stop)
+                step, g = self._scratch[:, :hi - lo]
+                pieces = []
+                for k in run:
+                    a, b = max(lo, ends[k]), min(hi, ends[k + 1])
+                    if a < b:
+                        pieces.append((k, a - ends[k], b - ends[k],
+                                       step[a - lo:b - lo]))
+                blocks.append((self.m[lo:hi], self.v[lo:hi], step, g,
+                               pieces))
+        return blocks
 
     def step(self) -> None:
         """One update, in place on each param's data and moments.
 
         Rounds exactly as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-        p -= lr * (m/c1) / (sqrt(v/c2) + eps) would; the two scratch rows
-        stand in for that formula's temporaries.
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps) would, element by element;
+        the two scratch rows stand in for that formula's temporaries.
         """
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            scratch = self._scratch[p.data.dtype][:, :p.data.size]
-            step, denom = (row.reshape(p.data.shape) for row in scratch)
+        params = self.params
+        live = tuple(p.grad is not None for p in params)
+        plan = self._plans.get(live)
+        if plan is None:
+            plan = self._plans[live] = self._plan(live)
+        for m, v, step, g, pieces in plan:
+            # g holds the block's grads until m and v have taken them in,
+            # then the denominator
+            np.concatenate([params[k].grad.reshape(-1)[a:b]
+                            for k, a, b, _ in pieces], out=g)
             np.multiply(g, g, out=step)
             step *= 1.0 - self.beta2
             v *= self.beta2
             v += step
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=step)
+            denom = g
             np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
             denom += self.eps
             np.divide(m, c1, out=step)
             step *= self.lr
             step /= denom
-            p.data -= step
+            for k, a, b, piece in pieces:
+                data = params[k].data.reshape(-1)[a:b]
+                data -= piece
 
     def zero_grad(self) -> None:
         for p in self.params:

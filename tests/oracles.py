@@ -273,3 +273,31 @@ def per_tensor_checkpoint_bytes(state):
                          "tensors": manifest}).encode("utf-8")
     return (b"CHDZ" + struct.pack("<I", 1) + struct.pack("<Q", len(header))
             + header + b"".join(blobs))
+
+
+def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
+                         eps=1e-8):
+    """Step t (from 1) of bias-corrected Adam, one tensor at a time: in
+    place on each param's data and on its moments m[i] and v[i], arrays of
+    the param's shape. A param whose grad is None is skipped."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, mi, vi in zip(params, m, v):
+        g = p.grad
+        if g is None:
+            continue
+        step = np.empty_like(p.data)
+        denom = np.empty_like(p.data)
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
+        vi *= beta2
+        vi += step
+        mi *= beta1
+        mi += np.multiply(g, 1.0 - beta1, out=step)
+        np.divide(vi, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(mi, c1, out=step)
+        step *= lr
+        step /= denom
+        p.data -= step

@@ -441,6 +441,20 @@ class TestPretrain:
         assert "non-finite weights" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_exits_three_without_checkpoint(self, tmp_path,
+                                                          capsys):
+        # the second step's matmuls overflow at lr 1e30
+        lex = tmp_path / "lex.tsv"
+        write_lexicon(make_universe()[0][:100], lex)
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lex, "--out", out, "--lr", 1e30,
+                   "--epochs", 2, "--hidden", 8, "--n-heads", 1,
+                   "--n-blocks", 1) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"^numerical failure: non-finite", err, re.M)
+        assert not list(tmp_path.glob("o.ckpt*"))
+
     @pytest.mark.parametrize("rows, line, reason", [
         ("wesh\tDZ\tXX:3\n", 1, "do not count exactly the labels"),
         ("wesh\tDZ\tDZ:3,DZ:4\n", 1, "do not count exactly the labels"),

@@ -1,12 +1,16 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from chdzdt import tensor as T
+from chdzdt.chartok import default_vocab, encode_word
+from chdzdt.encoder import EncoderState, ModelConfig
 from chdzdt.errors import NumericalError
+from chdzdt.pretrain import batch_loss, mask_batch
 from chdzdt.tensor import (
     Adam,
     Tensor,
@@ -32,7 +36,9 @@ from oracles import (
     composite_linear,
     composite_softmax,
     finite_diff_max_rel_err,
+    per_tensor_adam_step,
 )
+from universe import make_universe
 
 
 def t(data, grad=True):
@@ -331,6 +337,146 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
+
+
+def _random_grads(params, rng, frozen=()):
+    """Put a normal draw, of its own scale, on each param as its grad;
+    None on the params at the indices in frozen."""
+    for i, p in enumerate(params):
+        p.grad = None if i in frozen else rng.normal(
+            scale=10.0 ** (i % 5 - 2), size=p.shape).astype(p.data.dtype)
+
+
+def _d16_state(seed):
+    """An N2-H2-d16 encoder over the default vocabulary: 96,807 floats."""
+    vocab = default_vocab()
+    return EncoderState.init(ModelConfig(vocab_size=vocab.size, n_blocks=2,
+                                         n_heads=2, hidden=16, seed=seed),
+                             vocab)
+
+
+def _tagger_params(rng, d_in, gru_hidden, dense_dim, n_out):
+    """A BiGRU tagger's params: both GRUs, the dense and output layers."""
+    grus = [*gru_params(d_in, gru_hidden, rng).values(),
+            *gru_params(d_in, gru_hidden, rng).values()]
+    dense = [T.glorot(rng, 2 * gru_hidden, dense_dim),
+             np.zeros(dense_dim, T.default_dtype()),
+             T.glorot(rng, dense_dim, n_out),
+             np.zeros(n_out, T.default_dtype())]
+    return grus + [Tensor(x, requires_grad=True) for x in dense]
+
+
+def _encoder_case():
+    """A d16 encoder's params and its real batch_loss gradients."""
+    state = _d16_state(0)
+    examples = [(encode_word(state.vocab, e.word, state.config.max_chars),
+                 e.labels) for e in make_universe()[0][:64]]
+    rng = np.random.default_rng(3)
+
+    def set_grads(step):
+        batch = mask_batch(examples[16 * (step % 4):16 * (step % 4 + 1)],
+                           0.15, rng)
+        total = batch_loss(state, batch, train_mode=True, rng=rng)[0]
+        for p in state.parameters():
+            p.grad = None
+        total.backward()
+
+    return state.parameters(), set_grads
+
+
+def _finetune_case():
+    """Tagger params, then a d16 encoder's, whose masked-prediction and
+    label heads get no grad."""
+    state = _d16_state(1)
+    rng = np.random.default_rng(4)
+    tagger = _tagger_params(rng, 16, 24, 40, 6)
+    params = tagger + state.parameters()
+    heads = {len(tagger) + i for i, name in enumerate(state.params)
+             if name in ("mlm_w", "mlm_b", "label_w", "label_b")}
+    assert len(heads) == 4
+    return params, lambda step: _random_grads(params, rng, heads)
+
+
+def _over_block_case():
+    """A param longer than a block, so a block ends inside it, and one
+    that has a grad on even steps only."""
+    rng = np.random.default_rng(5)
+    params = [Tensor(rng.normal(size=s).astype(T.default_dtype()),
+                     requires_grad=True)
+              for s in [(100,), (300, 200), (5000,), (7,)]]
+    assert params[1].size > T.BLOCK
+    return params, lambda step: _random_grads(params, rng,
+                                              {2} if step % 2 else ())
+
+
+class TestFlatAdam:
+    """Adam's blocked pass over flat moments against the tensor-by-tensor
+    loop it replaced."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("case", [_encoder_case, _finetune_case,
+                                      _over_block_case],
+                             ids=["encoder", "finetune", "over_block"])
+    def test_bytes_match_per_tensor_oracle(self, case, dtype):
+        with T.precision(dtype):
+            params, set_grads = case()
+            ref = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+            m = [np.zeros_like(p.data) for p in params]
+            v = [np.zeros_like(p.data) for p in params]
+            opt = Adam(params, lr=1e-3)
+            for step in range(1, 13):
+                set_grads(step)
+                for p, r in zip(params, ref):
+                    r.grad = None if p.grad is None else p.grad.copy()
+                opt.step()
+                per_tensor_adam_step(ref, m, v, step, lr=1e-3)
+                for i, (p, r) in enumerate(zip(params, ref)):
+                    assert p.data.dtype == np.dtype(dtype)
+                    assert p.data.tobytes() == r.data.tobytes(), (step, i)
+                assert opt.m.tobytes() == np.concatenate(
+                    [x.reshape(-1) for x in m]).tobytes()
+                assert opt.v.tobytes() == np.concatenate(
+                    [x.reshape(-1) for x in v]).tobytes()
+
+    def test_tagger_step_allocates_no_array(self):
+        rng = np.random.default_rng(6)
+        params = _tagger_params(rng, 16, 384, 768, 17)
+        total = sum(p.size for p in params)
+        itemsize = params[0].data.itemsize
+        _random_grads(params, rng)
+        tracemalloc.start()
+        try:
+            opt = Adam(params, lr=1e-3)
+            opt.step()
+            owned = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert total > 1_500_000
+        assert owned <= (2 * total + 2 * T.BLOCK) * itemsize + 64 * 1024
+        assert peak < 64 * 1024
+
+    def test_mixed_dtypes_rejected(self):
+        params = [Tensor(np.zeros(3, np.float32), requires_grad=True),
+                  Tensor(np.zeros(3, np.float64), requires_grad=True)]
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam(params)
+
+    @pytest.mark.parametrize("data", [np.zeros((4, 3)).T, np.zeros(8)[::2]],
+                             ids=["transposed", "strided"])
+    def test_non_contiguous_data_rejected(self, data):
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            Adam([Tensor(np.zeros(2), requires_grad=True),
+                  Tensor(data, requires_grad=True)])
+
+    def test_empty_list_steps_as_a_no_op(self):
+        opt = Adam([])
+        opt.step()
+        opt.zero_grad()
+        assert opt.t == 1
 
 
 class TestFit:
