@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -416,9 +417,9 @@ def _task_kwargs(name: str, params: dict, seed: int) -> dict:
     kwargs = {"seed": seed, **params} if "seed" in TASKS[name].params \
         else dict(params)
     for key, low in _MINIMUM.items():
-        if not kwargs.get(key, low) >= low:
+        if not low <= kwargs.get(key, low) < math.inf:
             raise ConfigError(f"task {name!r} parameter {key!r} must be "
-                              f">= {low}, got {kwargs[key]!r}")
+                              f"finite and >= {low}, got {kwargs[key]!r}")
     return kwargs
 
 

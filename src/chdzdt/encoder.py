@@ -21,7 +21,17 @@ from . import tensor as T
 from .chartok import CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
 from .fileio import atomic_write, config_from_dict
-from .tensor import Tensor, dropout, embedding, gelu, layer_norm, linear, softmax
+from .tensor import (
+    Tensor,
+    attention_context,
+    attention_scores,
+    dropout,
+    embedding,
+    gelu,
+    layer_norm,
+    linear,
+    softmax,
+)
 
 MAGIC = b"CHDZ"
 FORMAT_VERSION = 1
@@ -159,30 +169,27 @@ def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
     attn_mask = np.asarray(attn_mask)
     if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
         raise ConfigError(f"expected ids of shape [B, {cfg.seq_len}], got {ids.shape}")
+    if attn_mask.shape != ids.shape:
+        raise ConfigError(f"attention mask of shape {attn_mask.shape} does "
+                          f"not match ids of shape {ids.shape}")
     if train_mode and cfg.dropout > 0 and rng is None:
         raise ValueError("train_mode with dropout needs an rng")
-    b, t = ids.shape
-    d, h = cfg.hidden, cfg.n_heads
-    dh = d // h
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(cfg.hidden // cfg.n_heads)
     neg = ((attn_mask[:, None, None, :] == 0) * -1e9).astype(T.default_dtype())
 
     x = embedding(p["char_emb"], ids) + p["pos_emb"]
     for i in range(cfg.n_blocks):
         pre = f"block{i}."
-
-        def proj(which, inp):
-            return linear(inp, p[pre + f"attn_{which}_w"], p[pre + f"attn_{which}_b"])
-
-        def heads(z):
-            return z.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-
-        q, k, v = heads(proj("q", x)), heads(proj("k", x)), heads(proj("v", x))
-        attn = softmax(q @ k.transpose(0, 1, 3, 2), axis=-1, scale=scale, add=neg)
+        scores = attention_scores(x, p[pre + "attn_q_w"], p[pre + "attn_q_b"],
+                                  p[pre + "attn_k_w"], p[pre + "attn_k_b"],
+                                  cfg.n_heads)
+        attn = softmax(scores, axis=-1, scale=scale, add=neg)
         if train_mode:
             attn = dropout(attn, cfg.dropout, rng)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-        ctx = proj("o", ctx)
+        # x's gradient gathers its shares in the order residual, q, k, v,
+        # as in the former chain of one node per op
+        v = linear(x, p[pre + "attn_v_w"], p[pre + "attn_v_b"])
+        ctx = attention_context(attn, v, p[pre + "attn_o_w"], p[pre + "attn_o_b"])
         if train_mode:
             ctx = dropout(ctx, cfg.dropout, rng)
         x = layer_norm(x + ctx, p[pre + "ln1_g"], p[pre + "ln1_b"])

@@ -44,8 +44,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.log_every < 1:
             raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
@@ -167,15 +167,18 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
     steps_per_epoch = math.ceil(len(examples) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     step = 0
+    # words and start time of the steps since the last record
+    window_words, window_start = 0, None
     for epoch in range(1, cfg.epochs + 1):
         erng = np.random.default_rng([cfg.seed, epoch])
         order = erng.permutation(len(examples))
         for start in range(0, len(examples), cfg.batch_size):
             step += 1
+            if window_start is None:
+                window_start = time.perf_counter()
             chunk = order[start:start + cfg.batch_size]
             batch = mask_batch([examples[i] for i in chunk],
                                cfg.mask_ratio, erng)
-            t0 = time.perf_counter()
             total, mlm, multilabel = batch_loss(
                 state, batch, train_mode=True, rng=erng)
             if not np.isfinite(total.data).all():
@@ -185,8 +188,9 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
             opt.zero_grad()
             total.backward()
             opt.step()
-            elapsed = time.perf_counter() - t0
+            window_words += len(chunk)
             if step % cfg.log_every == 0 or step == total_steps:
+                elapsed = time.perf_counter() - window_start
                 records.append({
                     "step": step,
                     "epoch": epoch,
@@ -194,8 +198,9 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
                     "multilabel": float(multilabel.data),
                     "total": float(total.data),
                     "lr": opt.lr,
-                    "samples_per_sec": len(chunk) / max(elapsed, 1e-9),
+                    "samples_per_sec": window_words / max(elapsed, 1e-9),
                 })
+                window_words, window_start = 0, None
                 print(f"epoch {epoch} step {step} "
                       f"total {float(total.data):.4f}", file=sys.stderr)
     if not state.check_finite():

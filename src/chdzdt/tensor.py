@@ -8,8 +8,11 @@ reference counting frees it. Inside ``no_grad`` no op records a graph.
 
 The encoder's layers are single nodes with hand-written backward passes:
 ``linear`` (x @ w + b as 2-D GEMMs over all leading rows), ``layer_norm``,
-``softmax`` (with an optional scale and constant additive mask), ``gelu``
-and the BiGRU's ``gru_sequence``.
+``softmax`` (with an optional scale and constant additive mask), ``gelu``,
+``dropout``, the BiGRU's ``gru_sequence`` and attention in two nodes:
+``attention_scores`` (the q and k projections and the per-head q @ kᵀ)
+and ``attention_context`` (the weights applied to the heads of v, the
+head merge and the output projection).
 
 ``Adam`` updates its parameters in place through flat moment buffers, a
 block of at most ``BLOCK`` floats per pass of its formula; a step
@@ -202,8 +205,12 @@ class Tensor:
 
         def backward():
             g = out.grad
-            self._acc(self._unbroadcast(g * other.data, self.data.shape), owned=True)
-            other._acc(self._unbroadcast(g * self.data, other.data.shape), owned=True)
+            if self.requires_grad:
+                self._acc(self._unbroadcast(g * other.data, self.data.shape),
+                          owned=True)
+            if other.requires_grad:
+                other._acc(self._unbroadcast(g * self.data, other.data.shape),
+                           owned=True)
 
         out = self._result(out_data, (self, other), backward)
         return out
@@ -352,8 +359,12 @@ class Tensor:
 
         def backward():
             g = out.grad
-            self._acc(self._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape), owned=True)
-            other._acc(self._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape), owned=True)
+            if self.requires_grad:
+                self._acc(self._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+                          owned=True)
+            if other.requires_grad:
+                other._acc(self._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape),
+                           owned=True)
 
         out = self._result(out_data, (self, other), backward)
         return out
@@ -487,11 +498,99 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
+def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
+                     bk: Tensor, n_heads: int) -> Tensor:
+    """Per-head q @ kᵀ, [b, h, t, t], of x [b, t, d] as one node, with
+    q = linear(x, wq, bq) and k = linear(x, wk, bk) split into n_heads
+    heads of d / n_heads columns.
+
+    Unscaled: the softmax after it applies 1/sqrt(d_head). The backward
+    accumulates x's gradient from q before k.
+    """
+    if x.ndim != 3 or n_heads < 1 or x.shape[-1] % n_heads:
+        raise ValueError(f"attention_scores: input {x.shape} does not split "
+                         f"into {n_heads} heads")
+    b, t, d = x.shape
+    for w, bias in ((wq, bq), (wk, bk)):
+        if w.shape != (d, d) or bias.shape != (d,):
+            raise ValueError(f"attention_scores: weight {w.shape} and bias "
+                             f"{bias.shape} do not fit width {d}")
+    x2 = x.data.reshape(-1, d)
+
+    def heads(w, bias):
+        return (x2 @ w.data + bias.data).reshape(b, t, n_heads, -1) \
+            .transpose(0, 2, 1, 3)
+
+    qh, kh = heads(wq, bq), heads(wk, bk)
+    out_data = qh @ kh.transpose(0, 1, 3, 2)
+
+    def backward():
+        g = out.grad
+        # per-head products, then back to [b*t, d] rows
+        gq = (g @ kh).transpose(0, 2, 1, 3).reshape(-1, d)
+        gk = (np.swapaxes(qh, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(-1, d)
+        for w, bias, gz in ((wq, bq, gq), (wk, bk, gk)):
+            if w.requires_grad:
+                w._acc(x2.T @ gz, owned=True)
+            if bias.requires_grad:
+                bias._acc(gz.sum(axis=0), owned=True)
+            if x.requires_grad:
+                x._acc((gz @ w.data.T).reshape(x.shape), owned=True)
+
+    out = Tensor._result(out_data, (x, wq, bq, wk, bk), backward)
+    return out
+
+
+def attention_context(attn: Tensor, v: Tensor, wo: Tensor, bo: Tensor) -> Tensor:
+    """attn [b, h, t, t] applied to the heads of v [b, t, d], heads merged
+    and projected by wo, bo: [b, t, d], as one node.
+
+    Its inputs are listed attn before v, so a backward runs the node that
+    made v after the nodes behind attn.
+    """
+    if attn.ndim != 4 or v.ndim != 3:
+        raise ValueError(f"attention_context expects [b, h, t, t] weights and "
+                         f"[b, t, d] values, got {attn.shape} and {v.shape}")
+    b, h, t, _ = attn.shape
+    d = v.shape[-1]
+    if attn.shape != (b, h, t, t) or v.shape[:2] != (b, t) or d % h \
+            or wo.shape != (d, d) or bo.shape != (d,):
+        raise ValueError(f"attention_context: weights {attn.shape}, values "
+                         f"{v.shape}, wo {wo.shape} and bo {bo.shape} do not fit")
+    vh = v.data.reshape(b, t, h, -1).transpose(0, 2, 1, 3)
+    ctx = (attn.data @ vh).transpose(0, 2, 1, 3).reshape(-1, d)
+    out_data = (ctx @ wo.data + bo.data).reshape(b, t, d)
+
+    def backward():
+        g = out.grad.reshape(-1, d)
+        if wo.requires_grad:
+            wo._acc(ctx.T @ g, owned=True)
+        if bo.requires_grad:
+            bo._acc(g.sum(axis=0), owned=True)
+        # the merged gradient split back into heads: a strided view
+        gh = (g @ wo.data.T).reshape(b, t, h, -1).transpose(0, 2, 1, 3)
+        if attn.requires_grad:
+            attn._acc(gh @ np.swapaxes(vh, -1, -2), owned=True)
+        if v.requires_grad:
+            v._acc((np.swapaxes(attn.data, -1, -2) @ gh).transpose(0, 2, 1, 3)
+                   .reshape(v.shape), owned=True)
+
+    out = Tensor._result(out_data, (attn, v, wo, bo), backward)
+    return out
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """x times a keep mask drawn from rng, 1/(1-p) with probability 1-p and
+    0 otherwise, as one node; x itself when p <= 0."""
     if p <= 0.0:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return x * Tensor(keep)
+
+    def backward():
+        x._acc(out.grad * keep, owned=True)
+
+    out = Tensor._result(x.data * keep, (x,), backward)
+    return out
 
 
 def softmax_ce(logits: Tensor, target_ids) -> Tensor:

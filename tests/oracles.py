@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (python loops, math.fsum, central
 finite differences) and shares no code with the package, so agreement
-between the two routes is meaningful.
+between the two routes is meaningful. The exception is the composite
+attention chain, the encoder's former graph of one engine node per op,
+kept to check the fused attention nodes against byte for byte.
 """
 
 import json
@@ -13,6 +15,8 @@ import unicodedata
 from collections import Counter
 
 import numpy as np
+
+from chdzdt.tensor import linear, softmax
 
 
 def finite_diff_max_rel_err(build_loss, params, rng, n_samples=20, h=1e-4):
@@ -301,3 +305,47 @@ def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
         step *= lr
         step /= denom
         p.data -= step
+
+
+def composite_attention_scores(x, wq, bq, wk, bk, n_heads):
+    """Per-head q @ kᵀ as the encoder once built it: two linear nodes,
+    two head reshapes, three transposes and a Tensor.matmul."""
+    b, t, d = x.shape
+
+    def heads(z):
+        return z.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    return heads(linear(x, wq, bq)) @ heads(linear(x, wk, bk)).transpose(0, 1, 3, 2)
+
+
+def composite_attention_context(attn, v, wo, bo):
+    """attn @ the heads of v, merged and projected, as the encoder once
+    built it: the head reshape and transpose of v, a Tensor.matmul, the
+    merging transpose and reshape, and a linear node."""
+    b, h, t, _ = attn.shape
+    d = v.shape[-1]
+    vh = v.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
+    return linear((attn @ vh).transpose(0, 2, 1, 3).reshape(b, t, d), wo, bo)
+
+
+def composite_dropout(x, p, rng):
+    """x times a constant keep-mask leaf, drawn as the engine draws it."""
+    if p <= 0.0:
+        return x
+    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    return x * keep
+
+
+def composite_attention(x, w, n_heads, add, p, rng):
+    """An encoder block's attention output before its residual, in the
+    former 18-node chain: scores, the scaled and masked softmax, dropout,
+    the v projection, the context and its dropout. w maps q, k, v, o to
+    (weight, bias) Tensors; add is the softmax's constant mask and p the
+    dropout rate, drawn from rng."""
+    scores = composite_attention_scores(x, *w["q"], *w["k"], n_heads)
+    attn = softmax(scores, axis=-1,
+                   scale=1.0 / math.sqrt(x.shape[-1] // n_heads), add=add)
+    attn = composite_dropout(attn, p, rng)
+    v = linear(x, *w["v"])
+    return composite_dropout(composite_attention_context(attn, v, *w["o"]),
+                             p, rng)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -1034,6 +1035,8 @@ BOUND_CASES = [
     ("pos", [], {"gru_hidden": 0}, "gru_hidden"),
     ("sa", [], {"dense_dim": 0}, "dense_dim"),
     ("pos", ["--epochs", -1], {}, "epochs"),
+    ("probe", ["--lr", "inf"], {}, "lr"),
+    ("compose", [], {"lr": math.inf}, "lr"),
 ]
 
 
@@ -1054,6 +1057,19 @@ class TestParamBounds:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
         assert not list(tmp_path.glob("o.json*"))
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_pretrain_lr_exits_two(self, ws, lexicon, tmp_path,
+                                              capsys, lr):
+        # it used to train a step and exit 3 on the non-finite loss
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--out", out, "--lr", lr,
+                   "--epochs", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "lr" in captured.err
+        assert "step" not in captured.err and not captured.out
+        assert not list(tmp_path.glob("o.ckpt*"))
 
     @pytest.mark.parametrize("where", ["flag", "model_config"])
     def test_negative_pretrain_seed_exits_two(self, ws, lexicon, tmp_path,

@@ -110,6 +110,16 @@ class TestForward:
             # PAD columns carry exactly zero weight
             assert not attn[..., tok.attention_mask == 0].any()
 
+    def test_mask_shape_other_than_ids_rejected(self):
+        # a [1, T] mask used to broadcast over the whole batch
+        state = small_state()
+        toks = [encode_word(VOC, w, max_chars=6) for w in ("ab", "dar")]
+        ids = np.stack([tok.ids for tok in toks])
+        for mask in (toks[0].attention_mask[None], toks[0].attention_mask,
+                     np.ones((2, 6), dtype=np.int64)):
+            with pytest.raises(ConfigError, match="attention mask"):
+                forward_batch(state, ids, mask)
+
     def test_label_probs_in_open_interval(self):
         state = small_state()
         probs = forward_one(state, encode_word(VOC, "abc", max_chars=6))[2].data

@@ -1,10 +1,11 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from chdzdt import cli
+from chdzdt import cli, encoder, pretrain
 from chdzdt import tensor as T
 from chdzdt.chartok import CLS_ID, MASK_ID, PAD_ID, build_vocab, encode_word
 from chdzdt.encoder import (
@@ -25,7 +26,13 @@ from chdzdt.pretrain import (
 )
 from chdzdt.preprocess import LexiconEntry, write_lexicon
 
-from oracles import finite_diff_max_rel_err, per_tensor_checkpoint_bytes
+from oracles import (
+    composite_attention_context,
+    composite_attention_scores,
+    composite_dropout,
+    finite_diff_max_rel_err,
+    per_tensor_checkpoint_bytes,
+)
 
 VOC = build_vocab([(97, 122)])  # a-z
 
@@ -72,6 +79,11 @@ class TestTrainConfig:
     def test_wrong_field_type_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr"):
+            TrainConfig(lr=lr)
 
     def test_int_accepted_for_float_field(self):
         assert TrainConfig.from_dict({"lr": 1}).lr == 1
@@ -214,7 +226,7 @@ class TestBatchLoss:
 
     def test_training_graph_size_is_pinned(self):
         # the toy recipe N2-H2-d16 at B=16 with dropout: 2 embedding nodes,
-        # 26 per block and 8 for the heads and losses. Every node costs
+        # 14 per block and 8 for the heads and losses. Every node costs
         # Python time in forward and backward, so a change that grows the
         # graph must update this count on purpose.
         cfg = ModelConfig(vocab_size=VOC.size, n_blocks=2, n_heads=2,
@@ -232,8 +244,43 @@ class TestBatchLoss:
                 seen.add(id(node))
                 ops += bool(node._prev)
                 stack.extend(node._prev)
-        assert ops == 62
+        assert ops == 38
         total._unlink()
+
+    def test_twelve_steps_match_the_composite_attention_chain(self,
+                                                             monkeypatch):
+        # the toy recipe with dropout, 12 steps of 16 words: the fused
+        # attention and dropout nodes leave the weights byte-equal to the
+        # former one-node-per-op chain
+        from universe import make_universe
+
+        from chdzdt.chartok import default_vocab
+
+        voc = default_vocab()
+        lexicon = make_universe()[0][:96]
+        mc = ModelConfig(vocab_size=voc.size, n_blocks=2, n_heads=2,
+                         hidden=16, dropout=0.1, seed=0)
+        tc = TrainConfig(epochs=2, batch_size=16, seed=7)
+        fused, records = train(lexicon, mc, tc, voc)
+        assert records[-1]["step"] == 12
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name, fn in (("attention_scores", composite_attention_scores),
+                         ("attention_context", composite_attention_context),
+                         ("dropout", composite_dropout)):
+            monkeypatch.setattr(encoder, name, counted(fn))
+        oracle, _ = train(lexicon, mc, tc, voc)
+        # per step and block: scores, context and three dropouts
+        assert len(calls) == 12 * 2 * 5
+        assert fused.flat.tobytes() == oracle.flat.tobytes()
+        assert fused.flat.tobytes() != \
+            EncoderState.init(mc, voc).flat.tobytes()
 
 
 class TestTrain:
@@ -303,6 +350,29 @@ class TestTrain:
             for key in ("step", "epoch", "mlm", "multilabel", "total",
                         "lr", "samples_per_sec"):
                 assert key in row
+
+    def test_samples_per_sec_is_a_windowed_rate(self, monkeypatch):
+        # a fake clock on which each mask_batch takes 1 s and each Adam
+        # step 2 s: a record's window of k steps spans 3k s
+        clock = [0.0]
+
+        def ticking(fn, seconds):
+            def wrapper(*args, **kwargs):
+                clock[0] += seconds
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pretrain, "time",
+                            types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(pretrain, "mask_batch",
+                            ticking(pretrain.mask_batch, 1.0))
+        monkeypatch.setattr(T.Adam, "step", ticking(T.Adam.step, 2.0))
+        tc = TrainConfig(epochs=2, batch_size=4, seed=5, log_every=2)
+        _, records = train(toy_lexicon(10), ModelConfig(**self.CFG), tc, VOC)
+        # three steps per epoch, of 4, 4 and 2 words
+        assert [r["step"] for r in records] == [2, 4, 6]
+        assert [r["samples_per_sec"] for r in records] == [8 / 6, 6 / 6,
+                                                           6 / 6]
 
     def test_non_finite_loss_aborts_with_step_and_batch(self):
         mc = ModelConfig(**self.CFG)

@@ -31,6 +31,8 @@ from chdzdt.tensor import (
 
 from oracles import (
     brute_gru_states,
+    composite_attention,
+    composite_dropout,
     composite_gelu,
     composite_layer_norm,
     composite_linear,
@@ -61,6 +63,24 @@ class TestMatmul:
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("op", ["mul", "matmul"])
+    @pytest.mark.parametrize("constant_first", [True, False])
+    def test_constant_operand_gets_no_gradient_product(self, op,
+                                                       constant_first):
+        # the product a constant's gradient would need overflows here, so
+        # computing it at all raises
+        x = t(np.full((2, 2), 1e300))
+        c = t(np.full((2, 2), 1e-300), grad=False)
+        pair = (c, x) if constant_first else (x, c)
+        out = pair[0] * pair[1] if op == "mul" else pair[0] @ pair[1]
+        with np.errstate(over="raise"):
+            (out * 1e10).sum().backward()
+        assert c.grad is None
+        g = np.full((2, 2), 1e10)
+        want = g * c.data if op == "mul" else \
+            (c.data.T @ g if constant_first else g @ c.data.T)
+        np.testing.assert_array_equal(x.grad, want)
 
 
 class TestLayerNorm:
@@ -845,6 +865,135 @@ class TestFusedOps:
             outs = [layer_norm(x, gain, bias), softmax(x), gelu(x),
                     linear(x, w, b), x / gain]
         assert all(o._prev == () and not o.requires_grad for o in outs)
+
+
+class TestAttentionNodes:
+    """attention_scores, attention_context and dropout against the former
+    chain of one node per op (oracles.composite_attention), byte for byte,
+    and against finite differences."""
+
+    @staticmethod
+    def _block(dtype, n_heads, seed=50):
+        """x, the q/k/v/o (weight, bias) pairs, a ragged PAD mask and a
+        loss mix, of width 8 over 3 words of 6 positions."""
+        rng = np.random.default_rng(seed)
+
+        def leaf(*shape):
+            return Tensor(rng.normal(size=shape).astype(dtype),
+                          requires_grad=True)
+
+        x = leaf(3, 6, 8)
+        w = {name: (leaf(8, 8), leaf(8)) for name in "qkvo"}
+        lengths = np.array([6, 3, 1])
+        add = np.where(np.arange(6)[None, :] < lengths[:, None], 0.0,
+                       -1e9)[:, None, None, :].astype(dtype)
+        return x, w, add, rng.normal(size=(3, 6, 8)).astype(dtype)
+
+    @staticmethod
+    def _fused(x, w, n_heads, add, p, rng):
+        scores = T.attention_scores(x, *w["q"], *w["k"], n_heads)
+        attn = softmax(scores, axis=-1,
+                       scale=1.0 / math.sqrt(x.shape[-1] // n_heads), add=add)
+        attn = dropout(attn, p, rng)
+        v = linear(x, *w["v"])
+        return dropout(T.attention_context(attn, v, *w["o"]), p, rng)
+
+    @pytest.mark.parametrize("p", [0.0, 0.25], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_composite_chain(self, dtype, n_heads, p):
+        def run(attention):
+            with T.precision(dtype):
+                x, w, add, mix = self._block(dtype, n_heads)
+                # the residual sum of a block, so x's gradient gathers
+                # four shares as in the encoder
+                out = x + attention(x, w, n_heads, add, p,
+                                    np.random.default_rng(7))
+                (out * mix).sum().backward()
+            leaves = [x] + [t for name in "qkvo" for t in w[name]]
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+        fused, composite = run(self._fused), run(composite_attention)
+        names = ["out", "x"] + [f"{name}_{part}" for name in "qkvo"
+                                for part in ("w", "b")]
+        assert [n for n, a, b in zip(names, fused, composite) if a != b] == []
+
+    def test_scores_finite_differences(self):
+        with T.precision("float64"):
+            x, w, _, _ = self._block(np.float64, 2, seed=51)
+            mix = np.random.default_rng(52).normal(size=(3, 2, 6, 6))
+            wq, bq = w["q"]
+            wk, bk = w["k"]
+
+            def build():
+                return (T.attention_scores(x, wq, bq, wk, bk, 2) * mix).sum()
+
+            for param in (x, wq, bq, wk, bk):
+                TestFusedOps._fd(build, param)
+
+    def test_context_finite_differences(self):
+        with T.precision("float64"):
+            rng = np.random.default_rng(53)
+            attn = Tensor(rng.uniform(size=(3, 2, 6, 6)), requires_grad=True)
+            v, w, _, mix = self._block(np.float64, 2, seed=54)
+            wo, bo = w["o"]
+
+            def build():
+                return (T.attention_context(attn, v, wo, bo) * mix).sum()
+
+            for param in (attn, v, wo, bo):
+                TestFusedOps._fd(build, param)
+
+    def test_dropout_finite_differences(self):
+        with T.precision("float64"):
+            x, mix = TestFusedOps._inputs(55, (4, 5), (4, 5))
+            TestFusedOps._fd(lambda: (dropout(x, 0.3, np.random.default_rng(9))
+                                      * mix).sum(), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_bytes_match_keep_leaf(self, dtype):
+        def run(drop):
+            with T.precision(dtype):
+                rng = np.random.default_rng(56)
+                x = Tensor(rng.normal(size=(3, 4, 5)).astype(dtype),
+                           requires_grad=True)
+                mix = rng.normal(size=(3, 4, 5)).astype(dtype)
+                out = drop(x, 0.4, np.random.default_rng(8))
+                (out * mix).sum().backward()
+            return out.data.tobytes(), x.grad.tobytes()
+
+        assert run(dropout) == run(composite_dropout)
+
+    def test_each_is_one_node(self):
+        x, w, _, _ = self._block(np.float64, 2)
+        scores = T.attention_scores(x, *w["q"], *w["k"], 2)
+        context = T.attention_context(Tensor(np.ones((3, 2, 6, 6))), x,
+                                      *w["o"])
+        dropped = dropout(x, 0.5, np.random.default_rng(0))
+        for out in (scores, context, dropped):
+            assert all(not child._prev for child in out._prev)
+        assert dropout(x, 0.0, np.random.default_rng(0)) is x
+
+    def test_no_grad_records_no_graph(self):
+        x, w, _, _ = self._block(np.float64, 2)
+        with T.no_grad():
+            scores = T.attention_scores(x, *w["q"], *w["k"], 2)
+            outs = [scores, T.attention_context(scores, x, *w["o"]),
+                    dropout(x, 0.5, np.random.default_rng(0))]
+        assert all(o._prev == () and not o.requires_grad for o in outs)
+
+    def test_shape_errors(self):
+        x, w, _, _ = self._block(np.float64, 2)
+        with pytest.raises(ValueError, match="3 heads"):
+            T.attention_scores(x, *w["q"], *w["k"], 3)
+        with pytest.raises(ValueError, match="do not fit"):
+            T.attention_scores(x, Tensor(np.ones((8, 4))), w["q"][1],
+                               *w["k"], 2)
+        attn = Tensor(np.ones((3, 2, 6, 6)))
+        with pytest.raises(ValueError, match="do not fit"):
+            T.attention_context(attn, x[:, :5], *w["o"])
+        with pytest.raises(ValueError, match="expects"):
+            T.attention_context(attn, x[0], *w["o"])
 
 
 def _graph(root):
