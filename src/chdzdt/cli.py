@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import logging
@@ -81,6 +84,22 @@ class RunManifest:
     started: str
     finished: str
     blas_threads: dict  # each BLAS thread variable as the run saw it
+    blas_kernel: str | None  # the kernel NumPy's OpenBLAS picked, if known
+
+
+@functools.cache
+def _blas_kernel() -> str | None:
+    """The kernel NumPy's bundled OpenBLAS picked for this CPU (or for
+    OPENBLAS_CORETYPE), on which a matmul's bits depend; None where that
+    library or its corename symbol is absent. Read once per process."""
+    for lib in glob.glob(os.path.join(np.__path__[0], os.pardir,
+                                      "numpy.libs", "*openblas*")):
+        corename = getattr(ctypes.CDLL(lib),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return (corename() or b"").decode("ascii", "replace") or None
+    return None
 
 
 def _utc_now() -> str:
@@ -116,7 +135,8 @@ def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
                            seed=seed, version=__version__,
                            started=started, finished=_utc_now(),
                            blas_threads={var: os.environ.get(var)
-                                         for var in BLAS_THREAD_VARS})
+                                         for var in BLAS_THREAD_VARS},
+                           blas_kernel=_blas_kernel())
     _write_json(path, asdict(manifest))
 
 
@@ -263,10 +283,15 @@ def cmd_pretrain(args) -> int:
 
 
 def _read_word_lines(source):
+    """(lines, SHA-256 of the bytes read from stdin or None) of a UTF-8
+    words file, or of stdin for '-'."""
     if source == "-":
-        data = sys.stdin.read()
-        return data.splitlines(), hashlib.sha256(
-            data.encode("utf-8")).hexdigest()
+        data = sys.stdin.buffer.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read stdin: {exc}") from exc
+        return text.splitlines(), hashlib.sha256(data).hexdigest()
     return read_text(source).splitlines(), None
 
 

@@ -1,7 +1,8 @@
 """Loaders for the evaluation file formats (UTF-8, LF, TAB-separated).
 
 Each reader but read_pos (where a blank line ends a sentence) parses its
-rows with fileio.read_rows, whose error contract read_pos keeps too.
+rows with fileio.read_rows, whose error contract read_pos keeps too. A
+word field that is empty or only whitespace makes its row malformed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def read_clusters(path):
     roots = set()
 
     def parse(fields):
-        if len(fields) < 2 or not all(fields):
+        if len(fields) < 2 or not all(map(str.strip, fields)):
             raise ValueError("expected 'root TAB member [TAB member...]'")
         if fields[0] in roots:
             raise ValueError(f"duplicate root {fields[0]!r}")
@@ -44,7 +45,7 @@ def read_tuples(path):
         raise DataError(f"{path}: tuple files must end in .star/.hash/.sim")
 
     def parse(fields):
-        if len(fields) != 2 or not all(fields):
+        if len(fields) != 2 or not all(map(str.strip, fields)):
             raise ValueError("expected 'clean TAB noisy'")
         return fields[0], fields[1]
 
@@ -54,7 +55,7 @@ def read_tuples(path):
 def read_affix_dataset(path):
     """word TAB comma-separated affix list."""
     def parse(fields):
-        if len(fields) != 2 or not fields[0]:
+        if len(fields) != 2 or not fields[0].strip():
             raise ValueError("expected 'word TAB affixes'")
         return fields[0], tuple(a for a in fields[1].split(",") if a)
 
@@ -64,7 +65,7 @@ def read_affix_dataset(path):
 def read_quadruples(path):
     """prefix TAB root TAB suffix TAB word composition rows."""
     def parse(fields):
-        if len(fields) != 4 or not all(fields):
+        if len(fields) != 4 or not all(map(str.strip, fields)):
             raise ValueError("expected 'prefix TAB root TAB suffix TAB word'")
         return tuple(fields)
 
@@ -74,7 +75,7 @@ def read_quadruples(path):
 def read_similarity(path):
     """w1 TAB w2 TAB human score."""
     def parse(fields):
-        if len(fields) != 3 or not fields[0] or not fields[1]:
+        if len(fields) != 3 or not all(map(str.strip, fields[:2])):
             raise ValueError("expected 'w1 TAB w2 TAB score'")
         (score,) = finite_floats([fields[2]], f"score {fields[2]!r}")
         return fields[0], fields[1], score
@@ -93,7 +94,7 @@ def read_pos(path):
                 current = []
             continue
         parts = line.split("\t")
-        if len(parts) != 2 or not all(parts):
+        if len(parts) != 2 or not all(map(str.strip, parts)):
             raise DataError(f"{path}:{lineno}: expected 'word TAB tag'")
         current.append((parts[0], parts[1]))
     if current:
@@ -114,7 +115,7 @@ def write_pos(path, sentences) -> None:
 def read_morph(path):
     """word TAB feature=value;feature=value rows."""
     def parse(fields):
-        if len(fields) != 2 or not all(fields):
+        if len(fields) != 2 or not all(map(str.strip, fields)):
             raise ValueError("expected 'word TAB features'")
         feats = {}
         for item in fields[1].split(";"):

@@ -1,10 +1,10 @@
 """Word-to-vector adapters: trained checkpoints and external TSV tables.
 
-The embedder contract is .dim and .embed_many(words) -> [n, d] (stable
-within a session); both adapters also have .embed(word) -> [d]. Callers
-holding a word list go through embed_rows, which batches through
-.embed_many and asks an embedder with only .embed one word at a time.
-Fine-tuned decoders need a CheckpointEmbedder; a vector table is frozen.
+The embedder contract is .dim and .embed_many(words) -> [n, dim], the
+vectors of words in order (stable within a session). embed_rows is the one
+way callers turn a word list into vectors: it asks .embed_many once for the
+distinct words and gathers their rows back into input order. Fine-tuned
+decoders need a CheckpointEmbedder; a vector table is frozen.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ TSV_HEADER_PREFIX = "#dim "
 
 
 class CheckpointEmbedder:
-    """Embeds words with a trained encoder's CLS vector, cached per word."""
+    """Embeds words with a trained encoder's CLS vector."""
 
     def __init__(self, state: EncoderState):
         self.state = state
-        self._cache: dict = {}
 
     @classmethod
     def from_file(cls, path) -> "CheckpointEmbedder":
@@ -37,22 +36,11 @@ class CheckpointEmbedder:
         return self.state.config.hidden
 
     def embed(self, word: str) -> np.ndarray:
-        return self._cached([word])[0]
+        # no program code calls this; perfbench/layers.py wraps it
+        return self.embed_many([word])[0]
 
     def embed_many(self, words) -> np.ndarray:
-        return np.array(self._cached(words)).reshape(len(words), self.dim)
-
-    def _cached(self, words) -> list:
-        """Cached vectors of words; the distinct uncached ones are encoded
-        in one batch first."""
-        missing = [w for w in dict.fromkeys(words) if w not in self._cache]
-        if missing:
-            self._cache.update(zip(missing, word_embedding(self.state, missing)))
-        return [self._cache[w] for w in words]
-
-    def invalidate(self) -> None:
-        """Drop cached vectors (call after the encoder's weights change)."""
-        self._cache.clear()
+        return word_embedding(self.state, list(words))
 
 
 class TsvEmbedder:
@@ -100,31 +88,32 @@ class TsvEmbedder:
             raise DataError(f"{path}: embedding table is empty")
         return cls(table, dim)
 
-    def embed(self, word: str) -> np.ndarray:
-        if word not in self.table:
-            raise DataError(f"word {word!r} not in embedding table")
-        return self.table[word]
-
     def embed_many(self, words) -> np.ndarray:
-        return np.array([self.embed(w) for w in words]).reshape(len(words), self.dim)
+        try:
+            rows = [self.table[w] for w in words]
+        except KeyError as exc:
+            raise DataError(f"word {exc.args[0]!r} not in embedding "
+                            "table") from None
+        return np.array(rows).reshape(len(rows), self.dim)
 
 
 def embed_rows(embedder, words, dtype) -> np.ndarray:
-    """[n, dim] vectors of words in dtype, batched through .embed_many.
+    """[n, dim] vectors of words in dtype, in input order.
 
-    Embedders with only .embed (and .dim) are asked one word at a time.
+    One .embed_many call encodes the distinct words in first-seen order; a
+    result that is not one [n_distinct, dim] array is a DataError.
     """
-    words = list(words)
-    if hasattr(embedder, "embed_many"):
-        return np.asarray(embedder.embed_many(words), dtype=dtype)
-    rows = []
-    for word in words:
-        vec = np.asarray(embedder.embed(word), dtype=dtype)
-        if vec.shape != (embedder.dim,):
-            raise DataError(f"embedding of {word!r} has shape {vec.shape}, "
-                            f"expected ({embedder.dim},)")
-        rows.append(vec)
-    return np.array(rows, dtype=dtype).reshape(len(words), embedder.dim)
+    index: dict = {}
+    rows = [index.setdefault(w, len(index)) for w in words]
+    vectors = embedder.embed_many(list(index))
+    try:
+        vectors = np.asarray(vectors, dtype=dtype)
+    except ValueError as exc:
+        raise DataError(f"embeddings of unequal lengths: {exc}") from exc
+    if vectors.shape != (len(index), embedder.dim):
+        raise DataError(f"embeddings have shape {vectors.shape}, expected "
+                        f"({len(index)}, {embedder.dim})")
+    return vectors[np.asarray(rows, dtype=np.intp)]
 
 
 def write_embeddings_tsv(path, words, vectors, dim: int) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError, NumericalError
-from .embedder import embed_rows
+from .embedder import TsvEmbedder, embed_rows
 
 logger = logging.getLogger(__name__)
 
@@ -167,6 +167,9 @@ def cluster_report(embedder, clusters: Sequence, seed: int = 0) -> dict:
     gold = [i for i, (_, members) in enumerate(clusters) for _ in members]
     if not gold:
         raise DataError("cluster_report needs at least one cluster member")
+    words = [w for root, members in clusters for w in (root, *members)]
+    embedder = TsvEmbedder(dict(zip(words, embed_rows(
+        embedder, words, np.float64))), embedder.dim)
     points = embed_rows(embedder, [w for _, members in clusters
                                    for w in members], np.float64)
     pred = kmeans(points, k=len(clusters), seed=seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..fileio import read_package_json
-from .embedder import embed_rows
+from .embedder import TsvEmbedder, embed_rows
 from .metrics import _cosines, acs, ari, kmeans
 
 MODES = ("star", "hash", "similar")
@@ -124,6 +124,12 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
             pairs, noisy_clusters[mode] = _noisy_clusters(clusters, mode,
                                                           count, seed)
             tuples.setdefault(mode, pairs)
+    words = [w for mode in MODES for pair in tuples.get(mode, ())
+             for w in pair]
+    words += [w for grouped in noisy_clusters.values()
+              for root, noisy in grouped if noisy for w in (root, *noisy)]
+    embedder = TsvEmbedder(dict(zip(words, embed_rows(
+        embedder, words, np.float64))), embedder.dim)
     report: dict = {"count": count, "tuple_acs": {}, "cluster": {}}
     for mode in MODES:
         if mode not in tuples:

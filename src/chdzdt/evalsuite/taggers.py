@@ -43,8 +43,7 @@ def _word_rows(embedder, words, mode: str):
 
     Frozen vectors are embedded once and rows() returns that constant. In
     finetune mode each rows() call is a forward pass with a graph, so the
-    loss reaches the encoder; it drops the embedder's cached vectors,
-    which the step after it makes stale.
+    loss reaches the encoder.
     """
     words = sorted(set(words))
     row = {w: i for i, w in enumerate(words)}
@@ -56,12 +55,7 @@ def _word_rows(embedder, words, mode: str):
             for w in words]
     ids = np.stack([t.ids for t in toks])
     mask = np.stack([t.attention_mask for t in toks])
-
-    def rows() -> T.Tensor:
-        embedder.invalidate()
-        return forward_batch(state, ids, mask)[1]
-
-    return row, rows, state.parameters()
+    return row, lambda: forward_batch(state, ids, mask)[1], state.parameters()
 
 
 def _dense_params(d_in: int, d_out: int, rng):

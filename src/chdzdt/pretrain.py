@@ -182,6 +182,7 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
             total, mlm, multilabel = batch_loss(
                 state, batch, train_mode=True, rng=erng)
             if not np.isfinite(total.data).all():
+                total._unlink()
                 bad = [words[i] for i in chunk]
                 raise NumericalError(
                     f"non-finite loss at step {step} on batch {bad}")

@@ -51,8 +51,8 @@ class TableEmbedder:
         self.table = table
         self.dim = len(next(iter(table.values())))
 
-    def embed(self, word):
-        return np.asarray(self.table[word], dtype=np.float64)
+    def embed_many(self, words):
+        return [np.asarray(self.table[w], dtype=np.float64) for w in words]
 
 
 def strip_timing(records):

@@ -88,6 +88,12 @@ def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def _stdin(data: bytes, errors: str = "strict"):
+    """A text stdin over data, with the byte buffer a real one has."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                            errors=errors)
+
+
 def console_script(name: str) -> str:
     """The value of `name` in pyproject.toml's `[project.scripts]`."""
     text = PYPROJECT.read_text(encoding="utf-8")
@@ -316,6 +322,7 @@ class TestPretrain:
         assert manifest["config"]["model"]["hidden"] == 8
         assert manifest["seed"] == 0
         assert manifest["version"] == chdzdt.__version__
+        assert manifest["blas_kernel"] == cli._blas_kernel()
 
     def test_checkpoint_bytes_independent_of_blas_env(self, tmp_path):
         # At d16 on the 500-word lexicon, a host with more than one core
@@ -347,6 +354,29 @@ class TestPretrain:
         assert runs["unset"][0] == runs["one"][0]
         assert runs["unset"][1] == runs["one"][1] == pinned
         assert runs["two"][1] == {**pinned, "OPENBLAS_NUM_THREADS": "2"}
+
+    def test_manifest_records_the_blas_kernel(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_CORETYPE when NumPy loads, so the
+        # forced kernel needs a process of its own
+        if cli._blas_kernel() is None:
+            pytest.skip("NumPy's OpenBLAS does not name its kernel")
+        lexicon = tmp_path / "lex.tsv"
+        write_lexicon(make_universe()[0][:20], lexicon)
+        code = RUN_ENTRY_POINT.format(value=console_script("chdzdt"))
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(chdzdt.__file__).parents[1]), env.get("PYTHONPATH")]))
+        out = tmp_path / "m.ckpt"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "pretrain", "--lexicon",
+             str(lexicon), "--out", str(out), "--hidden", "8",
+             "--n-heads", "1", "--n-blocks", "1", "--epochs", "0"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**env, "OPENBLAS_CORETYPE": "Haswell"})
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert manifest["blas_kernel"] == "Haswell"
 
     def test_epochs_zero_equals_init(self, ws, lexicon, tmp_path):
         out = tmp_path / "init.ckpt"
@@ -619,7 +649,7 @@ class TestEncode:
 
     def test_empty_input_writes_header_only(self, ckpt, tmp_path,
                                             monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("\n\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(b"\n\n"))
         out = tmp_path / "emb.tsv"
         assert run("encode", "--ckpt", ckpt, "--words", "-",
                    "--out", out) == 0
@@ -628,7 +658,7 @@ class TestEncode:
     def test_skips_are_warned_and_counted(self, ckpt, tmp_path, monkeypatch,
                                           caplog):
         monkeypatch.setattr("sys.stdin",
-                            io.StringIO("dog\ndog\ntwo words\ncat\n"))
+                            _stdin(b"dog\ndog\ntwo words\ncat\n"))
         out = tmp_path / "emb.tsv"
         assert run("encode", "--ckpt", ckpt, "--words", "-",
                    "--out", out) == 0
@@ -641,6 +671,29 @@ class TestEncode:
             (tmp_path / "emb.tsv.manifest.json").read_text())
         assert manifest["config"]["n_written"] == 2
         assert manifest["config"]["n_skipped"] == 2
+
+    def test_stdin_digest_is_of_the_bytes_read(self, ckpt, tmp_path,
+                                               monkeypatch):
+        data = "wesh\r\nشمس\n".encode("utf-8")
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        out = tmp_path / "emb.tsv"
+        assert run("encode", "--ckpt", ckpt, "--words", "-",
+                   "--out", out) == 0
+        manifest = json.loads(
+            (tmp_path / "emb.tsv.manifest.json").read_text())
+        assert manifest["config"]["stdin_sha256"] == \
+            hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_stdin_not_utf8_exits_two(self, ckpt, tmp_path, monkeypatch,
+                                      capsys, errors):
+        monkeypatch.setattr("sys.stdin",
+                            _stdin(b"wesh\n\xff\xfe\n", errors=errors))
+        out = tmp_path / "emb.tsv"
+        assert run("encode", "--ckpt", ckpt, "--words", "-",
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_checkpoint_exits_two(self, tmp_path):
         assert run("encode", "--ckpt", tmp_path / "nope.ckpt",
@@ -805,6 +858,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {emb}: ") and "empty" in err
         assert not list(tmp_path.glob("sim.json*"))
+
+    @pytest.mark.parametrize("task, mode, data, line", [
+        ("morph", "frozen", "dog\tdog\tdogs\ncat\tcats\t \n", 2),
+        ("sim", "frozen", "dog\tdogs\t3\ncat\t \t2\nrun\truns\t1\n", 2),
+        ("pos", "frozen", "the\tDET\n \tNOUN\n\ndog\tNOUN\n", 2),
+        ("pos", "finetune", "the\tDET\n\ndog\tNOUN\n  \tX\n", 4)],
+        ids=["morph", "sim", "pos_frozen", "pos_finetune"])
+    def test_blank_word_field_exits_two_naming_line(self, ckpt, tmp_path,
+                                                    capsys, task, mode,
+                                                    data, line):
+        path = tmp_path / "data.tsv"
+        path.write_text(data, encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert run("eval", "--task", task, "--mode", mode, "--embedder",
+                   ckpt, "--data", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: expected")
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("content", [None, b"#dim 2\nqalb\t1.0 0.5\n\xff\n"],
                              ids=["missing", "invalid_utf8"])

@@ -32,8 +32,8 @@ class ConstantEmbedder:
 
     dim = 3
 
-    def embed(self, word):
-        return np.array([1.0, 2.0, 2.0])
+    def embed_many(self, words):
+        return [np.array([1.0, 2.0, 2.0]) for _ in words]
 
 
 class FirstCharEmbedder:
@@ -41,10 +41,11 @@ class FirstCharEmbedder:
 
     dim = 64
 
-    def embed(self, word):
-        vec = np.zeros(64)
-        vec[ord(word[0]) % 64] = 1.0
-        return vec
+    def embed_many(self, words):
+        vecs = np.zeros((len(words), 64))
+        for vec, word in zip(vecs, words):
+            vec[ord(word[0]) % 64] = 1.0
+        return vecs
 
 
 class HashEmbedder:
@@ -53,9 +54,10 @@ class HashEmbedder:
     def __init__(self, dim=8):
         self.dim = dim
 
-    def embed(self, word):
-        seed = sum(ord(c) * (i + 1) for i, c in enumerate(word)) % (2**31)
-        return np.random.default_rng(seed).normal(size=self.dim)
+    def embed_many(self, words):
+        return [np.random.default_rng(
+            sum(ord(c) * (i + 1) for i, c in enumerate(word)) % (2**31)
+        ).normal(size=self.dim) for word in words]
 
 
 class TestTsvEmbedder:
@@ -69,7 +71,7 @@ class TestTsvEmbedder:
         emb = TsvEmbedder.from_file(path)
         assert emb.dim == 3 and not isinstance(emb, CheckpointEmbedder)
         for word, vec in zip(words, vectors):
-            np.testing.assert_array_equal(emb.embed(word), vec)
+            np.testing.assert_array_equal(emb.embed_many([word])[0], vec)
         np.testing.assert_array_equal(emb.embed_many(words[::-1]),
                                       np.stack(vectors[::-1]))
         assert emb.embed_many([]).shape == (0, 3)
@@ -144,7 +146,7 @@ class TestTsvEmbedder:
         write_embeddings_tsv(path, ["a"], [np.zeros(2)], dim=2)
         emb = TsvEmbedder.from_file(path)
         with pytest.raises(DataError, match="'b'"):
-            emb.embed("b")
+            emb.embed_many(["a", "b"])
 
 
 @pytest.fixture(scope="module")
@@ -170,15 +172,6 @@ class TestCheckpointEmbedder:
         write_embeddings_tsv(path, ["a"], [np.zeros(2)], dim=2)
         assert isinstance(load_embedder(path), TsvEmbedder)
 
-    def test_cache_and_invalidate(self, ckpt):
-        emb = load_embedder(ckpt)
-        first = emb.embed("cat")
-        assert emb.embed("cat") is first
-        emb.invalidate()
-        again = emb.embed("cat")
-        assert again is not first
-        np.testing.assert_array_equal(again, first)
-
     def test_embed_many_matches_embed(self, ckpt):
         words = ["dog", "cat", "dog", "running", "cat"]
         rows = load_embedder(ckpt).embed_many(words)
@@ -187,7 +180,44 @@ class TestCheckpointEmbedder:
             rows, np.stack([single.embed(w) for w in words]))
         assert load_embedder(ckpt).embed_many([]).shape == (0, 8)
 
-    def test_embed_many_encodes_only_uncached_words(self, ckpt, monkeypatch):
+
+class TestEmbedRows:
+    def test_one_call_over_distinct_words_in_input_order(self):
+        calls = []
+
+        class Spy(HashEmbedder):
+            def embed_many(self, words):
+                calls.append(list(words))
+                return super().embed_many(words)
+
+        rows = embed_rows(Spy(), ["cd", "ab", "cd"], np.float32)
+        assert calls == [["cd", "ab"]]
+        assert rows.dtype == np.float32 and rows.shape == (3, 8)
+        distinct = np.asarray(HashEmbedder().embed_many(["cd", "ab"]),
+                              dtype=np.float32)
+        np.testing.assert_array_equal(rows, distinct[[0, 1, 0]])
+
+    def test_ragged_vectors_rejected(self):
+        emb = HashEmbedder()
+        emb.embed_many = lambda words: [np.zeros(8), np.zeros(7)]
+        with pytest.raises(DataError, match="unequal"):
+            embed_rows(emb, ["ab", "cd"], np.float64)
+
+    def test_wrong_vector_shape_rejected(self):
+        emb = ConstantEmbedder()
+        emb.dim = 5
+        with pytest.raises(DataError, match="shape"):
+            embed_rows(emb, ["ab"], np.float64)
+
+
+class TestOneEncodePerTask:
+    """Each task encodes each distinct word it reads once, in one call."""
+
+    CLUSTERS = [("dog", ["dog", "dogs", "doggy"]), ("cat", ["cats", "cat"]),
+                ("run", ["runs", "ran", "running"])]
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
         import chdzdt.evalsuite.embedder as E
         batches = []
 
@@ -196,26 +226,41 @@ class TestCheckpointEmbedder:
             return E.encode_words(state, words)
 
         monkeypatch.setattr(E, "word_embedding", spy)
-        emb = load_embedder(ckpt)
-        emb.embed("cat")
-        emb.embed_many(["dog", "cat", "dog", "ran"])
-        emb.embed_many(["ran", "cat"])
-        assert batches == [["cat"], ["dog", "ran"]]
+        return batches
 
+    @staticmethod
+    def assert_one_batch_of(batches, words):
+        assert len(batches) == 1
+        assert sorted(batches[0]) == sorted(set(words))
 
-class TestEmbedRows:
-    def test_per_word_fallback_for_embed_only_objects(self):
-        rows = embed_rows(HashEmbedder(), ["ab", "cd"], np.float32)
-        assert rows.dtype == np.float32 and rows.shape == (2, 8)
-        np.testing.assert_array_equal(
-            rows[1], HashEmbedder().embed("cd").astype(np.float32))
-        assert embed_rows(HashEmbedder(), [], np.float64).shape == (0, 8)
+    def test_cluster_report(self, ckpt, batches):
+        from chdzdt.evalsuite.metrics import cluster_report
 
-    def test_wrong_vector_shape_rejected(self):
-        emb = ConstantEmbedder()
-        emb.dim = 5
-        with pytest.raises(DataError, match="shape"):
-            embed_rows(emb, ["ab"], np.float64)
+        cluster_report(load_embedder(ckpt), self.CLUSTERS)
+        self.assert_one_batch_of(batches, [w for root, members in self.CLUSTERS
+                                           for w in (root, *members)])
+
+    def test_noise_report_with_clusters(self, ckpt, batches):
+        noise_report(load_embedder(ckpt), clusters=self.CLUSTERS, seed=3)
+        members = [m for _, ms in self.CLUSTERS for m in ms]
+        noisy = [w for mode in MODES
+                 for _, w in make_noisy_tuples(members, mode, 1, 3)]
+        self.assert_one_batch_of(batches, [root for root, _ in self.CLUSTERS]
+                                 + members + noisy)
+
+    def test_eval_compose(self, ckpt, batches, tmp_path):
+        from chdzdt import cli
+
+        quads = [("re", "do", "s", "redos"), ("re", "run", "s", "reruns"),
+                 ("un", "do", "s", "undos"), ("re", "do", "ing", "redoing")]
+        data = tmp_path / "quads.tsv"
+        data.write_text("".join("\t".join(q) + "\n" for q in quads),
+                        encoding="utf-8")
+        assert cli.main(["eval", "--task", "compose", "--kind", "Add",
+                         "--epochs", "1", "--embedder", str(ckpt),
+                         "--data", str(data),
+                         "--out", str(tmp_path / "r.json")]) == 0
+        self.assert_one_batch_of(batches, [w for q in quads for w in q])
 
 
 class TestClusterFiles:
@@ -354,6 +399,23 @@ class TestPosMorphSentimentFiles:
         path.write_text("angry\tgrr\n", encoding="utf-8")
         with pytest.raises(DataError, match=":1.*'angry'"):
             D.read_sentiment(path)
+
+
+@pytest.mark.parametrize("reader, name, text", [
+    (D.read_clusters, "c.tsv", "dog\tdogs\ncat\tcats\t \n"),
+    (D.read_tuples, "t.star", "dog\tdo*\n \tc*t\n"),
+    (D.read_affix_dataset, "a.tsv", "dogs\ts\n \ts\n"),
+    (D.read_quadruples, "q.tsv", "re\tdo\ts\tredos\nre\t \ts\tres\n"),
+    (D.read_similarity, "s.tsv", "dog\tcat\t1\ncat\t\u3000\t2\n"),
+    (D.read_morph, "m.tsv", "dog\tn=s\n \tn=p\n"),
+    (D.read_pos, "p.conll", "dog\tN\n \tV\n")],
+    ids=["clusters", "tuples", "affix", "quadruples", "similarity", "morph",
+         "pos"])
+def test_blank_word_field_cites_line(tmp_path, reader, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=r"\.[a-z]+:2: expected"):
+        reader(path)
 
 
 class TestObfuscationTable:

@@ -25,8 +25,8 @@ class DictEmbedder:
         self.table = {w: np.asarray(v, dtype=np.float64) for w, v in table.items()}
         self.dim = len(next(iter(self.table.values())))
 
-    def embed(self, word):
-        return self.table[word]
+    def embed_many(self, words):
+        return [self.table[w] for w in words]
 
 
 def random_cluster_instance(rng, dim=None):

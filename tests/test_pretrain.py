@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import types
@@ -381,6 +382,22 @@ class TestTrain:
         tc = TrainConfig(epochs=1, batch_size=8, seed=0)
         with pytest.raises(NumericalError, match=r"step 1"):
             _fit(state, toy_lexicon(), tc)
+
+    def test_non_finite_loss_leaves_no_graph_for_the_cyclic_gc(self):
+        tc = TrainConfig(epochs=2, batch_size=8, lr=1e30, seed=0)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with pytest.raises(NumericalError, match="step 2"):
+                train(toy_lexicon(), ModelConfig(**self.CFG), tc, VOC)
+            gc.collect()
+            leaked = sum(isinstance(obj, T.Tensor) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(DataError):

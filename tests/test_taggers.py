@@ -38,23 +38,30 @@ def _word_rng(word):
         sum(ord(c) * (i + 1) for i, c in enumerate(word)) % 2**31)
 
 
-class SuffixEmbedder:
+class PerWordEmbedder:
+    """embed_many over a per-word vector(word)."""
+
+    def embed_many(self, words):
+        return [self.vector(w) for w in words]
+
+
+class SuffixEmbedder(PerWordEmbedder):
     """Last-character one-hot plus per-word noise."""
 
     dim = 12
 
-    def embed(self, word):
+    def vector(self, word):
         vec = _word_rng(word).normal(0, 0.3, 12)
         vec[ord(word[-1]) % 12] += 2.0
         return vec
 
 
-class Suffix2Embedder:
+class Suffix2Embedder(PerWordEmbedder):
     """Last two characters one-hot in separate blocks plus noise."""
 
     dim = 24
 
-    def embed(self, word):
+    def vector(self, word):
         vec = _word_rng(word).normal(0, 0.3, 24)
         vec[ord(word[-1]) % 12] += 2.0
         if len(word) >= 2:
@@ -62,24 +69,24 @@ class Suffix2Embedder:
         return vec
 
 
-class LastCharEmbedder:
+class LastCharEmbedder(PerWordEmbedder):
     """Last-character one-hot with no noise; words of one suffix coincide."""
 
     dim = 12
 
-    def embed(self, word):
+    def vector(self, word):
         vec = np.zeros(12)
         vec[ord(word[-1]) % 12] = 2.0
         return vec
 
 
-class MarkerEmbedder:
+class MarkerEmbedder(PerWordEmbedder):
     """Marker words carry a loud class direction; fillers stay quiet."""
 
     dim = 16
     MARKERS = {"splendid": 0, "awful": 1, "okay": 2}
 
-    def embed(self, word):
+    def vector(self, word):
         vec = _word_rng(word).normal(0, 0.2, 16)
         if word in self.MARKERS:
             vec[self.MARKERS[word]] += 3.0
