@@ -700,6 +700,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

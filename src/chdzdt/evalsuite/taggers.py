@@ -36,26 +36,30 @@ def _check_mode(embedder, mode: str) -> None:
                           "vector tables are frozen")
 
 
-def _word_rows(embedder, words, mode: str):
-    """(row, rows, encoder_params) over the distinct words: row maps a word
-    to its index, rows() gives the [n, dim] Tensor of their vectors, and
-    encoder_params are the weights a finetuning step also updates.
+def _word_rows(embedder, words, test_words, mode: str):
+    """(row, rows, encoder_params, test_rows) for the training words:
+    row maps a word to its index, rows() gives the [n, dim] Tensor of their
+    vectors, encoder_params are the weights a finetuning step also updates,
+    and test_rows() gives (row, X) over test_words once training is done.
 
-    Frozen vectors are embedded once and rows() returns that constant. In
-    finetune mode each rows() call is a forward pass with a graph, so the
-    loss reaches the encoder.
+    Frozen vectors of both splits are embedded in one call and rows()
+    returns that constant. In finetune mode each rows() call is a forward
+    pass with a graph, so the loss reaches the encoder, and test_rows()
+    embeds the test words with the trained weights.
     """
-    words = sorted(set(words))
+    words = sorted({*words, *test_words} if mode == "frozen" else {*words})
     row = {w: i for i, w in enumerate(words)}
     if mode == "frozen":
         X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
-        return row, lambda: X, []
+        return row, lambda: X, [], lambda: (row, X)
     state = embedder.state
     toks = [encode_word(state.vocab, w, state.config.max_chars)
             for w in words]
     ids = np.stack([t.ids for t in toks])
     mask = np.stack([t.attention_mask for t in toks])
-    return row, lambda: forward_batch(state, ids, mask)[1], state.parameters()
+    return (row, lambda: forward_batch(state, ids, mask)[1],
+            state.parameters(),
+            lambda: _word_rows(embedder, test_words, (), "frozen")[3]())
 
 
 def _dense_params(d_in: int, d_out: int, rng):
@@ -173,8 +177,8 @@ def morph_tagger(embedder, rows, mode: str = "frozen",
                                for _, feats in train])
                for name, col in cols.items()}
 
-    row, rows, encoder_params = _word_rows(embedder, [w for w, _ in train],
-                                           mode)
+    row, rows, encoder_params, test_rows = _word_rows(
+        embedder, [w for w, _ in train], [w for w, _ in test], mode)
     rng = np.random.default_rng(seed)
     sw, sb = _dense_params(embedder.dim, shared_dim, rng)
     heads = {name: _dense_params(shared_dim,
@@ -201,10 +205,9 @@ def morph_tagger(embedder, rows, mode: str = "frozen",
 
     losses = T.fit(params, loss_fn, epochs, lr, loss_target)
 
-    test_row, test_matrix, _ = _word_rows(embedder, [w for w, _ in test],
-                                          "frozen")
+    test_row, test_matrix = test_rows()
     with T.no_grad():
-        logits_of = _morph_logits((sw, sb), heads, test_matrix()[
+        logits_of = _morph_logits((sw, sb), heads, test_matrix[
             np.array([test_row[w] for w, _ in test])])
     feature_report = {}
     accuracies = []
@@ -281,8 +284,9 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
     through readout(fwd, bwd, mask), a tanh dense layer and a linear
     output layer. The test pass builds no autodiff graph.
     """
-    row, rows, encoder_params = _word_rows(
-        embedder, [w for s in train_seqs for w in s], mode)
+    row, rows, encoder_params, test_rows = _word_rows(
+        embedder, [w for s in train_seqs for w in s],
+        [w for s in test_seqs for w in s], mode)
     rng = np.random.default_rng(seed)
     pf = T.gru_params(embedder.dim, gru_hidden, rng)
     pb = T.gru_params(embedder.dim, gru_hidden, rng)
@@ -297,11 +301,10 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
                                         targets),
                    epochs, lr, loss_target)
 
-    test_row, test_matrix, _ = _word_rows(
-        embedder, [w for s in test_seqs for w in s], "frozen")
+    test_row, test_matrix = test_rows()
     with T.no_grad():
         idx, mask = _pack_sequences(test_seqs, test_row)
-        return losses, _bigru_logits(params, readout, test_matrix(), idx,
+        return losses, _bigru_logits(params, readout, test_matrix, idx,
                                      mask).data.argmax(1)
 
 

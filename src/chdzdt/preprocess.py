@@ -3,7 +3,8 @@
 The pipeline order is fixed: region filter -> emoji normalization ->
 character unification -> elongation capping -> spacing -> diacritic
 stripping -> whitespace tokenization. Running the normalization twice
-yields the same text as running it once.
+yields the same text as running it once. Each stage scans in C (re,
+str.translate and str methods), not in a Python loop over characters.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class NormRules:
             pat = re.escape(src) + r"(?![^\W_])"
             if src[:1].isalpha():
                 pat = r"(?<![^\W_])" + pat
-            self._alias_res.append((re.compile(pat), dst))
-        self._strip_table = {ord(c): None for c in self.diacritics}
+            self._alias_res.append((src, re.compile(pat), dst))
+        self._strip_re = re.compile(
+            "[" + "".join(map(re.escape, sorted(self.diacritics))) + "]")
 
     @classmethod
     def from_dict(cls, raw: dict, what: str) -> "NormRules":
@@ -93,9 +95,11 @@ class NormRules:
 
 
 def normalize_emojis(text: str, rules: NormRules) -> str:
-    """Turn textual emoticons into emoji and cap identical-emoji runs at 2."""
-    for pattern, dst in rules._alias_res:
-        text = pattern.sub(dst, text)
+    """Turn textual emoticons into emoji and cap identical-emoji runs at 2.
+    Aliases apply longest first; one absent from the text is skipped."""
+    for src, pattern, dst in rules._alias_res:
+        if src in text:
+            text = pattern.sub(dst, text)
     return _cap_runs(text, 2, is_emoji_char)
 
 
@@ -114,18 +118,12 @@ def cap_elongation(text: str, k: int = 2) -> str:
 
 def _cap_runs(text: str, k: int, capped) -> str:
     """Shorten runs of more than k identical characters c with capped(c)
-    true to k."""
-    out = []
-    run_char, run_len = None, 0
-    for ch in text:
-        if ch == run_char:
-            run_len += 1
-            if run_len > k and capped(ch):
-                continue
-        else:
-            run_char, run_len = ch, 1
-        out.append(ch)
-    return "".join(out)
+    true to k; capped is asked only about runs longer than k."""
+    if len(text) <= k:  # also keeps k below re's repeat-count limit
+        return text
+    return re.sub(r"(.)\1{%d,}" % k,  # re caches the pattern per k
+                  lambda m: m[1] * k if capped(m[1]) else m[0], text,
+                  flags=re.DOTALL)
 
 
 def fix_spacing(text: str) -> str:
@@ -137,37 +135,36 @@ def fix_spacing(text: str) -> str:
     return " ".join([_space_token(tok) for tok in text.split()])
 
 
+class _RunKinds(dict):
+    """Code point -> run kind, "e" emoji, "p" punctuation or "w" word; filled
+    lazily by str.translate and emptied with the _space_token memo."""
+
+    def __missing__(self, cp):
+        ch = chr(cp)
+        self[cp] = ("e" if is_emoji_char(ch) else
+                    "p" if unicodedata.category(ch)[0] == "P" else "w")
+        return self[cp]
+
+
+_KINDS = _RunKinds()
+_RUN_RE = re.compile(r"e|p+|w+")
+
+
 @functools.lru_cache(maxsize=2**16)
 def _space_token(token: str) -> str:
     """Split one whitespace-free token into its word, punctuation and
     emoji runs. Memoized, since corpus words repeat; `build_lexicon`
-    empties the memo before and after each call."""
-    tokens = []
-    current = []  # chars of the run being built
-    kind = None
-
-    def flush():
-        if current:
-            tokens.append("".join(current))
-            current.clear()
-
-    for ch in token:
-        if is_emoji_char(ch):
-            flush()
-            tokens.append(ch)
-            kind = None
-        else:
-            k = "punct" if unicodedata.category(ch).startswith("P") else "word"
-            if k != kind:
-                flush()
-                kind = k
-            current.append(ch)
-    flush()
-    return " ".join(tokens)
+    empties the memo before and after each call. A letters-only token is
+    one word run (no emoji or punctuation is alphabetic); any other is cut
+    by a regex over its run kinds."""
+    if token.isalpha():
+        return token
+    return " ".join([token[m.start():m.end()]
+                     for m in _RUN_RE.finditer(token.translate(_KINDS))])
 
 
 def strip_diacritics(text: str, rules: NormRules) -> str:
-    return text.translate(rules._strip_table)
+    return rules._strip_re.sub("", text)
 
 
 def region_filter(comment: str, patterns) -> bool:
@@ -236,6 +233,7 @@ def build_lexicon(streams, rules: NormRules):
     # a fresh memo per call keeps its time and memory independent of
     # earlier calls in the same process
     _space_token.cache_clear()
+    _KINDS.clear()
     counts: dict = {}
     try:
         if not streams:
@@ -256,6 +254,7 @@ def build_lexicon(streams, rules: NormRules):
                 logger.info("region filter dropped %d lines from %s", dropped, stream.label)
     finally:
         _space_token.cache_clear()
+        _KINDS.clear()
     return [
         LexiconEntry(word=w, labels=tuple(sorted(freq)), freq=dict(sorted(freq.items())))
         for w, freq in sorted(counts.items())

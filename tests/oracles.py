@@ -229,6 +229,84 @@ def regex_cap_runs(text, k, capped):
                   text, flags=re.DOTALL)
 
 
+def char_loop_cap_runs(text, k, capped):
+    """Runs of more than k identical characters c with capped(c) true cut
+    to k, counted one character at a time."""
+    out = []
+    run_char, run_len = None, 0
+    for ch in text:
+        if ch == run_char:
+            run_len += 1
+            if run_len > k and capped(ch):
+                continue
+        else:
+            run_char, run_len = ch, 1
+        out.append(ch)
+    return "".join(out)
+
+
+def char_loop_space_token(token, is_emoji):
+    """Word, punctuation and emoji runs of one whitespace-free token, joined
+    by one space: each emoji alone, punctuation (Unicode category P*) and
+    the other characters in maximal runs."""
+    tokens = []
+    current = []
+    kind = None
+
+    def flush():
+        if current:
+            tokens.append("".join(current))
+            current.clear()
+
+    for ch in token:
+        if is_emoji(ch):
+            flush()
+            tokens.append(ch)
+            kind = None
+        else:
+            k = "punct" if unicodedata.category(ch).startswith("P") else "word"
+            if k != kind:
+                flush()
+                kind = k
+            current.append(ch)
+    flush()
+    return " ".join(tokens)
+
+
+def unguarded_alias_loop(text, aliases):
+    """Each alias replaced in turn, longest first, by running its regex
+    whether or not it occurs: an alias fires only when no letter or digit
+    follows it, and a letter-initial one also needs none before it."""
+    for src, dst in sorted(aliases.items(), key=lambda kv: -len(kv[0])):
+        pat = re.escape(src) + r"(?![^\W_])"
+        if src[:1].isalpha():
+            pat = r"(?<![^\W_])" + pat
+        text = re.sub(pat, dst, text)
+    return text
+
+
+def translate_strip(text, chars):
+    """text without any character of chars, by a str.translate table."""
+    return text.translate({ord(c): None for c in chars})
+
+
+def oracle_normalize_text(text, rules, is_emoji):
+    """The five normalization stages from the oracles above, swept in the
+    pipeline's order until the text is stable (at most 4 sweeps)."""
+    for _ in range(4):
+        out = unguarded_alias_loop(text, rules.emoji_aliases)
+        out = char_loop_cap_runs(out, 2, is_emoji)
+        for src, dst in rules.char_unification.items():
+            out = out.replace(src, dst)
+        out = char_loop_cap_runs(out, rules.elongation_cap, str.isalpha)
+        out = char_loop_fix_spacing(out, is_emoji)
+        out = translate_strip(out, rules.diacritics)
+        if out == text:
+            return out
+        text = out
+    return text
+
+
 def char_loop_fix_spacing(text, is_emoji):
     """Punctuation runs detached from words, each emoji (is_emoji(c) true)
     on its own, whitespace runs collapsed to one space: one pass over the

@@ -1159,6 +1159,41 @@ class TestParamBounds:
         assert err.startswith("error: ") and "seed" in err
         assert not list(tmp_path.glob("o.ckpt*"))
 
+    # each size makes the first array it scales larger than the 128 TiB
+    # user address space, so the allocation fails at once on any host:
+    # pos's [8, 10^14] and tag's [8, 10^14] float64 first weights, and
+    # pretrain's [vocab, 10^13] character or [10^13 + 1, 16] position
+    # embedding
+    @pytest.mark.parametrize("task, params", [
+        ("pos", {"gru_hidden": 10**14}), ("tag", {"shared_dim": 10**14})])
+    def test_unallocatable_eval_size_exits_two(self, ws, ckpt, tmp_path,
+                                               capsys, task, params):
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params), encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run("eval", "--task", task, "--embedder", ckpt,
+                   "--data", ws / TASK_DATA[task][0], "--out", out,
+                   "--params", params_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("o.json*"))
+
+    @pytest.mark.parametrize("model", [{"hidden": 10**13},
+                                       {"max_chars": 10**13}])
+    def test_unallocatable_model_size_exits_two(self, ws, lexicon, tmp_path,
+                                                capsys, model):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(model), encoding="utf-8")
+        out = tmp_path / "o.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--out", out, "--model-config", cfg,
+                   "--epochs", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: ")
+        assert not captured.out
+        assert not list(tmp_path.glob("o.ckpt*"))
+
 
 class TestManifestInputs:
 

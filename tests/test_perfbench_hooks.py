@@ -55,6 +55,26 @@ def test_forward_calls_layer_ops_by_encoder_name(monkeypatch):
     assert calls == {"layer_norm": 6, "softmax": 3, "gelu": 3}
 
 
+def test_normalize_text_calls_stages_by_preprocess_name(monkeypatch):
+    # the traced preprocess.stage.* spans and sweeps_per_line wrap these
+    from chdzdt import preprocess
+
+    stages = ("normalize_emojis", "normalize_chars", "cap_elongation",
+              "fix_spacing", "strip_diacritics")
+    calls = {}
+    for name in stages:
+        def spy(*args, _orig=getattr(preprocess, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args)
+
+        monkeypatch.setattr(preprocess, name, spy)
+    rules = preprocess.NormRules.default()
+    # the alias fires only once spacing has isolated it: two sweeps to
+    # change the text and one to confirm it
+    assert preprocess.normalize_text("salam:-)ya", rules) == "salam 🙂 ya"
+    assert calls == {name: 3 for name in stages}
+
+
 WORDS = ("dog", "dogs", "cat", "cats", "run", "runs", "pen", "pens")
 CLUSTERS = "dog\tdog\tdogs\ncat\tcat\tcats\nrun\trun\truns\n"
 

@@ -28,7 +28,10 @@ from chdzdt.preprocess import (
     write_lexicon,
 )
 
-from oracles import brute_combo_counts, char_loop_fix_spacing, regex_cap_runs
+from oracles import (brute_combo_counts, char_loop_cap_runs,
+                     char_loop_fix_spacing, char_loop_space_token,
+                     oracle_normalize_text, regex_cap_runs, translate_strip,
+                     unguarded_alias_loop)
 
 
 # every character str.isspace() accepts (ASCII and C1 controls, the
@@ -198,6 +201,69 @@ class TestPipeline:
         assert normalize_text(once, rules) == once
 
 
+# rules that stress the rewritten stages: a chained alias (":)" -> ":-)"
+# -> smiley, only across sweeps), aliases that overlap ("<3" and ":<" in
+# ":<3"), a letter-initial alias, regex metacharacters as diacritics, a
+# unification that is not idempotent, and an elongation cap past re's
+# repeat-count limit
+ORACLE_RULES = {
+    "default": NormRules.default(),
+    "adversarial": NormRules(
+        emoji_aliases={":)": ":-)", ":-)": "🙂", "<3": "❤", ":<": "😠",
+                       "xD": "😆"},
+        char_unification={"b": "c", "a": "b", "—": "-"},
+        diacritics=["]", "^", "-", "\\", "\u064e"], elongation_cap=1),
+    "huge_cap": NormRules(emoji_aliases={":)": "🙂"},
+                          diacritics=["a", "\u0651"], elongation_cap=2**40),
+}
+ORACLE_TEXT = st.text(alphabet=" ab3xXDé شدوء!?.,:;<3()-^]\\—«»…"
+                      "✅❤😀🙂\u064e\u0651ـ" + WHITESPACE, max_size=40)
+
+
+class TestStageOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_TEXT, st.sampled_from(sorted(ORACLE_RULES)))
+    def test_emojis_match_unguarded_alias_loop(self, text, name):
+        rules = ORACLE_RULES[name]
+        assert normalize_emojis(text, rules) == char_loop_cap_runs(
+            unguarded_alias_loop(text, rules.emoji_aliases), 2, is_emoji_char)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_TEXT, st.sampled_from([1, 2, 3, 2**32 - 1, 2**40]),
+           st.sampled_from([str.isalpha, is_emoji_char, str.isspace]))
+    def test_cap_runs_match_char_loop(self, text, k, capped):
+        assert _cap_runs(text, k, capped) == char_loop_cap_runs(text, k,
+                                                                capped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_TEXT)
+    def test_space_token_matches_char_loop(self, text):
+        for token in text.split():
+            assert preprocess._space_token(token) == \
+                char_loop_space_token(token, is_emoji_char)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_TEXT, st.sampled_from(sorted(ORACLE_RULES)))
+    def test_strip_matches_translate(self, text, name):
+        rules = ORACLE_RULES[name]
+        assert strip_diacritics(text, rules) == translate_strip(
+            text, rules.diacritics)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ORACLE_TEXT, st.sampled_from(sorted(ORACLE_RULES)))
+    def test_normalize_text_matches_oracle(self, text, name):
+        rules = ORACLE_RULES[name]
+        assert normalize_text(text, rules) == oracle_normalize_text(
+            text, rules, is_emoji_char)
+
+    @pytest.mark.parametrize("text", [":)", "x:)y :)", ":<3", "<3:<",
+                                      "xD:-)", "a]^-\\b"])
+    def test_goldens_match_oracle(self, text):
+        for rules in ORACLE_RULES.values():
+            assert normalize_text(text, rules) == oracle_normalize_text(
+                text, rules, is_emoji_char)
+
+
 def _stream(lines, label, kind="standard"):
     return SourceStream(path=f"<mem:{label}>", label=label, kind=kind, lines=lines)
 
@@ -254,8 +320,10 @@ class TestBuildLexicon:
 
     def test_spacing_memo_empty_after_return(self, rules):
         fix_spacing("warm: the memo")
+        assert preprocess._KINDS
         build_lexicon([_stream(["dar, kbira!", "dar"], "DZ")], rules)
         assert preprocess._space_token.cache_info().currsize == 0
+        assert not preprocess._KINDS
 
     def test_spacing_memo_empty_after_data_error(self, rules, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -265,10 +333,13 @@ class TestBuildLexicon:
         with pytest.raises(DataError, match="bad.txt"):
             build_lexicon(streams, rules)
         assert preprocess._space_token.cache_info().currsize == 0
-        fix_spacing("warm")
+        assert not preprocess._KINDS
+        fix_spacing("warm!")
+        assert preprocess._KINDS
         with pytest.raises(DataError):
             build_lexicon([], rules)
         assert preprocess._space_token.cache_info().currsize == 0
+        assert not preprocess._KINDS
 
     def test_back_to_back_calls_equal(self, rules):
         streams = [_stream(["dar, kbira! ✅✅", "wesh... dar"], "DZ"),

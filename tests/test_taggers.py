@@ -486,3 +486,64 @@ class TestFinetune:
         assert not np.array_equal(before, emb.state.flat)
         for name, p in emb.state.params.items():
             assert np.shares_memory(p.data, emb.state.flat), name
+
+
+def _checkpoint_embedder():
+    cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2, hidden=16,
+                      seed=0)
+    return CheckpointEmbedder(EncoderState.init(cfg, VOC))
+
+
+# task -> (tagger run on an embedder in a mode, every word its data holds)
+ENCODE_CASES = {
+    "tag": (lambda emb, mode: morph_tagger(emb, morph_rows(), mode=mode,
+                                           shared_dim=8, epochs=1, seed=0),
+            {w for w, _ in morph_rows()}),
+    "pos": (lambda emb, mode: pos_tagger(emb, pos_sentences(n=12), mode=mode,
+                                         gru_hidden=8, dense_dim=8,
+                                         epochs=1, seed=0),
+            {w for s in pos_sentences(n=12) for w, _ in s}),
+    "sa": (lambda emb, mode: sentiment_classifier(
+               emb, sentiment_rows(n=12), mode=mode, gru_hidden=8,
+               dense_dim=8, epochs=1, seed=0),
+           {w for _, text in sentiment_rows(n=12) for w in text.split()}),
+}
+
+
+class TestEachWordEncodedOnce:
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """("encode", words) per embedder.word_embedding call and ("fit",)
+        per training run, in call order."""
+        from chdzdt.evalsuite import embedder
+
+        log = []
+
+        def encode(state, words, _orig=embedder.word_embedding):
+            log.append(("encode", list(words)))
+            return _orig(state, words)
+
+        def fit(*args, _orig=T.fit, **kwargs):
+            log.append(("fit",))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(embedder, "word_embedding", encode)
+        monkeypatch.setattr(taggers.T, "fit", fit)
+        return log
+
+    @pytest.mark.parametrize("task", sorted(ENCODE_CASES))
+    def test_frozen_encodes_both_splits_in_one_call(self, events, task):
+        run, words = ENCODE_CASES[task]
+        run(_checkpoint_embedder(), "frozen")
+        (kind, encoded), fit = events
+        assert (kind, fit) == ("encode", ("fit",))
+        assert sorted(encoded) == sorted(words)
+
+    @pytest.mark.parametrize("task", sorted(ENCODE_CASES))
+    def test_finetune_encodes_test_words_after_training(self, events, task):
+        run, words = ENCODE_CASES[task]
+        run(_checkpoint_embedder(), "finetune")
+        fit, (kind, encoded) = events
+        assert (fit, kind) == (("fit",), "encode")
+        assert len(set(encoded)) == len(encoded)
+        assert set(encoded) <= words
