@@ -2,15 +2,16 @@
 
 A vocabulary is five single-character special tokens (ids 0-4, fixed order
 PAD, CLS, MASK, UNK, SEP) followed by every declared character in ascending
-code-point order. Words are iterated as Unicode scalar values, prefixed
-with CLS (held outside the character budget), truncated to ``max_chars``
-and padded to a fixed length of ``1 + max_chars``.
+code-point order. A tokenized word is one int64 id row: CLS (held outside
+the character budget), the word's first ``max_chars`` Unicode scalar
+values, then PAD up to a fixed length of ``1 + max_chars``. Every
+undeclared character, the special tokens' own code points included, is
+UNK, so the PAD ids of a row are exactly its padding.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +71,11 @@ class CharVocab:
                     f"U+{ord(special):04X} is reserved for a special token")
         self.ranges = tuple(sorted(checked))
         self.extras = tuple(sorted(extras))
-        ordered = list(SPECIAL_CHARS) + [chr(cp) for cp in sorted(chars)]
-        self.stoi = {ch: i for i, ch in enumerate(ordered)}
-        self.itos = ordered
+        declared = [chr(cp) for cp in sorted(chars)]
+        # only declared characters map to an id: text holding a special
+        # token's code point must not inject that token
+        self.stoi = {ch: i for i, ch in enumerate(declared, len(SPECIAL_CHARS))}
+        self.itos = list(SPECIAL_CHARS) + declared
 
     @classmethod
     def from_spec(cls, spec: dict, what: str) -> "CharVocab":
@@ -100,15 +103,6 @@ class CharVocab:
         return {"ranges": [list(r) for r in self.ranges], "extras": list(self.extras)}
 
 
-@dataclass
-class TokenizedWord:
-    """Fixed-length id sequence: CLS, then characters, then PAD fill."""
-
-    ids: np.ndarray
-    attention_mask: np.ndarray
-    original_length: int
-
-
 def build_vocab(range_spec, extras=()) -> CharVocab:
     return CharVocab(range_spec, extras)
 
@@ -123,20 +117,17 @@ def default_vocab() -> CharVocab:
                                "built-in charset")
 
 
-def encode_word(vocab: CharVocab, word: str, max_chars: int = DEFAULT_MAX_CHARS) -> TokenizedWord:
+def encode_word(vocab: CharVocab, word: str, max_chars: int = DEFAULT_MAX_CHARS) -> np.ndarray:
+    """The [1 + max_chars] int64 id row of word: CLS, its first max_chars
+    characters, then PAD."""
     word = word.strip()
     if not word:
         raise ValueError("cannot encode an empty word")
-    chars = list(word)
-    original_length = len(chars)
-    kept = chars[:max_chars]
+    kept = word[:max_chars]
     ids = np.full(1 + max_chars, PAD_ID, dtype=np.int64)
     ids[0] = CLS_ID
-    for i, ch in enumerate(kept):
-        ids[1 + i] = vocab.char_id(ch)
-    mask = np.zeros(1 + max_chars, dtype=np.int64)
-    mask[:1 + len(kept)] = 1
-    return TokenizedWord(ids=ids, attention_mask=mask, original_length=original_length)
+    ids[1:1 + len(kept)] = [vocab.char_id(ch) for ch in kept]
+    return ids
 
 
 def decode(vocab: CharVocab, ids) -> str:

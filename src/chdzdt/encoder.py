@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .chartok import CharVocab, encode_word
+from .chartok import PAD_ID, CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
 from .fileio import atomic_write, config_from_dict
 from .tensor import (
@@ -154,28 +154,24 @@ class EncoderState:
         return bool(np.isfinite(self.flat).all())
 
 
-def forward_batch(state: EncoderState, ids: np.ndarray, attn_mask: np.ndarray,
+def forward_batch(state: EncoderState, ids: np.ndarray,
                   train_mode: bool = False, rng=None):
     """Run [B, T] id batches through the encoder.
 
     Returns (hidden [B,T,d] Tensor, cls [B,d], label_probs [B,L]).
-    PAD columns get an additive -1e9 after the 1/sqrt(d_head) scaling
-    inside the attention softmax, which underflows their weights to
-    exactly zero.
+    PAD_ID columns are padding: they get an additive -1e9 after the
+    1/sqrt(d_head) scaling inside the attention softmax, which underflows
+    their weights to exactly zero.
     """
     cfg = state.config
     p = state.params
     ids = np.asarray(ids, dtype=np.int64)
-    attn_mask = np.asarray(attn_mask)
     if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
         raise ConfigError(f"expected ids of shape [B, {cfg.seq_len}], got {ids.shape}")
-    if attn_mask.shape != ids.shape:
-        raise ConfigError(f"attention mask of shape {attn_mask.shape} does "
-                          f"not match ids of shape {ids.shape}")
     if train_mode and cfg.dropout > 0 and rng is None:
         raise ValueError("train_mode with dropout needs an rng")
     scale = 1.0 / math.sqrt(cfg.hidden // cfg.n_heads)
-    neg = ((attn_mask[:, None, None, :] == 0) * -1e9).astype(T.default_dtype())
+    neg = ((ids[:, None, None, :] == PAD_ID) * -1e9).astype(T.default_dtype())
 
     x = embedding(p["char_emb"], ids) + p["pos_emb"]
     for i in range(cfg.n_blocks):
@@ -211,15 +207,14 @@ def encode_words(state: EncoderState, words) -> np.ndarray:
     chunks of ENCODE_CHUNK words; every row has the same bits as a
     forward of its word alone, since no op mixes rows of a batch.
     """
-    toks = [encode_word(state.vocab, w, state.config.max_chars) for w in words]
-    if not toks:
+    ids = [encode_word(state.vocab, w, state.config.max_chars) for w in words]
+    if not ids:
         return np.empty((0, state.config.hidden), dtype=T.default_dtype())
     rows = []
     with T.no_grad():
-        for start in range(0, len(toks), ENCODE_CHUNK):
-            chunk = toks[start:start + ENCODE_CHUNK]
-            _, cls, _ = forward_batch(state, np.stack([t.ids for t in chunk]),
-                                      np.stack([t.attention_mask for t in chunk]))
+        for start in range(0, len(ids), ENCODE_CHUNK):
+            _, cls, _ = forward_batch(
+                state, np.stack(ids[start:start + ENCODE_CHUNK]))
             rows.append(cls.data)
     return np.concatenate(rows)
 

@@ -53,11 +53,9 @@ def _word_rows(embedder, words, test_words, mode: str):
         X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
         return row, lambda: X, [], lambda: (row, X)
     state = embedder.state
-    toks = [encode_word(state.vocab, w, state.config.max_chars)
-            for w in words]
-    ids = np.stack([t.ids for t in toks])
-    mask = np.stack([t.attention_mask for t in toks])
-    return (row, lambda: forward_batch(state, ids, mask)[1],
+    ids = np.stack([encode_word(state.vocab, w, state.config.max_chars)
+                    for w in words])
+    return (row, lambda: forward_batch(state, ids)[1],
             state.parameters(),
             lambda: _word_rows(embedder, test_words, (), "frozen")[3]())
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .chartok import CharVocab, MASK_ID, TokenizedWord, encode_word
+from .chartok import CharVocab, MASK_ID, PAD_ID, encode_word
 from .encoder import EncoderState, ModelConfig, forward_batch
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import config_from_dict
@@ -64,7 +64,6 @@ class MaskedBatch:
     """One corrupted batch: MASKed ids plus everything needed for the loss."""
 
     corrupted: np.ndarray        # [B, T] int64, MASK written at sampled slots
-    attention_mask: np.ndarray   # [B, T] int64
     mask_positions: list         # per example, ascending character positions
     original_ids: list           # per example, the ids the masks replaced
     targets: np.ndarray          # [B, n_labels] float multi-hot
@@ -82,7 +81,7 @@ def labels_to_targets(labels: Sequence[str]) -> np.ndarray:
 
 def mask_batch(examples: Sequence, ratio: float,
                rng: np.random.Generator) -> MaskedBatch:
-    """Corrupt a batch of (TokenizedWord, labels) pairs.
+    """Corrupt a batch of (id row, labels) pairs; id rows are encode_word's.
 
     Per example, ceil(ratio * n_chars) distinct character positions (at
     least one, never CLS and never PAD) are replaced by MASK; the replaced
@@ -92,29 +91,21 @@ def mask_batch(examples: Sequence, ratio: float,
         raise ValueError("mask_batch needs at least one example")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
-    seq_len = len(examples[0][0].ids)
-    corrupted = np.empty((len(examples), seq_len), dtype=np.int64)
-    attn = np.empty((len(examples), seq_len), dtype=np.int64)
-    targets = np.empty((len(examples), len(LABELS)), dtype=np.float64)
+    corrupted = np.stack([ids for ids, _ in examples])
+    # every row holds CLS, then its characters, then PAD
+    n_chars = ((corrupted != PAD_ID).sum(1) - 1).tolist()
     positions: list = []
     originals: list = []
-    for i, (tok, labels) in enumerate(examples):
-        if len(tok.ids) != seq_len:
-            raise ConfigError("all examples in a batch must share seq_len")
-        n_chars = min(tok.original_length, seq_len - 1)
-        n_mask = max(1, math.ceil(ratio * n_chars))
-        pos = np.sort(rng.choice(np.arange(1, 1 + n_chars), size=n_mask,
+    for row, n in zip(corrupted, n_chars):
+        n_mask = max(1, math.ceil(ratio * n))
+        pos = np.sort(rng.choice(np.arange(1, 1 + n), size=n_mask,
                                  replace=False))
-        row = tok.ids.copy()
-        originals.append(row[pos].copy())
+        originals.append(row[pos])
         row[pos] = MASK_ID
-        corrupted[i] = row
-        attn[i] = tok.attention_mask
-        positions.append([int(p) for p in pos])
-        targets[i] = labels_to_targets(labels)
-    return MaskedBatch(corrupted=corrupted, attention_mask=attn,
-                       mask_positions=positions, original_ids=originals,
-                       targets=targets)
+        positions.append(pos.tolist())
+    targets = np.stack([labels_to_targets(labels) for _, labels in examples])
+    return MaskedBatch(corrupted=corrupted, mask_positions=positions,
+                       original_ids=originals, targets=targets)
 
 
 def batch_loss(state: EncoderState, batch: MaskedBatch,
@@ -125,8 +116,7 @@ def batch_loss(state: EncoderState, batch: MaskedBatch,
     masked position in the batch, multilabel averages row sums over examples.
     """
     hidden, _, label_probs = forward_batch(
-        state, batch.corrupted, batch.attention_mask,
-        train_mode=train_mode, rng=rng)
+        state, batch.corrupted, train_mode=train_mode, rng=rng)
     b_idx = np.concatenate([np.full(len(p), i, dtype=np.int64)
                             for i, p in enumerate(batch.mask_positions)])
     t_idx = np.concatenate([np.asarray(p, dtype=np.int64)
@@ -143,10 +133,10 @@ def _encode_lexicon(lexicon: Sequence[LexiconEntry], vocab: CharVocab,
     examples = []
     for entry in lexicon:
         try:
-            tok = encode_word(vocab, entry.word, max_chars=max_chars)
+            ids = encode_word(vocab, entry.word, max_chars=max_chars)
         except ValueError as exc:
             raise DataError(f"cannot encode lexicon word {entry.word!r}: {exc}")
-        examples.append((tok, entry.labels))
+        examples.append((ids, entry.labels))
     return examples
 
 

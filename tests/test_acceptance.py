@@ -94,11 +94,10 @@ def test_01_gradients_match_finite_differences():
                         hidden=8, max_chars=6, seed=1), voc)
         clean = encode_word(voc, "darja", max_chars=6)
         corrupted = encode_word(voc, "darja", max_chars=6)
-        corrupted.ids[2] = MASK_ID
+        corrupted[2] = MASK_ID
         targets = [1, 0, 0, 1, 0]
-        batch = MaskedBatch(corrupted=corrupted.ids[None, :],
-                            attention_mask=corrupted.attention_mask[None, :],
-                            mask_positions=[[2]], original_ids=[clean.ids[[2]]],
+        batch = MaskedBatch(corrupted=corrupted[None, :],
+                            mask_positions=[[2]], original_ids=[clean[[2]]],
                             targets=np.asarray([targets], dtype=np.float64))
 
         def build():
@@ -164,7 +163,7 @@ def test_04_tokenizer_round_trip_100k_words():
     failures = 0
     for length in lengths:
         word = "".join(rng.choice(alphabet, size=length))
-        if decode(vocab, encode_word(vocab, word).ids) != word:
+        if decode(vocab, encode_word(vocab, word)) != word:
             failures += 1
     assert failures == 0
 

@@ -8,6 +8,7 @@ from chdzdt.chartok import (
     MASK_ID,
     PAD_ID,
     SEP_ID,
+    SPECIAL_CHARS,
     UNK_ID,
     EMOJI_BLOCKS,
     build_vocab,
@@ -108,22 +109,22 @@ class TestEncode:
     def test_short_word_layout(self):
         v = build_vocab(ABC)
         tok = encode_word(v, "abc", max_chars=20)
-        assert tok.ids.tolist() == [CLS_ID, v.stoi["a"], v.stoi["b"], v.stoi["c"]] + [PAD_ID] * 17
-        assert tok.attention_mask.tolist() == [1, 1, 1, 1] + [0] * 17
-        assert tok.original_length == 3
+        assert tok.tolist() == [CLS_ID, v.stoi["a"], v.stoi["b"], v.stoi["c"]] + [PAD_ID] * 17
+        assert tok.dtype == np.int64
 
     def test_overlong_truncated(self):
         v = build_vocab(ABC)
         tok = encode_word(v, "a" * 25, max_chars=20)
-        assert tok.ids.shape == (21,)
-        assert (tok.ids[1:] == v.stoi["a"]).all()
-        assert tok.original_length == 25
-        assert tok.attention_mask.sum() == 21
+        assert tok.shape == (21,)
+        assert (tok[1:] == v.stoi["a"]).all()
 
     def test_unknown_char_becomes_unk(self):
+        # the special tokens' own code points are text like any other
         v = build_vocab(ABC)
-        tok = encode_word(v, "aQc")
-        assert tok.ids[2] == UNK_ID
+        for ch in ("Q", *SPECIAL_CHARS):
+            tok = encode_word(v, f"a{ch}c")
+            assert tok[:4].tolist() == [CLS_ID, v.stoi["a"], UNK_ID, v.stoi["c"]]
+            assert ch not in v
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
@@ -132,18 +133,18 @@ class TestEncode:
     def test_fixed_length_regardless_of_input(self):
         v = build_vocab(ABC)
         for w in ("a", "ab", "a" * 40):
-            assert encode_word(v, w, max_chars=8).ids.shape == (9,)
+            assert encode_word(v, w, max_chars=8).shape == (9,)
 
 
 class TestDecode:
     def test_roundtrip_simple(self, dvoc):
-        assert decode(dvoc, encode_word(dvoc, "dar").ids) == "dar"
+        assert decode(dvoc, encode_word(dvoc, "dar")) == "dar"
 
     def test_all_pad_decodes_empty(self, dvoc):
         assert decode(dvoc, np.zeros(21, dtype=np.int64)) == ""
 
     def test_roundtrip_arabic(self, dvoc):
-        assert decode(dvoc, encode_word(dvoc, "علاش").ids) == "علاش"
+        assert decode(dvoc, encode_word(dvoc, "علاش")) == "علاش"
 
     def test_out_of_range_id(self, dvoc):
         with pytest.raises(IndexError):
@@ -151,8 +152,8 @@ class TestDecode:
 
     def test_mask_token_dropped(self, dvoc):
         tok = encode_word(dvoc, "dar")
-        tok.ids[1] = MASK_ID
-        assert decode(dvoc, tok.ids) == "ar"
+        tok[1] = MASK_ID
+        assert decode(dvoc, tok) == "ar"
 
 
 @st.composite
@@ -171,7 +172,14 @@ class TestRoundTripProperty:
     @given(invocab_words())
     def test_roundtrip(self, word):
         voc = default_vocab()
-        assert decode(voc, encode_word(voc, word).ids) == word
+        assert decode(voc, encode_word(voc, word)) == word
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(min_size=1).filter(str.strip), st.integers(0, 30))
+    def test_pad_ids_are_exactly_the_padding(self, word, max_chars):
+        voc = default_vocab()
+        ids = encode_word(voc, word, max_chars)
+        assert (ids != PAD_ID).sum() == 1 + min(len(word.strip()), max_chars)
 
     def test_is_emoji_consistency(self):
         assert is_emoji_char("😀") and is_emoji_char("✅") and is_emoji_char("❤")

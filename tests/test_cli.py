@@ -647,6 +647,19 @@ class TestEncode:
         via_tsv = acs(TsvEmbedder.from_file(out), clusters)
         assert via_tsv == direct
 
+    def test_reserved_code_point_encodes_as_unknown(self, ckpt, tmp_path):
+        # U+E002 is the MASK token's code point, but in a word it is text:
+        # an undeclared character like Q, not an injected MASK
+        words = tmp_path / "words.txt"
+        words.write_text("d\ue002g\ndQg\n", encoding="utf-8")
+        out = tmp_path / "emb.tsv"
+        assert run("encode", "--ckpt", ckpt, "--words", words,
+                   "--out", out) == 0
+        rows = [line.split("\t") for line in
+                out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[0] for row in rows] == ["d\ue002g", "dQg"]
+        assert rows[0][1:] == rows[1][1:]
+
     def test_empty_input_writes_header_only(self, ckpt, tmp_path,
                                             monkeypatch):
         monkeypatch.setattr("sys.stdin", _stdin(b"\n\n"))

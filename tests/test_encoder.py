@@ -7,7 +7,7 @@ import pytest
 
 from chdzdt import encoder
 from chdzdt import tensor as T
-from chdzdt.chartok import MASK_ID, build_vocab, encode_word
+from chdzdt.chartok import MASK_ID, PAD_ID, build_vocab, encode_word
 from chdzdt.encoder import (
     EncoderState,
     ModelConfig,
@@ -34,14 +34,13 @@ def small_state(n_blocks=1, n_heads=1, hidden=4, max_chars=6, seed=0, dropout=0.
 
 def forward_one(state, tok):
     """forward_batch on a batch of one word: (hidden, cls, label_probs)."""
-    return forward_batch(state, tok.ids[None, :], tok.attention_mask[None, :])
+    return forward_batch(state, tok[None, :])
 
 
 def one_row(tok, positions, original_ids, targets=(1, 0, 0, 0, 0)):
-    """A MaskedBatch of one row: tok.ids as given, losses at positions."""
+    """A MaskedBatch of one row: the ids tok as given, losses at positions."""
     positions = sorted(positions)
-    return MaskedBatch(corrupted=tok.ids[None, :],
-                       attention_mask=tok.attention_mask[None, :],
+    return MaskedBatch(corrupted=tok[None, :],
                        mask_positions=[positions],
                        original_ids=[np.asarray(original_ids)[positions]],
                        targets=np.asarray([targets], dtype=np.float64))
@@ -82,14 +81,17 @@ class TestForward:
         assert np.array_equal(cls.data[0], hidden.data[0, 0])
 
     def test_pad_contents_cannot_leak(self):
+        # the embedding a padded position carries never reaches CLS
         state = small_state(n_blocks=2, hidden=8, n_heads=2)
         tok = encode_word(VOC, "ab", max_chars=6)
         _, base_cls, base_probs = forward_one(state, tok)
-        tampered = encode_word(VOC, "ab", max_chars=6)
-        tampered.ids[4] = VOC.stoi["z"]  # PAD slot, mask still 0 there
-        _, cls, probs = forward_one(state, tampered)
-        assert np.array_equal(base_cls.data, cls.data)
-        assert np.array_equal(base_probs.data, probs.data)
+        rng = np.random.default_rng(0)
+        for name, rows in (("char_emb", PAD_ID), ("pos_emb", tok == PAD_ID)):
+            table = state.params[name].data
+            table[rows] = rng.normal(0.0, 10.0, table[rows].shape)
+        _, cls, probs = forward_one(state, tok)
+        assert cls.data.tobytes() == base_cls.data.tobytes()
+        assert probs.data.tobytes() == base_probs.data.tobytes()
 
     def test_attention_rows_sum_to_one(self, monkeypatch):
         # the encoder calls softmax only for attention
@@ -108,17 +110,7 @@ class TestForward:
         for attn in sink:
             assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-5)
             # PAD columns carry exactly zero weight
-            assert not attn[..., tok.attention_mask == 0].any()
-
-    def test_mask_shape_other_than_ids_rejected(self):
-        # a [1, T] mask used to broadcast over the whole batch
-        state = small_state()
-        toks = [encode_word(VOC, w, max_chars=6) for w in ("ab", "dar")]
-        ids = np.stack([tok.ids for tok in toks])
-        for mask in (toks[0].attention_mask[None], toks[0].attention_mask,
-                     np.ones((2, 6), dtype=np.int64)):
-            with pytest.raises(ConfigError, match="attention mask"):
-                forward_batch(state, ids, mask)
+            assert not attn[..., tok == PAD_ID].any()
 
     def test_label_probs_in_open_interval(self):
         state = small_state()
@@ -144,7 +136,8 @@ class TestForward:
 
         # independent reference computation, plain numpy, float64
         P = {k: v.data.astype(np.float64) for k, v in state.params.items()}
-        ids, mask = tok.ids, tok.attention_mask
+        ids = tok
+        pad = np.arange(ids.size) > len("ab")  # past CLS and both characters
         x = P["char_emb"][ids] + P["pos_emb"]
 
         def ln(z, g, b, eps=1e-5):
@@ -155,7 +148,7 @@ class TestForward:
         q = x @ P["block0.attn_q_w"] + P["block0.attn_q_b"]
         k = x @ P["block0.attn_k_w"] + P["block0.attn_k_b"]
         v = x @ P["block0.attn_v_w"] + P["block0.attn_v_b"]
-        scores = q @ k.T / math.sqrt(2) + np.where(mask == 0, -1e9, 0.0)[None, :]
+        scores = q @ k.T / math.sqrt(2) + np.where(pad, -1e9, 0.0)[None, :]
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
         ctx = attn @ v @ P["block0.attn_o_w"] + P["block0.attn_o_b"]
@@ -185,8 +178,7 @@ class TestEncodeWords:
         single = []
         for w in words:
             tok = encode_word(VOC, w, max_chars=6)
-            _, cls, _ = forward_batch(state, tok.ids[None],
-                                      tok.attention_mask[None])
+            _, cls, _ = forward_batch(state, tok[None])
             single.append(cls.data[0])
         monkeypatch.setattr("chdzdt.encoder.ENCODE_CHUNK", 3)
         rows = encode_words(state, words)
@@ -216,7 +208,7 @@ class TestLosses:
         state.params["mlm_w"].data[...] = 0.0
         state.params["mlm_b"].data[...] = 0.0
         tok = encode_word(VOC, "dar", max_chars=6)
-        _, loss, _ = batch_loss(state, one_row(tok, {2}, tok.ids))
+        _, loss, _ = batch_loss(state, one_row(tok, {2}, tok))
         assert math.isclose(float(loss.data), math.log(VOC.size), rel_tol=1e-5)
 
     def test_mlm_forced_correct_logits(self):
@@ -224,15 +216,15 @@ class TestLosses:
         tok = encode_word(VOC, "dar", max_chars=6)
         state.params["mlm_w"].data[...] = 0.0
         state.params["mlm_b"].data[...] = -50.0
-        state.params["mlm_b"].data[tok.ids[2]] = 50.0
-        assert float(batch_loss(state, one_row(tok, {2}, tok.ids))[1].data) < 1e-5
+        state.params["mlm_b"].data[tok[2]] = 50.0
+        assert float(batch_loss(state, one_row(tok, {2}, tok))[1].data) < 1e-5
 
     def test_mlm_mean_linearity(self):
         state = small_state(seed=5)
         tok = encode_word(VOC, "darija", max_chars=6)
 
         def mlm(positions):
-            return float(batch_loss(state, one_row(tok, positions, tok.ids))[1].data)
+            return float(batch_loss(state, one_row(tok, positions, tok))[1].data)
 
         li, lj, lij = mlm({2}), mlm({4}), mlm({2, 4})
         assert math.isclose(lij, (li + lj) / 2, rel_tol=1e-5)
@@ -242,7 +234,7 @@ class TestLosses:
         state.params["label_w"].data[...] = 0.0
         state.params["label_b"].data[...] = 0.0
         tok = encode_word(VOC, "dar", max_chars=6)
-        _, _, loss = batch_loss(state, one_row(tok, {2}, tok.ids, [1, 0, 1, 0, 0]))
+        _, _, loss = batch_loss(state, one_row(tok, {2}, tok, [1, 0, 1, 0, 0]))
         assert math.isclose(float(loss.data), 5 * math.log(2), rel_tol=1e-6)
 
     def test_multilabel_permutation_equivariance(self):
@@ -259,7 +251,7 @@ class TestLosses:
             state = small_state(seed=seed)
             tok = encode_word(VOC, "darja", max_chars=6)
             total, mlm, multilabel = batch_loss(
-                state, one_row(tok, {1, 3}, tok.ids, [0, 1, 1, 0, 1]))
+                state, one_row(tok, {1, 3}, tok, [0, 1, 1, 0, 1]))
             assert total.data.tobytes() == (mlm.data + multilabel.data).tobytes()
 
 
@@ -426,8 +418,8 @@ class TestGradients:
             state = small_state(n_blocks=1, n_heads=1, hidden=4, max_chars=5, seed=1)
             tok = encode_word(VOC, "darja", max_chars=5)
             corrupted = encode_word(VOC, "darja", max_chars=5)
-            corrupted.ids[2] = MASK_ID
-            batch = one_row(corrupted, {2}, tok.ids, [1, 0, 0, 1, 0])
+            corrupted[2] = MASK_ID
+            batch = one_row(corrupted, {2}, tok, [1, 0, 0, 1, 0])
 
             def build():
                 return batch_loss(state, batch)[0]
@@ -440,8 +432,8 @@ class TestGradients:
         state = small_state(n_blocks=1, n_heads=2, hidden=8, max_chars=5, seed=7)
         tok = encode_word(VOC, "darja", max_chars=5)
         corrupted = encode_word(VOC, "darja", max_chars=5)
-        corrupted.ids[3] = MASK_ID
-        batch = one_row(corrupted, {3}, tok.ids, [0, 1, 0, 0, 1])
+        corrupted[3] = MASK_ID
+        batch = one_row(corrupted, {3}, tok, [0, 1, 0, 0, 1])
         opt = T.Adam(state.parameters(), lr=1e-4)
 
         def total():

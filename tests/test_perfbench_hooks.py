@@ -37,7 +37,7 @@ def test_forward_calls_layer_ops_by_encoder_name(monkeypatch):
     import numpy as np
 
     from chdzdt import encoder
-    from chdzdt.chartok import build_vocab
+    from chdzdt.chartok import build_vocab, encode_word
 
     vocab = build_vocab([(97, 122)])
     cfg = encoder.ModelConfig(vocab_size=vocab.size, n_blocks=3, n_heads=2,
@@ -50,8 +50,8 @@ def test_forward_calls_layer_ops_by_encoder_name(monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(encoder, name, spy)
-    ids = np.zeros((2, cfg.seq_len), dtype=np.int64)
-    encoder.forward_batch(state, ids, np.ones_like(ids))
+    ids = np.stack([encode_word(vocab, w, cfg.max_chars) for w in ("dar", "ab")])
+    encoder.forward_batch(state, ids)
     assert calls == {"layer_norm": 6, "softmax": 3, "gelu": 3}
 
 
@@ -107,7 +107,7 @@ EVAL_CASES = {
 
 @pytest.fixture(scope="module")
 def tiny_ckpt(tmp_path_factory):
-    from chdzdt.chartok import build_vocab
+    from chdzdt.chartok import build_vocab, encode_word
     from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
 
     vocab = build_vocab([(97, 122)])

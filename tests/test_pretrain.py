@@ -114,7 +114,7 @@ class TestMaskBatch:
         batch = mask_batch(ex, 0.5, np.random.default_rng(3))
         tok = ex[0][0]
         for pos, orig in zip(batch.mask_positions[0], batch.original_ids[0]):
-            assert tok.ids[pos] == orig
+            assert tok[pos] == orig
             assert batch.corrupted[0, pos] == MASK_ID
 
     def test_never_masks_cls_or_pad(self):
@@ -122,10 +122,10 @@ class TestMaskBatch:
         words = ["".join(rng.choice(list("abcdefgh"), size=rng.integers(1, 21)))
                  for _ in range(10_000)]
         for start in range(0, len(words), 100):
-            ex = examples_for(words[start:start + 100], max_chars=20)
-            batch = mask_batch(ex, 0.15, rng)
-            for (tok, _), positions in zip(ex, batch.mask_positions):
-                n_chars = min(tok.original_length, 20)
+            chunk = words[start:start + 100]
+            batch = mask_batch(examples_for(chunk, max_chars=20), 0.15, rng)
+            for word, positions in zip(chunk, batch.mask_positions):
+                n_chars = min(len(word), 20)
                 assert all(1 <= p <= n_chars for p in positions)
             assert not (batch.corrupted[:, 0] == MASK_ID).any()
 
