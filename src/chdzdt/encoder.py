@@ -1,10 +1,11 @@
-"""Character-level word encoder: embeddings, transformer blocks, two heads.
+"""Character-level word encoder: embeddings and transformer blocks.
 
 A word's character ids plus learned positional embeddings (added
-elementwise) pass through N post-layer-norm attention blocks. Two heads
-read the result: a per-position linear projection onto the character
-vocabulary for masked-character prediction, and a sigmoid multi-label
-head over the five language labels on the CLS state.
+elementwise) pass through N post-layer-norm attention blocks; the CLS
+state is the word vector. The weights of the two pre-training heads (a
+per-position projection onto the character vocabulary for masked-character
+prediction, and a sigmoid multi-label head over the five language labels)
+live in the state and its checkpoint, but only `pretrain` applies them.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def forward_batch(state: EncoderState, ids: np.ndarray,
                   train_mode: bool = False, rng=None):
     """Run [B, T] id batches through the encoder.
 
-    Returns (hidden [B,T,d] Tensor, cls [B,d], label_probs [B,L]).
+    Returns (hidden [B,T,d] Tensor, cls [B,d]); no head is applied.
     PAD_ID columns are padding: they get an additive -1e9 after the
     1/sqrt(d_head) scaling inside the attention softmax, which underflows
     their weights to exactly zero.
@@ -195,9 +196,7 @@ def forward_batch(state: EncoderState, ids: np.ndarray,
             ff = dropout(ff, cfg.dropout, rng)
         x = layer_norm(x + ff, p[pre + "ln2_g"], p[pre + "ln2_b"])
 
-    cls = x[:, 0]
-    label_probs = linear(cls, p["label_w"], p["label_b"]).sigmoid()
-    return x, cls, label_probs
+    return x, x[:, 0]
 
 
 def encode_words(state: EncoderState, words) -> np.ndarray:
@@ -213,7 +212,7 @@ def encode_words(state: EncoderState, words) -> np.ndarray:
     rows = []
     with T.no_grad():
         for start in range(0, len(ids), ENCODE_CHUNK):
-            _, cls, _ = forward_batch(
+            _, cls = forward_batch(
                 state, np.stack(ids[start:start + ENCODE_CHUNK]))
             rows.append(cls.data)
     return np.concatenate(rows)

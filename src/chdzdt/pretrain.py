@@ -1,8 +1,10 @@
-"""Joint masked-character + multi-label pre-training loop.
+"""Joint masked-character + multi-label pre-training: objective and loop.
 
-Each step corrupts a batch of tokenized words by replacing a sampled set of
-character positions with MASK, runs one encoder pass, and minimizes the sum
-of the masked-prediction cross-entropy and the multi-label BCE with Adam.
+The lexicon is encoded once into an id matrix and a multi-hot target
+matrix. Each step corrupts a batch of id rows by replacing a sampled set of
+character positions with MASK, runs one encoder pass, applies both heads
+(the encoder itself applies none), and minimizes the sum of the
+masked-prediction cross-entropy and the multi-label BCE with Adam.
 The loop opens no file and has no periodic checkpoints or resume: it
 returns the trained state and its log records for the caller to save.
 """
@@ -61,11 +63,10 @@ class TrainConfig:
 
 @dataclass
 class MaskedBatch:
-    """One corrupted batch: MASKed ids plus everything needed for the loss."""
+    """One corrupted batch: MASKed ids plus the targets of both losses."""
 
     corrupted: np.ndarray        # [B, T] int64, MASK written at sampled slots
-    mask_positions: list         # per example, ascending character positions
-    original_ids: list           # per example, the ids the masks replaced
+    char_targets: np.ndarray     # [B, T] int64, the replaced id; PAD_ID elsewhere
     targets: np.ndarray          # [B, n_labels] float multi-hot
 
 
@@ -79,65 +80,63 @@ def labels_to_targets(labels: Sequence[str]) -> np.ndarray:
     return vec
 
 
-def mask_batch(examples: Sequence, ratio: float,
+def mask_batch(ids: np.ndarray, targets: np.ndarray, ratio: float,
                rng: np.random.Generator) -> MaskedBatch:
-    """Corrupt a batch of (id row, labels) pairs; id rows are encode_word's.
+    """Corrupt [B, T] id rows (encode_word's) with their [B, n_labels]
+    label targets.
 
-    Per example, ceil(ratio * n_chars) distinct character positions (at
-    least one, never CLS and never PAD) are replaced by MASK; the replaced
-    ids are recorded in position order.
+    Per row, ceil(ratio * n_chars) distinct character positions (at least
+    one, never CLS and never PAD) are replaced by MASK; char_targets holds
+    the replaced ids at those slots. ids is not modified.
     """
-    if not examples:
-        raise ValueError("mask_batch needs at least one example")
+    if not len(ids):
+        raise ValueError("mask_batch needs at least one row")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
-    corrupted = np.stack([ids for ids, _ in examples])
+    corrupted = np.array(ids, dtype=np.int64)
+    char_targets = np.full_like(corrupted, PAD_ID)
     # every row holds CLS, then its characters, then PAD
     n_chars = ((corrupted != PAD_ID).sum(1) - 1).tolist()
-    positions: list = []
-    originals: list = []
-    for row, n in zip(corrupted, n_chars):
-        n_mask = max(1, math.ceil(ratio * n))
-        pos = np.sort(rng.choice(np.arange(1, 1 + n), size=n_mask,
-                                 replace=False))
-        originals.append(row[pos])
-        row[pos] = MASK_ID
-        positions.append(pos.tolist())
-    targets = np.stack([labels_to_targets(labels) for _, labels in examples])
-    return MaskedBatch(corrupted=corrupted, mask_positions=positions,
-                       original_ids=originals, targets=targets)
+    for row, n in enumerate(n_chars):
+        pos = rng.choice(np.arange(1, 1 + n), size=max(1, math.ceil(ratio * n)),
+                         replace=False)
+        char_targets[row, pos] = corrupted[row, pos]
+    corrupted[char_targets != PAD_ID] = MASK_ID
+    return MaskedBatch(corrupted=corrupted, char_targets=char_targets,
+                       targets=np.asarray(targets))
 
 
 def batch_loss(state: EncoderState, batch: MaskedBatch,
                train_mode: bool = False, rng=None):
-    """One encoder pass shared by both objectives.
+    """One encoder pass shared by both objectives and their heads.
 
     Returns (total, mlm, multilabel) scalar Tensors; mlm averages over every
-    masked position in the batch, multilabel averages row sums over examples.
+    slot whose char_target is not PAD_ID, multilabel averages row sums over
+    examples.
     """
-    hidden, _, label_probs = forward_batch(
+    p = state.params
+    hidden, cls = forward_batch(
         state, batch.corrupted, train_mode=train_mode, rng=rng)
-    b_idx = np.concatenate([np.full(len(p), i, dtype=np.int64)
-                            for i, p in enumerate(batch.mask_positions)])
-    t_idx = np.concatenate([np.asarray(p, dtype=np.int64)
-                            for p in batch.mask_positions])
-    picked = hidden[b_idx, t_idx]
-    logits = T.linear(picked, state.params["mlm_w"], state.params["mlm_b"])
-    mlm = T.softmax_ce(logits, np.concatenate(batch.original_ids))
+    label_probs = T.linear(cls, p["label_w"], p["label_b"]).sigmoid()
+    rows = np.nonzero(batch.char_targets != PAD_ID)
+    logits = T.linear(hidden[rows], p["mlm_w"], p["mlm_b"])
+    mlm = T.softmax_ce(logits, batch.char_targets[rows])
     multilabel = T.bce_multilabel(label_probs, batch.targets)
     return mlm + multilabel, mlm, multilabel
 
 
 def _encode_lexicon(lexicon: Sequence[LexiconEntry], vocab: CharVocab,
                     max_chars: int):
-    examples = []
+    """The lexicon as an [N, 1 + max_chars] id matrix and an [N, n_labels]
+    multi-hot target matrix."""
+    rows = []
     for entry in lexicon:
         try:
-            ids = encode_word(vocab, entry.word, max_chars=max_chars)
+            rows.append(encode_word(vocab, entry.word, max_chars=max_chars))
         except ValueError as exc:
             raise DataError(f"cannot encode lexicon word {entry.word!r}: {exc}")
-        examples.append((ids, entry.labels))
-    return examples
+    return (np.stack(rows),
+            np.stack([labels_to_targets(entry.labels) for entry in lexicon]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -150,25 +149,25 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
     """
     if not lexicon:
         raise DataError("cannot train on an empty lexicon")
-    examples = _encode_lexicon(lexicon, state.vocab, state.config.max_chars)
+    ids, targets = _encode_lexicon(lexicon, state.vocab, state.config.max_chars)
     words = [entry.word for entry in lexicon]
     opt = T.Adam(state.parameters(), lr=cfg.lr)
     records: list = []
-    steps_per_epoch = math.ceil(len(examples) / cfg.batch_size)
+    steps_per_epoch = math.ceil(len(ids) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     step = 0
     # words and start time of the steps since the last record
     window_words, window_start = 0, None
     for epoch in range(1, cfg.epochs + 1):
         erng = np.random.default_rng([cfg.seed, epoch])
-        order = erng.permutation(len(examples))
-        for start in range(0, len(examples), cfg.batch_size):
+        order = erng.permutation(len(ids))
+        for start in range(0, len(ids), cfg.batch_size):
             step += 1
             if window_start is None:
                 window_start = time.perf_counter()
             chunk = order[start:start + cfg.batch_size]
-            batch = mask_batch([examples[i] for i in chunk],
-                               cfg.mask_ratio, erng)
+            batch = mask_batch(ids[chunk], targets[chunk], cfg.mask_ratio,
+                               erng)
             total, mlm, multilabel = batch_loss(
                 state, batch, train_mode=True, rng=erng)
             if not np.isfinite(total.data).all():

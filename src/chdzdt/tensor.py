@@ -241,9 +241,6 @@ class Tensor:
         out = self._result(out_data, (self, other), backward)
         return out
 
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
     def __pow__(self, n):
         if not isinstance(n, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -260,15 +257,6 @@ class Tensor:
 
         def backward():
             self._acc(out.grad * out.data, owned=True)
-
-        out = self._result(out_data, (self,), backward)
-        return out
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def backward():
-            self._acc(out.grad / self.data, owned=True)
 
         out = self._result(out_data, (self,), backward)
         return out

@@ -14,8 +14,8 @@ import pytest
 
 import chdzdt.tensor as T
 from chdzdt import cli
-from chdzdt.chartok import MASK_ID, build_vocab, decode, default_vocab, \
-    encode_word
+from chdzdt.chartok import MASK_ID, PAD_ID, build_vocab, decode, \
+    default_vocab, encode_word
 from chdzdt.encoder import EncoderState, ModelConfig, count_params, \
     save_checkpoint
 from chdzdt.evalsuite.ablation import ablation_sweep, default_grid, \
@@ -96,8 +96,10 @@ def test_01_gradients_match_finite_differences():
         corrupted = encode_word(voc, "darja", max_chars=6)
         corrupted[2] = MASK_ID
         targets = [1, 0, 0, 1, 0]
+        char_targets = np.full((1, clean.size), PAD_ID, dtype=np.int64)
+        char_targets[0, 2] = clean[2]
         batch = MaskedBatch(corrupted=corrupted[None, :],
-                            mask_positions=[[2]], original_ids=[clean[[2]]],
+                            char_targets=char_targets,
                             targets=np.asarray([targets], dtype=np.float64))
 
         def build():

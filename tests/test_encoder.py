@@ -33,16 +33,22 @@ def small_state(n_blocks=1, n_heads=1, hidden=4, max_chars=6, seed=0, dropout=0.
 
 
 def forward_one(state, tok):
-    """forward_batch on a batch of one word: (hidden, cls, label_probs)."""
+    """forward_batch on a batch of one word: (hidden, cls)."""
     return forward_batch(state, tok[None, :])
+
+
+def label_probs(state, cls):
+    """The multi-label head pre-training applies to cls."""
+    return T.linear(cls, state.params["label_w"],
+                    state.params["label_b"]).sigmoid()
 
 
 def one_row(tok, positions, original_ids, targets=(1, 0, 0, 0, 0)):
     """A MaskedBatch of one row: the ids tok as given, losses at positions."""
     positions = sorted(positions)
-    return MaskedBatch(corrupted=tok[None, :],
-                       mask_positions=[positions],
-                       original_ids=[np.asarray(original_ids)[positions]],
+    char_targets = np.full((1, tok.size), PAD_ID, dtype=np.int64)
+    char_targets[0, positions] = np.asarray(original_ids)[positions]
+    return MaskedBatch(corrupted=tok[None, :], char_targets=char_targets,
                        targets=np.asarray([targets], dtype=np.float64))
 
 
@@ -77,19 +83,21 @@ class TestForward:
 
     def test_cls_is_row_zero(self):
         state = small_state()
-        hidden, cls, _ = forward_one(state, encode_word(VOC, "dar", max_chars=6))
+        hidden, cls = forward_one(state, encode_word(VOC, "dar", max_chars=6))
         assert np.array_equal(cls.data[0], hidden.data[0, 0])
 
     def test_pad_contents_cannot_leak(self):
         # the embedding a padded position carries never reaches CLS
         state = small_state(n_blocks=2, hidden=8, n_heads=2)
         tok = encode_word(VOC, "ab", max_chars=6)
-        _, base_cls, base_probs = forward_one(state, tok)
+        _, base_cls = forward_one(state, tok)
+        base_probs = label_probs(state, base_cls)
         rng = np.random.default_rng(0)
         for name, rows in (("char_emb", PAD_ID), ("pos_emb", tok == PAD_ID)):
             table = state.params[name].data
             table[rows] = rng.normal(0.0, 10.0, table[rows].shape)
-        _, cls, probs = forward_one(state, tok)
+        _, cls = forward_one(state, tok)
+        probs = label_probs(state, cls)
         assert cls.data.tobytes() == base_cls.data.tobytes()
         assert probs.data.tobytes() == base_probs.data.tobytes()
 
@@ -114,7 +122,8 @@ class TestForward:
 
     def test_label_probs_in_open_interval(self):
         state = small_state()
-        probs = forward_one(state, encode_word(VOC, "abc", max_chars=6))[2].data
+        cls = forward_one(state, encode_word(VOC, "abc", max_chars=6))[1]
+        probs = label_probs(state, cls).data
         assert probs.shape == (1, 5)
         assert ((probs > 0) & (probs < 1)).all()
 
@@ -178,7 +187,7 @@ class TestEncodeWords:
         single = []
         for w in words:
             tok = encode_word(VOC, w, max_chars=6)
-            _, cls, _ = forward_batch(state, tok[None])
+            _, cls = forward_batch(state, tok[None])
             single.append(cls.data[0])
         monkeypatch.setattr("chdzdt.encoder.ENCODE_CHUNK", 3)
         rows = encode_words(state, words)
@@ -239,7 +248,8 @@ class TestLosses:
 
     def test_multilabel_permutation_equivariance(self):
         state = small_state(seed=9)
-        probs = forward_one(state, encode_word(VOC, "dar", max_chars=6))[2][0]
+        cls = forward_one(state, encode_word(VOC, "dar", max_chars=6))[1]
+        probs = label_probs(state, cls)[0]
         base = float(T.bce_multilabel(probs, [1, 0, 0, 1, 0]).data)
         # permuting (prob, target) pairs together leaves the sum unchanged
         perm = [4, 3, 2, 1, 0]

@@ -1,14 +1,22 @@
-import gc
 import json
 import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdzdt import cli, encoder, pretrain
 from chdzdt import tensor as T
-from chdzdt.chartok import CLS_ID, MASK_ID, PAD_ID, build_vocab, encode_word
+from chdzdt.chartok import (
+    CLS_ID,
+    MASK_ID,
+    PAD_ID,
+    build_vocab,
+    default_vocab,
+    encode_word,
+)
 from chdzdt.encoder import (
     EncoderState,
     ModelConfig,
@@ -27,6 +35,7 @@ from chdzdt.pretrain import (
 )
 from chdzdt.preprocess import LexiconEntry, write_lexicon
 
+from gcprobe import tensors_left_to_cyclic_gc
 from oracles import (
     composite_attention_context,
     composite_attention_scores,
@@ -34,8 +43,11 @@ from oracles import (
     finite_diff_max_rel_err,
     per_tensor_checkpoint_bytes,
 )
+from universe import make_universe
 
 VOC = build_vocab([(97, 122)])  # a-z
+UNIVERSE = make_universe()[0]
+UNIVERSE_VOCAB = default_vocab()
 
 
 def entry(word, labels=("EN",)):
@@ -51,8 +63,16 @@ def toy_lexicon(n=24):
             for i, w in enumerate(words[:n])]
 
 
-def examples_for(words, max_chars=8):
-    return [(encode_word(VOC, w, max_chars=max_chars), ("EN",)) for w in words]
+def rows_for(words, max_chars=8):
+    """The (ids, targets) matrices mask_batch takes: words labelled EN."""
+    ids = np.stack([encode_word(VOC, w, max_chars=max_chars) for w in words])
+    return ids, np.stack([labels_to_targets(("EN",))] * len(words))
+
+
+def mask_positions(batch):
+    """Per row, the ascending slots whose character the loss predicts."""
+    return [np.flatnonzero(row != PAD_ID).tolist()
+            for row in batch.char_targets]
 
 
 class TestTrainConfig:
@@ -93,27 +113,28 @@ class TestTrainConfig:
 class TestMaskBatch:
     def test_single_char_word_gets_one_mask(self):
         rng = np.random.default_rng(0)
-        batch = mask_batch(examples_for(["a"]), 0.15, rng)
-        assert batch.mask_positions == [[1]]
+        batch = mask_batch(*rows_for(["a"]), 0.15, rng)
+        assert mask_positions(batch) == [[1]]
         assert batch.corrupted[0, 1] == MASK_ID
 
     def test_ten_char_word_ratio_015_masks_two(self):
         rng = np.random.default_rng(0)
-        batch = mask_batch(examples_for(["abcdefghij"], max_chars=12), 0.15, rng)
-        assert len(batch.mask_positions[0]) == 2
+        batch = mask_batch(*rows_for(["abcdefghij"], max_chars=12), 0.15, rng)
+        assert len(mask_positions(batch)[0]) == 2
 
     def test_same_seed_same_masks(self):
-        ex = examples_for(["kbira", "dar", "sarout"])
-        a = mask_batch(ex, 0.3, np.random.default_rng(7))
-        b = mask_batch(ex, 0.3, np.random.default_rng(7))
-        assert a.mask_positions == b.mask_positions
+        ex = rows_for(["kbira", "dar", "sarout"])
+        a = mask_batch(*ex, 0.3, np.random.default_rng(7))
+        b = mask_batch(*ex, 0.3, np.random.default_rng(7))
+        assert mask_positions(a) == mask_positions(b)
         assert np.array_equal(a.corrupted, b.corrupted)
 
     def test_originals_recorded_in_position_order(self):
-        ex = examples_for(["kbira"])
-        batch = mask_batch(ex, 0.5, np.random.default_rng(3))
+        ex = rows_for(["kbira"])
+        batch = mask_batch(*ex, 0.5, np.random.default_rng(3))
         tok = ex[0][0]
-        for pos, orig in zip(batch.mask_positions[0], batch.original_ids[0]):
+        positions = mask_positions(batch)[0]
+        for pos, orig in zip(positions, batch.char_targets[0, positions]):
             assert tok[pos] == orig
             assert batch.corrupted[0, pos] == MASK_ID
 
@@ -123,16 +144,16 @@ class TestMaskBatch:
                  for _ in range(10_000)]
         for start in range(0, len(words), 100):
             chunk = words[start:start + 100]
-            batch = mask_batch(examples_for(chunk, max_chars=20), 0.15, rng)
-            for word, positions in zip(chunk, batch.mask_positions):
+            batch = mask_batch(*rows_for(chunk, max_chars=20), 0.15, rng)
+            for word, positions in zip(chunk, mask_positions(batch)):
                 n_chars = min(len(word), 20)
                 assert all(1 <= p <= n_chars for p in positions)
             assert not (batch.corrupted[:, 0] == MASK_ID).any()
 
     def test_truncated_word_masks_inside_window(self):
-        ex = examples_for(["abcdefghijkl"], max_chars=6)
-        batch = mask_batch(ex, 0.9, np.random.default_rng(1))
-        assert all(1 <= p <= 6 for p in batch.mask_positions[0])
+        ex = rows_for(["abcdefghijkl"], max_chars=6)
+        batch = mask_batch(*ex, 0.9, np.random.default_rng(1))
+        assert all(1 <= p <= 6 for p in mask_positions(batch)[0])
 
     def test_masked_fraction_matches_ratio(self):
         # lengths are multiples of 4 so ceil(ratio*len) introduces no bias
@@ -141,8 +162,8 @@ class TestMaskBatch:
         for _ in range(50):
             words = ["".join(rng.choice(list("abcdefgh"), size=length))
                      for length in rng.choice([8, 12, 16, 20], size=40)]
-            batch = mask_batch(examples_for(words, max_chars=20), 0.25, rng)
-            masked += sum(len(p) for p in batch.mask_positions)
+            batch = mask_batch(*rows_for(words, max_chars=20), 0.25, rng)
+            masked += sum(len(p) for p in mask_positions(batch))
             chars += sum(len(w) for w in words)
         assert abs(masked / chars - 0.25) < 0.02
 
@@ -152,12 +173,33 @@ class TestMaskBatch:
         n = 4000
         for start in range(0, n, 200):
             words = ["abcdefghijklmnopqrst"] * 200
-            batch = mask_batch(examples_for(words, max_chars=20), 0.15, rng)
-            for positions in batch.mask_positions:
+            batch = mask_batch(*rows_for(words, max_chars=20), 0.15, rng)
+            for positions in mask_positions(batch):
                 assert len(positions) == 3
                 counts[positions] += 1
         freq = counts[1:] / n
         assert ((freq > 0.12) & (freq < 0.18)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, len(UNIVERSE) - 1), min_size=1,
+                    max_size=12),
+           st.floats(0.01, 0.99), st.integers(1, 14), st.integers(0, 2**32))
+    def test_masks_match_char_targets_on_lexicon_words(self, picks, ratio,
+                                                       max_chars, seed):
+        lexicon = [UNIVERSE[i] for i in picks]
+        ids, targets = pretrain._encode_lexicon(lexicon, UNIVERSE_VOCAB,
+                                                max_chars)
+        clean = ids.copy()
+        batch = mask_batch(ids, targets, ratio, np.random.default_rng(seed))
+        masked = batch.char_targets != PAD_ID
+        assert np.array_equal(batch.corrupted == MASK_ID, masked)
+        assert np.array_equal(batch.char_targets[masked], clean[masked])
+        assert np.array_equal(ids, clean)
+        n_chars = (clean != PAD_ID).sum(1) - 1
+        assert masked.sum(1).tolist() == [
+            max(1, math.ceil(ratio * n)) for n in n_chars.tolist()]
+        assert not masked[:, 0].any()
+        assert not masked[clean == PAD_ID].any()
 
     def test_labels_become_multi_hot(self):
         vec = labels_to_targets(("AR", "DZ"))
@@ -167,9 +209,10 @@ class TestMaskBatch:
 
     def test_empty_and_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
-            mask_batch([], 0.15, np.random.default_rng(0))
+            mask_batch(np.empty((0, 9), np.int64), np.empty((0, 5)), 0.15,
+                       np.random.default_rng(0))
         with pytest.raises(ValueError):
-            mask_batch(examples_for(["dar"]), 0.0, np.random.default_rng(0))
+            mask_batch(*rows_for(["dar"]), 0.0, np.random.default_rng(0))
 
 
 class TestBatchLoss:
@@ -179,7 +222,7 @@ class TestBatchLoss:
         state = EncoderState.init(cfg, VOC)
         for name in ("mlm_w", "mlm_b", "label_w", "label_b"):
             state.params[name].data[...] = 0.0
-        batch = mask_batch(examples_for(["dar", "kbira"], max_chars=6),
+        batch = mask_batch(*rows_for(["dar", "kbira"], max_chars=6),
                            0.3, np.random.default_rng(0))
         total, mlm, multilabel = batch_loss(state, batch)
         assert math.isclose(float(mlm.data), math.log(VOC.size), rel_tol=1e-5)
@@ -192,7 +235,7 @@ class TestBatchLoss:
         cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2,
                           hidden=8, max_chars=8, dropout=0.0, seed=0)
         state = EncoderState.init(cfg, VOC)
-        batch = mask_batch(examples_for(["dar", "kbira", "sarout", "win"]),
+        batch = mask_batch(*rows_for(["dar", "kbira", "sarout", "win"]),
                            0.2, np.random.default_rng(2))
         opt = T.Adam(state.parameters(), lr=1e-4)
         prev = float(batch_loss(state, batch)[0].data)
@@ -206,17 +249,17 @@ class TestBatchLoss:
             prev = now
 
     def test_real_batch_matches_finite_differences(self):
-        # rows masked twice repeat in the hidden[b_idx, t_idx] gather, and
-        # both objectives average over the batch
+        # rows masked twice repeat in the hidden[rows] gather, and both
+        # objectives average over the batch
         with T.precision("float64"):
             cfg = ModelConfig(vocab_size=VOC.size, n_blocks=2, n_heads=2,
                               hidden=8, max_chars=8, dropout=0.0, seed=3)
             state = EncoderState.init(cfg, VOC)
-            examples = [(encode_word(VOC, w, max_chars=8), labels)
-                        for w, labels in (("dar", ("EN",)), ("kbira", ("AR", "DZ")),
-                                          ("sarout", ("FR",)))]
-            batch = mask_batch(examples, 0.4, np.random.default_rng(0))
-            assert [len(p) for p in batch.mask_positions] == [2, 2, 3]
+            lexicon = [entry("dar", ("EN",)), entry("kbira", ("AR", "DZ")),
+                       entry("sarout", ("FR",))]
+            batch = mask_batch(*pretrain._encode_lexicon(lexicon, VOC, 8), 0.4,
+                               np.random.default_rng(0))
+            assert [len(p) for p in mask_positions(batch)] == [2, 2, 3]
 
             def build():
                 return batch_loss(state, batch)[0]
@@ -235,7 +278,7 @@ class TestBatchLoss:
         state = EncoderState.init(cfg, VOC)
         words = [w.word for w in toy_lexicon(16)]
         rng = np.random.default_rng(0)
-        batch = mask_batch(examples_for(words, max_chars=cfg.max_chars),
+        batch = mask_batch(*rows_for(words, max_chars=cfg.max_chars),
                            0.15, rng)
         total, _, _ = batch_loss(state, batch, train_mode=True, rng=rng)
         seen, stack, ops = set(), [total], 0
@@ -385,18 +428,12 @@ class TestTrain:
 
     def test_non_finite_loss_leaves_no_graph_for_the_cyclic_gc(self):
         tc = TrainConfig(epochs=2, batch_size=8, lr=1e30, seed=0)
-        gc.collect()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
+
+        def run():
             with pytest.raises(NumericalError, match="step 2"):
                 train(toy_lexicon(), ModelConfig(**self.CFG), tc, VOC)
-            gc.collect()
-            leaked = sum(isinstance(obj, T.Tensor) for obj in gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
+
+        _, leaked = tensors_left_to_cyclic_gc(run)
         assert leaked == 0
 
     def test_empty_lexicon_rejected(self):

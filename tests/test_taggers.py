@@ -1,6 +1,5 @@
 """Morphology, PoS, and sentiment decoders on separable fixtures."""
 
-import gc
 import logging
 
 import numpy as np
@@ -24,6 +23,7 @@ from chdzdt.evalsuite.taggers import (
 )
 from chdzdt.tensor import Tensor
 
+from gcprobe import tensors_left_to_cyclic_gc
 from oracles import finite_diff_max_rel_err
 
 VOC = build_vocab([(97, 122)])
@@ -341,18 +341,7 @@ class TestSentimentClassifier:
                                  seed=0, loss_target=0.0),
 ], ids=["pos", "sa"])
 def test_frozen_run_leaves_no_graph_for_the_cyclic_gc(run):
-    gc.collect()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        run()
-        gc.collect()
-        leaked = sum(isinstance(obj, Tensor) for obj in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-    assert leaked == 0
+    assert tensors_left_to_cyclic_gc(run)[1] == 0
 
 
 UNEQUAL_SENTENCES = [["a", "b", "c", "d"], ["c", "a"], ["b"],
@@ -475,6 +464,21 @@ class TestFinetune:
         for name, p in emb.state.params.items():
             if name == "char_emb" or name.startswith("block"):
                 assert p.grad is not None and np.any(p.grad != 0), name
+
+    @pytest.mark.parametrize("task", [pos_tagger, sentiment_classifier],
+                             ids=["pos", "sa"])
+    def test_finetune_leaves_no_graph_for_the_cyclic_gc(self, task):
+        # each forward's graph, encoder included, is freed by reference
+        # counting once backward has run
+        cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2,
+                          hidden=16, seed=3)
+        emb = CheckpointEmbedder(EncoderState.init(cfg, VOC))
+        data = (pos_sentences(n=8) if task is pos_tagger
+                else sentiment_rows(n=12))
+        _, leaked = tensors_left_to_cyclic_gc(
+            lambda: task(emb, data, mode="finetune", gru_hidden=8,
+                         dense_dim=8, epochs=5, lr=0.01, seed=0))
+        assert leaked == 0
 
     def test_encoder_params_view_the_buffer_after_finetune(self):
         cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2,
