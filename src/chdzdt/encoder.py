@@ -38,6 +38,9 @@ MAGIC = b"CHDZ"
 FORMAT_VERSION = 1
 # words per graph-free forward in encode_words; bounds its working memory
 ENCODE_CHUNK = 256
+# encode_words pads a word to a multiple of this many id columns: exact
+# widths would split a small call into many tiny forwards
+WIDTH_STEP = 4
 
 
 @dataclass
@@ -155,26 +158,34 @@ class EncoderState:
         return bool(np.isfinite(self.flat).all())
 
 
+def cut_to_longest(ids: np.ndarray) -> np.ndarray:
+    """[B, T] id rows without the trailing columns that are PAD in every
+    row: their width is the longest row's CLS plus characters."""
+    return ids[:, :int((ids != PAD_ID).sum(1).max())]
+
+
 def forward_batch(state: EncoderState, ids: np.ndarray,
                   train_mode: bool = False, rng=None):
-    """Run [B, T] id batches through the encoder.
+    """Run [B, t] id batches, 1 <= t <= seq_len, through the encoder.
 
-    Returns (hidden [B,T,d] Tensor, cls [B,d]); no head is applied.
-    PAD_ID columns are padding: they get an additive -1e9 after the
-    1/sqrt(d_head) scaling inside the attention softmax, which underflows
-    their weights to exactly zero.
+    Returns (hidden [B,t,d] Tensor, cls [B,d]); no head is applied.
+    Position j adds pos_emb[j], and pos_emb rows past t get a zero
+    gradient. PAD_ID columns are padding: they get an additive -1e9 after
+    the 1/sqrt(d_head) scaling inside the attention softmax, which
+    underflows their weights to exactly zero.
     """
     cfg = state.config
     p = state.params
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2 or ids.shape[1] != cfg.seq_len:
-        raise ConfigError(f"expected ids of shape [B, {cfg.seq_len}], got {ids.shape}")
+    if ids.ndim != 2 or not 1 <= ids.shape[1] <= cfg.seq_len:
+        raise ConfigError(f"expected ids of shape [B, t] with 1 <= t <= "
+                          f"{cfg.seq_len}, got {ids.shape}")
     if train_mode and cfg.dropout > 0 and rng is None:
         raise ValueError("train_mode with dropout needs an rng")
     scale = 1.0 / math.sqrt(cfg.hidden // cfg.n_heads)
     neg = ((ids[:, None, None, :] == PAD_ID) * -1e9).astype(T.default_dtype())
 
-    x = embedding(p["char_emb"], ids) + p["pos_emb"]
+    x = embedding(p["char_emb"], ids) + p["pos_emb"][:ids.shape[1]]
     for i in range(cfg.n_blocks):
         pre = f"block{i}."
         scores = attention_scores(x, p[pre + "attn_q_w"], p[pre + "attn_q_b"],
@@ -202,20 +213,34 @@ def forward_batch(state: EncoderState, ids: np.ndarray,
 def encode_words(state: EncoderState, words) -> np.ndarray:
     """Holistic word vectors [n, d]: CLS rows of eval-mode forward passes.
 
-    Rows follow the order of words. The forward runs graph-free over
-    chunks of ENCODE_CHUNK words; every row has the same bits as a
-    forward of its word alone, since no op mixes rows of a batch.
+    Rows follow the order of words. Each word runs at the width its own
+    length gives, CLS plus characters rounded up to a multiple of
+    WIDTH_STEP (at most seq_len), graph-free, in chunks of ENCODE_CHUNK
+    words of that width. A chunk of fewer than ceil(seq_len / width) rows
+    is filled up by repeating its rows, so no product is smaller than a
+    lone full-width word's; then every row has the same bits as its word
+    encoded alone.
     """
-    ids = [encode_word(state.vocab, w, state.config.max_chars) for w in words]
+    cfg = state.config
+    ids = [encode_word(state.vocab, w, cfg.max_chars) for w in words]
+    out = np.empty((len(ids), cfg.hidden), dtype=T.default_dtype())
     if not ids:
-        return np.empty((0, state.config.hidden), dtype=T.default_dtype())
-    rows = []
+        return out
+    ids = np.stack(ids)
+    n_ids = (ids != PAD_ID).sum(1)
+    widths = np.minimum(-(-n_ids // WIDTH_STEP) * WIDTH_STEP, cfg.seq_len)
     with T.no_grad():
-        for start in range(0, len(ids), ENCODE_CHUNK):
-            _, cls = forward_batch(
-                state, np.stack(ids[start:start + ENCODE_CHUNK]))
-            rows.append(cls.data)
-    return np.concatenate(rows)
+        for width in np.unique(widths).tolist():
+            members = np.flatnonzero(widths == width)
+            min_rows = -(-cfg.seq_len // width)
+            for start in range(0, len(members), ENCODE_CHUNK):
+                chunk = members[start:start + ENCODE_CHUNK]
+                batch = ids[chunk, :width]
+                if len(chunk) < min_rows:
+                    batch = np.resize(batch, (min_rows, width))
+                _, cls = forward_batch(state, batch)
+                out[chunk] = cls.data[:len(chunk)]
+    return out
 
 
 # -- checkpoint container ---------------------------------------------------

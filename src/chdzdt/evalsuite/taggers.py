@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..chartok import encode_word
-from ..encoder import forward_batch
+from ..encoder import cut_to_longest, forward_batch
 from ..errors import ConfigError, DataError
 from .datasets import SENTIMENT_LABELS
 from .embedder import CheckpointEmbedder, embed_rows
@@ -53,8 +53,8 @@ def _word_rows(embedder, words, test_words, mode: str):
         X = T.Tensor(embed_rows(embedder, words, T.default_dtype()))
         return row, lambda: X, [], lambda: (row, X)
     state = embedder.state
-    ids = np.stack([encode_word(state.vocab, w, state.config.max_chars)
-                    for w in words])
+    ids = cut_to_longest(np.stack([
+        encode_word(state.vocab, w, state.config.max_chars) for w in words]))
     return (row, lambda: forward_batch(state, ids)[1],
             state.parameters(),
             lambda: _word_rows(embedder, test_words, (), "frozen")[3]())

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .chartok import CharVocab, MASK_ID, PAD_ID, encode_word
-from .encoder import EncoderState, ModelConfig, forward_batch
+from .encoder import EncoderState, ModelConfig, cut_to_longest, forward_batch
 from .errors import ConfigError, DataError, NumericalError
 from .fileio import config_from_dict
 from .preprocess import LABELS, LexiconEntry
@@ -82,26 +82,34 @@ def labels_to_targets(labels: Sequence[str]) -> np.ndarray:
 
 def mask_batch(ids: np.ndarray, targets: np.ndarray, ratio: float,
                rng: np.random.Generator) -> MaskedBatch:
-    """Corrupt [B, T] id rows (encode_word's) with their [B, n_labels]
-    label targets.
+    """Corrupt [B, t] id rows (encode_word's, maybe cut) with their
+    [B, n_labels] label targets.
 
     Per row, ceil(ratio * n_chars) distinct character positions (at least
     one, never CLS and never PAD) are replaced by MASK; char_targets holds
-    the replaced ids at those slots. ids is not modified.
+    the replaced ids at those slots. ids is not modified. One draw covers
+    the batch: every slot gets a uniform key, and a row masks its
+    character slots of lowest key.
     """
     if not len(ids):
         raise ValueError("mask_batch needs at least one row")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"mask ratio must lie in (0, 1), got {ratio}")
     corrupted = np.array(ids, dtype=np.int64)
-    char_targets = np.full_like(corrupted, PAD_ID)
     # every row holds CLS, then its characters, then PAD
-    n_chars = ((corrupted != PAD_ID).sum(1) - 1).tolist()
-    for row, n in enumerate(n_chars):
-        pos = rng.choice(np.arange(1, 1 + n), size=max(1, math.ceil(ratio * n)),
-                         replace=False)
-        char_targets[row, pos] = corrupted[row, pos]
-    corrupted[char_targets != PAD_ID] = MASK_ID
+    is_char = corrupted != PAD_ID
+    is_char[:, 0] = False
+    n_chars = is_char.sum(1)
+    if not n_chars.all():
+        raise ValueError("mask_batch needs a character in every row")
+    n_masked = np.maximum(1, np.ceil(ratio * n_chars))
+    keys = np.where(is_char, rng.random(corrupted.shape), np.inf)
+    by_key = np.argsort(keys, axis=1, kind="stable")
+    rows, ranks = np.nonzero(np.arange(corrupted.shape[1]) < n_masked[:, None])
+    cols = by_key[rows, ranks]
+    char_targets = np.full_like(corrupted, PAD_ID)
+    char_targets[rows, cols] = corrupted[rows, cols]
+    corrupted[rows, cols] = MASK_ID
     return MaskedBatch(corrupted=corrupted, char_targets=char_targets,
                        targets=np.asarray(targets))
 
@@ -166,8 +174,8 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
             if window_start is None:
                 window_start = time.perf_counter()
             chunk = order[start:start + cfg.batch_size]
-            batch = mask_batch(ids[chunk], targets[chunk], cfg.mask_ratio,
-                               erng)
+            batch = mask_batch(cut_to_longest(ids[chunk]), targets[chunk],
+                               cfg.mask_ratio, erng)
             total, mlm, multilabel = batch_loss(
                 state, batch, train_mode=True, rng=erng)
             if not np.isfinite(total.data).all():

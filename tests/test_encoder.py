@@ -19,7 +19,7 @@ from chdzdt.encoder import (
     save_checkpoint,
 )
 from chdzdt.errors import ConfigError, CorruptCheckpointError
-from chdzdt.pretrain import MaskedBatch, batch_loss
+from chdzdt.pretrain import MaskedBatch, batch_loss, mask_batch
 
 from oracles import finite_diff_max_rel_err
 
@@ -132,6 +132,47 @@ class TestForward:
         tok = encode_word(VOC, "ab", max_chars=9)
         with pytest.raises(ConfigError):
             forward_one(state, tok)
+        with pytest.raises(ConfigError):
+            forward_one(state, tok[:0])
+
+    def test_cut_batch_matches_full_width(self):
+        # dropping all-PAD columns changes only the rounding: PAD keys get
+        # zero attention weight and no loss reads a PAD row
+        state = small_state(n_blocks=2, n_heads=2, hidden=16, max_chars=20,
+                            seed=2)
+        ids = np.stack([encode_word(VOC, w, max_chars=20)
+                        for w in ("dar", "kbira", "w", "sarout", "mliha")])
+        cut = encoder.cut_to_longest(ids)
+        t = cut.shape[1]
+        assert t == 7
+        batch = mask_batch(cut, np.eye(5), 0.3, np.random.default_rng(0))
+        full = MaskedBatch(
+            corrupted=np.pad(batch.corrupted, ((0, 0), (0, 21 - t)),
+                             constant_values=PAD_ID),
+            char_targets=np.pad(batch.char_targets, ((0, 0), (0, 21 - t)),
+                                constant_values=PAD_ID),
+            targets=batch.targets)
+        runs = []
+        for b in (batch, full):
+            hidden, cls = forward_batch(state, b.corrupted)
+            total = batch_loss(state, b)[0]
+            for p in state.parameters():
+                p.grad = None
+            total.backward()
+            runs.append((hidden.data[:, :t], cls.data, float(total.data),
+                         {k: p.grad for k, p in state.params.items()}))
+        (h_cut, cls_cut, loss_cut, g_cut), (h_full, cls_full, loss_full,
+                                            g_full) = runs
+        np.testing.assert_allclose(h_cut, h_full, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(cls_cut, cls_full, rtol=0, atol=1e-5)
+        assert math.isclose(loss_cut, loss_full, rel_tol=0, abs_tol=1e-5)
+        assert g_cut.keys() == g_full.keys()
+        for name in g_full:
+            np.testing.assert_allclose(g_cut[name], g_full[name], rtol=0,
+                                       atol=1e-5, err_msg=name)
+        pos = g_cut["pos_emb"]
+        assert pos.shape == (21, 16)
+        assert pos[:t].any() and not pos[t:].any()
 
     def test_hand_set_weights_match_straight_line_numpy(self):
         cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=1, hidden=2,
@@ -181,18 +222,26 @@ class TestEncodeWords:
             encode_words(small_state(), ["  "])
 
     def test_rows_bit_identical_to_batch_of_one(self, monkeypatch):
-        state = small_state(n_blocks=2, n_heads=2, hidden=8)
-        words = ["dar", "kbira", "w", "dar", "abcdefgh", "xyz", "mm", "w"]
-        words = [words[i] for i in np.random.default_rng(0).permutation(8)]
-        single = []
-        for w in words:
-            tok = encode_word(VOC, w, max_chars=6)
-            _, cls = forward_batch(state, tok[None])
-            single.append(cls.data[0])
-        monkeypatch.setattr("chdzdt.encoder.ENCODE_CHUNK", 3)
-        rows = encode_words(state, words)
-        assert rows.shape == (8, 8)
-        np.testing.assert_array_equal(rows, np.stack(single))
+        # a row's bits depend on its word only, not on the words it is
+        # batched with: embed_rows dedups words and encode_words buckets
+        # and chunks them. At d128 the row minimum is what keeps it so.
+        monkeypatch.setattr("chdzdt.encoder.ENCODE_CHUNK", 7)
+        rng = np.random.default_rng(0)
+        for kwargs, n_words, max_len in (
+                ({"n_blocks": 2, "n_heads": 2, "hidden": 8}, 8, 8),
+                ({"n_blocks": 2, "n_heads": 2, "hidden": 16, "max_chars": 20},
+                 60, 25),
+                ({"n_blocks": 4, "n_heads": 4, "hidden": 128, "max_chars": 32},
+                 300, 29)):
+            state = small_state(**kwargs)
+            words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"),
+                                        size=rng.integers(1, max_len + 1)))
+                     for _ in range(n_words - 2)]
+            words += words[:2]
+            alone = np.concatenate([encode_words(state, [w]) for w in words])
+            rows = encode_words(state, words)
+            assert rows.shape == (n_words, kwargs["hidden"])
+            assert rows.tobytes() == alone.tobytes(), kwargs["hidden"]
 
     def test_forward_builds_no_graph(self, monkeypatch):
         state = small_state()

@@ -183,12 +183,16 @@ class TestMaskBatch:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, len(UNIVERSE) - 1), min_size=1,
                     max_size=12),
-           st.floats(0.01, 0.99), st.integers(1, 14), st.integers(0, 2**32))
+           st.floats(0.01, 0.99), st.integers(1, 14), st.integers(0, 2**32),
+           st.booleans())
     def test_masks_match_char_targets_on_lexicon_words(self, picks, ratio,
-                                                       max_chars, seed):
+                                                       max_chars, seed, cut):
         lexicon = [UNIVERSE[i] for i in picks]
         ids, targets = pretrain._encode_lexicon(lexicon, UNIVERSE_VOCAB,
                                                 max_chars)
+        if cut:
+            # the batch width training passes
+            ids = encoder.cut_to_longest(ids)
         clean = ids.copy()
         batch = mask_batch(ids, targets, ratio, np.random.default_rng(seed))
         masked = batch.char_targets != PAD_ID
@@ -213,6 +217,9 @@ class TestMaskBatch:
                        np.random.default_rng(0))
         with pytest.raises(ValueError):
             mask_batch(*rows_for(["dar"]), 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            mask_batch(np.array([[CLS_ID, PAD_ID]]), np.zeros((1, 5)), 0.15,
+                       np.random.default_rng(0))
 
 
 class TestBatchLoss:
@@ -269,10 +276,11 @@ class TestBatchLoss:
         assert err < 1e-3
 
     def test_training_graph_size_is_pinned(self):
-        # the toy recipe N2-H2-d16 at B=16 with dropout: 2 embedding nodes,
-        # 14 per block and 8 for the heads and losses. Every node costs
-        # Python time in forward and backward, so a change that grows the
-        # graph must update this count on purpose.
+        # the toy recipe N2-H2-d16 at B=16 with dropout: 3 embedding nodes
+        # (character rows, the pos_emb slice and their sum), 14 per block
+        # and 8 for the heads and losses. Every node costs Python time in
+        # forward and backward, so a change that grows the graph must
+        # update this count on purpose.
         cfg = ModelConfig(vocab_size=VOC.size, n_blocks=2, n_heads=2,
                           hidden=16, dropout=0.1, seed=0)
         state = EncoderState.init(cfg, VOC)
@@ -288,7 +296,7 @@ class TestBatchLoss:
                 seen.add(id(node))
                 ops += bool(node._prev)
                 stack.extend(node._prev)
-        assert ops == 38
+        assert ops == 39
         total._unlink()
 
     def test_twelve_steps_match_the_composite_attention_chain(self,
@@ -347,16 +355,26 @@ class TestTrain:
             fresh.params["char_emb"].data.tobytes()
 
     def test_identical_seeds_identical_runs(self, tmp_path):
-        mc = ModelConfig(**self.CFG)
+        # toy words, then words of 1-20 characters with dropout, so that
+        # the batches of one run take many widths
+        rng = np.random.default_rng(8)
+        varied = [entry("".join(rng.choice(list("abcdefghij"),
+                                           size=rng.integers(1, 21))))
+                  for _ in range(40)]
         tc = TrainConfig(epochs=2, batch_size=8, seed=5, log_every=1)
-        out_a, out_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        state_a, rec_a = train(toy_lexicon(), mc, tc, VOC)
-        state_b, rec_b = train(toy_lexicon(), mc, tc, VOC)
-        save_checkpoint(state_a, out_a)
-        save_checkpoint(state_b, out_b)
-        strip = lambda r: {k: v for k, v in r.items() if k != "samples_per_sec"}
-        assert [strip(r) for r in rec_a] == [strip(r) for r in rec_b]
-        assert out_a.read_bytes() == out_b.read_bytes()
+        for lexicon, overrides in ((toy_lexicon(), {}),
+                                   (varied, {"max_chars": 20, "dropout": 0.1})):
+            mc = ModelConfig(**{**self.CFG, **overrides})
+            out_a, out_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+            state_a, rec_a = train(lexicon, mc, tc, VOC)
+            state_b, rec_b = train(lexicon, mc, tc, VOC)
+            assert state_a.flat.tobytes() == state_b.flat.tobytes()
+            save_checkpoint(state_a, out_a)
+            save_checkpoint(state_b, out_b)
+            strip = lambda r: {k: v for k, v in r.items()
+                               if k != "samples_per_sec"}
+            assert [strip(r) for r in rec_a] == [strip(r) for r in rec_b]
+            assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_loss_drops_on_toy_lexicon(self):
         from universe import make_universe
