@@ -26,6 +26,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import BLAS_THREAD_VARS, __version__
 from .chartok import default_vocab, load_vocab_spec
 from .encoder import ModelConfig, save_checkpoint
@@ -85,6 +90,7 @@ class RunManifest:
     finished: str
     blas_threads: dict  # each BLAS thread variable as the run saw it
     blas_kernel: str | None  # the kernel NumPy's OpenBLAS picked, if known
+    minor_faults: int | None  # ru_minflt from started to this write
 
 
 @functools.cache
@@ -102,8 +108,45 @@ def _blas_kernel() -> str | None:
     return None
 
 
+# glibc's mallopt(3) parameter numbers, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed memory mapped in this process. glibc serves an array
+    above its mmap threshold from a fresh mapping and trims the free top of
+    the heap past its trim threshold, so each training epoch that frees
+    MB-sized arrays hands their pages back and faults them in again.
+    Arrays up to 32 MiB (glibc's own dynamic maximum on 64-bit) come from
+    the heap, and up to 256 MiB of free heap top stays mapped. A libc
+    without mallopt, or a platform with no C library to load by None
+    (Windows), is left as it is. Set once per process."""
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], \
+        ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def _minor_faults() -> int | None:
+    """ru_minflt of this process so far; None where resource is absent."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _start() -> tuple:
+    """(UTC stamp, minor faults so far) at the start of a command."""
+    return _utc_now(), _minor_faults()
 
 
 def _digest_file(path) -> str:
@@ -128,15 +171,19 @@ def _write_json(path, obj) -> None:
 
 
 def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
-                   seed: int | None, started: str) -> None:
+                   seed: int | None, started: tuple) -> None:
+    """started: what _start() returned when the command began."""
+    stamp, faults = started
     manifest = RunManifest(subcommand=subcommand, config=config,
                            inputs={k: _digest_file(v)
                                    for k, v in inputs.items() if v},
                            seed=seed, version=__version__,
-                           started=started, finished=_utc_now(),
+                           started=stamp, finished=_utc_now(),
                            blas_threads={var: os.environ.get(var)
                                          for var in BLAS_THREAD_VARS},
-                           blas_kernel=_blas_kernel())
+                           blas_kernel=_blas_kernel(),
+                           minor_faults=None if faults is None
+                           else _minor_faults() - faults)
     _write_json(path, asdict(manifest))
 
 
@@ -201,7 +248,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_preprocess(args) -> int:
-    started = _utc_now()
+    started = _start()
     label_map = read_json(args.labels, "labels map")
     if not label_map:
         raise ConfigError(f"labels map {args.labels} must be a non-empty "
@@ -247,7 +294,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    started = _utc_now()
+    started = _start()
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
@@ -296,7 +343,7 @@ def _read_word_lines(source):
 
 
 def cmd_encode(args) -> int:
-    started = _utc_now()
+    started = _start()
     embedder = CheckpointEmbedder.from_file(args.ckpt)
     lines, stdin_digest = _read_word_lines(args.words)
 
@@ -469,7 +516,7 @@ def ablation_evaluate(data: dict, params: dict | None = None,
 
 
 def cmd_eval(args) -> int:
-    started = _utc_now()
+    started = _start()
     task = TASKS[args.task]
     if args.mode == "finetune" and not task.finetune:
         raise UsageError("--mode finetune only applies to tasks "
@@ -507,7 +554,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    started = _utc_now()
+    started = _start()
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
@@ -685,6 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

@@ -119,7 +119,7 @@ def embed_rows(embedder, words, dtype) -> np.ndarray:
 def write_embeddings_tsv(path, words, vectors, dim: int) -> None:
     """word TAB space-separated floats, '#dim d' header, UTF-8, LF; every
     vector must have dim floats."""
-    vectors = [np.asarray(v) for v in vectors]
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     if len(words) != len(vectors):
         raise DataError(f"{len(words)} words vs {len(vectors)} vectors")
     dims = {v.shape[0] for v in vectors} | {dim}
@@ -128,7 +128,7 @@ def write_embeddings_tsv(path, words, vectors, dim: int) -> None:
     with atomic_write(path) as f:
         f.write(f"{TSV_HEADER_PREFIX}{dim}\n")
         for word, vec in zip(words, vectors):
-            floats = " ".join(repr(float(x)) for x in vec)
+            floats = " ".join(map(repr, vec.tolist()))
             f.write(f"{word}\t{floats}\n")
 
 

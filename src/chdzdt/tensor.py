@@ -398,7 +398,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"bias {b.shape} do not fit")
     d_in, d_out = w.shape
     x2 = x.data.reshape(-1, d_in)
-    out_data = (x2 @ w.data + b.data).reshape(x.shape[:-1] + (d_out,))
+    out_data = x2 @ w.data
+    out_data += b.data
+    out_data = out_data.reshape(x.shape[:-1] + (d_out,))
 
     def backward():
         g = out.grad.reshape(-1, d_out)
@@ -592,17 +594,19 @@ def softmax_ce(logits: Tensor, target_ids) -> Tensor:
         raise ValueError(f"softmax_ce: {n} rows but {targets.shape[0]} targets")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise IndexError(f"softmax_ce target out of range [0, {v})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - log_z
-    nll = -log_probs[np.arange(n), targets]
+    # one [n, V] buffer: the shifted logits, then the log-probabilities,
+    # then, in backward, the gradient
+    buf = logits.data - logits.data.max(axis=1, keepdims=True)
+    buf -= np.log(np.exp(buf).sum(axis=1, keepdims=True))
+    nll = -buf[np.arange(n), targets]
     scale = 1.0 / n
     out_data = np.asarray(nll.sum() * scale, dtype=logits.data.dtype)
 
     def backward():
-        sm = np.exp(log_probs)
-        sm[np.arange(n), targets] -= 1.0
-        logits._acc((out.grad * scale) * sm.astype(logits.data.dtype), owned=True)
+        np.exp(buf, out=buf)
+        buf[np.arange(n), targets] -= 1.0
+        np.multiply(buf, out.grad * scale, out=buf)
+        logits._acc(buf, owned=True)
 
     out = Tensor._result(out_data, (logits,), backward)
     return out

@@ -95,6 +95,23 @@ def composite_linear(x, w, b):
     return out
 
 
+def formula_softmax_ce(logits, targets, upstream):
+    """(loss, logits gradient) of mean cross-entropy by the formulas
+    tensor.softmax_ce used before it kept one [n, V] buffer: a fresh array
+    for each intermediate and the gradient cast back to the logits' dtype.
+    upstream is the gradient that reached the loss."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    log_probs = z - log_z
+    nll = -log_probs[np.arange(n), targets]
+    scale = 1.0 / n
+    loss = np.asarray(nll.sum() * scale, dtype=logits.dtype)
+    sm = np.exp(log_probs)
+    sm[np.arange(n), targets] -= 1.0
+    return loss, (upstream * scale) * sm.astype(logits.dtype)
+
+
 def brute_gru_states(x, mask, w, u, b, reverse=False):
     """Masked GRU states [n, L, h] with one scalar loop per unit.
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, outputs, manifests."""
 
+import ctypes
 import hashlib
 import inspect
 import io
@@ -214,6 +215,68 @@ class TestParser:
                 assert name in proc.stdout
 
 
+# A fresh process runs main once, then allocates, fills and frees a pair of
+# 1 MB and a pair of 6 MB arrays per round; prints the minor page faults of
+# the measured rounds.
+HEAP_ROUNDS = """\
+import contextlib, io, resource
+import numpy as np
+from chdzdt import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--help"])
+
+def one_round():
+    arrays = [np.ones(1 << 17) for _ in range(2)]
+    arrays += [np.ones(6 << 18, dtype=np.float32) for _ in range(2)]
+    del arrays
+
+for _ in range(5):
+    one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    one_round()
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapPolicy:
+
+    def test_freed_arrays_stay_mapped(self, tmp_path):
+        # Without the policy glibc maps each array afresh or trims the heap
+        # top after the free, and the measured rounds fault in thousands of
+        # pages
+        if cli.resource is None \
+                or getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("libc has no mallopt")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(chdzdt.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", HEAP_ROUNDS],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        code, faults = map(int, proc.stdout.split())
+        assert code == 0
+        assert faults <= 16
+
+    def test_main_runs_where_libc_has_no_mallopt(self, monkeypatch, capsys):
+        real, names = ctypes.CDLL, []
+
+        def cdll(name, *args, **kwargs):
+            names.append(name)
+            return object() if name is None else real(name, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_freed_memory.cache_clear()
+        try:
+            assert run("--help") == 0
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert None in names
+        capsys.readouterr()
+
+
 class TestPreprocess:
 
     def test_writes_expected_lexicon(self, lexicon):
@@ -323,6 +386,14 @@ class TestPretrain:
         assert manifest["seed"] == 0
         assert manifest["version"] == chdzdt.__version__
         assert manifest["blas_kernel"] == cli._blas_kernel()
+
+    def test_manifest_counts_minor_faults(self, ws, ckpt):
+        manifest = json.loads((ws / "enc.ckpt.manifest.json").read_text())
+        if cli.resource is None:
+            assert manifest["minor_faults"] is None
+        else:
+            assert type(manifest["minor_faults"]) is int
+            assert manifest["minor_faults"] >= 0
 
     def test_checkpoint_bytes_independent_of_blas_env(self, tmp_path):
         # At d16 on the 500-word lexicon, a host with more than one core

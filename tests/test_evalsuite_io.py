@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chdzdt.chartok import build_vocab
 from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
@@ -75,6 +77,22 @@ class TestTsvEmbedder:
         np.testing.assert_array_equal(emb.embed_many(words[::-1]),
                                       np.stack(vectors[::-1]))
         assert emb.embed_many([]).shape == (0, 3)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(
+        st.floats(width=32) | st.sampled_from(
+            [0.0, -0.0, 1e-05, 1e16, -1e16, 1e-45, -1e-45, 1.1754942e-38]),
+        min_size=4, max_size=4), min_size=1, max_size=6))
+    def test_rows_are_per_element_float_reprs(self, tmp_path, rows):
+        vectors = np.asarray(rows, dtype=np.float32)
+        words = [f"w{i}" for i in range(len(rows))]
+        path = tmp_path / "vecs.tsv"
+        write_embeddings_tsv(path, words, vectors, dim=4)
+        want = "#dim 4\n" + "".join(
+            f"{w}\t{' '.join(repr(float(x)) for x in v)}\n"
+            for w, v in zip(words, vectors))
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"

@@ -39,6 +39,7 @@ from oracles import (
     composite_linear,
     composite_softmax,
     finite_diff_max_rel_err,
+    formula_softmax_ce,
     per_tensor_adam_step,
 )
 from universe import make_universe
@@ -133,6 +134,22 @@ class TestSoftmaxCE:
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(3), [0, 2, 5]] -= 1.0
         assert np.allclose(logits.grad, p, atol=1e-12)
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_fresh_array_formulas(self, dtype, upstream):
+        # about the MLM head's shape at d16: ~32 masked slots over 2722
+        # symbols; 31 rows, so the 1/n scale is not a power of two
+        rng = np.random.default_rng(7)
+        raw = (rng.normal(size=(31, 2722)) * 4.0).astype(dtype)
+        targets = rng.integers(0, 2722, size=31)
+        logits = Tensor(raw.copy(), requires_grad=True)
+        loss = softmax_ce(logits, targets)
+        (loss * upstream).backward()
+        want_loss, want_grad = formula_softmax_ce(raw, targets, loss.grad)
+        assert loss.data.dtype == logits.grad.dtype == dtype
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert logits.grad.tobytes() == want_grad.tobytes()
 
 
 class TestBCE:
@@ -823,6 +840,14 @@ class TestFusedOps:
         assert out.shape == (2, 3, 5)
         ref = composite_linear(x.data, w.data, b.data)
         assert np.abs(out - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_bytes_match_out_of_place_bias(self, dtype):
+        rng = np.random.default_rng(36)
+        x, w, b = (rng.normal(size=s).astype(dtype)
+                   for s in ((2, 3, 4), (4, 5), (5,)))
+        out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.tobytes() == (x.reshape(-1, 4) @ w + b).tobytes()
 
     def test_linear_shape_error(self):
         x, w, b = self._inputs(35, (2, 4), (3, 5), (5,))
