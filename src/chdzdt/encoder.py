@@ -23,7 +23,6 @@ from .chartok import PAD_ID, CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
 from .fileio import atomic_write, config_from_dict
 from .tensor import (
-    Tensor,
     attention_context,
     attention_scores,
     dropout,
@@ -114,9 +113,10 @@ def _tensor_table(manifest) -> list:
 class EncoderState:
     """All learnable parameters plus the config and vocabulary they assume.
 
-    Every weight lives in one array, flat, in parameter_manifest order:
-    the layout of a checkpoint body. params[name] is a Tensor over a view
-    of flat, so an in-place update of a param writes into flat.
+    The weights are one tensor.ParamSet in parameter_manifest order,
+    param_set: flat is its data buffer, the layout of a checkpoint body,
+    and params[name] is a Tensor over a view of flat, so an in-place
+    update of a param writes into flat.
     """
 
     def __init__(self, config: ModelConfig, vocab: CharVocab, flat: np.ndarray):
@@ -125,11 +125,9 @@ class EncoderState:
                 f"vocab size {vocab.size} does not match config vocab_size {config.vocab_size}")
         self.config = config
         self.vocab = vocab
-        self.flat = flat
-        manifest = parameter_manifest(config)
-        ends = np.cumsum([math.prod(shape) for _, shape in manifest])
-        self.params = {name: Tensor(piece.reshape(shape), requires_grad=True)
-                       for (name, shape), piece in zip(manifest, np.split(flat, ends))}
+        self.param_set = T.ParamSet(parameter_manifest(config), flat)
+        self.flat = self.param_set.data
+        self.params = self.param_set.params
 
     @classmethod
     def init(cls, config: ModelConfig, vocab: CharVocab) -> "EncoderState":
@@ -150,12 +148,6 @@ class EncoderState:
                 data = T.glorot(rng, *shape)
             draws.append(data.ravel())
         return cls(config, vocab, np.concatenate(draws))
-
-    def parameters(self):
-        return list(self.params.values())
-
-    def check_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
 
 
 def cut_to_longest(ids: np.ndarray) -> np.ndarray:
@@ -301,6 +293,6 @@ def load_checkpoint(path) -> EncoderState:
         raise CorruptCheckpointError(f"{path}: {excess} trailing bytes")
     flat = np.frombuffer(blob, dtype="<f4", count=size, offset=header_end)
     state = EncoderState(config, vocab, flat.astype(T.default_dtype()))
-    if not state.check_finite():
+    if not state.param_set.check_finite():
         raise CorruptCheckpointError(f"{path}: non-finite weights")
     return state

@@ -175,12 +175,12 @@ def compose_fit(kind: str, triples, objective: str = "mse",
             raise DataError("no usable triples after dropping zero targets")
 
     rng = np.random.default_rng(seed)
-    params = {name: T.Tensor(rng.normal(0, 0.01, (spec.span * d, d))
-                             if name == "W" else np.ones(1),
-                             requires_grad=True)
-              for name in spec.fields}
+    weights = T.ParamSet.of({
+        name: rng.normal(0, 0.01, (spec.span * d, d)) if name == "W"
+        else np.ones(1) for name in spec.fields})
+    params = weights.params
     X = [T.Tensor(x) for x in X]
-    T.fit(list(params.values()),
+    T.fit([weights],
           lambda: _fit_loss(spec.forward(params, *X), W_target, objective),
           epochs, lr)
     return CompositionModel(kind, d, **{

@@ -114,12 +114,12 @@ def probe_train(embeddings, affix_labels, split=None, fraction: float = 0.6,
 
     rng = np.random.default_rng(seed)
     d, n_labels = X.shape[1], len(names)
-    W = T.Tensor((rng.normal(0, 0.01, (d, n_labels))).astype(np.float64),
-                 requires_grad=True)
-    b = T.Tensor(np.zeros(n_labels), requires_grad=True)
+    weights = T.ParamSet.of({"W": rng.normal(0, 0.01, (d, n_labels)),
+                             "b": np.zeros(n_labels)})
+    W, b = weights.params.values()
     Xtr = T.Tensor(X[train_idx])
     ytr = y[train_idx]
-    T.fit([W, b], lambda: T.bce_multilabel(_probe(W, b, Xtr), ytr),
+    T.fit([weights], lambda: T.bce_multilabel(_probe(W, b, Xtr), ytr),
           epochs, lr)
 
     with T.no_grad():

@@ -37,9 +37,9 @@ def _check_mode(embedder, mode: str) -> None:
 
 
 def _word_rows(embedder, words, test_words, mode: str):
-    """(row, rows, encoder_params, test_rows) for the training words:
+    """(row, rows, encoder_sets, test_rows) for the training words:
     row maps a word to its index, rows() gives the [n, dim] Tensor of their
-    vectors, encoder_params are the weights a finetuning step also updates,
+    vectors, encoder_sets hold the weights a finetuning step also updates,
     and test_rows() gives (row, X) over test_words once training is done.
 
     Frozen vectors of both splits are embedded in one call and rows()
@@ -56,15 +56,14 @@ def _word_rows(embedder, words, test_words, mode: str):
     ids = cut_to_longest(np.stack([
         encode_word(state.vocab, w, state.config.max_chars) for w in words]))
     return (row, lambda: forward_batch(state, ids)[1],
-            state.parameters(),
+            [state.param_set],
             lambda: _word_rows(embedder, test_words, (), "frozen")[3]())
 
 
-def _dense_params(d_in: int, d_out: int, rng):
-    w = T.Tensor(T.glorot(rng, d_in, d_out), requires_grad=True)
-    b = T.Tensor(np.zeros(d_out, dtype=T.default_dtype()),
-                 requires_grad=True)
-    return w, b
+def _dense_params(prefix: str, d_in: int, d_out: int, rng) -> dict:
+    """A dense layer's Glorot weight and zero bias, named prefix + w|b."""
+    return {prefix + "w": T.glorot(rng, d_in, d_out),
+            prefix + "b": np.zeros(d_out, dtype=T.default_dtype())}
 
 
 def _split(rows, key, fraction: float, seed: int, test_rows):
@@ -135,12 +134,12 @@ def _scores(gold: np.ndarray, pred: np.ndarray, labels) -> tuple:
                                                    list(labels))
 
 
-def _morph_logits(shared, heads, X: T.Tensor) -> dict:
-    """Feature name -> head logits for word rows X: a tanh shared dense
-    layer, then one linear head per feature."""
-    hidden = T.linear(X, *shared).tanh()
-    return {name: T.linear(hidden, hw, hb)
-            for name, (hw, hb) in heads.items()}
+def _morph_logits(p: dict, features, X: T.Tensor) -> dict:
+    """Feature name -> head logits for word rows X: the tanh shared dense
+    layer of params p, then one linear head per feature."""
+    hidden = T.linear(X, p["shared.w"], p["shared.b"]).tanh()
+    return {name: T.linear(hidden, p[f"head.{name}.w"], p[f"head.{name}.b"])
+            for name in features}
 
 
 def morph_tagger(embedder, rows, mode: str = "frozen",
@@ -175,21 +174,19 @@ def morph_tagger(embedder, rows, mode: str = "frozen",
                                for _, feats in train])
                for name, col in cols.items()}
 
-    row, rows, encoder_params, test_rows = _word_rows(
+    row, rows, encoder_sets, test_rows = _word_rows(
         embedder, [w for w, _ in train], [w for w, _ in test], mode)
     rng = np.random.default_rng(seed)
-    sw, sb = _dense_params(embedder.dim, shared_dim, rng)
-    heads = {name: _dense_params(shared_dim,
-                                 1 if len(values) == 2 else len(values), rng)
-             for name, values in tagsets.items()}
-    params = [sw, sb]
-    for hw, hb in heads.values():
-        params += [hw, hb]
-    params += encoder_params
+    weights = T.ParamSet.of({
+        **_dense_params("shared.", embedder.dim, shared_dim, rng),
+        **{key: a for name, values in tagsets.items()
+           for key, a in _dense_params(
+               f"head.{name}.", shared_dim,
+               1 if len(values) == 2 else len(values), rng).items()}})
     row_idx = np.array([row[w] for w, _ in train])
 
     def loss_fn():
-        logits_of = _morph_logits((sw, sb), heads, rows()[row_idx])
+        logits_of = _morph_logits(weights.params, tagsets, rows()[row_idx])
         total = None
         for name, values in tagsets.items():
             logits = logits_of[name]
@@ -201,11 +198,12 @@ def morph_tagger(embedder, rows, mode: str = "frozen",
             total = head_loss if total is None else total + head_loss
         return total
 
-    losses = T.fit(params, loss_fn, epochs, lr, loss_target)
+    losses = T.fit([weights, *encoder_sets], loss_fn, epochs, lr,
+                   loss_target)
 
     test_row, test_matrix = test_rows()
     with T.no_grad():
-        logits_of = _morph_logits((sw, sb), heads, test_matrix[
+        logits_of = _morph_logits(weights.params, tagsets, test_matrix[
             np.array([test_row[w] for w, _ in test])])
     feature_report = {}
     accuracies = []
@@ -260,17 +258,18 @@ def _final_states(fwd, bwd, mask):
     return T.cat([fwd[:, -1], bwd[:, 0]], axis=1)
 
 
-def _bigru_logits(params, readout, matrix, idx, mask):
+def _bigru_logits(p: dict, readout, matrix, idx, mask):
     """Decoder logits for word rows idx [n, L] of matrix under mask [n, L].
 
-    params: forward and backward gru_params, then dense and output weights.
+    p: the forward and backward GRUs' w, u and b under "fwd." and "bwd.",
+    then the dense and output layers' w and b under "dense." and "out.".
     """
-    pf, pb, dw, db, ow, ob = params
     emb = matrix[idx]
-    states = (T.gru_sequence(emb, mask, pf),
-              T.gru_sequence(emb, mask, pb, reverse=True))
-    hidden = T.linear(readout(*states, mask), dw, db).tanh()
-    return T.linear(hidden, ow, ob)
+    states = [T.gru_sequence(emb, mask, {k: p[f"{way}.{k}"] for k in "wub"},
+                             reverse=way == "bwd")
+              for way in ("fwd", "bwd")]
+    hidden = T.linear(readout(*states, mask), p["dense.w"], p["dense.b"])
+    return T.linear(hidden.tanh(), p["out.w"], p["out.b"])
 
 
 def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
@@ -282,18 +281,19 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
     through readout(fwd, bwd, mask), a tanh dense layer and a linear
     output layer. The test pass builds no autodiff graph.
     """
-    row, rows, encoder_params, test_rows = _word_rows(
+    row, rows, encoder_sets, test_rows = _word_rows(
         embedder, [w for s in train_seqs for w in s],
         [w for s in test_seqs for w in s], mode)
     rng = np.random.default_rng(seed)
-    pf = T.gru_params(embedder.dim, gru_hidden, rng)
-    pb = T.gru_params(embedder.dim, gru_hidden, rng)
-    params = (pf, pb, *_dense_params(2 * gru_hidden, dense_dim, rng),
-              *_dense_params(dense_dim, n_out, rng))
+    weights = T.ParamSet.of({
+        **{f"{way}.{k}": a for way in ("fwd", "bwd")
+           for k, a in T.gru_params(embedder.dim, gru_hidden, rng).items()},
+        **_dense_params("dense.", 2 * gru_hidden, dense_dim, rng),
+        **_dense_params("out.", dense_dim, n_out, rng)})
+    params = weights.params
 
     idx, mask = _pack_sequences(train_seqs, row)
-    losses = T.fit([*pf.values(), *pb.values(), *params[2:],
-                    *encoder_params],
+    losses = T.fit([weights, *encoder_sets],
                    lambda: T.softmax_ce(_bigru_logits(params, readout,
                                                       rows(), idx, mask),
                                         targets),

@@ -159,7 +159,7 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
         raise DataError("cannot train on an empty lexicon")
     ids, targets = _encode_lexicon(lexicon, state.vocab, state.config.max_chars)
     words = [entry.word for entry in lexicon]
-    opt = T.Adam(state.parameters(), lr=cfg.lr)
+    opt = T.Adam([state.param_set], lr=cfg.lr)
     records: list = []
     steps_per_epoch = math.ceil(len(ids) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -195,13 +195,15 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
                     "mlm": float(mlm.data),
                     "multilabel": float(multilabel.data),
                     "total": float(total.data),
+                    "grad_norm": float(np.linalg.norm(
+                        state.param_set.grad.astype(np.float64))),
                     "lr": opt.lr,
                     "samples_per_sec": window_words / max(elapsed, 1e-9),
                 })
                 window_words, window_start = 0, None
                 print(f"epoch {epoch} step {step} "
                       f"total {float(total.data):.4f}", file=sys.stderr)
-    if not state.check_finite():
+    if not state.param_set.check_finite():
         raise NumericalError(f"non-finite weights after step {step}; "
                              "no checkpoint written")
     return state, records

@@ -14,9 +14,10 @@ The encoder's layers are single nodes with hand-written backward passes:
 and ``attention_context`` (the weights applied to the heads of v, the
 head merge and the output projection).
 
-``Adam`` updates its parameters in place through flat moment buffers, a
-block of at most ``BLOCK`` floats per pass of its formula; a step
-allocates no array.
+A model's weights are one ``ParamSet``: a flat data buffer, a flat grad
+buffer, and named Tensors that view both. ``Adam`` updates sets in place
+through flat moment buffers, a block of at most ``BLOCK`` floats per pass
+of its formula; a step allocates no array.
 """
 
 from __future__ import annotations
@@ -643,19 +644,16 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def gru_params(d_in: int, d_h: int, rng: np.random.Generator) -> dict:
-    """Glorot-initialized parameters for gru_sequence, gates fused z|r|h.
+    """Glorot-initialized arrays for gru_sequence, gates fused z|r|h.
 
     w is [d_in, 3*d_h], u is [d_h, 3*d_h] and b is [3*d_h]; column block
     k of w and u is drawn as its own Glorot matrix, w before u, gate by gate.
     """
     blocks = [(glorot(rng, d_in, d_h), glorot(rng, d_h, d_h))
               for _ in ("z", "r", "h")]
-    return {"w": Tensor(np.concatenate([w for w, _ in blocks], axis=1),
-                        requires_grad=True),
-            "u": Tensor(np.concatenate([u for _, u in blocks], axis=1),
-                        requires_grad=True),
-            "b": Tensor(np.zeros(3 * d_h, dtype=_DEFAULT_DTYPE),
-                        requires_grad=True)}
+    return {"w": np.concatenate([w for w, _ in blocks], axis=1),
+            "u": np.concatenate([u for _, u in blocks], axis=1),
+            "b": np.zeros(3 * d_h, dtype=_DEFAULT_DTYPE)}
 
 
 def gru_sequence(x: Tensor, mask, params: dict, reverse: bool = False,
@@ -765,74 +763,84 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, params: dict) -> Tensor:
     return out.reshape(n, h_prev.shape[1])
 
 
-class Adam:
-    """Bias-corrected Adam over a parameter list of one dtype.
+class ParamSet:
+    """One model's weights and their gradients, each in one flat buffer.
 
-    The moments m and v are two flat buffers in params order. A step walks
-    each run of consecutive params that have a grad in blocks of at most
-    BLOCK floats: it gathers a block's grad pieces into one scratch row,
-    updates that block of m and v, and subtracts each piece of the step
-    from its param's data in place, so a step allocates no array and an
-    encoder param stays a view of its state's flat buffer. Parameters
-    whose grad is None are skipped, and their moments do not move. Every
-    param's data must be C-contiguous: its flat view is where the step
-    writes.
+    data, a 1-D buffer of exactly the layout's size (copied only when not
+    C-contiguous), holds every weight in the order of layout, a (name,
+    shape) list; grad matches it. params[name] is a Tensor whose .data and
+    .grad are views of the two, so an in-place update writes data and a
+    backward pass accumulates into grad.
+    """
+
+    def __init__(self, layout, data):
+        sizes = [math.prod(shape) for _, shape in layout]
+        data = np.asarray(data)
+        if data.ndim != 1 or data.size != sum(sizes):
+            raise ValueError(f"the layout needs a 1-D buffer of {sum(sizes)} "
+                             f"floats, got {data.size} in shape {data.shape}")
+        self.data = np.ascontiguousarray(data)
+        self.grad = np.zeros_like(self.data)
+        self.params = {}
+        starts = itertools.accumulate(sizes, initial=0)
+        for (name, shape), lo, size in zip(layout, starts, sizes):
+            p = self.params[name] = Tensor(
+                self.data[lo:lo + size].reshape(shape), requires_grad=True)
+            p.grad = self.grad[lo:lo + size].reshape(shape)
+        self._grads = [p.grad for p in self.params.values()]
+
+    @classmethod
+    def of(cls, arrays: dict) -> "ParamSet":
+        """A set holding a copy of each named array, in dict order."""
+        dtypes = {a.dtype for a in arrays.values()}
+        if len(dtypes) > 1:
+            raise ValueError("a parameter set needs one dtype, got "
+                             + ", ".join(sorted(map(str, dtypes))))
+        return cls([(name, a.shape) for name, a in arrays.items()],
+                   np.concatenate([a.ravel() for a in arrays.values()]))
+
+    def zero_grad(self) -> None:
+        """Zero grad and point each param's .grad at its view again, so a
+        grad rebound since (to None, say) rejoins the buffer."""
+        self.grad.fill(0)
+        for p, g in zip(self.params.values(), self._grads):
+            p.grad = g
+
+    def check_finite(self) -> bool:
+        return bool(np.isfinite(self.data).all())
+
+
+class Adam:
+    """Bias-corrected Adam over parameter sets of one dtype.
+
+    The moments m and v are flat, the sets end to end. A step walks each
+    set's flat grad in blocks of at most BLOCK floats and updates the
+    block's moments and data in place: it allocates no array and never
+    writes a grad. A weight whose grad stays zero keeps zero moments and
+    takes a zero step.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params, lr: float = 1e-3):
-        self.params = list(params)
+    def __init__(self, sets, lr: float = 1e-3):
+        self.sets = list(sets)
         self.lr = lr
         self.t = 0
-        dtypes = {p.data.dtype for p in self.params}
+        dtypes = {s.data.dtype for s in self.sets}
         if len(dtypes) > 1:
-            raise ValueError("Adam needs params of one dtype, got "
+            raise ValueError("Adam needs sets of one dtype, got "
                              + ", ".join(sorted(map(str, dtypes))))
-        for i, p in enumerate(self.params):
-            if not p.data.flags.c_contiguous:
-                raise ValueError(f"Adam: the data of param {i}, shape "
-                                 f"{p.data.shape}, is not C-contiguous")
         dtype = dtypes.pop() if dtypes else _DEFAULT_DTYPE
-        self._ends = [0, *itertools.accumulate(p.data.size
-                                               for p in self.params)]
-        total = self._ends[-1]
+        total = sum(s.data.size for s in self.sets)
         self.m = np.zeros(total, dtype)
         self.v = np.zeros(total, dtype)
-        # two rows, one block long: the gathered grads, then the formula's
-        # temporaries
+        # two rows, one block long: the step, then the denominator
         self._scratch = np.empty((2, min(BLOCK, total)), dtype)
-        self._plans = {}
-
-    def _plan(self, live) -> list:
-        """The blocks of one live set (which params have a grad), each
-        (m, v, step, g, pieces): views of the block's moments and of the
-        two scratch rows, and per param in the block (index, start, stop,
-        its piece of step) with start:stop a range of its flat data."""
-        ends, blocks = self._ends, []
-        for has_grad, run in itertools.groupby(range(len(live)),
-                                               key=live.__getitem__):
-            run = list(run)
-            if not has_grad:
-                continue
-            stop = ends[run[-1] + 1]
-            for lo in range(ends[run[0]], stop, BLOCK):
-                hi = min(lo + BLOCK, stop)
-                step, g = self._scratch[:, :hi - lo]
-                pieces = []
-                for k in run:
-                    a, b = max(lo, ends[k]), min(hi, ends[k + 1])
-                    if a < b:
-                        pieces.append((k, a - ends[k], b - ends[k],
-                                       step[a - lo:b - lo]))
-                blocks.append((self.m[lo:hi], self.v[lo:hi], step, g,
-                               pieces))
-        return blocks
 
     def step(self) -> None:
-        """One update, in place on each param's data and moments.
+        """One update, in place on each set's data and on the moments.
 
         Rounds exactly as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
         p -= lr * (m/c1) / (sqrt(v/c2) + eps) would, element by element;
@@ -841,40 +849,36 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        params = self.params
-        live = tuple(p.grad is not None for p in params)
-        plan = self._plans.get(live)
-        if plan is None:
-            plan = self._plans[live] = self._plan(live)
-        for m, v, step, g, pieces in plan:
-            # g holds the block's grads until m and v have taken them in,
-            # then the denominator
-            np.concatenate([params[k].grad.reshape(-1)[a:b]
-                            for k, a, b, _ in pieces], out=g)
-            np.multiply(g, g, out=step)
-            step *= 1.0 - self.beta2
-            v *= self.beta2
-            v += step
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=step)
-            denom = g
-            np.divide(v, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.divide(m, c1, out=step)
-            step *= self.lr
-            step /= denom
-            for k, a, b, piece in pieces:
-                data = params[k].data.reshape(-1)[a:b]
-                data -= piece
+        start = 0
+        for s in self.sets:
+            n = s.data.size
+            m_set, v_set = self.m[start:start + n], self.v[start:start + n]
+            start += n
+            for lo in range(0, n, BLOCK):
+                block = slice(lo, lo + BLOCK)
+                g, m, v = s.grad[block], m_set[block], v_set[block]
+                step, denom = self._scratch[:, :g.size]
+                np.multiply(g, g, out=step)
+                step *= 1.0 - self.beta2
+                v *= self.beta2
+                v += step
+                m *= self.beta1
+                m += np.multiply(g, 1.0 - self.beta1, out=step)
+                np.divide(v, c2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                np.divide(m, c1, out=step)
+                step *= self.lr
+                step /= denom
+                s.data[block] -= step
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        for s in self.sets:
+            s.zero_grad()
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
+def fit(sets, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
     """Full-batch Adam: one step on loss_fn() per epoch; returns the losses.
 
     Each epoch's loss is recorded before its step. With a loss_target the
@@ -882,7 +886,7 @@ def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
     loss is a NumericalError naming its epoch, raised before its step; so
     are non-finite weights after the last step.
     """
-    opt = Adam(params, lr=lr)
+    opt = Adam(sets, lr=lr)
     losses = []
     for epoch in range(1, epochs + 1):
         loss = loss_fn()
@@ -897,7 +901,7 @@ def fit(params, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
         opt.zero_grad()
         loss.backward()
         opt.step()
-    if not all(np.isfinite(p.data).all() for p in opt.params):
+    if not all(s.check_finite() for s in opt.sets):
         raise NumericalError(f"non-finite weights after step {opt.t} of "
                              f"{epochs}")
     return losses

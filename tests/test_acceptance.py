@@ -106,7 +106,7 @@ def test_01_gradients_match_finite_differences():
             return batch_loss(state, batch)[0]
 
         err, _ = finite_diff_max_rel_err(
-            build, state.parameters(), np.random.default_rng(0),
+            build, list(state.params.values()), np.random.default_rng(0),
             n_samples=20)
     assert err < 1e-3, f"max relative gradient error {err:.2e}"
     assert time.perf_counter() - start < 30

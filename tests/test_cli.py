@@ -532,7 +532,7 @@ class TestPretrain:
 
         def poisoned_step(self):
             step(self)
-            self.params[0].data[0, 0] = np.nan
+            self.sets[0].params["char_emb"].data[0, 0] = np.nan
 
         monkeypatch.setattr(T.Adam, "step", poisoned_step)
         out = tmp_path / "o.ckpt"

@@ -156,7 +156,7 @@ class TestForward:
         for b in (batch, full):
             hidden, cls = forward_batch(state, b.corrupted)
             total = batch_loss(state, b)[0]
-            for p in state.parameters():
+            for p in state.params.values():
                 p.grad = None
             total.backward()
             runs.append((hidden.data[:, :t], cls.data, float(total.data),
@@ -179,7 +179,7 @@ class TestForward:
                           ffn_mult=2, max_chars=2, dropout=0.0, seed=3)
         state = EncoderState.init(cfg, VOC)
         rng = np.random.default_rng(42)
-        for p in state.parameters():
+        for p in state.params.values():
             p.data[...] = rng.uniform(-0.5, 0.5, p.data.shape).astype(p.data.dtype)
         tok = encode_word(VOC, "ab", max_chars=2)
         got = forward_one(state, tok)[0].data[0]
@@ -320,6 +320,14 @@ class TestCountParams:
                        {"hidden": 8, "n_blocks": 3, "n_heads": 2, "max_chars": 6}):
             state = small_state(**kwargs)
             assert state.flat.size == count_params(state.config)
+
+    @pytest.mark.parametrize("extra", [3, -3], ids=["long", "short"])
+    def test_flat_buffer_of_the_wrong_size_rejected(self, extra):
+        cfg = small_state().config
+        n = count_params(cfg)
+        with pytest.raises(ValueError, match=rf"buffer of {n} floats, got "
+                                             rf"{n + extra} in shape"):
+            EncoderState(cfg, VOC, np.zeros(n + extra, np.float32))
 
     def test_doubling_blocks_adds_block_worth(self):
         c1 = ModelConfig(vocab_size=50, n_blocks=1, n_heads=2, hidden=16)
@@ -484,7 +492,7 @@ class TestGradients:
                 return batch_loss(state, batch)[0]
 
             err, _ = finite_diff_max_rel_err(
-                build, state.parameters(), np.random.default_rng(0), n_samples=20)
+                build, list(state.params.values()), np.random.default_rng(0), n_samples=20)
         assert err < 1e-3
 
     def test_single_adam_step_decreases_loss(self):
@@ -493,7 +501,7 @@ class TestGradients:
         corrupted = encode_word(VOC, "darja", max_chars=5)
         corrupted[3] = MASK_ID
         batch = one_row(corrupted, {3}, tok, [0, 1, 0, 0, 1])
-        opt = T.Adam(state.parameters(), lr=1e-4)
+        opt = T.Adam([state.param_set], lr=1e-4)
 
         def total():
             return batch_loss(state, batch)[0]

@@ -244,7 +244,7 @@ class TestBatchLoss:
         state = EncoderState.init(cfg, VOC)
         batch = mask_batch(*rows_for(["dar", "kbira", "sarout", "win"]),
                            0.2, np.random.default_rng(2))
-        opt = T.Adam(state.parameters(), lr=1e-4)
+        opt = T.Adam([state.param_set], lr=1e-4)
         prev = float(batch_loss(state, batch)[0].data)
         for _ in range(10):
             total, _, _ = batch_loss(state, batch)
@@ -272,7 +272,7 @@ class TestBatchLoss:
                 return batch_loss(state, batch)[0]
 
             err, _ = finite_diff_max_rel_err(
-                build, state.parameters(), np.random.default_rng(1), n_samples=40)
+                build, list(state.params.values()), np.random.default_rng(1), n_samples=40)
         assert err < 1e-3
 
     def test_training_graph_size_is_pinned(self):
@@ -410,8 +410,20 @@ class TestTrain:
         assert steps == sorted(set(steps))
         for row in rows:
             for key in ("step", "epoch", "mlm", "multilabel", "total",
-                        "lr", "samples_per_sec"):
+                        "grad_norm", "lr", "samples_per_sec"):
                 assert key in row
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_grad_norm_is_the_float64_norm_of_the_flat_grad(self, dtype):
+        # one step: the grad buffer still holds that step's gradient
+        with T.precision(dtype):
+            state, records = train(
+                toy_lexicon(8), ModelConfig(**self.CFG),
+                TrainConfig(epochs=1, batch_size=8, seed=5), VOC)
+        grad = state.param_set.grad
+        assert [r["step"] for r in records] == [1] and grad.any()
+        assert records[0]["grad_norm"] == float(
+            np.linalg.norm(grad.astype(np.float64)))
 
     def test_samples_per_sec_is_a_windowed_rate(self, monkeypatch):
         # a fake clock on which each mask_batch takes 1 s and each Adam

@@ -11,6 +11,8 @@ from chdzdt.errors import ConfigError, DataError
 from chdzdt.evalsuite.embedder import CheckpointEmbedder
 from chdzdt import tensor as T
 from chdzdt.evalsuite import taggers
+from chdzdt.evalsuite.compose import compose_fit
+from chdzdt.evalsuite.probe import probe_train
 from chdzdt.evalsuite.taggers import (
     _bigru_logits,
     _every_position,
@@ -355,11 +357,13 @@ def test_bigru_loss_matches_finite_differences(readout):
         rng = np.random.default_rng(8)
         row = {w: i for i, w in enumerate("abcd")}
         matrix = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        params = (T.gru_params(5, 3, rng), T.gru_params(5, 3, rng),
-                  *(Tensor(rng.normal(size=shape), requires_grad=True)
-                    for shape in ((6, 4), (4,), (4, 3), (3,))))
-        for gru in params[:2]:
-            gru["b"].data[...] = rng.normal(size=9)
+        params = {f"{way}.{k}": p for way in ("fwd", "bwd") for k, p in
+                  T.ParamSet.of(T.gru_params(5, 3, rng)).params.items()}
+        params |= {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                   for name, shape in (("dense.w", (6, 4)), ("dense.b", (4,)),
+                                       ("out.w", (4, 3)), ("out.b", (3,)))}
+        for way in ("fwd", "bwd"):
+            params[f"{way}.b"].data[...] = rng.normal(size=9)
         idx, mask = _pack_sequences(UNEQUAL_SENTENCES, row)
         n_rows = (len(_time_major(UNEQUAL_SENTENCES))
                   if readout is _every_position else len(UNEQUAL_SENTENCES))
@@ -369,8 +373,7 @@ def test_bigru_loss_matches_finite_differences(readout):
             return T.softmax_ce(
                 _bigru_logits(params, readout, matrix, idx, mask), targets)
 
-        for param in [matrix, *params[0].values(), *params[1].values(),
-                      *params[2:]]:
+        for param in [matrix, *params.values()]:
             err, _ = finite_diff_max_rel_err(
                 build, [param], np.random.default_rng(9), n_samples=20)
             assert err < 1e-3
@@ -496,6 +499,74 @@ def _checkpoint_embedder():
     cfg = ModelConfig(vocab_size=VOC.size, n_blocks=1, n_heads=2, hidden=16,
                       seed=0)
     return CheckpointEmbedder(EncoderState.init(cfg, VOC))
+
+
+def _probe_run():
+    rng = np.random.default_rng(9)
+    labels = [tuple(f"l{j}" for j in range(2) if rng.random() < 0.5)
+              for _ in range(20)]
+    return probe_train(rng.normal(size=(20, 4)), labels, seed=0, epochs=3)
+
+
+def _compose_run(kind):
+    rng = np.random.default_rng(10)
+    return compose_fit(kind, [tuple(rng.normal(size=4) for _ in range(4))
+                              for _ in range(12)], epochs=3)
+
+
+# decoder -> a short training run of it, with no early stop
+TRAINED_DECODERS = {
+    "probe": _probe_run,
+    "compose_WAdd": lambda: _compose_run("WAdd"),
+    "compose_MpCnc": lambda: _compose_run("MpCnc"),
+    "morph": lambda: morph_tagger(Suffix2Embedder(), morph_rows(),
+                                  shared_dim=8, epochs=3, loss_target=0.0),
+    "pos": lambda: pos_tagger(SuffixEmbedder(), pos_sentences(n=8),
+                              gru_hidden=8, dense_dim=8, epochs=3, seed=0,
+                              loss_target=0.0),
+    "sa": lambda: sentiment_classifier(SuffixEmbedder(), sentiment_rows(n=12),
+                                       gru_hidden=8, dense_dim=8, epochs=3,
+                                       seed=0, loss_target=0.0),
+}
+
+
+class TestTrainsThroughItsSet:
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """The parameter sets of each T.fit call, in call order."""
+        calls = []
+
+        def fit(sets, *args, _orig=T.fit, **kwargs):
+            calls.append(list(sets))
+            return _orig(sets, *args, **kwargs)
+
+        monkeypatch.setattr(T, "fit", fit)
+        return calls
+
+    @pytest.mark.parametrize("decoder", sorted(TRAINED_DECODERS))
+    def test_weights_view_the_set_after_training(self, fitted, decoder):
+        TRAINED_DECODERS[decoder]()
+        [(weights,)] = fitted
+        assert weights.grad.any()
+        for name, p in weights.params.items():
+            assert np.shares_memory(p.data, weights.data), name
+            assert np.shares_memory(p.grad, weights.grad), name
+
+    def test_pos_finetune_leaves_the_pretraining_heads_unchanged(self,
+                                                                 fitted):
+        emb = _checkpoint_embedder()
+        heads = ("mlm_w", "mlm_b", "label_w", "label_b")
+        before = emb.state.flat.copy()
+        kept = {name: emb.state.params[name].data.tobytes()
+                for name in heads}
+        pos_tagger(emb, pos_sentences(n=8), mode="finetune", gru_hidden=8,
+                   dense_dim=8, epochs=3, lr=0.01, seed=0, loss_target=0.0)
+        [(_, encoder_set)] = fitted
+        assert encoder_set is emb.state.param_set
+        assert not np.array_equal(before, emb.state.flat)
+        for name in heads:
+            assert emb.state.params[name].data.tobytes() == kept[name], name
+            assert not emb.state.params[name].grad.any(), name
 
 
 # task -> (tagger run on an embedder in a mode, every word its data holds)

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chdzdt import tensor as T
 from chdzdt.chartok import default_vocab
@@ -13,6 +15,7 @@ from chdzdt.errors import NumericalError
 from chdzdt.pretrain import _encode_lexicon, batch_loss, mask_batch
 from chdzdt.tensor import (
     Adam,
+    ParamSet,
     Tensor,
     bce_multilabel,
     cat,
@@ -47,6 +50,17 @@ from universe import make_universe
 
 def t(data, grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
+
+
+def one_param(data):
+    """A parameter set holding data as its one param "p"; (set, param)."""
+    ps = ParamSet.of({"p": np.asarray(data, dtype=np.float64)})
+    return ps, ps.params["p"]
+
+
+def gru_tensors(d_in, d_h, rng):
+    """gru_params as the Tensors of a parameter set."""
+    return ParamSet.of(gru_params(d_in, d_h, rng)).params
 
 
 class TestMatmul:
@@ -196,7 +210,7 @@ class TestGelu:
 class TestGRU:
     def _zero_params(self, d_in, d_h):
         rng = np.random.default_rng(0)
-        params = gru_params(d_in, d_h, rng)
+        params = gru_tensors(d_in, d_h, rng)
         for p in params.values():
             p.data[...] = 0.0
         return params
@@ -216,7 +230,7 @@ class TestGRU:
     def test_finite_difference_jacobian(self):
         with T.precision("float64"):
             rng = np.random.default_rng(7)
-            params = gru_params(3, 4, rng)
+            params = gru_tensors(3, 4, rng)
             x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
             h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
             weights = Tensor(rng.normal(size=(2, 4)))
@@ -238,7 +252,7 @@ class TestGRUSequence:
     @staticmethod
     def _inputs(seed):
         rng = np.random.default_rng(seed)
-        params = gru_params(3, 4, rng)
+        params = gru_tensors(3, 4, rng)
         params["b"].data[...] = rng.normal(size=12)
         x = Tensor(rng.normal(size=(3, 5, 3)), requires_grad=True)
         return rng, params, x
@@ -313,20 +327,20 @@ def test_sigmoid_bytes_match_three_exp_formula(dtype):
 
 class TestAdam:
     def test_zero_grad_is_fixed_point(self):
-        p = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        ps, p = one_param([1.0, 2.0, 3.0])
         before = p.data.copy()
-        opt = Adam([p], lr=0.1)
+        opt = Adam([ps], lr=0.1)
         for _ in range(5):
-            p.grad = np.zeros(3)
+            p.grad[...] = np.zeros(3)
             opt.step()
         assert np.array_equal(p.data, before)
 
     def test_first_step_delta(self):
         lr = 0.01
         g = np.array([0.3, -2.0, 0.0001])
-        p = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
-        opt = Adam([p], lr=lr)
-        p.grad = g
+        ps, p = one_param([1.0, 1.0, 1.0])
+        opt = Adam([ps], lr=lr)
+        p.grad[...] = g
         opt.step()
         expected = 1.0 - lr * g / (np.abs(g) + opt.eps)
         assert np.allclose(p.data, expected, atol=1e-12)
@@ -339,15 +353,17 @@ class TestAdam:
         inits = [rng.normal(size=s).astype(dtype) for s in shapes]
         grads = [[rng.normal(scale=10.0 ** k, size=s).astype(dtype)
                   for k, s in enumerate(shapes)] for _ in range(6)]
-        params = [Tensor(x.copy(), requires_grad=True) for x in inits]
-        opt = Adam(params, lr=0.03)
+        ps = ParamSet.of({str(i): x for i, x in enumerate(inits)})
+        params = list(ps.params.values())
+        opt = Adam([ps], lr=0.03)
         ref = [x.copy() for x in inits]
         m = [np.zeros_like(x) for x in inits]
         v = [np.zeros_like(x) for x in inits]
         b1, b2, eps = opt.beta1, opt.beta2, opt.eps
         for step, gs in enumerate(grads, start=1):
+            # param 1 gets no gradient: a zero grad, whose step is zero
             for i, (p, g) in enumerate(zip(params, gs)):
-                p.grad = None if i == 1 else g
+                p.grad[...] = 0.0 if i == 1 else g
             opt.step()
             for i, g in enumerate(gs):
                 if i == 1:
@@ -365,8 +381,8 @@ class TestAdam:
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(11)
-            p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            opt = Adam([p], lr=1e-2)
+            ps, p = one_param(rng.normal(size=(4, 4)))
+            opt = Adam([ps], lr=1e-2)
             for _ in range(10):
                 opt.zero_grad()
                 loss = (p * p).sum()
@@ -378,10 +394,11 @@ class TestAdam:
 
 
 def _random_grads(params, rng, frozen=()):
-    """Put a normal draw, of its own scale, on each param as its grad;
-    None on the params at the indices in frozen."""
+    """Write a normal draw, of its own scale, into each param's grad view;
+    zeros into the grads of the params at the indices in frozen, which
+    take no draw."""
     for i, p in enumerate(params):
-        p.grad = None if i in frozen else rng.normal(
+        p.grad[...] = 0.0 if i in frozen else rng.normal(
             scale=10.0 ** (i % 5 - 2), size=p.shape).astype(p.data.dtype)
 
 
@@ -393,19 +410,22 @@ def _d16_state(seed):
                              vocab)
 
 
-def _tagger_params(rng, d_in, gru_hidden, dense_dim, n_out):
-    """A BiGRU tagger's params: both GRUs, the dense and output layers."""
-    grus = [*gru_params(d_in, gru_hidden, rng).values(),
-            *gru_params(d_in, gru_hidden, rng).values()]
-    dense = [T.glorot(rng, 2 * gru_hidden, dense_dim),
-             np.zeros(dense_dim, T.default_dtype()),
-             T.glorot(rng, dense_dim, n_out),
-             np.zeros(n_out, T.default_dtype())]
-    return grus + [Tensor(x, requires_grad=True) for x in dense]
+def _tagger_set(rng, d_in, gru_hidden, dense_dim, n_out):
+    """A BiGRU tagger's parameter set: both GRUs, the dense and output
+    layers."""
+    arrays = {f"{way}.{k}": a for way in ("fwd", "bwd")
+              for k, a in gru_params(d_in, gru_hidden, rng).items()}
+    arrays.update(zip(("dense.w", "dense.b", "out.w", "out.b"), [
+        T.glorot(rng, 2 * gru_hidden, dense_dim),
+        np.zeros(dense_dim, T.default_dtype()),
+        T.glorot(rng, dense_dim, n_out),
+        np.zeros(n_out, T.default_dtype())]))
+    return ParamSet.of(arrays)
 
 
 def _encoder_case():
-    """A d16 encoder's params and its real batch_loss gradients."""
+    """A d16 encoder's set, its params and its real batch_loss
+    gradients."""
     state = _d16_state(0)
     ids, targets = _encode_lexicon(make_universe()[0][:64], state.vocab,
                                    state.config.max_chars)
@@ -415,36 +435,36 @@ def _encoder_case():
         rows = slice(16 * (step % 4), 16 * (step % 4 + 1))
         batch = mask_batch(ids[rows], targets[rows], 0.15, rng)
         total = batch_loss(state, batch, train_mode=True, rng=rng)[0]
-        for p in state.parameters():
-            p.grad = None
+        state.param_set.zero_grad()
         total.backward()
 
-    return state.parameters(), set_grads
+    return [state.param_set], list(state.params.values()), set_grads
 
 
 def _finetune_case():
-    """Tagger params, then a d16 encoder's, whose masked-prediction and
-    label heads get no grad."""
+    """A tagger's set, then a d16 encoder's, whose masked-prediction and
+    label heads get no gradient."""
     state = _d16_state(1)
     rng = np.random.default_rng(4)
-    tagger = _tagger_params(rng, 16, 24, 40, 6)
-    params = tagger + state.parameters()
-    heads = {len(tagger) + i for i, name in enumerate(state.params)
+    tagger = _tagger_set(rng, 16, 24, 40, 6)
+    params = [*tagger.params.values(), *state.params.values()]
+    heads = {len(tagger.params) + i for i, name in enumerate(state.params)
              if name in ("mlm_w", "mlm_b", "label_w", "label_b")}
     assert len(heads) == 4
-    return params, lambda step: _random_grads(params, rng, heads)
+    return ([tagger, state.param_set], params,
+            lambda step: _random_grads(params, rng, heads))
 
 
 def _over_block_case():
-    """A param longer than a block, so a block ends inside it, and one
-    that has a grad on even steps only."""
+    """A set with a param longer than a block, so a block ends inside
+    it."""
     rng = np.random.default_rng(5)
-    params = [Tensor(rng.normal(size=s).astype(T.default_dtype()),
-                     requires_grad=True)
-              for s in [(100,), (300, 200), (5000,), (7,)]]
+    ps = ParamSet.of({str(i): rng.normal(size=s).astype(T.default_dtype())
+                      for i, s in enumerate([(100,), (300, 200), (5000,),
+                                             (7,)])})
+    params = list(ps.params.values())
     assert params[1].size > T.BLOCK
-    return params, lambda step: _random_grads(params, rng,
-                                              {2} if step % 2 else ())
+    return [ps], params, lambda step: _random_grads(params, rng)
 
 
 class TestFlatAdam:
@@ -457,15 +477,15 @@ class TestFlatAdam:
                              ids=["encoder", "finetune", "over_block"])
     def test_bytes_match_per_tensor_oracle(self, case, dtype):
         with T.precision(dtype):
-            params, set_grads = case()
+            sets, params, set_grads = case()
             ref = [Tensor(p.data.copy(), requires_grad=True) for p in params]
             m = [np.zeros_like(p.data) for p in params]
             v = [np.zeros_like(p.data) for p in params]
-            opt = Adam(params, lr=1e-3)
+            opt = Adam(sets, lr=1e-3)
             for step in range(1, 13):
                 set_grads(step)
                 for p, r in zip(params, ref):
-                    r.grad = None if p.grad is None else p.grad.copy()
+                    r.grad = p.grad.copy()
                 opt.step()
                 per_tensor_adam_step(ref, m, v, step, lr=1e-3)
                 for i, (p, r) in enumerate(zip(params, ref)):
@@ -478,13 +498,14 @@ class TestFlatAdam:
 
     def test_tagger_step_allocates_no_array(self):
         rng = np.random.default_rng(6)
-        params = _tagger_params(rng, 16, 384, 768, 17)
+        tagger = _tagger_set(rng, 16, 384, 768, 17)
+        params = list(tagger.params.values())
         total = sum(p.size for p in params)
         itemsize = params[0].data.itemsize
         _random_grads(params, rng)
         tracemalloc.start()
         try:
-            opt = Adam(params, lr=1e-3)
+            opt = Adam([tagger], lr=1e-3)
             opt.step()
             owned = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -498,17 +519,19 @@ class TestFlatAdam:
         assert peak < 64 * 1024
 
     def test_mixed_dtypes_rejected(self):
-        params = [Tensor(np.zeros(3, np.float32), requires_grad=True),
-                  Tensor(np.zeros(3, np.float64), requires_grad=True)]
+        sets = [ParamSet.of({"p": np.zeros(3, np.float32)}),
+                ParamSet.of({"p": np.zeros(3, np.float64)})]
         with pytest.raises(ValueError, match="one dtype"):
-            Adam(params)
+            Adam(sets)
 
-    @pytest.mark.parametrize("data", [np.zeros((4, 3)).T, np.zeros(8)[::2]],
-                             ids=["transposed", "strided"])
-    def test_non_contiguous_data_rejected(self, data):
-        with pytest.raises(ValueError, match="not C-contiguous"):
-            Adam([Tensor(np.zeros(2), requires_grad=True),
-                  Tensor(data, requires_grad=True)])
+    def test_never_writes_a_grad(self):
+        ps = _tagger_set(np.random.default_rng(7), 4, 6, 8, 3)
+        _random_grads(list(ps.params.values()), np.random.default_rng(8))
+        before = ps.grad.copy()
+        opt = Adam([ps], lr=1e-3)
+        for _ in range(3):
+            opt.step()
+        assert ps.grad.tobytes() == before.tobytes()
 
     def test_empty_list_steps_as_a_no_op(self):
         opt = Adam([])
@@ -517,23 +540,125 @@ class TestFlatAdam:
         assert opt.t == 1
 
 
+class TestParamSet:
+    def test_params_view_data_and_grad(self):
+        ps = ParamSet([("a", (2, 3)), ("b", (4,))], np.arange(10.0))
+        a, b = ps.params.values()
+        assert a.data.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert b.data.tolist() == [6, 7, 8, 9]
+        a.data[1, 2] = -1.0
+        b.grad[0] = 2.0
+        assert ps.data[5] == -1.0 and ps.grad[6] == 2.0
+        for p in (a, b):
+            assert p.requires_grad
+            assert np.shares_memory(p.data, ps.data)
+            assert np.shares_memory(p.grad, ps.grad)
+
+    def test_backward_accumulates_into_the_grad_buffer(self):
+        ps = ParamSet.of({"w": np.ones((2, 2)), "b": np.zeros(2)})
+        w, b = ps.params.values()
+        x = Tensor(np.array([[1.0, 2.0]]))
+        (linear(x, w, b) + linear(x, w, b)).sum().backward()
+        assert ps.grad.tolist() == [2, 2, 4, 4, 2, 2]
+        assert np.shares_memory(w.grad, ps.grad)
+
+    def test_zero_grad_repoints_a_rebound_grad(self):
+        ps, p = one_param([1.0, 2.0])
+        p.grad = None
+        (p * p).sum().backward()
+        assert not np.shares_memory(p.grad, ps.grad)
+        ps.grad[...] = 7.0
+        ps.zero_grad()
+        assert np.shares_memory(p.grad, ps.grad)
+        assert not ps.grad.any()
+
+    def test_check_finite(self):
+        ps, p = one_param([1.0, 2.0])
+        assert ps.check_finite()
+        p.data[1] = math.nan
+        assert not ps.check_finite()
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            ParamSet.of({"a": np.zeros(3, np.float32),
+                         "b": np.zeros(3, np.float64)})
+
+    @pytest.mark.parametrize("data", [np.zeros((4, 3)).T, np.zeros(8)[::2]],
+                             ids=["transposed", "strided"])
+    def test_non_contiguous_data_is_copied(self, data):
+        data[...] = np.arange(data.size).reshape(data.shape)
+        ps = ParamSet.of({"a": np.zeros(2), "b": data})
+        b = ps.params["b"].data
+        assert b.flags.c_contiguous and np.shares_memory(b, ps.data)
+        assert b.tobytes() == np.ascontiguousarray(data).tobytes()
+
+    def test_strided_buffer_is_copied_and_contiguous_is_kept(self):
+        strided = ParamSet([("a", (4,))], np.arange(8.0)[::2])
+        assert strided.data.flags.c_contiguous
+        assert strided.data.tolist() == [0, 2, 4, 6]
+        flat = np.arange(4.0)
+        assert ParamSet([("a", (2, 2))], flat).data is flat
+
+    @pytest.mark.parametrize("data", [np.zeros(5), np.zeros(7),
+                                      np.zeros((2, 3))],
+                             ids=["short", "long", "2-d"])
+    def test_wrong_buffer_rejected_naming_both_sizes(self, data):
+        with pytest.raises(ValueError, match=rf"buffer of 6 floats, got "
+                                             rf"{data.size} in shape"):
+            ParamSet([("a", (2, 3))], data)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dtype=st.sampled_from(["float32", "float64"]),
+       shapes=st.lists(st.lists(st.integers(1, 5), min_size=0, max_size=2)
+                       .map(tuple), min_size=1, max_size=5),
+       steps=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_set_adam_bytes_match_per_tensor_oracle(monkeypatch, dtype, shapes,
+                                                steps, seed):
+    # blocks of 7 floats end inside params and span several of them
+    monkeypatch.setattr(T, "BLOCK", 7)
+    rng = np.random.default_rng(seed)
+    ps = ParamSet.of({str(i): rng.normal(size=s).astype(dtype)
+                      for i, s in enumerate(shapes)})
+    params = list(ps.params.values())
+    ref = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    m = [np.zeros_like(p.data) for p in params]
+    v = [np.zeros_like(p.data) for p in params]
+    opt = Adam([ps], lr=0.01)
+    for step in range(1, steps + 1):
+        opt.zero_grad()
+        for p, r in zip(params, ref):
+            p.grad[...] = rng.normal(scale=10.0 ** rng.integers(-3, 3),
+                                     size=p.shape)
+            r.grad = p.grad.copy()
+        opt.step()
+        per_tensor_adam_step(ref, m, v, step, lr=0.01)
+    assert ps.data.tobytes() == np.concatenate(
+        [r.data.reshape(-1) for r in ref]).tobytes()
+    assert opt.m.tobytes() == np.concatenate(
+        [x.reshape(-1) for x in m]).tobytes()
+    assert opt.v.tobytes() == np.concatenate(
+        [x.reshape(-1) for x in v]).tobytes()
+
+
 class TestFit:
     @staticmethod
     def quadratic():
-        p = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        ps, p = one_param([2.0, -1.0])
         seen = []
 
         def loss_fn():
             seen.append(p.data.copy())
             return (p * p).sum()
 
-        return p, seen, loss_fn
+        return ps, p, seen, loss_fn
 
     def test_runs_every_epoch_without_target(self):
-        p, seen, loss_fn = self.quadratic()
-        losses = fit([p], loss_fn, epochs=7, lr=0.1)
-        q = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-        opt = Adam([q], lr=0.1)
+        ps, p, seen, loss_fn = self.quadratic()
+        losses = fit([ps], loss_fn, epochs=7, lr=0.1)
+        qs, q = one_param([2.0, -1.0])
+        opt = Adam([qs], lr=0.1)
         for _ in range(7):
             opt.zero_grad()
             (q * q).sum().backward()
@@ -543,49 +668,49 @@ class TestFit:
         assert losses == [float((x * x).sum()) for x in seen]
 
     def test_stops_below_target_without_stepping(self):
-        p, _, loss_fn = self.quadratic()
-        full = fit([p], loss_fn, epochs=6, lr=0.1)
+        ps, _, _, loss_fn = self.quadratic()
+        full = fit([ps], loss_fn, epochs=6, lr=0.1)
         assert all(a > b for a, b in zip(full, full[1:]))
-        p, seen, loss_fn = self.quadratic()
-        losses = fit([p], loss_fn, epochs=6, lr=0.1,
+        ps, p, seen, loss_fn = self.quadratic()
+        losses = fit([ps], loss_fn, epochs=6, lr=0.1,
                      loss_target=(full[2] + full[3]) / 2)
         assert losses == full[:4]
         assert len(seen) == 4
         assert np.array_equal(p.data, seen[-1])
 
     def test_one_loss_per_epoch_run(self):
-        p, seen, loss_fn = self.quadratic()
-        assert len(fit([p], loss_fn, epochs=3, lr=0.1,
+        ps, p, seen, loss_fn = self.quadratic()
+        assert len(fit([ps], loss_fn, epochs=3, lr=0.1,
                        loss_target=-1.0)) == 3
-        assert fit([p], loss_fn, epochs=0, lr=0.1) == []
-        assert len(fit([p], loss_fn, epochs=5, lr=0.1,
+        assert fit([ps], loss_fn, epochs=0, lr=0.1) == []
+        assert len(fit([ps], loss_fn, epochs=5, lr=0.1,
                        loss_target=np.inf)) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_loss_stops_before_its_step(self, bad):
-        p, seen, loss_fn = self.quadratic()
+        ps, p, seen, loss_fn = self.quadratic()
 
         def loss_turning_bad():
             loss = loss_fn()
             return loss * bad if len(seen) == 3 else loss
 
         with pytest.raises(NumericalError, match="at epoch 3 of 5"):
-            fit([p], loss_turning_bad, epochs=5, lr=0.1)
+            fit([ps], loss_turning_bad, epochs=5, lr=0.1)
         assert len(seen) == 3
         assert np.array_equal(p.data, seen[-1])
 
     def test_non_finite_weights_after_last_step(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        ps, p = one_param([1.0])
         with pytest.raises(NumericalError,
                            match="non-finite weights after step 1 of 1"):
-            fit([p], lambda: p.sum(), epochs=1, lr=math.inf)
+            fit([ps], lambda: p.sum(), epochs=1, lr=math.inf)
 
     @pytest.mark.parametrize("target", [None, 1e9], ids=["no_target", "early_stop"])
     def test_leaves_no_graph_for_the_cyclic_gc(self, target):
-        w = t(np.random.default_rng(0).normal(size=(3, 3)))
+        ws, w = one_param(np.random.default_rng(0).normal(size=(3, 3)))
         x = Tensor(np.eye(3))
         losses, leaked = tensors_left_to_cyclic_gc(
-            lambda: fit([w], lambda: ((x @ w) * (x @ w)).sum(), epochs=3,
+            lambda: fit([ws], lambda: ((x @ w) * (x @ w)).sum(), epochs=3,
                         lr=0.1, loss_target=target))
         assert len(losses) == (3 if target is None else 1)
         assert leaked == 0
