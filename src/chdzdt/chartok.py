@@ -96,9 +96,6 @@ class CharVocab:
     def char_id(self, ch: str) -> int:
         return self.stoi.get(ch, UNK_ID)
 
-    def __contains__(self, ch: str) -> bool:
-        return ch in self.stoi
-
     def spec(self) -> dict:
         return {"ranges": [list(r) for r in self.ranges], "extras": list(self.extras)}
 

@@ -183,7 +183,7 @@ def forward_batch(state: EncoderState, ids: np.ndarray,
         scores = attention_scores(x, p[pre + "attn_q_w"], p[pre + "attn_q_b"],
                                   p[pre + "attn_k_w"], p[pre + "attn_k_b"],
                                   cfg.n_heads)
-        attn = softmax(scores, axis=-1, scale=scale, add=neg)
+        attn = softmax(scores, scale=scale, add=neg)
         if train_mode:
             attn = dropout(attn, cfg.dropout, rng)
         # x's gradient gathers its shares in the order residual, q, k, v,

@@ -109,9 +109,6 @@ class CompositionModel:
         with T.no_grad():
             return spec.forward(fields, *map(T.Tensor, inputs)).data
 
-    def compose(self, p, r, s) -> np.ndarray:
-        return self.compose_batch(*(np.asarray(x)[None] for x in (p, r, s)))[0]
-
 
 def shift_positive(triples, eps: float = SHIFT_EPS):
     """Affinely shift every vector so all components are >= eps.

@@ -139,6 +139,9 @@ def ari(pred_labels, gold_labels) -> float:
         raise DataError(f"label vectors must match: {pred.shape} vs "
                         f"{gold.shape}")
     n = len(pred)
+    if n < 2:
+        # no pair to count: the limit case of identical partitions
+        return 1.0
     _, pred_ids = np.unique(pred, return_inverse=True)
     _, gold_ids = np.unique(gold, return_inverse=True)
     table = np.zeros((pred_ids.max() + 1, gold_ids.max() + 1), dtype=np.int64)

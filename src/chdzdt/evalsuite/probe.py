@@ -73,7 +73,7 @@ def stratified_split(rows, fraction: float, seed: int = 42):
 
 def _probe(W: T.Tensor, b: T.Tensor, X: T.Tensor) -> T.Tensor:
     """Each affix's presence probability for the embedding rows X."""
-    return (X @ W + b).sigmoid()
+    return T.linear(X, W, b).sigmoid()
 
 
 def probe_train(embeddings, affix_labels, split=None, fraction: float = 0.6,

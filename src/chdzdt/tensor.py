@@ -1,10 +1,13 @@
 """Minimal dense-tensor engine with reverse-mode autodiff and Adam.
 
 Tensors wrap numpy arrays (float32 by default, float64 behind the
-``precision`` context for gradient checking). Every differentiable op
-attaches a closure that propagates gradients to its inputs; ``backward``
-walks the recorded graph in reverse topological order, then unlinks it so
-reference counting frees it. Inside ``no_grad`` no op records a graph.
+``precision`` context for gradient checking). An op states its forward
+value and its gradient; ``Tensor._unary`` and ``Tensor._binary`` (which
+sums a broadcast gradient back down) make the node, its closure and the
+choice to adopt a first gradient, and ``_affine_grads`` accumulates the
+gradients of rows @ w + b. ``backward`` walks the recorded graph in
+reverse topological order, then unlinks it so reference counting frees
+it. Inside ``no_grad`` no op records a graph.
 
 The encoder's layers are single nodes with hand-written backward passes:
 ``linear`` (x @ w + b as 2-D GEMMs over all leading rows), ``layer_norm``,
@@ -82,8 +85,6 @@ class Tensor:
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _children=()):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
@@ -132,6 +133,31 @@ class Tensor:
                 else g.astype(self.data.dtype)
         else:
             self.grad += g
+
+    def _unary(self, out_data, grad) -> "Tensor":
+        """The node out_data of the one input self; grad maps the output's
+        gradient to self's. grad must return a fresh array, never its
+        argument or a view of it: self adopts it as its first gradient."""
+        def backward():
+            self._acc(grad(out.grad), owned=True)
+
+        out = self._result(out_data, (self,), backward)
+        return out
+
+    def _binary(self, other, out_data, grads) -> "Tensor":
+        """The node out_data of the inputs self and other, which may have
+        broadcast; grads[i] maps the output's gradient to input i's before
+        it is summed down to that input's shape. An input requiring no
+        gradient costs no product."""
+        def backward():
+            g = out.grad
+            for t, grad in zip((self, other), grads):
+                if t.requires_grad:
+                    u = self._unbroadcast(grad(g), t.data.shape)
+                    t._acc(u, owned=u is not g)
+
+        out = self._result(out_data, (self, other), backward)
+        return out
 
     @staticmethod
     def _unbroadcast(grad, shape):
@@ -187,34 +213,15 @@ class Tensor:
 
     def __add__(self, other):
         other = self._wrap(other)
-        out_data = self.data + other.data
-
-        def backward():
-            g = out.grad
-            for t in (self, other):
-                u = self._unbroadcast(g, t.data.shape)
-                t._acc(u, owned=u is not g)
-
-        out = self._result(out_data, (self, other), backward)
-        return out
+        return self._binary(other, self.data + other.data,
+                            (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._wrap(other)
-        out_data = self.data * other.data
-
-        def backward():
-            g = out.grad
-            if self.requires_grad:
-                self._acc(self._unbroadcast(g * other.data, self.data.shape),
-                          owned=True)
-            if other.requires_grad:
-                other._acc(self._unbroadcast(g * self.data, other.data.shape),
-                           owned=True)
-
-        out = self._result(out_data, (self, other), backward)
-        return out
+        return self._binary(other, self.data * other.data,
+                            (lambda g: g * other.data, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
@@ -229,111 +236,49 @@ class Tensor:
 
     def __truediv__(self, other):
         other = self._wrap(other)
-        out_data = self.data / other.data
-
-        def backward():
-            g = out.grad
-            if self.requires_grad:
-                self._acc(self._unbroadcast(g / other.data, self.data.shape), owned=True)
-            if other.requires_grad:
-                other._acc(self._unbroadcast(-g * out_data / other.data,
-                                             other.data.shape), owned=True)
-
-        out = self._result(out_data, (self, other), backward)
-        return out
+        y = self.data / other.data
+        return self._binary(other, y, (lambda g: g / other.data,
+                                       lambda g: -g * y / other.data))
 
     def __pow__(self, n):
         if not isinstance(n, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** n
-
-        def backward():
-            self._acc(out.grad * n * self.data ** (n - 1), owned=True)
-
-        out = self._result(out_data, (self,), backward)
-        return out
+        return self._unary(self.data ** n,
+                           lambda g: g * n * self.data ** (n - 1))
 
     def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward():
-            self._acc(out.grad * out.data, owned=True)
-
-        out = self._result(out_data, (self,), backward)
-        return out
+        y = np.exp(self.data)
+        return self._unary(y, lambda g: g * y)
 
     def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward():
-            self._acc(out.grad * (1.0 - out.data * out.data), owned=True)
-
-        out = self._result(out_data, (self,), backward)
-        return out
+        y = np.tanh(self.data)
+        return self._unary(y, lambda g: g * (1.0 - y * y))
 
     def sigmoid(self):
-        out_data = _sigmoid(self.data)
+        y = _sigmoid(self.data)
+        return self._unary(y, lambda g: g * y * (1.0 - y))
 
-        def backward():
-            self._acc(out.grad * out.data * (1.0 - out.data), owned=True)
+    # -- reductions and indexing -------------------------------------------
 
-        out = self._result(out_data, (self,), backward)
-        return out
-
-    # -- reductions and reshaping ------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward():
-            g = out.grad
-            if axis is not None and not keepdims:
+    def sum(self, axis=None):
+        def grad(g):
+            if axis is not None:
                 g = np.expand_dims(g, axis)
-            self._acc(np.broadcast_to(g, self.data.shape).astype(self.data.dtype), owned=True)
+            return np.broadcast_to(g, self.data.shape).astype(self.data.dtype)
 
-        out = self._result(out_data, (self,), backward)
-        return out
+        return self._unary(self.data.sum(axis=axis), grad)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward():
-            self._acc(out.grad.reshape(self.data.shape))
-
-        out = self._result(out_data, (self,), backward)
-        return out
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        out_data = self.data.transpose(axes)
-        inv = np.argsort(axes)
-
-        def backward():
-            self._acc(out.grad.transpose(inv))
-
-        out = self._result(out_data, (self,), backward)
-        return out
+    def mean(self, axis=None):
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis) * (1.0 / count)
 
     def __getitem__(self, idx):
-        out_data = self.data[idx]
-
-        def backward():
+        def grad(g):
             buf = np.zeros_like(self.data)
-            np.add.at(buf, idx, out.grad)
-            self._acc(buf, owned=True)
+            np.add.at(buf, idx, g)
+            return buf
 
-        out = self._result(out_data, (self,), backward)
-        return out
+        return self._unary(self.data[idx], grad)
 
     # -- matrix product ------------------------------------------------------
 
@@ -344,19 +289,9 @@ class Tensor:
             raise ValueError(f"matmul requires 2-D operands, got shapes {a.shape} and {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-        out_data = a @ b
-
-        def backward():
-            g = out.grad
-            if self.requires_grad:
-                self._acc(self._unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
-                          owned=True)
-            if other.requires_grad:
-                other._acc(self._unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape),
-                           owned=True)
-
-        out = self._result(out_data, (self, other), backward)
-        return out
+        return self._binary(other, a @ b,
+                            (lambda g: g @ np.swapaxes(b, -1, -2),
+                             lambda g: np.swapaxes(a, -1, -2) @ g))
 
     __matmul__ = matmul
 
@@ -404,16 +339,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = out_data.reshape(x.shape[:-1] + (d_out,))
 
     def backward():
-        g = out.grad.reshape(-1, d_out)
-        if w.requires_grad:
-            w._acc(x2.T @ g, owned=True)
-        if b.requires_grad:
-            b._acc(g.sum(axis=0), owned=True)
-        if x.requires_grad:
-            x._acc((g @ w.data.T).reshape(x.shape), owned=True)
+        _affine_grads(x, x2, w, b, out.grad.reshape(-1, d_out))
 
     out = Tensor._result(out_data, (x, w, b), backward)
     return out
+
+
+def _affine_grads(x, rows, w, b, g):
+    """Accumulate the gradients of rows @ w + b, where rows is x's data
+    as 2-D rows and g the [rows, d_out] gradient of the result: w's, then
+    b's, then x's, each a fresh array."""
+    if w.requires_grad:
+        w._acc(rows.T @ g, owned=True)
+    if b.requires_grad:
+        b._acc(g.sum(axis=0), owned=True)
+    if x.requires_grad:
+        x._acc((g @ w.data.T).reshape(x.shape), owned=True)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -449,8 +390,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1, *, scale: float = 1.0, add=None) -> Tensor:
-    """softmax(x * scale + add) along axis, as one node.
+def softmax(x: Tensor, *, scale: float = 1.0, add=None) -> Tensor:
+    """softmax(x * scale + add) along the last axis, as one node.
 
     add is a constant array (no gradient) broadcast onto the scaled input;
     -1e9 on masked columns underflows their weights to exactly 0.
@@ -458,18 +399,17 @@ def softmax(x: Tensor, axis: int = -1, *, scale: float = 1.0, add=None) -> Tenso
     z = x.data * scale if scale != 1.0 else x.data
     if add is not None:
         z = z + add
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
-    def backward():
-        gs = out.grad * out_data
-        dz = gs - out_data * gs.sum(axis=axis, keepdims=True)
+    def grad(g):
+        gs = g * y
+        dz = gs - y * gs.sum(axis=-1, keepdims=True)
         if scale != 1.0:
             dz *= scale
-        x._acc(dz, owned=True)
+        return dz
 
-    out = Tensor._result(out_data, (x,), backward)
-    return out
+    return x._unary(y, grad)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -478,15 +418,12 @@ def gelu(x: Tensor) -> Tensor:
     c = math.sqrt(2.0 / math.pi)
     xd = x.data
     th = np.tanh((xd + 0.044715 * (xd * xd * xd)) * c)
-    out_data = 0.5 * xd * (1.0 + th)
 
-    def backward():
-        slope = 0.5 * (1.0 + th) + (0.5 * xd) * (1.0 - th * th) \
-            * (c * (1.0 + 3.0 * 0.044715 * (xd * xd)))
-        x._acc(out.grad * slope, owned=True)
+    def grad(g):
+        return g * (0.5 * (1.0 + th) + (0.5 * xd) * (1.0 - th * th)
+                    * (c * (1.0 + 3.0 * 0.044715 * (xd * xd))))
 
-    out = Tensor._result(out_data, (x,), backward)
-    return out
+    return x._unary(0.5 * xd * (1.0 + th), grad)
 
 
 def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
@@ -520,13 +457,8 @@ def attention_scores(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
         # per-head products, then back to [b*t, d] rows
         gq = (g @ kh).transpose(0, 2, 1, 3).reshape(-1, d)
         gk = (np.swapaxes(qh, -1, -2) @ g).transpose(0, 3, 1, 2).reshape(-1, d)
-        for w, bias, gz in ((wq, bq, gq), (wk, bk, gk)):
-            if w.requires_grad:
-                w._acc(x2.T @ gz, owned=True)
-            if bias.requires_grad:
-                bias._acc(gz.sum(axis=0), owned=True)
-            if x.requires_grad:
-                x._acc((gz @ w.data.T).reshape(x.shape), owned=True)
+        _affine_grads(x, x2, wq, bq, gq)
+        _affine_grads(x, x2, wk, bk, gk)
 
     out = Tensor._result(out_data, (x, wq, bq, wk, bk), backward)
     return out
@@ -576,12 +508,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-
-    def backward():
-        x._acc(out.grad * keep, owned=True)
-
-    out = Tensor._result(x.data * keep, (x,), backward)
-    return out
+    return x._unary(x.data * keep, lambda g: g * keep)
 
 
 def softmax_ce(logits: Tensor, target_ids) -> Tensor:
@@ -601,16 +528,14 @@ def softmax_ce(logits: Tensor, target_ids) -> Tensor:
     buf -= np.log(np.exp(buf).sum(axis=1, keepdims=True))
     nll = -buf[np.arange(n), targets]
     scale = 1.0 / n
-    out_data = np.asarray(nll.sum() * scale, dtype=logits.data.dtype)
 
-    def backward():
+    def grad(g):
         np.exp(buf, out=buf)
         buf[np.arange(n), targets] -= 1.0
-        np.multiply(buf, out.grad * scale, out=buf)
-        logits._acc(buf, owned=True)
+        return np.multiply(buf, g * scale, out=buf)
 
-    out = Tensor._result(out_data, (logits,), backward)
-    return out
+    return logits._unary(np.asarray(nll.sum() * scale, dtype=logits.data.dtype),
+                         grad)
 
 
 def bce_multilabel(probs: Tensor, targets) -> Tensor:
@@ -625,15 +550,14 @@ def bce_multilabel(probs: Tensor, targets) -> Tensor:
     p = np.clip(probs.data, BCE_EPS, 1.0 - BCE_EPS)
     per_elem = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     scale = 1.0 / probs.shape[0] if probs.ndim == 2 else 1.0
-    out_data = np.asarray(per_elem.sum() * scale, dtype=probs.data.dtype)
 
-    def backward():
+    def grad(g):
         inside = (probs.data > BCE_EPS) & (probs.data < 1.0 - BCE_EPS)
-        g = (p - y) / (p * (1.0 - p)) * inside
-        probs._acc((out.grad * scale) * g.astype(probs.data.dtype), owned=True)
+        slope = (p - y) / (p * (1.0 - p)) * inside
+        return (g * scale) * slope.astype(probs.data.dtype)
 
-    out = Tensor._result(out_data, (probs,), backward)
-    return out
+    return probs._unary(np.asarray(per_elem.sum() * scale, dtype=probs.data.dtype),
+                        grad)
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -739,11 +663,7 @@ def gru_sequence(x: Tensor, mask, params: dict, reverse: bool = False,
             rh = (zr_seq[:, :, d_h:] * h_prev).reshape(-1, d_h)
             du[:, 2 * d_h:] = rh.T @ rows[:, 2 * d_h:]
             u._acc(du, owned=True)
-        if w.requires_grad:
-            w._acc(x.data.reshape(n * length, d_in).T @ rows, owned=True)
-        b._acc(rows.sum(axis=0), owned=True)
-        if x.requires_grad:
-            x._acc((rows @ w.data.T).reshape(x.shape), owned=True)
+        _affine_grads(x, x.data.reshape(n * length, d_in), w, b, rows)
         if h0 is not None:
             h0._acc(dh, owned=True)
 
@@ -758,9 +678,8 @@ def gru_cell(x_t: Tensor, h_prev: Tensor, params: dict) -> Tensor:
     """
     if x_t.ndim != 2 or h_prev.ndim != 2:
         raise ValueError(f"gru_cell expects 2-D x and h, got {x_t.shape} and {h_prev.shape}")
-    n, d_in = x_t.shape
-    out = gru_sequence(x_t.reshape(n, 1, d_in), np.ones((n, 1)), params, h0=h_prev)
-    return out.reshape(n, h_prev.shape[1])
+    return gru_sequence(x_t[:, None], np.ones((x_t.shape[0], 1)), params,
+                        h0=h_prev)[:, 0]
 
 
 class ParamSet:

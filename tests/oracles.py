@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 
-from chdzdt.tensor import linear, softmax
+from chdzdt.tensor import Tensor, linear, softmax
 
 
 def finite_diff_max_rel_err(build_loss, params, rng, n_samples=20, h=1e-4):
@@ -72,12 +72,12 @@ def composite_layer_norm(x, gain, bias, eps):
     return xc * (var + eps) ** -0.5 * gain + bias
 
 
-def composite_softmax(x, axis=-1, scale=1.0, add=0.0):
+def composite_softmax(x, scale=1.0, add=0.0):
     """Scale, then add, then exp of the max-shifted input times the
-    reciprocal of its sum."""
+    reciprocal of its sum, along the last axis."""
     z = x * scale + add
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e * e.sum(axis=axis, keepdims=True) ** -1.0
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e * e.sum(axis=-1, keepdims=True) ** -1.0
 
 
 def composite_gelu(x):
@@ -402,15 +402,38 @@ def per_tensor_adam_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
         p.data -= step
 
 
+def _view(x, forward, backward):
+    """One engine node seeing x.data through forward (a reshape or a
+    transpose), as the engine's former reshape and transpose nodes: its
+    backward hands x backward(the output's gradient), a view, which x
+    copies on first arrival."""
+    def run_backward():
+        x._acc(backward(out.grad))
+
+    out = Tensor._result(forward(x.data), (x,), run_backward)
+    return out
+
+
+def reshape(x, *shape):
+    return _view(x, lambda a: a.reshape(shape),
+                 lambda g: g.reshape(x.data.shape))
+
+
+def transpose(x, *axes):
+    inv = np.argsort(axes)
+    return _view(x, lambda a: a.transpose(axes), lambda g: g.transpose(inv))
+
+
 def composite_attention_scores(x, wq, bq, wk, bk, n_heads):
     """Per-head q @ kᵀ as the encoder once built it: two linear nodes,
     two head reshapes, three transposes and a Tensor.matmul."""
     b, t, d = x.shape
 
     def heads(z):
-        return z.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+        return transpose(reshape(z, b, t, n_heads, d // n_heads), 0, 2, 1, 3)
 
-    return heads(linear(x, wq, bq)) @ heads(linear(x, wk, bk)).transpose(0, 1, 3, 2)
+    return heads(linear(x, wq, bq)) @ transpose(heads(linear(x, wk, bk)),
+                                                0, 1, 3, 2)
 
 
 def composite_attention_context(attn, v, wo, bo):
@@ -419,8 +442,8 @@ def composite_attention_context(attn, v, wo, bo):
     merging transpose and reshape, and a linear node."""
     b, h, t, _ = attn.shape
     d = v.shape[-1]
-    vh = v.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
-    return linear((attn @ vh).transpose(0, 2, 1, 3).reshape(b, t, d), wo, bo)
+    vh = transpose(reshape(v, b, t, h, d // h), 0, 2, 1, 3)
+    return linear(reshape(transpose(attn @ vh, 0, 2, 1, 3), b, t, d), wo, bo)
 
 
 def composite_dropout(x, p, rng):
@@ -438,8 +461,8 @@ def composite_attention(x, w, n_heads, add, p, rng):
     (weight, bias) Tensors; add is the softmax's constant mask and p the
     dropout rate, drawn from rng."""
     scores = composite_attention_scores(x, *w["q"], *w["k"], n_heads)
-    attn = softmax(scores, axis=-1,
-                   scale=1.0 / math.sqrt(x.shape[-1] // n_heads), add=add)
+    attn = softmax(scores, scale=1.0 / math.sqrt(x.shape[-1] // n_heads),
+                   add=add)
     attn = composite_dropout(attn, p, rng)
     v = linear(x, *w["v"])
     return composite_dropout(composite_attention_context(attn, v, *w["o"]),

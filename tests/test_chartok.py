@@ -46,7 +46,7 @@ class TestBuildVocab:
 
     def test_extras_merge(self):
         v = build_vocab(ABC, ["z"])
-        assert "z" in v and v.size == 9
+        assert "z" in v.stoi and v.size == 9
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,7 +124,7 @@ class TestEncode:
         for ch in ("Q", *SPECIAL_CHARS):
             tok = encode_word(v, f"a{ch}c")
             assert tok[:4].tolist() == [CLS_ID, v.stoi["a"], UNK_ID, v.stoi["c"]]
-            assert ch not in v
+            assert ch not in v.stoi
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):

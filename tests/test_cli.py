@@ -26,6 +26,7 @@ from chdzdt.chartok import build_vocab
 from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint, \
     save_checkpoint
 from chdzdt.errors import NumericalError
+from chdzdt.evalsuite.compose import KINDS
 from chdzdt.evalsuite.embedder import CheckpointEmbedder, TsvEmbedder
 from chdzdt.evalsuite.metrics import acs
 from chdzdt.preprocess import write_lexicon
@@ -842,6 +843,19 @@ class TestEval:
                    "--out", tmp_path / "o.json") == 1
         assert "finetune" in capsys.readouterr().err
 
+    def test_one_member_noise_eval_reports_finite(self, ckpt, tmp_path):
+        # one member gives k-means a single label, so ARI counts no pair
+        data = tmp_path / "clusters.tsv"
+        data.write_text("dar\tdarek\n", encoding="utf-8")
+        out = tmp_path / "noise.json"
+        assert run("eval", "--task", "noise", "--embedder", ckpt,
+                   "--data", data, "--out", out) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["cluster"]["star"]["ari"] == 1.0
+        numbers = [v for _, v in cli._flatten(results)
+                   if isinstance(v, float)]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+
     def test_unknown_task_param_exits_two(self, ws, ckpt, tmp_path, capsys):
         assert run("eval", "--task", "morph", "--embedder", ckpt,
                    "--data", ws / "clusters.tsv",
@@ -983,6 +997,58 @@ class TestEval:
                    "--data", bad, "--out", out) == 2
         assert not out.exists()
         assert not list(tmp_path.glob("o.json*"))
+
+
+# pinned SHA-256 digests of the chain's outputs, per BLAS kernel and NumPy
+CHAIN_DIGESTS = Path(__file__).with_name("chain_digests.json")
+TAGGER_FLAGS = ["--epochs", 3, "--lr", 1e-4]
+# (digest name, task, flags): every eval task, compose in each kind and
+# each tagger frozen and finetuned
+CHAIN_EVALS = [
+    ("morph", "morph", []), ("noise", "noise", []), ("probe", "probe", []),
+    *((f"compose_{kind}", "compose", ["--kind", kind]) for kind in KINDS),
+    ("sim", "sim", []),
+    *((f"{task}_{mode}", task, ["--mode", mode, *TAGGER_FLAGS])
+      for task in ("tag", "pos", "sa") for mode in ("frozen", "finetune"))]
+
+
+class TestChainDigests:
+    """The bytes of every output the chain writes from the module fixtures
+    against digests pinned for one BLAS kernel and NumPy version: a change
+    that means to keep behaviour must leave each of them equal."""
+
+    def test_outputs_match_pinned_digests(self, ws, lexicon, ckpt, tmp_path,
+                                          monkeypatch):
+        kernel = cli._blas_kernel()
+        key = f"{kernel} numpy-{'.'.join(np.__version__.split('.')[:2])}"
+        table = json.loads(CHAIN_DIGESTS.read_text(encoding="utf-8"))
+        if key not in table:
+            pytest.skip(f"no digests pinned for BLAS kernel {kernel} "
+                        f"with NumPy {np.__version__}")
+        # perfbench's digests: a file's bytes, and a report's JSON without
+        # its timing fields; only the results, as reports also hold paths
+        monkeypatch.syspath_prepend(str(PYPROJECT.parent / "perfbench"))
+        from stages import report_digest, sha256
+
+        words = tmp_path / "words.txt"
+        words.write_text("dog\ndogs\ncat\ncats\nrun\nruns\nrunning\n"
+                         "chien\nchiens\ncourent\n", encoding="utf-8")
+        vectors = tmp_path / "vectors.tsv"
+        assert run("encode", "--ckpt", ckpt, "--words", words,
+                   "--out", vectors) == 0
+        got = {"lexicon": sha256(lexicon), "checkpoint": sha256(ckpt),
+               "vectors": sha256(vectors)}
+        for name, task, flags in CHAIN_EVALS:
+            out = tmp_path / f"{name}.json"
+            assert run("eval", "--task", task, "--embedder", ckpt,
+                       "--data", ws / TASK_DATA[task][0], "--out", out,
+                       *flags) == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+            got[name] = report_digest(report["results"])
+            if report["mode"] == "finetune":
+                got[f"{name}_checkpoint"] = sha256(
+                    report["finetuned_checkpoint"])
+        assert got == table[key]
 
 
 class TestAblation:

@@ -58,33 +58,24 @@ class TestCompositionModel:
     def test_add_with_zero_prefix_suffix_returns_root(self):
         model = CompositionModel("Add", 3)
         r = np.array([0.3, -2.0, 5.0])
-        out = model.compose(np.zeros(3), r, np.zeros(3))
+        out = model.compose_batch(np.zeros((1, 3)), r[None], np.zeros((1, 3)))[0]
         np.testing.assert_array_equal(out, r)
 
     def test_mul_elementwise(self):
         model = CompositionModel("Mul", 2)
-        out = model.compose(np.array([2.0, 3.0]), np.array([4.0, 5.0]),
-                            np.array([0.5, 2.0]))
+        out = model.compose_batch([[2.0, 3.0]], [[4.0, 5.0]], [[0.5, 2.0]])[0]
         np.testing.assert_allclose(out, [4.0, 30.0])
 
     def test_wadd_weights_applied(self):
         model = CompositionModel("WAdd", 2, alpha=2.0, beta=0.0, gamma=1.0)
-        out = model.compose(np.ones(2), np.full(2, 9.0), np.full(2, 3.0))
+        out = model.compose_batch(np.ones((1, 2)), np.full((1, 2), 9.0),
+                                  np.full((1, 2), 3.0))[0]
         np.testing.assert_allclose(out, [5.0, 5.0])
 
     def test_wmul_requires_positive(self):
         model = CompositionModel("WMul", 2, alpha=1.0, beta=1.0, gamma=1.0)
         with pytest.raises(DataError, match="shift_positive"):
-            model.compose(np.array([-1.0, 1.0]), np.ones(2), np.ones(2))
-
-    def test_compose_matches_batch_row(self):
-        rng = np.random.default_rng(3)
-        W = rng.normal(size=(D, 3 * D))
-        model = CompositionModel("MpCnc", D, W=W)
-        p, r, s = rng.normal(size=(3, D))
-        np.testing.assert_array_equal(
-            model.compose(p, r, s),
-            model.compose_batch(p[None], r[None], s[None])[0])
+            model.compose_batch([[-1.0, 1.0]], np.ones((1, 2)), np.ones((1, 2)))
 
 
 class TestComposeFit:

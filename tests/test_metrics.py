@@ -216,6 +216,11 @@ class TestAri:
         with pytest.raises(DataError):
             ari([0, 1], [0, 1, 2])
 
+    @pytest.mark.parametrize("labels", [[0], []], ids=["one", "none"])
+    def test_fewer_than_two_labels_agree_fully(self, labels):
+        # no pair to count: the limit case of identical partitions
+        assert ari(labels, labels) == 1.0
+
 
 class TestCorrelations:
     def test_kendall_perfect(self):
