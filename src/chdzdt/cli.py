@@ -322,8 +322,9 @@ def cmd_pretrain(args) -> int:
                    train_config.seed, started)
 
     summary = {"checkpoint": args.out, "params": state.flat.size,
-               "words": len(lexicon), "steps": len(records)}
-    if records:
+               "words": len(lexicon), "steps": 0}
+    if records:  # the last step always has a record
+        summary["steps"] = records[-1]["step"]
         summary["final_total_loss"] = records[-1]["total"]
     _print_report(summary)
     return 0

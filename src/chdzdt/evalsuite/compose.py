@@ -178,8 +178,8 @@ def compose_fit(kind: str, triples, objective: str = "mse",
     params = weights.params
     X = [T.Tensor(x) for x in X]
     T.fit([weights],
-          lambda: _fit_loss(spec.forward(params, *X), W_target, objective),
-          epochs, lr)
+          (_fit_loss(spec.forward(params, *X), W_target, objective)
+           for _ in range(epochs)), lr)
     return CompositionModel(kind, d, **{
         name: p.data.T.copy() if name == "W" else float(p.data[0])
         for name, p in params.items()})

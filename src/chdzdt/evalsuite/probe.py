@@ -119,8 +119,8 @@ def probe_train(embeddings, affix_labels, split=None, fraction: float = 0.6,
     W, b = weights.params.values()
     Xtr = T.Tensor(X[train_idx])
     ytr = y[train_idx]
-    T.fit([weights], lambda: T.bce_multilabel(_probe(W, b, Xtr), ytr),
-          epochs, lr)
+    T.fit([weights], (T.bce_multilabel(_probe(W, b, Xtr), ytr)
+                      for _ in range(epochs)), lr)
 
     with T.no_grad():
         y_pred = (_probe(W, b, T.Tensor(X[test_idx])).data > 0.5).astype(int)

@@ -198,8 +198,8 @@ def morph_tagger(embedder, rows, mode: str = "frozen",
             total = head_loss if total is None else total + head_loss
         return total
 
-    losses = T.fit([weights, *encoder_sets], loss_fn, epochs, lr,
-                   loss_target)
+    losses = T.fit([weights, *encoder_sets],
+                   (loss_fn() for _ in range(epochs)), lr, loss_target)
 
     test_row, test_matrix = test_rows()
     with T.no_grad():
@@ -294,10 +294,9 @@ def _bigru(embedder, mode: str, train_seqs, targets, test_seqs, n_out: int,
 
     idx, mask = _pack_sequences(train_seqs, row)
     losses = T.fit([weights, *encoder_sets],
-                   lambda: T.softmax_ce(_bigru_logits(params, readout,
-                                                      rows(), idx, mask),
-                                        targets),
-                   epochs, lr, loss_target)
+                   (T.softmax_ce(_bigru_logits(params, readout, rows(),
+                                               idx, mask), targets)
+                    for _ in range(epochs)), lr, loss_target)
 
     test_row, test_matrix = test_rows()
     with T.no_grad():

@@ -4,8 +4,9 @@ The lexicon is encoded once into an id matrix and a multi-hot target
 matrix. Each step corrupts a batch of id rows by replacing a sampled set of
 character positions with MASK, runs one encoder pass, applies both heads
 (the encoder itself applies none), and minimizes the sum of the
-masked-prediction cross-entropy and the multi-label BCE with Adam.
-The loop opens no file and has no periodic checkpoints or resume: it
+masked-prediction cross-entropy and the multi-label BCE with Adam in
+``tensor.fit``, which steps through a generator of batch losses.
+Training opens no file and has no periodic checkpoints or resume: it
 returns the trained state and its log records for the caller to save.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .chartok import CharVocab, MASK_ID, PAD_ID, encode_word
 from .encoder import EncoderState, ModelConfig, cut_to_longest, forward_batch
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 from .fileio import config_from_dict
 from .preprocess import LABELS, LexiconEntry
 
@@ -147,20 +148,22 @@ def _encode_lexicon(lexicon: Sequence[LexiconEntry], vocab: CharVocab,
             np.stack([labels_to_targets(entry.labels) for entry in lexicon]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
          cfg: TrainConfig):
-    """Train state in place on lexicon. Returns (state, records).
-
-    A diverging run overflows silently; its non-finite loss or weights
-    are the NumericalError that reports it.
-    """
+    """Train state in place on lexicon. Returns (state, records)."""
     if not lexicon:
         raise DataError("cannot train on an empty lexicon")
     ids, targets = _encode_lexicon(lexicon, state.vocab, state.config.max_chars)
-    words = [entry.word for entry in lexicon]
-    opt = T.Adam([state.param_set], lr=cfg.lr)
     records: list = []
+    T.fit([state.param_set], _losses(state, ids, targets, cfg, records),
+          cfg.lr)
+    return state, records
+
+
+def _losses(state: EncoderState, ids: np.ndarray, targets: np.ndarray,
+            cfg: TrainConfig, records: list):
+    """Each batch's total loss in training order; resumed after the step
+    on one, it appends that step's log record to records if one is due."""
     steps_per_epoch = math.ceil(len(ids) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     step = 0
@@ -178,14 +181,7 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
                                cfg.mask_ratio, erng)
             total, mlm, multilabel = batch_loss(
                 state, batch, train_mode=True, rng=erng)
-            if not np.isfinite(total.data).all():
-                total._unlink()
-                bad = [words[i] for i in chunk]
-                raise NumericalError(
-                    f"non-finite loss at step {step} on batch {bad}")
-            opt.zero_grad()
-            total.backward()
-            opt.step()
+            yield total
             window_words += len(chunk)
             if step % cfg.log_every == 0 or step == total_steps:
                 elapsed = time.perf_counter() - window_start
@@ -197,16 +193,12 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
                     "total": float(total.data),
                     "grad_norm": float(np.linalg.norm(
                         state.param_set.grad.astype(np.float64))),
-                    "lr": opt.lr,
+                    "lr": cfg.lr,
                     "samples_per_sec": window_words / max(elapsed, 1e-9),
                 })
                 window_words, window_start = 0, None
                 print(f"epoch {epoch} step {step} "
                       f"total {float(total.data):.4f}", file=sys.stderr)
-    if not state.param_set.check_finite():
-        raise NumericalError(f"non-finite weights after step {step}; "
-                             "no checkpoint written")
-    return state, records
 
 
 def train(lexicon: Sequence[LexiconEntry], model_config: ModelConfig,

@@ -20,7 +20,8 @@ head merge and the output projection).
 A model's weights are one ``ParamSet``: a flat data buffer, a flat grad
 buffer, and named Tensors that view both. ``Adam`` updates sets in place
 through flat moment buffers, a block of at most ``BLOCK`` floats per pass
-of its formula; a step allocates no array.
+of its formula; a step allocates no array. ``fit``, the one training
+loop, takes an Adam step on each loss of a lazy iterable.
 """
 
 from __future__ import annotations
@@ -207,8 +208,11 @@ class Tensor:
 
     # -- elementwise arithmetic --------------------------------------------
 
-    @staticmethod
-    def _wrap(x) -> "Tensor":
+    def _wrap(self, x) -> "Tensor":
+        """x as a Tensor; a Python int or float takes self's dtype, as
+        NumPy's weak scalars do, and an array keeps its own."""
+        if type(x) in (int, float):
+            return Tensor(np.asarray(x, self.data.dtype))
         return x if isinstance(x, Tensor) else Tensor(x)
 
     def __add__(self, other):
@@ -297,7 +301,7 @@ class Tensor:
 
 
 def cat(tensors, axis: int = 0) -> Tensor:
-    tensors = [Tensor._wrap(t) for t in tensors]
+    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
 
@@ -797,30 +801,29 @@ class Adam:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fit(sets, loss_fn, epochs: int, lr: float, loss_target=None) -> list:
-    """Full-batch Adam: one step on loss_fn() per epoch; returns the losses.
+def fit(sets, losses, lr: float, loss_target=None) -> list:
+    """Adam over sets, one step on each loss of the lazy iterable losses,
+    so each loss sees the weights the step before left; returns the losses.
 
-    Each epoch's loss is recorded before its step. With a loss_target the
-    loop stops, without stepping, at the first loss below it. A non-finite
-    loss is a NumericalError naming its epoch, raised before its step; so
-    are non-finite weights after the last step.
+    Each loss is recorded before its step. With a loss_target the loop
+    stops, without stepping, at the first loss below it. A non-finite loss
+    is a NumericalError naming its step, raised before that step; so are
+    non-finite weights after the last step.
     """
     opt = Adam(sets, lr=lr)
-    losses = []
-    for epoch in range(1, epochs + 1):
-        loss = loss_fn()
-        losses.append(float(loss.data))
-        if not math.isfinite(losses[-1]):
+    values = []
+    for loss in losses:
+        values.append(float(loss.data))
+        if not math.isfinite(values[-1]):
             loss._unlink()
-            raise NumericalError(f"non-finite loss {losses[-1]} at epoch "
-                                 f"{epoch} of {epochs}")
-        if loss_target is not None and losses[-1] < loss_target:
+            raise NumericalError(f"non-finite loss {values[-1]} at step "
+                                 f"{len(values)}")
+        if loss_target is not None and values[-1] < loss_target:
             loss._unlink()
             break
         opt.zero_grad()
         loss.backward()
         opt.step()
     if not all(s.check_finite() for s in opt.sets):
-        raise NumericalError(f"non-finite weights after step {opt.t} of "
-                             f"{epochs}")
-    return losses
+        raise NumericalError(f"non-finite weights after step {opt.t}")
+    return values

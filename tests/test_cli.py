@@ -472,6 +472,25 @@ class TestPretrain:
                    "--batch-size", 8, "--seed", 0) == 0
         assert out.read_bytes() == ckpt.read_bytes()
 
+    @pytest.mark.parametrize("epochs", [0, 5])
+    def test_summary_counts_steps_not_log_records(self, ws, lexicon,
+                                                  tmp_path, capsys, epochs):
+        n_words = len(lexicon.read_text(encoding="utf-8").splitlines())
+        assert n_words > 2
+        out = tmp_path / "steps.ckpt"
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--out", out, "--n-blocks", 1,
+                   "--n-heads", 1, "--hidden", 8, "--epochs", epochs,
+                   "--batch-size", 2, "--seed", 0) == 0
+        summary = dict(line.split(None, 1) for line in
+                       capsys.readouterr().out.splitlines())
+        steps = epochs * math.ceil(n_words / 2)
+        assert int(summary["steps"]) == steps
+        # below log_every, the last step is the one with a record
+        log = (tmp_path / "steps.ckpt.trainlog.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert [json.loads(r)["step"] for r in log] == [steps][:epochs]
+
     def test_flags_override_config_file(self, ws, lexicon, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"n_blocks": 2, "n_heads": 1,
@@ -1038,6 +1057,22 @@ class TestChainDigests:
                    "--out", vectors) == 0
         got = {"lexicon": sha256(lexicon), "checkpoint": sha256(ckpt),
                "vectors": sha256(vectors)}
+        # the fixture's run again, with a trainlog record at every step
+        logged = tmp_path / "logged.ckpt"
+        train_config = tmp_path / "train.json"
+        train_config.write_text(json.dumps({"log_every": 1}),
+                                encoding="utf-8")
+        assert run("pretrain", "--lexicon", lexicon, "--vocab",
+                   ws / "vocab.json", "--out", logged, "--n-blocks", 1,
+                   "--n-heads", 2, "--hidden", 8, "--epochs", 2,
+                   "--batch-size", 8, "--seed", 0,
+                   "--train-config", train_config) == 0
+        records = [json.loads(line) for line in Path(
+            f"{logged}.trainlog.jsonl").read_text(
+                encoding="utf-8").splitlines()]
+        got["pretrain_trainlog"] = report_digest(records)
+        got["pretrain_trainlog_checkpoint"] = sha256(logged)
+        assert got["pretrain_trainlog_checkpoint"] == got["checkpoint"]
         for name, task, flags in CHAIN_EVALS:
             out = tmp_path / f"{name}.json"
             assert run("eval", "--task", task, "--embedder", ckpt,

@@ -1,7 +1,9 @@
+import ast
 import gc
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,7 +658,7 @@ class TestFit:
 
     def test_runs_every_epoch_without_target(self):
         ps, p, seen, loss_fn = self.quadratic()
-        losses = fit([ps], loss_fn, epochs=7, lr=0.1)
+        losses = fit([ps], (loss_fn() for _ in range(7)), lr=0.1)
         qs, q = one_param([2.0, -1.0])
         opt = Adam([qs], lr=0.1)
         for _ in range(7):
@@ -669,10 +671,10 @@ class TestFit:
 
     def test_stops_below_target_without_stepping(self):
         ps, _, _, loss_fn = self.quadratic()
-        full = fit([ps], loss_fn, epochs=6, lr=0.1)
+        full = fit([ps], (loss_fn() for _ in range(6)), lr=0.1)
         assert all(a > b for a, b in zip(full, full[1:]))
         ps, p, seen, loss_fn = self.quadratic()
-        losses = fit([ps], loss_fn, epochs=6, lr=0.1,
+        losses = fit([ps], (loss_fn() for _ in range(6)), lr=0.1,
                      loss_target=(full[2] + full[3]) / 2)
         assert losses == full[:4]
         assert len(seen) == 4
@@ -680,10 +682,10 @@ class TestFit:
 
     def test_one_loss_per_epoch_run(self):
         ps, p, seen, loss_fn = self.quadratic()
-        assert len(fit([ps], loss_fn, epochs=3, lr=0.1,
+        assert len(fit([ps], (loss_fn() for _ in range(3)), lr=0.1,
                        loss_target=-1.0)) == 3
-        assert fit([ps], loss_fn, epochs=0, lr=0.1) == []
-        assert len(fit([ps], loss_fn, epochs=5, lr=0.1,
+        assert fit([ps], (loss_fn() for _ in range(0)), lr=0.1) == []
+        assert len(fit([ps], (loss_fn() for _ in range(5)), lr=0.1,
                        loss_target=np.inf)) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -694,26 +696,58 @@ class TestFit:
             loss = loss_fn()
             return loss * bad if len(seen) == 3 else loss
 
-        with pytest.raises(NumericalError, match="at epoch 3 of 5"):
-            fit([ps], loss_turning_bad, epochs=5, lr=0.1)
+        with pytest.raises(NumericalError, match=r"at step 3$"):
+            fit([ps], (loss_turning_bad() for _ in range(5)), lr=0.1)
         assert len(seen) == 3
         assert np.array_equal(p.data, seen[-1])
 
     def test_non_finite_weights_after_last_step(self):
         ps, p = one_param([1.0])
         with pytest.raises(NumericalError,
-                           match="non-finite weights after step 1 of 1"):
-            fit([ps], lambda: p.sum(), epochs=1, lr=math.inf)
+                           match=r"non-finite weights after step 1$"):
+            fit([ps], (p.sum() for _ in range(1)), lr=math.inf)
 
     @pytest.mark.parametrize("target", [None, 1e9], ids=["no_target", "early_stop"])
     def test_leaves_no_graph_for_the_cyclic_gc(self, target):
         ws, w = one_param(np.random.default_rng(0).normal(size=(3, 3)))
         x = Tensor(np.eye(3))
         losses, leaked = tensors_left_to_cyclic_gc(
-            lambda: fit([ws], lambda: ((x @ w) * (x @ w)).sum(), epochs=3,
+            lambda: fit([ws], (((x @ w) * (x @ w)).sum() for _ in range(3)),
                         lr=0.1, loss_target=target))
         assert len(losses) == (3 if target is None else 1)
         assert leaked == 0
+
+
+def _training_calls(tree, inside=None):
+    """Line numbers of the Adam(...), .backward() and .step() calls in tree,
+    leaving out those within the node inside."""
+    skip = {id(n) for n in ast.walk(inside)} if inside is not None else set()
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "Adam" or (name in ("backward", "step")
+                              and isinstance(node.func, ast.Attribute)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_fit_is_the_only_training_loop():
+    package = Path(T.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fit_def = None
+        if path == package / "tensor.py":
+            [fit_def] = [n for n in tree.body if isinstance(
+                n, ast.FunctionDef) and n.name == "fit"]
+            assert len(_training_calls(fit_def)) == 3
+        lines = _training_calls(tree, inside=fit_def)
+        if lines:
+            found[str(path.relative_to(package))] = lines
+    assert found == {}, ("train through tensor.fit, not an Adam, backward "
+                         f"or step of your own: {found}")
 
 
 class TestBackward:
@@ -750,6 +784,50 @@ class TestBackward:
             assert x.grad is not None and np.all(x.grad != 0)
         finally:
             gc.enable()
+
+
+# op on a Tensor a with a Python number as the other operand
+SCALAR_OPS = {
+    "mul": lambda a: a * 2.0,
+    "rmul": lambda a: 2.0 * a,
+    "mul_int": lambda a: a * 2,
+    "add": lambda a: a + 1.0,
+    "radd": lambda a: 1.0 + a,
+    "sub": lambda a: a - 1.0,
+    "rsub": lambda a: 1.0 - a,
+    "truediv": lambda a: a / 2.0,
+    "neg": lambda a: -a,
+    "mean": lambda a: a.mean(),
+}
+
+
+class TestScalarOperands:
+    """A Python number takes the Tensor's dtype, as NumPy's weak scalars
+    do; an array operand keeps its own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+    def test_result_and_gradients_keep_the_tensor_dtype(self, op, dtype):
+        a = Tensor(np.arange(1.0, 4.0, dtype=dtype), requires_grad=True)
+        y = SCALAR_OPS[op](a)
+        assert y.data.dtype == dtype
+        y.sum().backward()
+        assert y.grad.dtype == dtype
+        assert a.grad.dtype == dtype
+
+    def test_values_equal_numpy_weak_scalars(self):
+        x = np.arange(1.0, 4.0, dtype=np.float32)
+        a = Tensor(x)
+        for got, want in (((a * 0.1).data, x * 0.1),
+                          ((1.0 - a).data, 1.0 - x),
+                          ((a / 3.0).data, x / 3.0)):
+            assert got.dtype == want.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_array_operand_keeps_its_dtype(self):
+        a = Tensor(np.ones(3, np.float32))
+        assert (a * np.full(3, 2.0)).data.dtype == np.float64
+        assert (a + np.float64(1.0)).data.dtype == np.float64
 
 
 class TestNoGrad:
