@@ -100,10 +100,6 @@ class CharVocab:
         return {"ranges": [list(r) for r in self.ranges], "extras": list(self.extras)}
 
 
-def build_vocab(range_spec, extras=()) -> CharVocab:
-    return CharVocab(range_spec, extras)
-
-
 def load_vocab_spec(path) -> CharVocab:
     return CharVocab.from_spec(read_json(path, "vocabulary spec"),
                                f"vocabulary spec {path}")

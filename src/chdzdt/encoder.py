@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .chartok import PAD_ID, CharVocab, encode_word
+from .chartok import DEFAULT_MAX_CHARS, PAD_ID, CharVocab, encode_word
 from .errors import ConfigError, CorruptCheckpointError
 from .fileio import atomic_write, config_from_dict
 from .tensor import (
@@ -49,7 +49,7 @@ class ModelConfig:
     n_heads: int = 2
     hidden: int = 16
     ffn_mult: int = 4
-    max_chars: int = 20
+    max_chars: int = DEFAULT_MAX_CHARS
     n_labels: int = 5
     dropout: float = 0.1
     seed: int = 0
@@ -156,11 +156,11 @@ def cut_to_longest(ids: np.ndarray) -> np.ndarray:
     return ids[:, :int((ids != PAD_ID).sum(1).max())]
 
 
-def forward_batch(state: EncoderState, ids: np.ndarray,
-                  train_mode: bool = False, rng=None):
+def forward_batch(state: EncoderState, ids: np.ndarray, rng=None):
     """Run [B, t] id batches, 1 <= t <= seq_len, through the encoder.
 
     Returns (hidden [B,t,d] Tensor, cls [B,d]); no head is applied.
+    Dropout draws from rng when one is given and is off without one.
     Position j adds pos_emb[j], and pos_emb rows past t get a zero
     gradient. PAD_ID columns are padding: they get an additive -1e9 after
     the 1/sqrt(d_head) scaling inside the attention softmax, which
@@ -172,8 +172,6 @@ def forward_batch(state: EncoderState, ids: np.ndarray,
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= cfg.seq_len:
         raise ConfigError(f"expected ids of shape [B, t] with 1 <= t <= "
                           f"{cfg.seq_len}, got {ids.shape}")
-    if train_mode and cfg.dropout > 0 and rng is None:
-        raise ValueError("train_mode with dropout needs an rng")
     scale = 1.0 / math.sqrt(cfg.hidden // cfg.n_heads)
     neg = ((ids[:, None, None, :] == PAD_ID) * -1e9).astype(T.default_dtype())
 
@@ -183,27 +181,23 @@ def forward_batch(state: EncoderState, ids: np.ndarray,
         scores = attention_scores(x, p[pre + "attn_q_w"], p[pre + "attn_q_b"],
                                   p[pre + "attn_k_w"], p[pre + "attn_k_b"],
                                   cfg.n_heads)
-        attn = softmax(scores, scale=scale, add=neg)
-        if train_mode:
-            attn = dropout(attn, cfg.dropout, rng)
+        attn = dropout(softmax(scores, scale=scale, add=neg), cfg.dropout, rng)
         # x's gradient gathers its shares in the order residual, q, k, v,
         # as in the former chain of one node per op
         v = linear(x, p[pre + "attn_v_w"], p[pre + "attn_v_b"])
-        ctx = attention_context(attn, v, p[pre + "attn_o_w"], p[pre + "attn_o_b"])
-        if train_mode:
-            ctx = dropout(ctx, cfg.dropout, rng)
+        ctx = dropout(attention_context(attn, v, p[pre + "attn_o_w"],
+                                        p[pre + "attn_o_b"]), cfg.dropout, rng)
         x = layer_norm(x + ctx, p[pre + "ln1_g"], p[pre + "ln1_b"])
         ff = linear(gelu(linear(x, p[pre + "ffn_w1"], p[pre + "ffn_b1"])),
                     p[pre + "ffn_w2"], p[pre + "ffn_b2"])
-        if train_mode:
-            ff = dropout(ff, cfg.dropout, rng)
+        ff = dropout(ff, cfg.dropout, rng)
         x = layer_norm(x + ff, p[pre + "ln2_g"], p[pre + "ln2_b"])
 
     return x, x[:, 0]
 
 
 def encode_words(state: EncoderState, words) -> np.ndarray:
-    """Holistic word vectors [n, d]: CLS rows of eval-mode forward passes.
+    """Holistic word vectors [n, d]: CLS rows of forward passes without dropout.
 
     Rows follow the order of words. Each word runs at the width its own
     length gives, CLS plus characters rounded up to a multiple of

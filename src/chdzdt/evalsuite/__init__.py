@@ -1,16 +1,2 @@
 """Intrinsic metrics, noise robustness, probing, composition, correlation,
 and downstream decoders for word-embedding evaluation."""
-
-from .metrics import (  # noqa: F401
-    acs,
-    aed,
-    ari,
-    cluster_report,
-    kendall,
-    kmeans,
-    macro_prf,
-    pearson,
-    silhouette,
-    similarity_corr,
-    spearman,
-)

@@ -8,7 +8,7 @@ word field that is empty or only whitespace makes its row malformed.
 from __future__ import annotations
 
 from ..errors import DataError
-from ..fileio import atomic_write, finite_floats, read_lines, read_rows
+from ..fileio import finite_floats, read_lines, read_rows
 
 SENTIMENT_LABELS = ("negative", "neutral", "positive")
 
@@ -29,12 +29,6 @@ def read_clusters(path):
         return fields[0], fields[1:]
 
     return read_rows(path, parse, "clusters")
-
-
-def write_clusters(path, clusters) -> None:
-    with atomic_write(path) as f:
-        for root, members in clusters:
-            f.write("\t".join([root, *members]) + "\n")
 
 
 def read_tuples(path):
@@ -102,14 +96,6 @@ def read_pos(path):
     if not sentences:
         raise DataError(f"{path}: no sentences found")
     return sentences
-
-
-def write_pos(path, sentences) -> None:
-    with atomic_write(path) as f:
-        for sentence in sentences:
-            for word, tag in sentence:
-                f.write(f"{word}\t{tag}\n")
-            f.write("\n")
 
 
 def read_morph(path):

@@ -118,8 +118,6 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
     tuples = dict(tuples or {})
     noisy_clusters = {}
     if clusters is not None:
-        gold = [i for i, (_, members) in enumerate(clusters)
-                for m in members if len(m) >= count]
         for mode in MODES:
             pairs, noisy_clusters[mode] = _noisy_clusters(clusters, mode,
                                                           count, seed)
@@ -139,6 +137,7 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
             raise DataError(f"no usable tuples for mode {mode}")
         report["tuple_acs"][mode] = float(np.mean(sims))
     for mode, grouped in noisy_clusters.items():
+        gold = [i for i, (_, noisy) in enumerate(grouped) for _ in noisy]
         points = embed_rows(embedder, [w for _, noisy in grouped
                                        for w in noisy], np.float64)
         pred = kmeans(points, k=len(clusters), seed=seed)

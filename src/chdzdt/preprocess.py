@@ -109,7 +109,7 @@ def normalize_chars(text: str, rules: NormRules) -> str:
     return text
 
 
-def cap_elongation(text: str, k: int = 2) -> str:
+def cap_elongation(text: str, k: int) -> str:
     """Shorten runs of more than k identical alphabetic characters to k."""
     if k < 1:
         raise ConfigError(f"elongation cap must be >= 1, got {k}")

@@ -115,17 +115,16 @@ def mask_batch(ids: np.ndarray, targets: np.ndarray, ratio: float,
                        targets=np.asarray(targets))
 
 
-def batch_loss(state: EncoderState, batch: MaskedBatch,
-               train_mode: bool = False, rng=None):
-    """One encoder pass shared by both objectives and their heads.
+def batch_loss(state: EncoderState, batch: MaskedBatch, rng=None):
+    """One encoder pass shared by both objectives and their heads, with
+    dropout drawn from rng when one is given.
 
     Returns (total, mlm, multilabel) scalar Tensors; mlm averages over every
     slot whose char_target is not PAD_ID, multilabel averages row sums over
     examples.
     """
     p = state.params
-    hidden, cls = forward_batch(
-        state, batch.corrupted, train_mode=train_mode, rng=rng)
+    hidden, cls = forward_batch(state, batch.corrupted, rng=rng)
     label_probs = T.linear(cls, p["label_w"], p["label_b"]).sigmoid()
     rows = np.nonzero(batch.char_targets != PAD_ID)
     logits = T.linear(hidden[rows], p["mlm_w"], p["mlm_b"])
@@ -179,8 +178,7 @@ def _losses(state: EncoderState, ids: np.ndarray, targets: np.ndarray,
             chunk = order[start:start + cfg.batch_size]
             batch = mask_batch(cut_to_longest(ids[chunk]), targets[chunk],
                                cfg.mask_ratio, erng)
-            total, mlm, multilabel = batch_loss(
-                state, batch, train_mode=True, rng=erng)
+            total, mlm, multilabel = batch_loss(state, batch, rng=erng)
             yield total
             window_words += len(chunk)
             if step % cfg.log_every == 0 or step == total_steps:

@@ -506,10 +506,10 @@ def attention_context(attn: Tensor, v: Tensor, wo: Tensor, bo: Tensor) -> Tensor
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     """x times a keep mask drawn from rng, 1/(1-p) with probability 1-p and
-    0 otherwise, as one node; x itself when p <= 0."""
-    if p <= 0.0:
+    0 otherwise, as one node; x itself when p <= 0 or rng is None."""
+    if p <= 0.0 or rng is None:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return x._unary(x.data * keep, lambda g: g * keep)
@@ -693,7 +693,8 @@ class ParamSet:
     C-contiguous), holds every weight in the order of layout, a (name,
     shape) list; grad matches it. params[name] is a Tensor whose .data and
     .grad are views of the two, so an in-place update writes data and a
-    backward pass accumulates into grad.
+    backward pass adds into grad in place (Tensor._acc never rebinds a
+    gradient it already holds); zero_grad only zero-fills grad.
     """
 
     def __init__(self, layout, data):
@@ -710,7 +711,6 @@ class ParamSet:
             p = self.params[name] = Tensor(
                 self.data[lo:lo + size].reshape(shape), requires_grad=True)
             p.grad = self.grad[lo:lo + size].reshape(shape)
-        self._grads = [p.grad for p in self.params.values()]
 
     @classmethod
     def of(cls, arrays: dict) -> "ParamSet":
@@ -723,11 +723,7 @@ class ParamSet:
                    np.concatenate([a.ravel() for a in arrays.values()]))
 
     def zero_grad(self) -> None:
-        """Zero grad and point each param's .grad at its view again, so a
-        grad rebound since (to None, say) rejoins the buffer."""
         self.grad.fill(0)
-        for p, g in zip(self.params.values(), self._grads):
-            p.grad = g
 
     def check_finite(self) -> bool:
         return bool(np.isfinite(self.data).all())

@@ -3,7 +3,7 @@
 import pytest
 
 from chdzdt import cli
-from chdzdt.chartok import build_vocab
+from chdzdt.chartok import CharVocab
 from chdzdt.encoder import count_params
 from chdzdt.errors import ConfigError
 from chdzdt.evalsuite.ablation import (
@@ -15,7 +15,7 @@ from chdzdt.evalsuite.ablation import (
 from chdzdt.preprocess import LexiconEntry
 from chdzdt.pretrain import TrainConfig
 
-VOC = build_vocab([(97, 122)])
+VOC = CharVocab([(97, 122)])
 
 ROOTS = ["tab", "lor", "mik", "dun", "vel", "pon"]
 SUFFIXES = ("a", "o", "as", "os")

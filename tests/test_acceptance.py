@@ -14,7 +14,7 @@ import pytest
 
 import chdzdt.tensor as T
 from chdzdt import cli
-from chdzdt.chartok import MASK_ID, PAD_ID, build_vocab, decode, \
+from chdzdt.chartok import MASK_ID, PAD_ID, CharVocab, decode, \
     default_vocab, encode_word
 from chdzdt.encoder import EncoderState, ModelConfig, count_params, \
     save_checkpoint
@@ -87,7 +87,7 @@ def downstream():
 
 def test_01_gradients_match_finite_differences():
     start = time.perf_counter()
-    voc = build_vocab([(97, 122)])
+    voc = CharVocab([(97, 122)])
     with T.precision("float64"):
         state = EncoderState.init(
             ModelConfig(vocab_size=voc.size, n_blocks=1, n_heads=1,
@@ -217,7 +217,7 @@ def test_09_downstream_fixture_accuracies(downstream):
 
 
 def test_10_finetune_at_least_matches_frozen():
-    voc = build_vocab([(97, 122)])
+    voc = CharVocab([(97, 122)])
     config = ModelConfig(vocab_size=voc.size, n_blocks=1, n_heads=2,
                          hidden=16, seed=0)
     sents = pos_sentences()
@@ -242,7 +242,7 @@ def test_11_ablation_harness():
     assert params["N1-H2-d16"] < params["N2-H2-d16"] < params["N3-H2-d16"]
     assert params["N2-H2-d8"] < params["N2-H2-d16"] < params["N2-H2-d32"]
 
-    voc = build_vocab([(97, 122)])
+    voc = CharVocab([(97, 122)])
     roots = ["tab", "lor", "mik", "dun", "vel", "pon"]
     suffixes = ("a", "o", "as", "os")
     clusters = [(r, [r + s for s in suffixes]) for r in roots]

@@ -11,7 +11,7 @@ from chdzdt.chartok import (
     SPECIAL_CHARS,
     UNK_ID,
     EMOJI_BLOCKS,
-    build_vocab,
+    CharVocab,
     decode,
     default_vocab,
     encode_word,
@@ -30,37 +30,37 @@ def dvoc():
 
 class TestBuildVocab:
     def test_counting(self):
-        assert build_vocab(ABC).size == 8  # 5 specials + 3 chars
+        assert CharVocab(ABC).size == 8  # 5 specials + 3 chars
 
     def test_determinism(self):
-        a, b = build_vocab(ABC, ["x"]), build_vocab(ABC, ["x"])
+        a, b = CharVocab(ABC, ["x"]), CharVocab(ABC, ["x"])
         assert a.stoi == b.stoi and a.itos == b.itos
 
     def test_special_ids_fixed_order(self):
-        v = build_vocab(ABC)
+        v = CharVocab(ABC)
         assert (PAD_ID, CLS_ID, MASK_ID, UNK_ID, SEP_ID) == (0, 1, 2, 3, 4)
         assert v.itos[5:] == ["a", "b", "c"]
 
     def test_overlapping_ranges_dedupe(self):
-        assert build_vocab([(97, 99), (98, 100)]).size == 5 + 4
+        assert CharVocab([(97, 99), (98, 100)]).size == 5 + 4
 
     def test_extras_merge(self):
-        v = build_vocab(ABC, ["z"])
+        v = CharVocab(ABC, ["z"])
         assert "z" in v.stoi and v.size == 9
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
-            build_vocab([(99, 97)])
+            CharVocab([(99, 97)])
         with pytest.raises(ConfigError):
-            build_vocab([(0xD7FF, 0xE010)])  # crosses surrogates and specials
+            CharVocab([(0xD7FF, 0xE010)])  # crosses surrogates and specials
 
     def test_special_collision_rejected(self):
         with pytest.raises(ConfigError):
-            build_vocab([(0xE000, 0xE000)])
+            CharVocab([(0xE000, 0xE000)])
 
     def test_multichar_extra_rejected(self):
         with pytest.raises(ConfigError):
-            build_vocab(ABC, ["ab"])
+            CharVocab(ABC, ["ab"])
 
     def test_default_spec_covers_probe_words(self, dvoc):
         for word in "chdz شدز ⵣ 😀 3".split(" "):
@@ -107,20 +107,20 @@ class TestBuildVocab:
 
 class TestEncode:
     def test_short_word_layout(self):
-        v = build_vocab(ABC)
+        v = CharVocab(ABC)
         tok = encode_word(v, "abc", max_chars=20)
         assert tok.tolist() == [CLS_ID, v.stoi["a"], v.stoi["b"], v.stoi["c"]] + [PAD_ID] * 17
         assert tok.dtype == np.int64
 
     def test_overlong_truncated(self):
-        v = build_vocab(ABC)
+        v = CharVocab(ABC)
         tok = encode_word(v, "a" * 25, max_chars=20)
         assert tok.shape == (21,)
         assert (tok[1:] == v.stoi["a"]).all()
 
     def test_unknown_char_becomes_unk(self):
         # the special tokens' own code points are text like any other
-        v = build_vocab(ABC)
+        v = CharVocab(ABC)
         for ch in ("Q", *SPECIAL_CHARS):
             tok = encode_word(v, f"a{ch}c")
             assert tok[:4].tolist() == [CLS_ID, v.stoi["a"], UNK_ID, v.stoi["c"]]
@@ -128,10 +128,10 @@ class TestEncode:
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
-            encode_word(build_vocab(ABC), "   ")
+            encode_word(CharVocab(ABC), "   ")
 
     def test_fixed_length_regardless_of_input(self):
-        v = build_vocab(ABC)
+        v = CharVocab(ABC)
         for w in ("a", "ab", "a" * 40):
             assert encode_word(v, w, max_chars=8).shape == (9,)
 

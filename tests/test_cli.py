@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import chdzdt
 from chdzdt import cli
 from chdzdt import tensor as T
-from chdzdt.chartok import build_vocab
+from chdzdt.chartok import CharVocab
 from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint, \
     save_checkpoint
 from chdzdt.errors import NumericalError
@@ -455,7 +455,7 @@ class TestPretrain:
         assert run("pretrain", "--lexicon", lexicon, "--vocab",
                    ws / "vocab.json", "--out", out, "--n-blocks", 1,
                    "--n-heads", 2, "--hidden", 8, "--epochs", 0) == 0
-        vocab = build_vocab([(97, 122)])
+        vocab = CharVocab([(97, 122)])
         state = EncoderState.init(
             ModelConfig(vocab_size=vocab.size, n_blocks=1, n_heads=2,
                         hidden=8), vocab)

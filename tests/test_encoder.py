@@ -7,7 +7,7 @@ import pytest
 
 from chdzdt import encoder
 from chdzdt import tensor as T
-from chdzdt.chartok import MASK_ID, PAD_ID, build_vocab, encode_word
+from chdzdt.chartok import MASK_ID, PAD_ID, CharVocab, encode_word
 from chdzdt.encoder import (
     EncoderState,
     ModelConfig,
@@ -23,7 +23,7 @@ from chdzdt.pretrain import MaskedBatch, batch_loss, mask_batch
 
 from oracles import finite_diff_max_rel_err
 
-VOC = build_vocab([(97, 122)])  # a-z
+VOC = CharVocab([(97, 122)])  # a-z
 
 
 def small_state(n_blocks=1, n_heads=1, hidden=4, max_chars=6, seed=0, dropout=0.0):
@@ -80,6 +80,18 @@ class TestForward:
         a = forward_one(state, tok)[0].data
         b = forward_one(state, tok)[0].data
         assert np.array_equal(a, b)
+
+    def test_dropout_applies_only_with_an_rng(self):
+        ids = encode_word(VOC, "dar", max_chars=6)[None, :]
+
+        def run(state, rng=None):
+            hidden, cls = forward_batch(state, ids, rng)
+            return hidden.data.tobytes() + cls.data.tobytes()
+
+        plain = run(small_state(n_blocks=2, hidden=8, n_heads=2))
+        dropped = small_state(n_blocks=2, hidden=8, n_heads=2, dropout=0.1)
+        assert run(dropped) == plain
+        assert run(dropped, np.random.default_rng(0)) != plain
 
     def test_cls_is_row_zero(self):
         state = small_state()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chdzdt.chartok import build_vocab
+from chdzdt.chartok import CharVocab
 from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
 from chdzdt.errors import ConfigError, DataError
 from chdzdt.evalsuite import datasets as D
@@ -26,7 +26,7 @@ from chdzdt.evalsuite.obfuscate import (
     obfuscated_acs,
 )
 
-VOC = build_vocab([(97, 122)])
+VOC = CharVocab([(97, 122)])
 
 
 class ConstantEmbedder:
@@ -286,7 +286,8 @@ class TestClusterFiles:
         path = tmp_path / "c.tsv"
         clusters = [("work", ["works", "worked", "working"]),
                     ("jump", ["jumps"])]
-        D.write_clusters(path, clusters)
+        path.write_text("work\tworks\tworked\tworking\njump\tjumps\n",
+                        encoding="utf-8")
         assert D.read_clusters(path) == clusters
 
     def test_duplicate_root(self, tmp_path):
@@ -373,7 +374,8 @@ class TestPosMorphSentimentFiles:
     def test_pos_round_trip(self, tmp_path):
         path = tmp_path / "p.conll"
         sents = [[("the", "DET"), ("cat", "NOUN")], [("run", "VERB")]]
-        D.write_pos(path, sents)
+        path.write_text("the\tDET\ncat\tNOUN\n\nrun\tVERB\n\n",
+                        encoding="utf-8")
         assert D.read_pos(path) == sents
 
     def test_pos_trailing_sentence_without_blank(self, tmp_path):

@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chdzdt.chartok import build_vocab
+from chdzdt.chartok import CharVocab
 from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
 from chdzdt.errors import ConfigError, DataError
-from chdzdt.evalsuite.datasets import write_clusters, write_pos
 from chdzdt.evalsuite.embedder import write_embeddings_tsv
 from chdzdt.fileio import atomic_write, read_json, read_lines, read_text
 from chdzdt.preprocess import LexiconEntry, write_lexicon
@@ -76,20 +75,18 @@ class TestAtomicWrite:
     def test_every_writer_gives_plain_open_mode(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        vocab = build_vocab([(97, 122)])
+        vocab = CharVocab([(97, 122)])
         state = EncoderState.init(
             ModelConfig(vocab_size=vocab.size, hidden=4, n_heads=1), vocab)
         save_checkpoint(state, out / "m.ckpt")
         write_lexicon([LexiconEntry("chat", ("FR",), {"FR": 1})],
                       out / "lex.tsv")
         write_embeddings_tsv(out / "v.tsv", ["a"], [np.zeros(2)], dim=2)
-        write_clusters(out / "c.tsv", [("dog", ["dog", "dogs"])])
-        write_pos(out / "p.tsv", [[("dog", "N")]])
         with atomic_write(out / "raw.bin", "wb") as fh:
             fh.write(b"x")
         expected = plain_open_mode(tmp_path)
         modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
-        assert len(modes) == 6
+        assert len(modes) == 4
         assert set(modes.values()) == {expected}, modes
 
 

@@ -37,9 +37,9 @@ def test_forward_calls_layer_ops_by_encoder_name(monkeypatch):
     import numpy as np
 
     from chdzdt import encoder
-    from chdzdt.chartok import build_vocab, encode_word
+    from chdzdt.chartok import CharVocab, encode_word
 
-    vocab = build_vocab([(97, 122)])
+    vocab = CharVocab([(97, 122)])
     cfg = encoder.ModelConfig(vocab_size=vocab.size, n_blocks=3, n_heads=2,
                               hidden=8, max_chars=6)
     state = encoder.EncoderState.init(cfg, vocab)
@@ -107,10 +107,10 @@ EVAL_CASES = {
 
 @pytest.fixture(scope="module")
 def tiny_ckpt(tmp_path_factory):
-    from chdzdt.chartok import build_vocab, encode_word
+    from chdzdt.chartok import CharVocab, encode_word
     from chdzdt.encoder import EncoderState, ModelConfig, save_checkpoint
 
-    vocab = build_vocab([(97, 122)])
+    vocab = CharVocab([(97, 122)])
     path = tmp_path_factory.mktemp("hooks") / "enc.ckpt"
     save_checkpoint(EncoderState.init(
         ModelConfig(vocab_size=vocab.size, n_blocks=1, n_heads=1,

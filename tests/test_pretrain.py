@@ -13,7 +13,7 @@ from chdzdt.chartok import (
     CLS_ID,
     MASK_ID,
     PAD_ID,
-    build_vocab,
+    CharVocab,
     default_vocab,
     encode_word,
 )
@@ -45,7 +45,7 @@ from oracles import (
 )
 from universe import make_universe
 
-VOC = build_vocab([(97, 122)])  # a-z
+VOC = CharVocab([(97, 122)])  # a-z
 UNIVERSE = make_universe()[0]
 UNIVERSE_VOCAB = default_vocab()
 
@@ -288,7 +288,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(0)
         batch = mask_batch(*rows_for(words, max_chars=cfg.max_chars),
                            0.15, rng)
-        total, _, _ = batch_loss(state, batch, train_mode=True, rng=rng)
+        total, _, _ = batch_loss(state, batch, rng=rng)
         seen, stack, ops = set(), [total], 0
         while stack:
             node = stack.pop()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chdzdt.chartok import build_vocab, load_vocab_spec
+from chdzdt.chartok import CharVocab, load_vocab_spec
 from chdzdt.encoder import (
     MAGIC,
     EncoderState,
@@ -163,7 +163,7 @@ def test_json_readers_raise_only_package_errors(fuzz_dir, name):
 @pytest.fixture(scope="module")
 def checkpoint_parts(tmp_path_factory):
     """(bytes before the header, header dict, body) of a small checkpoint."""
-    vocab = build_vocab([(97, 100)])
+    vocab = CharVocab([(97, 100)])
     path = tmp_path_factory.mktemp("ckpt") / "enc.ckpt"
     save_checkpoint(EncoderState.init(
         ModelConfig(vocab_size=vocab.size, n_blocks=1, n_heads=1, hidden=2,

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from chdzdt.chartok import build_vocab
+from chdzdt.chartok import CharVocab
 from chdzdt.encoder import EncoderState, ModelConfig
 from chdzdt.errors import ConfigError, DataError
 from chdzdt.evalsuite.embedder import CheckpointEmbedder
@@ -28,7 +28,7 @@ from chdzdt.tensor import Tensor
 from gcprobe import tensors_left_to_cyclic_gc
 from oracles import finite_diff_max_rel_err
 
-VOC = build_vocab([(97, 122)])
+VOC = CharVocab([(97, 122)])
 
 STEMS = ["tab", "lor", "mik", "dun", "vel", "pon", "rag", "sel", "tig",
          "bur", "cam", "fex", "gol", "hin", "jop", "kib", "lun", "mop",
