@@ -403,9 +403,8 @@ def _run_compose(embedder, quads, mode, kwargs) -> dict:
     if kind is None:
         raise UsageError("--task compose needs --kind "
                          f"(one of {sorted(KINDS)})")
-    vectors = embed_rows(embedder, [w for quad in quads for w in quad],
-                         np.float64)
-    triples = [tuple(q) for q in vectors.reshape(len(quads), 4, -1)]
+    triples = embed_rows(embedder, [w for quad in quads for w in quad],
+                         np.float64).reshape(len(quads), 4, -1)
     shift = 0.0
     if kind == "WMul":
         triples, shift = shift_positive(triples)

@@ -4,7 +4,8 @@ Six composition functions: Add (p+r+s), Mul (elementwise product), WAdd
 (trainable scalar mix), WMul (trainable elementwise powers), MpCnc (linear
 map on the concatenation) and MpAdd (linear map on the sum). Trainable
 kinds are fitted by gradient descent on mean squared reconstruction error;
-a cosine objective is available behind a flag.
+a cosine objective is available behind a flag. The (prefix, root, suffix,
+word) vector triples travel as one [n, 4, d] float64 array.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ logger = logging.getLogger(__name__)
 
 SHIFT_EPS = 1e-3
 _SHIFT_HINT = ("WMul exponentiates components, which requires strictly "
-               "positive values; apply shift_positive(triples, eps=1e-3) "
-               "first and record the shift in the report")
+               "positive values; apply shift_positive(triples) first and "
+               "record the shift in the report")
 _SCALARS = ("alpha", "beta", "gamma")
 
 
@@ -78,24 +79,20 @@ def _kind(kind: str) -> _Kind:
 
 @dataclass
 class CompositionModel:
-    """A fitted composition function over d-dimensional embeddings."""
+    """A fitted composition function over d-dimensional embeddings; fields
+    holds the trained fields _TABLE names for kind, W as (dim, span * dim)."""
 
     kind: str
     dim: int
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    W: np.ndarray | None = field(default=None, repr=False)
+    fields: dict = field(default_factory=dict)
 
     def __post_init__(self):
         spec = _kind(self.kind)
-        if spec.fields == _SCALARS and None in (self.alpha, self.beta,
-                                                self.gamma):
-            raise DataError(f"{self.kind} needs alpha, beta and gamma")
-        if "W" in spec.fields:
-            shape = (self.dim, spec.span * self.dim)
-            if self.W is None or self.W.shape != shape:
-                raise DataError(f"{self.kind} needs W of shape {shape}")
+        want = {name: (self.dim, spec.span * self.dim) if name == "W" else ()
+                for name in spec.fields}
+        got = {name: np.shape(value) for name, value in self.fields.items()}
+        if got != want:
+            raise DataError(f"{self.kind} needs fields {want}, got {got}")
 
     # an overflow gives non-finite rows, which compose_eval reports
     @np.errstate(over="ignore", invalid="ignore")
@@ -103,39 +100,36 @@ class CompositionModel:
         spec = _TABLE[self.kind]
         inputs = spec.inputs(*(np.asarray(x, dtype=np.float64)
                                for x in (P, R, S)))
-        fields = {name: T.Tensor(np.asarray(getattr(self, name),
-                                            dtype=np.float64).T)
-                  for name in spec.fields}
+        fields = {name: T.Tensor(np.asarray(value, dtype=np.float64).T)
+                  for name, value in self.fields.items()}
         with T.no_grad():
             return spec.forward(fields, *map(T.Tensor, inputs)).data
 
 
-def shift_positive(triples, eps: float = SHIFT_EPS):
-    """Affinely shift every vector so all components are >= eps.
-
-    Returns (shifted_triples, shift); the shift is global so relative
-    geometry is preserved and must be quoted alongside WMul results.
-    """
-    low = min(float(np.min(np.asarray(vec, dtype=np.float64)))
-              for triple in triples for vec in triple)
-    shift = max(0.0, eps - low)
-    shifted = [tuple(np.asarray(vec, dtype=np.float64) + shift
-                     for vec in triple) for triple in triples]
-    return shifted, shift
+def shift_positive(triples):
+    """(shifted [n, 4, d] triples, shift): one global shift makes every
+    component >= SHIFT_EPS, so relative geometry is preserved; the shift
+    must be quoted alongside WMul results."""
+    triples = _as_array(triples)
+    shift = max(0.0, SHIFT_EPS - float(triples.min()))
+    return triples + shift, shift
 
 
-def _as_arrays(triples):
-    if not triples:
+def _as_array(triples) -> np.ndarray:
+    """The vector triples as one [n, 4, d] float64 array."""
+    if len(triples) == 0:
         raise DataError("no composition triples given")
     if any(len(triple) != 4 for triple in triples):
         raise DataError("each triple must be (prefix, root, suffix, word)")
-    rows = [[np.asarray(t, dtype=np.float64) for t in triple]
-            for triple in triples]
-    dims = {vec.shape for row in rows for vec in row}
-    if len(dims) != 1 or len(next(iter(dims))) != 1:
+    try:
+        array = np.asarray(triples, dtype=np.float64)
+    except ValueError:  # vectors of unequal width
+        array = np.empty(0)
+    if array.ndim != 3:
+        shapes = {np.shape(vec) for triple in triples for vec in triple}
         raise DataError(f"triples must hold 1-D vectors of one dimension, "
-                        f"got shapes {sorted(dims)}")
-    return tuple(np.stack([row[i] for row in rows]) for i in range(4))
+                        f"got shapes {sorted(shapes)}")
+    return array
 
 
 def _fit_loss(pred: T.Tensor, target: np.ndarray, objective: str) -> T.Tensor:
@@ -156,7 +150,7 @@ def compose_fit(kind: str, triples, objective: str = "mse",
     if objective not in ("mse", "cosine"):
         raise DataError(f"objective must be 'mse' or 'cosine', "
                         f"got {objective!r}")
-    P, R, S, W_target = _as_arrays(triples)
+    P, R, S, W_target = _as_array(triples).transpose(1, 0, 2)
     d = P.shape[1]
     if not spec.fields:
         return CompositionModel(kind, d)
@@ -180,20 +174,20 @@ def compose_fit(kind: str, triples, objective: str = "mse",
     T.fit([weights],
           (_fit_loss(spec.forward(params, *X), W_target, objective)
            for _ in range(epochs)), lr)
-    return CompositionModel(kind, d, **{
+    return CompositionModel(kind, d, {
         name: p.data.T.copy() if name == "W" else float(p.data[0])
         for name, p in params.items()})
 
 
 def block_norms(model: CompositionModel) -> dict:
     """Frobenius norms of W; MpCnc also reports the three d-wide blocks."""
-    if model.W is None:
+    if "W" not in model.fields:
         raise DataError(f"{model.kind} has no matrix")
-    norms = {"W": float(np.linalg.norm(model.W))}
+    norms = {"W": float(np.linalg.norm(model.fields["W"]))}
     span = _TABLE[model.kind].span
     if span > 1:
         for name, block in zip(("W_p", "W_r", "W_s"),
-                               np.split(model.W, span, axis=1)):
+                               np.split(model.fields["W"], span, axis=1)):
             norms[name] = float(np.linalg.norm(block))
     return norms
 
@@ -206,7 +200,7 @@ def compose_eval(model: CompositionModel, triples) -> dict:
     Matrix kinds also report Frobenius norms and export W itself. A
     non-finite composed vector is a NumericalError.
     """
-    P, R, S, W_target = _as_arrays(triples)
+    P, R, S, W_target = _as_array(triples).transpose(1, 0, 2)
     pred = model.compose_batch(P, R, S)
     if not np.isfinite(pred).all():
         raise NumericalError(f"{model.kind}: composed vectors are not "
@@ -230,8 +224,8 @@ def compose_eval(model: CompositionModel, triples) -> dict:
         "aed": float(dists.mean() / math.sqrt(model.dim)),
     }
     if _TABLE[model.kind].fields == _SCALARS:
-        report["params"] = {name: getattr(model, name) for name in _SCALARS}
-    if model.W is not None:
+        report["params"] = dict(model.fields)
+    if "W" in model.fields:
         report["frobenius"] = block_norms(model)
-        report["W"] = model.W.tolist()
+        report["W"] = model.fields["W"].tolist()
     return report

@@ -86,22 +86,22 @@ def make_noisy_tuples(words, mode: str, count: int, seed: int = 0):
 
 def _noisy_clusters(clusters, mode: str, count: int, seed: int):
     """(pairs, grouped): make_noisy_tuples over every cluster member, and
-    the same noisy words regrouped as (root, noisy members) per cluster."""
+    the same noisy words regrouped as (root, noisy members) for each
+    cluster that keeps a noisy member."""
     pairs = make_noisy_tuples([m for _, members in clusters for m in members],
                               mode, count, seed)
     rest = iter([noisy for _, noisy in pairs])
-    return pairs, [(root, [next(rest) for m in members if len(m) >= count])
-                   for root, members in clusters]
+    grouped = [(root, noisy) for root, members in clusters
+               if (noisy := [next(rest) for m in members if len(m) >= count])]
+    if not grouped:
+        raise DataError(f"no cluster member is long enough for count={count}")
+    return pairs, grouped
 
 
 def obfuscated_acs(embedder, clusters, mode: str, count: int,
                    seed: int = 0) -> float:
     """ACS with every cluster member obfuscated; roots stay clean."""
-    _, grouped = _noisy_clusters(clusters, mode, count, seed)
-    noisy_clusters = [c for c in grouped if c[1]]
-    if not noisy_clusters:
-        raise DataError(f"no cluster member is long enough for count={count}")
-    return acs(embedder, noisy_clusters)
+    return acs(embedder, _noisy_clusters(clusters, mode, count, seed)[1])
 
 
 def noise_report(embedder, tuples: dict | None = None, clusters=None,
@@ -110,8 +110,9 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
 
     tuples: mode -> (clean, noisy) pair list; modes not supplied are
     generated from the cluster members when clusters are given. With
-    clusters, also reports k-means ARI on the noisy member embeddings
-    against gold roots plus the noisy-member ACS per mode.
+    clusters, also reports per mode k-means ARI on the noisy member
+    embeddings against gold roots, with one group per cluster that keeps a
+    noisy member, plus those clusters' noisy-member ACS.
     """
     if tuples is None and clusters is None:
         raise DataError("noise_report needs tuples and/or clusters")
@@ -125,7 +126,7 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
     words = [w for mode in MODES for pair in tuples.get(mode, ())
              for w in pair]
     words += [w for grouped in noisy_clusters.values()
-              for root, noisy in grouped if noisy for w in (root, *noisy)]
+              for root, noisy in grouped for w in (root, *noisy)]
     embedder = TsvEmbedder(dict(zip(words, embed_rows(
         embedder, words, np.float64))), embedder.dim)
     report: dict = {"count": count, "tuple_acs": {}, "cluster": {}}
@@ -140,9 +141,9 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
         gold = [i for i, (_, noisy) in enumerate(grouped) for _ in noisy]
         points = embed_rows(embedder, [w for _, noisy in grouped
                                        for w in noisy], np.float64)
-        pred = kmeans(points, k=len(clusters), seed=seed)
+        pred = kmeans(points, k=len(grouped), seed=seed)
         report["cluster"][mode] = {
             "ari": ari(pred, gold),
-            "acs": acs(embedder, [c for c in grouped if c[1]]),
+            "acs": acs(embedder, grouped),
         }
     return report

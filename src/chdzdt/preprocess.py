@@ -270,13 +270,16 @@ def write_lexicon(entries, path) -> None:
 
 def read_lexicon(path):
     """The LexiconEntry of each word TAB labels TAB LABEL:count,... row; the
-    counts name exactly the row's labels, each is >= 1, no word repeats."""
+    word is not blank, the counts name exactly the row's labels, each is
+    >= 1, no word repeats."""
     seen = set()
 
     def parse(fields):
         if len(fields) != 3:
             raise ValueError("expected 3 tab-separated fields")
         word, labels, freqs = fields
+        if not word.strip():
+            raise ValueError("empty word")
         labels = tuple(labels.split(","))
         for lab in labels:
             if lab not in LABELS:

@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,13 +137,8 @@ def _encode_lexicon(lexicon: Sequence[LexiconEntry], vocab: CharVocab,
                     max_chars: int):
     """The lexicon as an [N, 1 + max_chars] id matrix and an [N, n_labels]
     multi-hot target matrix."""
-    rows = []
-    for entry in lexicon:
-        try:
-            rows.append(encode_word(vocab, entry.word, max_chars=max_chars))
-        except ValueError as exc:
-            raise DataError(f"cannot encode lexicon word {entry.word!r}: {exc}")
-    return (np.stack(rows),
+    return (np.stack([encode_word(vocab, entry.word, max_chars=max_chars)
+                      for entry in lexicon]),
             np.stack([labels_to_targets(entry.labels) for entry in lexicon]))
 
 

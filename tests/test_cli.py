@@ -28,6 +28,7 @@ from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint, \
 from chdzdt.errors import NumericalError
 from chdzdt.evalsuite.compose import KINDS
 from chdzdt.evalsuite.embedder import CheckpointEmbedder, TsvEmbedder
+from chdzdt.evalsuite import obfuscate
 from chdzdt.evalsuite.metrics import acs
 from chdzdt.preprocess import write_lexicon
 
@@ -581,9 +582,10 @@ class TestPretrain:
         ("wesh\tDZ\tXX:3\n", 1, "do not count exactly the labels"),
         ("wesh\tDZ\tDZ:3,DZ:4\n", 1, "do not count exactly the labels"),
         ("wesh\tDZ\tDZ:-5\n", 1, "below 1"),
-        ("wesh\tDZ\tDZ:3\nwesh\tDZ\tDZ:1\n", 2, "listed twice")],
+        ("wesh\tDZ\tDZ:3\nwesh\tDZ\tDZ:1\n", 2, "listed twice"),
+        ("wesh\tDZ\tDZ:3\n \tDZ\tDZ:1\n", 2, "empty word")],
         ids=["other_label_counted", "label_counted_twice", "count_below_one",
-             "repeated_word"])
+             "repeated_word", "blank_word"])
     def test_bad_lexicon_row_exits_two_naming_its_line(self, ws, tmp_path,
                                                        capsys, rows, line,
                                                        reason):
@@ -874,6 +876,51 @@ class TestEval:
         numbers = [v for _, v in cli._flatten(results)
                    if isinstance(v, float)]
         assert numbers and all(math.isfinite(v) for v in numbers)
+
+    @pytest.mark.parametrize("rows, k", [
+        ("dar\tdarek\nktab\tkt\nx\txy\n", 1),
+        ("dar\tdarek\tdarna\nktab\tktabat\tkt\nx\txy\n", 2)],
+        ids=["fewer_noisy_members_than_clusters", "one_cluster_too_short"])
+    def test_noise_kmeans_groups_only_clusters_with_a_noisy_member(
+            self, ckpt, tmp_path, monkeypatch, rows, k):
+        # at --count 3 a member shorter than three characters has no noisy
+        # form, and a cluster left without one is no k-means group
+        asked = []
+
+        def spy(points, k, seed=0):
+            asked.append(k)
+            return kmeans(points, k, seed)
+
+        kmeans = obfuscate.kmeans
+        monkeypatch.setattr(obfuscate, "kmeans", spy)
+        data = tmp_path / "clusters.tsv"
+        data.write_text(rows, encoding="utf-8")
+        out = tmp_path / "noise.json"
+        assert run("eval", "--task", "noise", "--embedder", ckpt,
+                   "--data", data, "--out", out, "--count", 3,
+                   "--seed", 0) == 0
+        assert asked == [k] * len(obfuscate.MODES)
+        results = json.loads(out.read_text())["results"]
+        assert set(results["cluster"]) == set(obfuscate.MODES)
+
+    def test_noise_on_a_tuple_file_reports_its_mode_only(self, ckpt,
+                                                         tmp_path):
+        data = tmp_path / "pairs.hash"
+        data.write_text("darek\td#rek\nktab\tkt#b\n", encoding="utf-8")
+        out = tmp_path / "noise.json"
+        assert run("eval", "--task", "noise", "--embedder", ckpt,
+                   "--data", data, "--out", out) == 0
+        results = json.loads(out.read_text())["results"]
+        assert list(results["tuple_acs"]) == ["hash"]
+        assert results["cluster"] == {}
+
+    def test_compose_without_kind_exits_one(self, ws, ckpt, tmp_path,
+                                            capsys):
+        out = tmp_path / "compose.json"
+        assert run("eval", "--task", "compose", "--embedder", ckpt,
+                   "--data", ws / "compose.tsv", "--out", out) == 1
+        assert "needs --kind" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_task_param_exits_two(self, ws, ckpt, tmp_path, capsys):
         assert run("eval", "--task", "morph", "--embedder", ckpt,

@@ -47,13 +47,13 @@ class TestCompositionModel:
 
     def test_scalar_kinds_need_all_three(self):
         with pytest.raises(DataError, match="gamma"):
-            CompositionModel("WAdd", 4, alpha=1.0, beta=1.0)
+            CompositionModel("WAdd", 4, {"alpha": 1.0, "beta": 1.0})
 
     def test_matrix_shape_checked(self):
         with pytest.raises(DataError, match=r"\(4, 12\)"):
-            CompositionModel("MpCnc", 4, W=np.zeros((4, 4)))
+            CompositionModel("MpCnc", 4, {"W": np.zeros((4, 4))})
         with pytest.raises(DataError, match=r"\(4, 4\)"):
-            CompositionModel("MpAdd", 4, W=np.zeros((4, 12)))
+            CompositionModel("MpAdd", 4, {"W": np.zeros((4, 12))})
 
     def test_add_with_zero_prefix_suffix_returns_root(self):
         model = CompositionModel("Add", 3)
@@ -67,13 +67,15 @@ class TestCompositionModel:
         np.testing.assert_allclose(out, [4.0, 30.0])
 
     def test_wadd_weights_applied(self):
-        model = CompositionModel("WAdd", 2, alpha=2.0, beta=0.0, gamma=1.0)
+        model = CompositionModel("WAdd", 2, {"alpha": 2.0, "beta": 0.0,
+                                             "gamma": 1.0})
         out = model.compose_batch(np.ones((1, 2)), np.full((1, 2), 9.0),
                                   np.full((1, 2), 3.0))[0]
         np.testing.assert_allclose(out, [5.0, 5.0])
 
     def test_wmul_requires_positive(self):
-        model = CompositionModel("WMul", 2, alpha=1.0, beta=1.0, gamma=1.0)
+        model = CompositionModel("WMul", 2, {"alpha": 1.0, "beta": 1.0,
+                                             "gamma": 1.0})
         with pytest.raises(DataError, match="shift_positive"):
             model.compose_batch([[-1.0, 1.0]], np.ones((1, 2)), np.ones((1, 2)))
 
@@ -82,9 +84,9 @@ class TestComposeFit:
     def test_wadd_recovers_unit_weights(self):
         triples = make_triples(np.random.default_rng(0), weights=(1, 1, 1))
         model = compose_fit("WAdd", triples[:150])
-        assert model.alpha == pytest.approx(1.0, abs=1e-3)
-        assert model.beta == pytest.approx(1.0, abs=1e-3)
-        assert model.gamma == pytest.approx(1.0, abs=1e-3)
+        assert model.fields["alpha"] == pytest.approx(1.0, abs=1e-3)
+        assert model.fields["beta"] == pytest.approx(1.0, abs=1e-3)
+        assert model.fields["gamma"] == pytest.approx(1.0, abs=1e-3)
         report = compose_eval(model, triples[150:])
         assert report["acs"] > 0.999
         assert report["aed"] < 1e-3
@@ -106,7 +108,7 @@ class TestComposeFit:
         base = make_triples(rng)
         triples = [(p, r, s, Wdd @ (p + r + s)) for p, r, s, _ in base]
         model = compose_fit("MpAdd", triples[:150])
-        assert np.abs(model.W - Wdd).max() < 0.01
+        assert np.abs(model.fields["W"] - Wdd).max() < 0.01
         assert compose_eval(model, triples[150:])["acs"] > 0.999
 
     def test_wmul_recovers_exponents(self):
@@ -116,16 +118,16 @@ class TestComposeFit:
             p, r, s = (rng.uniform(0.2, 1.5, D) for _ in range(3))
             triples.append((p, r, s, p**2 * r * s**0.5))
         model = compose_fit("WMul", triples[:150])
-        assert model.alpha == pytest.approx(2.0, abs=1e-2)
-        assert model.beta == pytest.approx(1.0, abs=1e-2)
-        assert model.gamma == pytest.approx(0.5, abs=1e-2)
+        assert model.fields["alpha"] == pytest.approx(2.0, abs=1e-2)
+        assert model.fields["beta"] == pytest.approx(1.0, abs=1e-2)
+        assert model.fields["gamma"] == pytest.approx(0.5, abs=1e-2)
         assert compose_eval(model, triples[150:])["acs"] > 0.999
 
     def test_parameter_free_kinds(self):
         triples = make_triples(np.random.default_rng(5), n=4)
         for kind in ("Add", "Mul"):
             model = compose_fit(kind, triples)
-            assert model.alpha is None and model.W is None
+            assert model.fields == {}
 
     def test_wmul_rejects_non_positive_then_shift_helps(self):
         triples = make_triples(np.random.default_rng(6), n=20)
@@ -150,7 +152,8 @@ class TestComposeFit:
         with caplog.at_level(logging.WARNING):
             model = compose_fit("WAdd", triples, objective="cosine")
         assert any("zero-vector" in rec.message for rec in caplog.records)
-        assert model.alpha / model.beta == pytest.approx(2.0, abs=0.05)
+        assert model.fields["alpha"] / model.fields["beta"] == \
+            pytest.approx(2.0, abs=0.05)
 
     def test_bad_objective(self):
         with pytest.raises(DataError, match="objective"):
@@ -170,7 +173,7 @@ class TestComposeFit:
         triples = make_triples(np.random.default_rng(9), n=40)
         a = compose_fit("MpAdd", triples, epochs=30, seed=5)
         b = compose_fit("MpAdd", triples, epochs=30, seed=5)
-        np.testing.assert_array_equal(a.W, b.W)
+        np.testing.assert_array_equal(a.fields["W"], b.fields["W"])
 
 
 class TestComposeEval:
@@ -182,13 +185,13 @@ class TestComposeEval:
         assert report["n_evaluated"] == 10 and report["n_skipped"] == 0
 
     def test_identity_block_frobenius_d32(self):
-        model = CompositionModel("MpAdd", 32, W=np.eye(32))
+        model = CompositionModel("MpAdd", 32, {"W": np.eye(32)})
         assert block_norms(model)["W"] == pytest.approx(math.sqrt(32),
                                                         rel=1e-12)
 
     def test_block_norms_decompose_whole_matrix(self):
         rng = np.random.default_rng(1)
-        model = CompositionModel("MpCnc", 8, W=rng.normal(size=(8, 24)))
+        model = CompositionModel("MpCnc", 8, {"W": rng.normal(size=(8, 24))})
         frob = block_norms(model)
         total = frob["W_p"]**2 + frob["W_r"]**2 + frob["W_s"]**2
         assert frob["W"]**2 == pytest.approx(total, rel=1e-9)
@@ -212,7 +215,7 @@ class TestComposeEval:
             compose_eval(CompositionModel("Add", 3), [(zero,) * 4])
 
     def test_non_finite_composition_raises_naming_the_kind(self):
-        model = CompositionModel("MpCnc", 4, W=np.full((4, 12), 1e308))
+        model = CompositionModel("MpCnc", 4, {"W": np.full((4, 12), 1e308)})
         triples = [(np.ones(4), np.ones(4), np.ones(4), np.ones(4))]
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericalError, match="MpCnc: composed"):
@@ -220,14 +223,15 @@ class TestComposeEval:
 
     def test_raw_matrix_exported(self):
         rng = np.random.default_rng(2)
-        model = CompositionModel("MpAdd", 4, W=rng.normal(size=(4, 4)))
+        model = CompositionModel("MpAdd", 4, {"W": rng.normal(size=(4, 4))})
         triples = make_triples(rng, n=3)[:3]
         triples = [(p[:4], r[:4], s[:4], w[:4]) for p, r, s, w in triples]
         report = compose_eval(model, triples)
-        assert report["W"] == model.W.tolist()
+        assert report["W"] == model.fields["W"].tolist()
 
     def test_scalar_params_reported(self):
-        model = CompositionModel("WAdd", D, alpha=2.0, beta=1.0, gamma=0.5)
+        model = CompositionModel("WAdd", D, {"alpha": 2.0, "beta": 1.0,
+                                             "gamma": 0.5})
         report = compose_eval(model, make_triples(np.random.default_rng(3),
                                                   n=5))
         assert report["params"] == {"alpha": 2.0, "beta": 1.0, "gamma": 0.5}

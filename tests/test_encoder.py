@@ -398,6 +398,10 @@ def _nan_body(raw):
     return _join_checkpoint(raw, header, b"\xff" * len(body))
 
 
+def _header_past_end(raw):
+    return raw[:8] + struct.pack("<Q", len(raw)) + raw[16:]
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         state = small_state(n_blocks=2, hidden=8, n_heads=2, seed=4)
@@ -476,18 +480,23 @@ class TestCheckpoint:
             except CorruptCheckpointError:
                 pass
 
-    @pytest.mark.parametrize("corrupt", [_drop_first_name, _tensors_not_a_list,
-                                         _reversed_charset_range,
-                                         _fractional_hidden, _nan_body],
-                             ids=["entry_without_name", "tensors_not_a_list",
-                                  "reversed_charset_range",
-                                  "float_config_field", "all_ff_body"])
-    def test_malformed_checkpoint_raises_corrupt(self, tmp_path, corrupt):
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drop_first_name, "tensor manifest"),
+        (_tensors_not_a_list, "tensor manifest"),
+        (_reversed_charset_range, "malformed header"),
+        (_fractional_hidden, "malformed header"),
+        (_nan_body, "non-finite weights"),
+        (_header_past_end, "truncated header")],
+        ids=["entry_without_name", "tensors_not_a_list",
+             "reversed_charset_range", "float_config_field", "all_ff_body",
+             "header_past_end"])
+    def test_malformed_checkpoint_raises_corrupt(self, tmp_path, corrupt,
+                                                 message):
         path = tmp_path / "model.ckpt"
         save_checkpoint(small_state(), path)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(corrupt(path.read_bytes()))
-        with pytest.raises(CorruptCheckpointError):
+        with pytest.raises(CorruptCheckpointError, match=message):
             load_checkpoint(bad)
 
 
