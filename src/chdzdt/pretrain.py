@@ -1,8 +1,10 @@
 """Joint masked-character + multi-label pre-training: objective and loop.
 
 The lexicon is encoded once into an id matrix and a multi-hot target
-matrix. Each step corrupts a batch of id rows by replacing a sampled set of
-character positions with MASK, runs one encoder pass, applies both heads
+matrix. Each epoch permutes the rows and sorts each pool of POOL
+consecutive batches by word length, so a batch pads to few columns. Each
+step corrupts a batch of id rows by replacing a sampled set of character
+positions with MASK, runs one encoder pass, applies both heads
 (the encoder itself applies none), and minimizes the sum of the
 masked-prediction cross-entropy and the multi-label BCE with Adam in
 ``tensor.fit``, which steps through a generator of batch losses.
@@ -26,6 +28,9 @@ from .encoder import EncoderState, ModelConfig, cut_to_longest, forward_batch
 from .errors import ConfigError, DataError
 from .fileio import config_from_dict
 from .preprocess import LABELS, LexiconEntry
+
+# batches per length-sorted pool of an epoch's permutation (see _batches)
+POOL = 8
 
 
 @dataclass
@@ -154,28 +159,52 @@ def _fit(state: EncoderState, lexicon: Sequence[LexiconEntry],
     return state, records
 
 
+def _batches(order: np.ndarray, lengths: np.ndarray, batch_size: int):
+    """An epoch's batches of row indices: order cut into pools of POOL
+    batches, each pool stably sorted by lengths and cut into batches,
+    yielded shortest first.
+
+    Only the last pool can be short, so there are ceil(N / batch_size)
+    batches and only the last can hold fewer than batch_size rows. Rows of
+    one length keep their permuted order: a one-length lexicon gets
+    order[s:s + batch_size].
+    """
+    span = POOL * batch_size
+    for start in range(0, len(order), span):
+        pool = order[start:start + span]
+        pool = pool[np.argsort(lengths[pool], kind="stable")]
+        for s in range(0, len(pool), batch_size):
+            yield pool[s:s + batch_size]
+
+
 def _losses(state: EncoderState, ids: np.ndarray, targets: np.ndarray,
             cfg: TrainConfig, records: list):
     """Each batch's total loss in training order; resumed after the step
     on one, it appends that step's log record to records if one is due."""
     steps_per_epoch = math.ceil(len(ids) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
+    # each row's CLS plus characters
+    lengths = (ids != PAD_ID).sum(1)
     step = 0
-    # words and start time of the steps since the last record
-    window_words, window_start = 0, None
+    # words, filled and all id cells, and start time of the steps since
+    # the last record
+    window_words = window_filled = window_cells = 0
+    window_start = None
     for epoch in range(1, cfg.epochs + 1):
         erng = np.random.default_rng([cfg.seed, epoch])
-        order = erng.permutation(len(ids))
-        for start in range(0, len(ids), cfg.batch_size):
+        for chunk in _batches(erng.permutation(len(ids)), lengths,
+                              cfg.batch_size):
             step += 1
             if window_start is None:
                 window_start = time.perf_counter()
-            chunk = order[start:start + cfg.batch_size]
-            batch = mask_batch(cut_to_longest(ids[chunk]), targets[chunk],
-                               cfg.mask_ratio, erng)
+            batch_ids = cut_to_longest(ids[chunk])
+            batch = mask_batch(batch_ids, targets[chunk], cfg.mask_ratio,
+                               erng)
             total, mlm, multilabel = batch_loss(state, batch, rng=erng)
             yield total
             window_words += len(chunk)
+            window_filled += int(lengths[chunk].sum())
+            window_cells += batch_ids.size
             if step % cfg.log_every == 0 or step == total_steps:
                 elapsed = time.perf_counter() - window_start
                 records.append({
@@ -188,8 +217,10 @@ def _losses(state: EncoderState, ids: np.ndarray, targets: np.ndarray,
                         state.param_set.grad.astype(np.float64))),
                     "lr": cfg.lr,
                     "samples_per_sec": window_words / max(elapsed, 1e-9),
+                    "fill": window_filled / window_cells,
                 })
-                window_words, window_start = 0, None
+                window_words = window_filled = window_cells = 0
+                window_start = None
                 print(f"epoch {epoch} step {step} "
                       f"total {float(total.data):.4f}", file=sys.stderr)
 
@@ -199,8 +230,9 @@ def train(lexicon: Sequence[LexiconEntry], model_config: ModelConfig,
     """Pre-train a fresh encoder on a lexicon.
 
     Deterministic given the configs: each epoch reshuffles with an
-    epoch-derived rng, batches are consumed in order, and dropout draws come
-    from the same stream. Returns (final EncoderState, log records). The
+    epoch-derived rng, each pool of POOL batches is sorted by word length,
+    batches are consumed in order, and dropout draws come from the same
+    stream. Returns (final EncoderState, log records). The
     label head needs one output per language label.
     """
     if model_config.n_labels != len(LABELS):

@@ -28,6 +28,7 @@ from chdzdt.pretrain import (
     MaskedBatch,
     TrainConfig,
     batch_loss,
+    _batches,
     _fit,
     labels_to_targets,
     mask_batch,
@@ -61,6 +62,15 @@ def toy_lexicon(n=24):
              "blad", "douar", "jbel", "wad", "raml", "chta", "chems", "qamra"]
     return [entry(w, ("AR", "DZ") if i % 2 else ("EN",))
             for i, w in enumerate(words[:n])]
+
+
+def varied_lexicon():
+    """40 words of 1-20 letters, so that the batches of a run take many
+    widths."""
+    rng = np.random.default_rng(8)
+    return [entry("".join(rng.choice(list("abcdefghij"),
+                                     size=rng.integers(1, 21))))
+            for _ in range(40)]
 
 
 def rows_for(words, max_chars=8):
@@ -335,6 +345,47 @@ class TestBatchLoss:
             EncoderState.init(mc, voc).flat.tobytes()
 
 
+@st.composite
+def lengths_and_orders(draw):
+    """Row lengths (CLS plus characters) and a permutation of the rows."""
+    lengths = draw(st.lists(st.integers(1, 21), min_size=1, max_size=150))
+    order = draw(st.permutations(range(len(lengths))))
+    return np.array(lengths), np.array(order, dtype=np.int64)
+
+
+class TestBatchOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(lengths_and_orders(), st.integers(1, 24))
+    def test_pools_split_the_permutation_into_sorted_batches(
+            self, lengths_order, batch_size):
+        lengths, order = lengths_order
+        batches = list(_batches(order, lengths, batch_size))
+        assert len(batches) == math.ceil(len(order) / batch_size)
+        assert all(len(b) == batch_size for b in batches[:-1])
+        assert 0 < len(batches[-1]) <= batch_size
+        span = pretrain.POOL * batch_size
+        for start in range(0, len(order), span):
+            pool = batches[start // batch_size:(start + span) // batch_size]
+            assert sorted(np.concatenate(pool).tolist()) == \
+                sorted(order[start:start + span].tolist())
+            for this, after in zip(pool, pool[1:]):
+                assert lengths[this].max() <= lengths[after].min()
+
+    def test_one_length_lexicon_keeps_the_permuted_slices(self):
+        # the acceptance lexicon's words all have 9 characters, so the
+        # gates train on the permutation's plain slices
+        ids, _ = pretrain._encode_lexicon(UNIVERSE, UNIVERSE_VOCAB, 20)
+        lengths = (ids != PAD_ID).sum(1)
+        assert set(lengths.tolist()) == {10}
+        order = np.random.default_rng(3).permutation(len(ids))
+        for batch_size in (1, 8, 16, 37):
+            got = list(_batches(order, lengths, batch_size))
+            want = [order[s:s + batch_size]
+                    for s in range(0, len(order), batch_size)]
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestTrain:
     CFG = dict(vocab_size=VOC.size, n_blocks=1, n_heads=2, hidden=8,
                max_chars=8, dropout=0.0, seed=3)
@@ -355,15 +406,11 @@ class TestTrain:
             fresh.params["char_emb"].data.tobytes()
 
     def test_identical_seeds_identical_runs(self, tmp_path):
-        # toy words, then words of 1-20 characters with dropout, so that
-        # the batches of one run take many widths
-        rng = np.random.default_rng(8)
-        varied = [entry("".join(rng.choice(list("abcdefghij"),
-                                           size=rng.integers(1, 21))))
-                  for _ in range(40)]
+        # toy words, then words of 1-20 characters with dropout
         tc = TrainConfig(epochs=2, batch_size=8, seed=5, log_every=1)
         for lexicon, overrides in ((toy_lexicon(), {}),
-                                   (varied, {"max_chars": 20, "dropout": 0.1})):
+                                   (varied_lexicon(),
+                                    {"max_chars": 20, "dropout": 0.1})):
             mc = ModelConfig(**{**self.CFG, **overrides})
             out_a, out_b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
             state_a, rec_a = train(lexicon, mc, tc, VOC)
@@ -410,7 +457,7 @@ class TestTrain:
         assert steps == sorted(set(steps))
         for row in rows:
             for key in ("step", "epoch", "mlm", "multilabel", "total",
-                        "grad_norm", "lr", "samples_per_sec"):
+                        "grad_norm", "lr", "samples_per_sec", "fill"):
                 assert key in row
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -447,6 +494,25 @@ class TestTrain:
         assert [r["step"] for r in records] == [2, 4, 6]
         assert [r["samples_per_sec"] for r in records] == [8 / 6, 6 / 6,
                                                            6 / 6]
+
+    def test_fill_beats_unpooled_batches(self):
+        # one record per epoch: its fill is the share of CLS and character
+        # cells over the epoch's batches, each cut to its longest word
+        lexicon, batch_size = varied_lexicon(), 8
+        tc = TrainConfig(epochs=3, batch_size=batch_size, seed=5,
+                         log_every=math.ceil(len(lexicon) / batch_size))
+        mc = ModelConfig(**{**self.CFG, "max_chars": 20})
+        _, records = train(lexicon, mc, tc, VOC)
+        lengths = np.array([1 + len(e.word) for e in lexicon])
+        assert [r["epoch"] for r in records] == [1, 2, 3]
+        for record in records:
+            order = np.random.default_rng(
+                [tc.seed, record["epoch"]]).permutation(len(lexicon))
+            slices = [lengths[order[s:s + batch_size]]
+                      for s in range(0, len(order), batch_size)]
+            unpooled = (sum(int(b.sum()) for b in slices)
+                        / sum(len(b) * int(b.max()) for b in slices))
+            assert 0 < unpooled < record["fill"] <= 1
 
     def test_non_finite_loss_aborts_with_its_step(self):
         mc = ModelConfig(**self.CFG)
