@@ -11,6 +11,7 @@ UNK, so the PAD ids of a row are exactly its padding.
 
 from __future__ import annotations
 
+import bisect
 import operator
 
 import numpy as np
@@ -43,11 +44,32 @@ def is_emoji_char(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in EMOJI_BLOCKS)
 
 
+class _CharIds(dict):
+    """Character -> id, filled lazily: the first lookup of a character
+    bisects the run starts, and an undeclared character is UNK."""
+
+    def __init__(self, starts, ends, offsets):
+        super().__init__()
+        self._starts, self._ends, self._offsets = starts, ends, offsets
+
+    def __missing__(self, ch):
+        if not isinstance(ch, str) or len(ch) != 1:
+            return UNK_ID
+        cp = ord(ch)
+        k = bisect.bisect_right(self._starts, cp) - 1
+        self[ch] = i = (self._offsets[k] + cp - self._starts[k]
+                        if k >= 0 and cp <= self._ends[k] else UNK_ID)
+        return i
+
+
 class CharVocab:
-    """Immutable bidirectional character<->id map; safe to share."""
+    """Immutable bidirectional character<->id map; safe to share.
+
+    The declared code points (ranges plus extras) are kept as sorted,
+    merged runs with the first id of each run, so building a vocabulary
+    costs time in proportion to its number of ranges, not of characters."""
 
     def __init__(self, ranges, extras=()):
-        chars = set()
         checked = []
         for interval in ranges:
             try:
@@ -59,23 +81,32 @@ class CharVocab:
                 raise ConfigError(f"malformed range [{lo}, {hi}]")
             if lo < 0 or hi > 0x10FFFF or (lo <= 0xDFFF and hi >= 0xD800):
                 raise ConfigError(f"range [{lo}, {hi}] contains invalid code points")
-            chars.update(range(lo, hi + 1))
             checked.append((lo, hi))
         for extra in extras:
             if not isinstance(extra, str) or len(extra) != 1:
                 raise ConfigError(f"extras must be single characters, got {extra!r}")
-            chars.add(ord(extra))
+        starts, ends = [], []
+        for lo, hi in sorted(checked + [(ord(e), ord(e)) for e in extras]):
+            if ends and lo <= ends[-1] + 1:
+                ends[-1] = max(ends[-1], hi)
+            else:
+                starts.append(lo)
+                ends.append(hi)
+        # run k holds ids _offsets[k] .. _offsets[k + 1] - 1, in code-point
+        # order after the special tokens
+        self._starts = starts
+        self._offsets = [len(SPECIAL_CHARS)]
+        for lo, hi in zip(starts, ends):
+            self._offsets.append(self._offsets[-1] + hi - lo + 1)
+        self._ids = _CharIds(starts, ends, self._offsets)
+        # only declared characters map to an id: text holding a special
+        # token's code point must not inject that token
         for special in SPECIAL_CHARS:
-            if ord(special) in chars:
+            if self.char_id(special) != UNK_ID:
                 raise ConfigError(
                     f"U+{ord(special):04X} is reserved for a special token")
         self.ranges = tuple(sorted(checked))
         self.extras = tuple(sorted(extras))
-        declared = [chr(cp) for cp in sorted(chars)]
-        # only declared characters map to an id: text holding a special
-        # token's code point must not inject that token
-        self.stoi = {ch: i for i, ch in enumerate(declared, len(SPECIAL_CHARS))}
-        self.itos = list(SPECIAL_CHARS) + declared
 
     @classmethod
     def from_spec(cls, spec: dict, what: str) -> "CharVocab":
@@ -91,10 +122,10 @@ class CharVocab:
 
     @property
     def size(self) -> int:
-        return len(self.itos)
+        return self._offsets[-1]
 
     def char_id(self, ch: str) -> int:
-        return self.stoi.get(ch, UNK_ID)
+        return self._ids[ch]
 
     def spec(self) -> dict:
         return {"ranges": [list(r) for r in self.ranges], "extras": list(self.extras)}
@@ -132,5 +163,6 @@ def decode(vocab: CharVocab, ids) -> str:
             raise IndexError(f"id {i} out of range for vocabulary of size {vocab.size}")
         if i < len(SPECIAL_TOKENS):
             continue
-        out.append(vocab.itos[i])
+        k = bisect.bisect_right(vocab._offsets, i) - 1
+        out.append(chr(vocab._starts[k] + i - vocab._offsets[k]))
     return "".join(out)

@@ -642,16 +642,7 @@ def _training_flags(p) -> None:
                         "else 42)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chdzdt",
-        description="Character-level word encoder: corpus preprocessing, "
-                    "pre-training, encoding, evaluation, and architecture "
-                    "sweeps.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("preprocess",
-                       help="normalize corpora into a labeled word lexicon")
+def _preprocess_flags(p) -> None:
     p.add_argument("--in", dest="in_dir", required=True,
                    help="directory holding the input corpus files")
     p.add_argument("--labels", required=True,
@@ -663,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output lexicon TSV path")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("pretrain",
-                       help="pre-train an encoder on a lexicon")
+
+def _pretrain_flags(p) -> None:
     _training_flags(p)
     p.add_argument("--model-config",
                    help="model config JSON (flags override)")
@@ -677,15 +668,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of characters masked")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("encode",
-                       help="embed words from a checkpoint into a TSV")
+
+def _encode_flags(p) -> None:
     p.add_argument("--ckpt", required=True, help="encoder checkpoint")
     p.add_argument("--words", required=True,
                    help="file with one word per line, or - for stdin")
     p.add_argument("--out", required=True, help="output embeddings TSV")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("eval", help="run one evaluation task")
+
+def _eval_flags(p) -> None:
     p.add_argument("--task", required=True, choices=tuple(TASKS),
                    help="evaluation task to run")
     p.add_argument("--embedder", required=True,
@@ -712,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, help="learning rate")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablation",
-                       help="train a variant grid and compare metrics")
+
+def _ablation_flags(p) -> None:
     _training_flags(p)
     p.add_argument("--grid", help="JSON array of model configs "
                                   "(default: the built-in 7-variant grid)")
@@ -728,16 +720,57 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON object of per-task keyword arguments")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ablation)
+
+
+# command name -> (its help line, the function that adds its flags)
+COMMANDS = {
+    "preprocess": ("normalize corpora into a labeled word lexicon",
+                   _preprocess_flags),
+    "pretrain": ("pre-train an encoder on a lexicon", _pretrain_flags),
+    "encode": ("embed words from a checkpoint into a TSV", _encode_flags),
+    "eval": ("run one evaluation task", _eval_flags),
+    "ablation": ("train a variant grid and compare metrics",
+                 _ablation_flags),
+}
+
+
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `chdzdt name`, or with no name the full parser, whose
+    subcommands are those same parsers."""
+    if name is not None:
+        parser = argparse.ArgumentParser(prog=f"chdzdt {name}")
+        COMMANDS[name][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="chdzdt",
+        description="Character-level word encoder: corpus preprocessing, "
+                    "pre-training, encoding, evaluation, and architecture "
+                    "sweeps.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_line, add_flags) in COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the named command's parser alone when argv[0] names
+    a command, else by the full parser. Leftover arguments are reported
+    under the full parser's usage, as its subcommands report them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if rest:
+        build_parser().error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
 
 
 def main(argv=None) -> int:
     _keep_freed_memory()
     logging.basicConfig(level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -184,12 +184,23 @@ def cluster_report(embedder, clusters: Sequence, seed: int = 0) -> dict:
             "n_words": len(gold)}
 
 
+# scores whose spread (max - min) is within this many ulps of their
+# largest magnitude are constant up to rounding: the cosines of identical
+# words differ from 1 by a few ulps, and correlating them correlates noise
+SPREAD_ULPS = 16
+
+
 def _score_vectors(x, y) -> tuple:
-    """x and y as float64 vectors of one shape."""
+    """x and y as float64 vectors of one shape; a vector that is constant
+    up to SPREAD_ULPS is a NumericalError (its correlation is undefined)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError(f"score vectors must match: {x.shape} vs {y.shape}")
+    for v in (x, y):
+        if not v.size or np.ptp(v) <= (SPREAD_ULPS * np.finfo(np.float64).eps
+                                       * np.abs(v).max()):
+            raise NumericalError("correlation undefined: zero-variance scores")
     return x, y
 
 
@@ -197,7 +208,7 @@ def pearson(x, y) -> float:
     x, y = _score_vectors(x, y)
     xc, yc = x - x.mean(), y - y.mean()
     denom = math.sqrt(float((xc ** 2).sum()) * float((yc ** 2).sum()))
-    if denom == 0.0:
+    if denom == 0.0:  # the squared deviations underflowed
         raise NumericalError("correlation undefined: zero-variance scores")
     return float((xc * yc).sum() / denom)
 
@@ -225,10 +236,6 @@ def kendall(x, y) -> float:
     """Sign-form tau: mean of sign(xi-xj)*sign(yi-yj) over i<j pairs."""
     x, y = _score_vectors(x, y)
     n = len(x)
-    if n < 2:
-        raise DataError("kendall needs at least two scores")
-    if (x == x[0]).all() or (y == y[0]).all():
-        raise NumericalError("correlation undefined: zero-variance scores")
     dx = np.sign(x[:, None] - x[None, :])
     dy = np.sign(y[:, None] - y[None, :])
     upper = np.triu_indices(n, k=1)

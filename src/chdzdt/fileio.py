@@ -9,6 +9,7 @@ ConfigError. No other module opens a file in text mode.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -138,7 +139,13 @@ def check_fields(d: dict, types: dict, what: str) -> None:
                               f"{types[name].__name__}, got {value!r}")
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """A dataclass's field name -> type, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
 def config_from_dict(cls, d: dict, what: str):
     """cls(**d) for a dataclass, once check_fields accepts d."""
-    check_fields(d, typing.get_type_hints(cls), what)
+    check_fields(d, _field_types(cls), what)
     return cls(**d)

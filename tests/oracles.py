@@ -9,6 +9,7 @@ kept to check the fused attention nodes against byte for byte.
 
 import json
 import math
+import operator
 import re
 import struct
 import unicodedata
@@ -16,6 +17,7 @@ from collections import Counter
 
 import numpy as np
 
+from chdzdt.errors import ConfigError
 from chdzdt.tensor import Tensor, linear, softmax
 
 
@@ -230,6 +232,60 @@ def brute_kendall(x, y):
             sy = (y[i] > y[j]) - (y[i] < y[j])
             s += sx * sy
     return 2.0 * s / (n * (n - 1))
+
+
+class SetVocab:
+    """The character vocabulary as first built: a set of every declared code
+    point, then a char -> id dict (`stoi`) and an id -> char list (`itos`),
+    with the same validation and the same ConfigError messages."""
+
+    SPECIAL_CHARS = ("\ue000", "\ue001", "\ue002", "\ue003", "\ue004")
+
+    def __init__(self, ranges, extras=()):
+        chars = set()
+        checked = []
+        for interval in ranges:
+            try:
+                lo, hi = (operator.index(bound) for bound in interval)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"range must be [lo, hi] integers, got {interval!r}") from None
+            if lo > hi:
+                raise ConfigError(f"malformed range [{lo}, {hi}]")
+            if lo < 0 or hi > 0x10FFFF or (lo <= 0xDFFF and hi >= 0xD800):
+                raise ConfigError(f"range [{lo}, {hi}] contains invalid code points")
+            chars.update(range(lo, hi + 1))
+            checked.append((lo, hi))
+        for extra in extras:
+            if not isinstance(extra, str) or len(extra) != 1:
+                raise ConfigError(f"extras must be single characters, got {extra!r}")
+            chars.add(ord(extra))
+        for special in self.SPECIAL_CHARS:
+            if ord(special) in chars:
+                raise ConfigError(
+                    f"U+{ord(special):04X} is reserved for a special token")
+        self.ranges = tuple(sorted(checked))
+        self.extras = tuple(sorted(extras))
+        declared = [chr(cp) for cp in sorted(chars)]
+        self.stoi = {ch: i for i, ch in enumerate(declared, len(self.SPECIAL_CHARS))}
+        self.itos = list(self.SPECIAL_CHARS) + declared
+
+    def char_id(self, ch):
+        return self.stoi.get(ch, 3)  # UNK
+
+    def spec(self):
+        return {"ranges": [list(r) for r in self.ranges], "extras": list(self.extras)}
+
+    def decode(self, ids):
+        """The characters of ids, special tokens dropped; IndexError on an
+        id outside the vocabulary."""
+        out = []
+        for i in ids:
+            if not 0 <= i < len(self.itos):
+                raise IndexError(i)
+            if i >= len(self.SPECIAL_CHARS):
+                out.append(self.itos[i])
+        return "".join(out)
 
 
 def brute_combo_counts(word_labels):

@@ -159,7 +159,8 @@ def test_04_tokenizer_round_trip_100k_words():
     vocab = default_vocab()
     # whitespace never survives upstream tokenization, so words are
     # drawn from the non-space vocabulary characters
-    alphabet = np.array([c for c in vocab.itos[5:] if not c.isspace()])
+    alphabet = np.array([c for c in decode(vocab, range(5, vocab.size))
+                         if not c.isspace()])
     rng = np.random.default_rng(4)
     lengths = rng.integers(1, 21, size=100_000)
     failures = 0

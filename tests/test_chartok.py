@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from chdzdt.chartok import (
     load_vocab_spec,
 )
 from chdzdt.errors import ConfigError
+from oracles import SetVocab
 
 ABC = [(97, 99)]  # a, b, c
 
@@ -34,19 +37,23 @@ class TestBuildVocab:
 
     def test_determinism(self):
         a, b = CharVocab(ABC, ["x"]), CharVocab(ABC, ["x"])
-        assert a.stoi == b.stoi and a.itos == b.itos
+        assert a.size == b.size
+        assert decode(a, range(a.size)) == decode(b, range(b.size))
+        assert ([a.char_id(ch) for ch in "abcxyz?"]
+                == [b.char_id(ch) for ch in "abcxyz?"])
 
     def test_special_ids_fixed_order(self):
         v = CharVocab(ABC)
         assert (PAD_ID, CLS_ID, MASK_ID, UNK_ID, SEP_ID) == (0, 1, 2, 3, 4)
-        assert v.itos[5:] == ["a", "b", "c"]
+        assert [v.char_id(ch) for ch in "abc"] == [5, 6, 7]
+        assert decode(v, range(5, v.size)) == "abc"
 
     def test_overlapping_ranges_dedupe(self):
         assert CharVocab([(97, 99), (98, 100)]).size == 5 + 4
 
     def test_extras_merge(self):
         v = CharVocab(ABC, ["z"])
-        assert "z" in v.stoi and v.size == 9
+        assert v.char_id("z") != UNK_ID and v.size == 9
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -79,7 +86,9 @@ class TestBuildVocab:
         import json
 
         p.write_text(json.dumps(dvoc.spec()), encoding="utf-8")
-        assert load_vocab_spec(p).stoi == dvoc.stoi
+        loaded = load_vocab_spec(p)
+        assert loaded.size == dvoc.size
+        assert decode(loaded, range(loaded.size)) == decode(dvoc, range(dvoc.size))
 
     def test_load_spec_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -109,22 +118,24 @@ class TestEncode:
     def test_short_word_layout(self):
         v = CharVocab(ABC)
         tok = encode_word(v, "abc", max_chars=20)
-        assert tok.tolist() == [CLS_ID, v.stoi["a"], v.stoi["b"], v.stoi["c"]] + [PAD_ID] * 17
+        assert tok.tolist() == [CLS_ID, v.char_id("a"), v.char_id("b"),
+                                v.char_id("c")] + [PAD_ID] * 17
         assert tok.dtype == np.int64
 
     def test_overlong_truncated(self):
         v = CharVocab(ABC)
         tok = encode_word(v, "a" * 25, max_chars=20)
         assert tok.shape == (21,)
-        assert (tok[1:] == v.stoi["a"]).all()
+        assert (tok[1:] == v.char_id("a")).all()
 
     def test_unknown_char_becomes_unk(self):
         # the special tokens' own code points are text like any other
         v = CharVocab(ABC)
         for ch in ("Q", *SPECIAL_CHARS):
             tok = encode_word(v, f"a{ch}c")
-            assert tok[:4].tolist() == [CLS_ID, v.stoi["a"], UNK_ID, v.stoi["c"]]
-            assert ch not in v.stoi
+            assert tok[:4].tolist() == [CLS_ID, v.char_id("a"), UNK_ID,
+                                        v.char_id("c")]
+            assert v.char_id(ch) == UNK_ID
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
@@ -156,10 +167,16 @@ class TestDecode:
         assert decode(dvoc, tok) == "ar"
 
 
+@functools.cache
+def declared_chars():
+    """Every character of the default vocabulary, in id order."""
+    voc = default_vocab()
+    return list(decode(voc, range(5, voc.size)))
+
+
 @st.composite
 def invocab_words(draw):
-    voc = default_vocab()
-    alphabet = voc.itos[5:]
+    alphabet = declared_chars()
     length = draw(st.integers(1, 20))
     # avoid leading/trailing strip()-able whitespace by drawing non-space chars
     chars = draw(st.lists(st.sampled_from(alphabet).filter(lambda c: not c.isspace()),
@@ -184,3 +201,70 @@ class TestRoundTripProperty:
     def test_is_emoji_consistency(self):
         assert is_emoji_char("😀") and is_emoji_char("✅") and is_emoji_char("❤")
         assert not is_emoji_char("a") and not is_emoji_char("ش")
+
+
+# code points near the edges that matter: ASCII, the surrogates, the
+# special tokens' private-use block and the top of Unicode
+EDGES = (97, 0xD800, 0xE000, 0x10FFFF)
+# range starts near the same edges, set so that most ranges are valid
+RANGE_STARTS = (97, 0xD7F0, 0xE007, 0x10FFF0)
+
+
+@st.composite
+def near(draw, anchors, spread):
+    return draw(st.sampled_from(anchors)) + draw(st.integers(-spread, spread))
+
+
+@st.composite
+def spec_and_chars(draw):
+    """Range lists that overlap, touch or hold one point, extras inside and
+    outside them, and characters to look up: in and out of the ranges, the
+    special tokens' code points and surrogates."""
+    ranges = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo = draw(near(RANGE_STARTS, 8))
+        ranges.append([lo, lo + draw(st.integers(0, 6))])
+    points = st.builds(lambda cp: chr(min(max(cp, 0), 0x10FFFF)),
+                       near(EDGES + RANGE_STARTS, 12))
+    extras = draw(st.lists(points, max_size=4))
+    chars = draw(st.lists(points | st.sampled_from(SPECIAL_CHARS)
+                          | st.characters(), max_size=20))
+    return ranges, extras, chars
+
+
+class TestAgainstSetVocab:
+    """CharVocab against the set-and-dict construction it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec_and_chars())
+    def test_ids_size_spec_and_decode_agree(self, case):
+        ranges, extras, chars = case
+        try:
+            want = SetVocab(ranges, extras)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                CharVocab(ranges, extras)
+            assert str(got.value) == str(exc)
+            return
+        v = CharVocab(ranges, extras)
+        assert v.size == len(want.itos)
+        assert v.spec() == want.spec()
+        assert [v.char_id(ch) for ch in chars] == [want.char_id(ch) for ch in chars]
+        # a second lookup reads the filled-in table
+        assert [v.char_id(ch) for ch in chars] == [want.char_id(ch) for ch in chars]
+        declared = want.itos[len(SPECIAL_CHARS):]
+        assert ([v.char_id(ch) for ch in declared]
+                == [want.char_id(ch) for ch in declared])
+        assert decode(v, range(v.size)) == want.decode(range(v.size))
+        for bad in (-1, v.size):
+            with pytest.raises(IndexError):
+                decode(v, [bad])
+
+    def test_default_charset_agrees_on_every_plane_0_and_1_character(self):
+        dvoc = default_vocab()
+        spec = dvoc.spec()
+        want = SetVocab(spec["ranges"], spec["extras"])
+        chars = [chr(cp) for cp in range(0x20000)]
+        assert [dvoc.char_id(ch) for ch in chars] == [want.char_id(ch) for ch in chars]
+        assert dvoc.size == len(want.itos)
+        assert decode(dvoc, range(dvoc.size)) == want.decode(range(dvoc.size))

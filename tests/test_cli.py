@@ -51,6 +51,12 @@ runs\tEN\tEN:1
 the\tEN\tEN:1
 """
 
+# stdout, stderr and exit code of usage errors and of every --help at 80
+# columns, as the full parser printed them before each command got a
+# parser of its own
+USAGE = json.loads((Path(__file__).parent / "cli_usage.json")
+                   .read_text(encoding="utf-8"))
+
 CLUSTER_TEXT = "dog\tdog\tdogs\ncat\tcat\tcats\nrun\truns\trunning\n"
 
 TAG_TEXT = ("dog\tnum=sing\ndogs\tnum=plur\ncat\tnum=sing\ncats\tnum=plur\n"
@@ -179,6 +185,21 @@ class TestParser:
     def test_missing_subcommand_is_an_error(self, capsys):
         assert run() == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", USAGE,
+                             ids=lambda c: " ".join(c["argv"]) or "no-argv")
+    def test_usage_output_is_pinned(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main(case["argv"]) == case["code"]
+        assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+    def test_each_command_parser_is_its_subparser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        sub_action = next(a for a in cli.build_parser()._actions
+                          if hasattr(a, "choices") and a.choices)
+        assert list(sub_action.choices) == list(cli.COMMANDS)
+        for name, sub in sub_action.choices.items():
+            assert cli.build_parser(name).format_help() == sub.format_help()
 
     def test_eval_task_choices_are_the_task_table(self):
         sub_action = next(a for a in cli.build_parser()._actions
@@ -961,6 +982,20 @@ class TestEval:
         assert run("eval", "--task", "sim", "--embedder", emb,
                    "--data", pairs, "--out", out) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim.json*"))
+
+    def test_identical_pairs_exit_three_without_report(self, ckpt, tmp_path,
+                                                       capsys):
+        # every cosine is 1 up to a few ulps, and correlating that
+        # rounding noise once gave made-up correlations with exit 0
+        pairs = tmp_path / "sim.tsv"
+        pairs.write_text("".join(f"{w}\t{w}\t{i}\n" for i, w in enumerate(
+            ("ab", "cd", "ef", "gh", "ij"), 1)), encoding="utf-8")
+        out = tmp_path / "sim.json"
+        assert run("eval", "--task", "sim", "--embedder", ckpt,
+                   "--data", pairs, "--out", out) == 3
+        assert ("correlation undefined: zero-variance scores"
+                in capsys.readouterr().err)
         assert not list(tmp_path.glob("sim.json*"))
 
     @pytest.mark.parametrize("vector, score, where", [

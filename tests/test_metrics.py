@@ -275,6 +275,19 @@ class TestCorrelations:
         with pytest.raises(NumericalError):
             kendall([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("f", [pearson, spearman, kendall])
+    def test_spread_of_rounding_noise_is_zero_variance(self, f):
+        # the cosines of identical words: 1 to within a few ulps
+        eps = np.finfo(np.float64).eps
+        noisy = [1.0, 1.0 + 2 * eps, 1.0 - eps, 1.0, 1.0 + eps]
+        with pytest.raises(NumericalError, match="zero-variance"):
+            f(noisy, [1, 2, 3, 4, 5])
+        with pytest.raises(NumericalError, match="zero-variance"):
+            f([1, 2, 3, 4, 5], [-x for x in noisy])
+        # a spread of 128 ulps is past the tolerance and correlates
+        wide = [1.0, 1.0 + 64 * eps, 1.0 - 64 * eps, 1.0, 1.0]
+        assert math.isfinite(f(wide, [1, 2, 3, 4, 5]))
+
     def test_similarity_corr_perfect_alignment(self):
         emb = DictEmbedder({"a": [1.0, 0.0], "b": [1.0, 0.2],
                             "c": [1.0, 1.0], "d": [0.0, 1.0]})
