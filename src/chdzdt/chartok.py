@@ -85,6 +85,8 @@ class CharVocab:
         for extra in extras:
             if not isinstance(extra, str) or len(extra) != 1:
                 raise ConfigError(f"extras must be single characters, got {extra!r}")
+            if 0xD800 <= ord(extra) <= 0xDFFF:
+                raise ConfigError(f"extra U+{ord(extra):04X} is a surrogate, not a character")
         starts, ends = [], []
         for lo, hi in sorted(checked + [(ord(e), ord(e)) for e in extras]):
             if ends and lo <= ends[-1] + 1:

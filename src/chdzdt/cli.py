@@ -1,10 +1,12 @@
 """Command-line interface: preprocess, pretrain, encode, eval, ablation.
 
 Each invocation resolves its configuration as flags > config file >
-defaults, hashes every input file, and emits a RunManifest beside its
-outputs. Primary outputs are written to a temporary file and renamed
-into place, so a failed run leaves no partial files. Exit codes:
-0 success, 1 usage, 2 config/data error, 3 numerical failure.
+defaults. A command writes no file: it returns its Outputs, which `main`
+commits in one order: the JSON report first where there is one (a
+non-finite value in it stops the run before any file is written), then
+the primary outputs, then the manifest of input digests. Each file is
+renamed into place from a temporary one, so none is left partial. Exit
+codes: 0 success, 1 usage, 2 config/data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import ctypes
 import functools
 import glob
 import hashlib
+import io
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 from datetime import datetime, timezone
 
@@ -78,19 +81,21 @@ class UsageError(Exception):
 
 
 @dataclass
-class RunManifest:
-    """Reproducibility record emitted once per invocation."""
+class Outputs:
+    """A command's result, which main commits: its files as (path, write)
+    pairs in commit order, write(path) writing one; its manifest's path and
+    share; the text for stdout and stderr once all are written; its exit
+    code."""
 
+    files: list
+    manifest: str
     subcommand: str
     config: dict
     inputs: dict
     seed: int | None
-    version: str
-    started: str
-    finished: str
-    blas_threads: dict  # each BLAS thread variable as the run saw it
-    blas_kernel: str | None  # the kernel NumPy's OpenBLAS picked, if known
-    minor_faults: int | None  # ru_minflt from started to this write
+    summary: str
+    stderr: str = ""
+    code: int = 0
 
 
 @functools.cache
@@ -166,25 +171,28 @@ def _write_json(path, obj) -> None:
                           allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"{path}: {exc}; nothing written") from exc
+    _write_text(path, text + "\n")
+
+
+def _write_text(path, text: str) -> None:
     with atomic_write(path) as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
-def _emit_manifest(path, subcommand: str, config: dict, inputs: dict,
-                   seed: int | None, started: tuple) -> None:
-    """started: what _start() returned when the command began."""
+def _emit_manifest(run: Outputs, started: tuple) -> None:
+    """Write run's manifest: its share, the package version, UTC stamps
+    from started (what _start() returned) to now, each BLAS thread variable
+    and NumPy's OpenBLAS kernel (None if unknown) as the run saw them, and
+    the ru_minflt since started."""
     stamp, faults = started
-    manifest = RunManifest(subcommand=subcommand, config=config,
-                           inputs={k: _digest_file(v)
-                                   for k, v in inputs.items() if v},
-                           seed=seed, version=__version__,
-                           started=stamp, finished=_utc_now(),
-                           blas_threads={var: os.environ.get(var)
-                                         for var in BLAS_THREAD_VARS},
-                           blas_kernel=_blas_kernel(),
-                           minor_faults=None if faults is None
-                           else _minor_faults() - faults)
-    _write_json(path, asdict(manifest))
+    _write_json(run.manifest, {
+        "subcommand": run.subcommand, "config": run.config,
+        "inputs": {k: _digest_file(v) for k, v in run.inputs.items() if v},
+        "seed": run.seed, "version": __version__,
+        "started": stamp, "finished": _utc_now(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "blas_kernel": _blas_kernel(),
+        "minor_faults": None if faults is None else _minor_faults() - faults})
 
 
 def _flatten(obj, prefix: str = "") -> list:
@@ -197,34 +205,29 @@ def _flatten(obj, prefix: str = "") -> list:
     return rows
 
 
-def _print_report(report: dict) -> None:
+def _cell(value) -> str:
+    """A report or table value as printed."""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if isinstance(value, list):
+        value = json.dumps(value, ensure_ascii=False)
+        return value if len(value) <= 60 else value[:57] + "..."
+    return str(value)
+
+
+def _report_text(report: dict) -> str:
     """Dotted-key two-column table of a nested report."""
-    rows = []
-    for key, value in _flatten(report):
-        if isinstance(value, float):
-            value = f"{value:.6g}"
-        elif isinstance(value, list):
-            value = json.dumps(value, ensure_ascii=False)
-            if len(value) > 60:
-                value = value[:57] + "..."
-        rows.append((key, value))
-    if not rows:
-        return
-    width = max(len(k) for k, _ in rows)
-    for key, value in rows:
-        print(f"{key:<{width}}  {value}")
+    rows = [(key, _cell(value)) for key, value in _flatten(report)]
+    width = max((len(key) for key, _ in rows), default=0)
+    return "".join(f"{key:<{width}}  {value}\n" for key, value in rows)
 
 
-def _print_table(columns: list, rows: list) -> None:
-    def cell(v):
-        return f"{v:.6g}" if isinstance(v, float) else str(v)
-
-    grid = [[cell(row.get(c, "")) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(g[i]) for g in grid)) if grid else len(c)
-              for i, c in enumerate(columns)]
-    print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-    for g in grid:
-        print("  ".join(v.ljust(w) for v, w in zip(g, widths)))
+def _table_text(columns: list, rows: list) -> str:
+    grid = [columns, *([_cell(row.get(c, "")) for c in columns]
+                       for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n"
+                   for line in grid)
 
 
 def _override(base: dict, flags: dict) -> dict:
@@ -247,8 +250,7 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig.from_dict(_override(train_d, flags))
 
 
-def cmd_preprocess(args) -> int:
-    started = _start()
+def cmd_preprocess(args) -> Outputs:
     label_map = read_json(args.labels, "labels map")
     if not label_map:
         raise ConfigError(f"labels map {args.labels} must be a non-empty "
@@ -277,24 +279,20 @@ def cmd_preprocess(args) -> int:
 
     entries = build_lexicon(streams, rules)
     stats = lexicon_stats(entries)
-    write_lexicon(entries, args.out)
-    stats_path = args.out + ".stats.json"
-    _write_json(stats_path, stats)
-    _emit_manifest(args.out + ".manifest.json", "preprocess",
-                   {"in": args.in_dir, "out": args.out,
-                    "rules": args.rules or "default",
-                    "sources": {n: label_map[n] for n in sorted(label_map)}},
-                   inputs, None, started)
-
-    print(f"lexicon: {args.out} ({stats['total_words']} words)")
     combos = {k: v for k, v in stats["combinations"].items() if v}
-    _print_report({"combinations": combos,
-                   "length_histogram": stats["length_histogram"]})
-    return 0
+    return Outputs(
+        [(args.out + ".stats.json", lambda p: _write_json(p, stats)),
+         (args.out, lambda p: write_lexicon(entries, p))],
+        args.out + ".manifest.json", "preprocess",
+        {"in": args.in_dir, "out": args.out, "rules": args.rules or "default",
+         "sources": {n: label_map[n] for n in sorted(label_map)}},
+        inputs, None,
+        f"lexicon: {args.out} ({stats['total_words']} words)\n"
+        + _report_text({"combinations": combos,
+                        "length_histogram": stats["length_histogram"]}))
 
 
-def cmd_pretrain(args) -> int:
-    started = _start()
+def cmd_pretrain(args) -> Outputs:
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
@@ -310,24 +308,22 @@ def cmd_pretrain(args) -> int:
     train_config = _train_config(args)
 
     state, records = train(lexicon, model_config, train_config, vocab)
-    save_checkpoint(state, args.out)
-    with atomic_write(args.out + ".trainlog.jsonl") as fh:
-        fh.write("".join(json.dumps(r) + "\n" for r in records))
-    _emit_manifest(args.out + ".manifest.json", "pretrain",
-                   {"model": model_config.to_dict(),
-                    "train": train_config.to_dict(), "out": args.out},
-                   {"lexicon": args.lexicon, "vocab": args.vocab,
-                    "model_config": args.model_config,
-                    "train_config": args.train_config},
-                   train_config.seed, started)
-
     summary = {"checkpoint": args.out, "params": state.flat.size,
                "words": len(lexicon), "steps": 0}
     if records:  # the last step always has a record
         summary["steps"] = records[-1]["step"]
         summary["final_total_loss"] = records[-1]["total"]
-    _print_report(summary)
-    return 0
+    return Outputs(
+        [(args.out, lambda p: save_checkpoint(state, p)),
+         (args.out + ".trainlog.jsonl", lambda p: _write_text(
+            p, "".join(json.dumps(r) + "\n" for r in records)))],
+        args.out + ".manifest.json", "pretrain",
+        {"model": model_config.to_dict(), "train": train_config.to_dict(),
+         "out": args.out},
+        {"lexicon": args.lexicon, "vocab": args.vocab,
+         "model_config": args.model_config,
+         "train_config": args.train_config},
+        train_config.seed, _report_text(summary))
 
 
 def _read_word_lines(source):
@@ -343,8 +339,7 @@ def _read_word_lines(source):
     return read_text(source).splitlines(), None
 
 
-def cmd_encode(args) -> int:
-    started = _start()
+def cmd_encode(args) -> Outputs:
     embedder = CheckpointEmbedder.from_file(args.ckpt)
     lines, stdin_digest = _read_word_lines(args.words)
 
@@ -367,20 +362,17 @@ def cmd_encode(args) -> int:
         seen.add(word)
         words.append(word)
     vectors = embed_rows(embedder, words, np.float64)
-
-    write_embeddings_tsv(args.out, words, vectors, dim=embedder.dim)
-    _emit_manifest(args.out + ".manifest.json", "encode",
-                   {"ckpt": args.ckpt, "words": args.words,
-                    "out": args.out, "n_written": len(words),
-                    "n_skipped": skipped,
-                    **({"stdin_sha256": stdin_digest}
-                       if stdin_digest else {})},
-                   {"ckpt": args.ckpt,
-                    "words": None if args.words == "-" else args.words},
-                   None, started)
-    _print_report({"written": len(words), "skipped": skipped,
-                   "dim": embedder.dim, "out": args.out})
-    return 0
+    return Outputs(
+        [(args.out, lambda p: write_embeddings_tsv(p, words, vectors,
+                                                   dim=embedder.dim))],
+        args.out + ".manifest.json", "encode",
+        {"ckpt": args.ckpt, "words": args.words, "out": args.out,
+         "n_written": len(words), "n_skipped": skipped,
+         **({"stdin_sha256": stdin_digest} if stdin_digest else {})},
+        {"ckpt": args.ckpt,
+         "words": None if args.words == "-" else args.words},
+        None, _report_text({"written": len(words), "skipped": skipped,
+                            "dim": embedder.dim, "out": args.out}))
 
 
 def _read_noise(path) -> dict:
@@ -515,8 +507,7 @@ def ablation_evaluate(data: dict, params: dict | None = None,
     return evaluate
 
 
-def cmd_eval(args) -> int:
-    started = _start()
+def cmd_eval(args) -> Outputs:
     task = TASKS[args.task]
     if args.mode == "finetune" and not task.finetune:
         raise UsageError("--mode finetune only applies to tasks "
@@ -536,25 +527,20 @@ def cmd_eval(args) -> int:
                "mode": args.mode if task.finetune else None,
                "embedder": args.embedder, "data": args.data,
                "params": kwargs, "results": results}
+    files = [(args.out, lambda p: _write_json(p, payload))]
     if args.mode == "finetune":
         root, _ = os.path.splitext(os.fspath(args.out))
         payload["finetuned_checkpoint"] = root + ".ckpt"
-    # the report goes first: a non-finite value in it stops the run
-    # before any file is written
-    _write_json(args.out, payload)
-    if args.mode == "finetune":
-        save_checkpoint(embedder.state, payload["finetuned_checkpoint"])
-    _emit_manifest(args.out + ".manifest.json", "eval",
-                   {"task": args.task, "mode": args.mode,
-                    "params": kwargs, "out": args.out},
+        files.append((payload["finetuned_checkpoint"],
+                      lambda p: save_checkpoint(embedder.state, p)))
+    return Outputs(files, args.out + ".manifest.json", "eval",
+                   {"task": args.task, "mode": args.mode, "params": kwargs,
+                    "out": args.out},
                    {"embedder": args.embedder, "data": args.data,
-                    "params": args.params}, seed, started)
-    _print_report(results)
-    return 0
+                    "params": args.params}, seed, _report_text(results))
 
 
-def cmd_ablation(args) -> int:
-    started = _start()
+def cmd_ablation(args) -> Outputs:
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
@@ -601,29 +587,38 @@ def cmd_ablation(args) -> int:
         inputs[flag.lstrip("-")] = path
     evaluate = ablation_evaluate(data, eval_params, train_config.seed)
 
-    report = ablation_sweep(grid, lexicon, vocab, train_config, evaluate,
-                            out_dir=args.out)
-
-    _write_json(os.path.join(args.out, "ablation.json"), report)
+    report, states = ablation_sweep(grid, lexicon, vocab, train_config,
+                                    evaluate)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make directory {args.out}: {exc}") from exc
     columns = ["variant", "params", "wall_time", "samples_per_sec"]
     columns += report["metric_names"]
-    with atomic_write(os.path.join(args.out, "ablation.csv"),
-                      newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(report["table"])
-    _emit_manifest(os.path.join(args.out, "manifest.json"), "ablation",
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(report["table"])
+    files = [(os.path.join(args.out, "ablation.json"),
+              lambda p: _write_json(p, report)),
+             (os.path.join(args.out, "ablation.csv"),
+              lambda p: _write_text(p, table.getvalue()))]
+    for row in report["variants"]:
+        state = states.get(row["variant"])
+        if state is not None:
+            row["checkpoint"] = os.path.join(args.out,
+                                             row["variant"] + ".ckpt")
+            files.append((row["checkpoint"],
+                          lambda p, state=state: save_checkpoint(state, p)))
+    failed = report["n_failed"]
+    return Outputs(files, os.path.join(args.out, "manifest.json"), "ablation",
                    {"grid": [variant_name(c) for c in grid],
                     "train": train_config.to_dict(), "evals": tasks,
                     "out": args.out},
-                   inputs, train_config.seed, started)
-
-    _print_table(columns, report["table"])
-    if report["n_failed"]:
-        print(f"{report['n_failed']} of {report['grid_size']} variants "
-              "failed", file=sys.stderr)
-        return 2
-    return 0
+                   inputs, train_config.seed,
+                   _table_text(columns, report["table"]),
+                   f"{failed} of {report['grid_size']} variants failed\n"
+                   if failed else "", 2 if failed else 0)
 
 
 def _training_flags(p) -> None:
@@ -774,7 +769,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        started = _start()
+        run = args.func(args)
+        for path, write in run.files:
+            write(path)
+        _emit_manifest(run, started)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -787,6 +786,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    print(run.summary, end="")
+    print(run.stderr, end="", file=sys.stderr)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ cell of a failed row.
 from __future__ import annotations
 
 import logging
-import os
 import time
 
-from ..encoder import ModelConfig, count_params, save_checkpoint
+from ..encoder import ModelConfig, count_params
 from ..errors import ConfigError
 from ..pretrain import TrainConfig, train
 from .embedder import CheckpointEmbedder
@@ -44,16 +43,17 @@ def default_grid(vocab_size: int, **overrides) -> list:
 
 
 def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
-                   evaluate=None, out_dir=None) -> dict:
-    """Train every variant on the shared lexicon and evaluate it.
+                   evaluate=None) -> tuple:
+    """Train every variant on the shared lexicon and evaluate it; return
+    (report, states), states mapping the name of each variant whose
+    training succeeded to its trained EncoderState.
 
     evaluate(embedder) -> {column: value} runs once on each trained
     variant; without it the table holds only the efficiency columns.
-    With out_dir, made once the grid is checked, each variant's trained
-    checkpoint is saved as <variant>.ckpt there. A failed variant is
-    recorded with its error and the sweep continues; the consolidated
-    table covers every (variant, metric) cell, marking the cells of
-    failed variants.
+    A failed variant is recorded with its error and the sweep continues;
+    the consolidated table covers every (variant, metric) cell, marking
+    the cells of failed variants. Each row's `checkpoint` is None, for
+    the caller that saves the states to fill in.
     """
     grid = list(grid)
     if not grid:
@@ -62,10 +62,8 @@ def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
         raise ConfigError(f"duplicate grid variants {dupes}")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
 
-    variants = []
+    variants, states = [], {}
     for config in grid:
         row = {"variant": variant_name(config), "config": config.to_dict(),
                "params": count_params(config), "status": "ok", "error": None,
@@ -77,10 +75,7 @@ def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
             row["wall_time"] = time.perf_counter() - t0
             samples = len(lexicon) * train_config.epochs
             row["samples_per_sec"] = samples / max(row["wall_time"], 1e-9)
-            if out_dir is not None:
-                path = os.path.join(out_dir, row["variant"] + ".ckpt")
-                save_checkpoint(state, path)
-                row["checkpoint"] = path
+            states[row["variant"]] = state
             if evaluate is not None:
                 row["metrics"] = evaluate(CheckpointEmbedder(state))
         except Exception as exc:
@@ -106,4 +101,4 @@ def ablation_sweep(grid, lexicon, vocab, train_config: TrainConfig,
     return {"variants": variants, "table": table,
             "metric_names": metric_names,
             "n_failed": sum(r["status"] == FAILED for r in variants),
-            "grid_size": len(grid)}
+            "grid_size": len(grid)}, states

@@ -25,20 +25,20 @@ _FIELD_TYPES = {int: int, float: (int, float), str: str, dict: dict, list: list}
 
 
 @contextlib.contextmanager
-def atomic_write(path, mode: str = "w", newline: str | None = "\n"):
+def atomic_write(path, mode: str = "w"):
     """open(path, mode) for writing that replaces path only on success.
 
     The block writes to a new file of a unique name beside path, which is
     renamed over path once the block completes. If the block raises, that
-    file is removed and path keeps its old bytes. Text is UTF-8; the file
-    gets the permissions a plain open() gives. An OSError becomes a
-    DataError naming path.
+    file is removed and path keeps its old bytes. Text is UTF-8, its line
+    ends written as they are; the file gets the permissions a plain open()
+    gives. An OSError becomes a DataError naming path.
     """
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     mode = mode.replace("w", "x")
     try:
-        fh = open(tmp, mode, newline=None if "b" in mode else newline,
+        fh = open(tmp, mode, newline=None if "b" in mode else "\n",
                   encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc

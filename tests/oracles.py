@@ -259,6 +259,8 @@ class SetVocab:
         for extra in extras:
             if not isinstance(extra, str) or len(extra) != 1:
                 raise ConfigError(f"extras must be single characters, got {extra!r}")
+            if 0xD800 <= ord(extra) <= 0xDFFF:
+                raise ConfigError(f"extra U+{ord(extra):04X} is a surrogate, not a character")
             chars.add(ord(extra))
         for special in self.SPECIAL_CHARS:
             if ord(special) in chars:

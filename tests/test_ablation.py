@@ -80,9 +80,11 @@ class TestGrid:
 @pytest.fixture(scope="module")
 def report():
     grid = default_grid(VOC.size, seed=0)[:2]
-    return ablation_sweep(grid, toy_lexicon(), VOC, quick_train_config(),
-                          cli.ablation_evaluate({"morph": toy_clusters()},
-                                                seed=0))
+    report, _ = ablation_sweep(grid, toy_lexicon(), VOC,
+                               quick_train_config(),
+                               cli.ablation_evaluate(
+                                   {"morph": toy_clusters()}, seed=0))
+    return report
 
 
 class TestSweep:
@@ -112,20 +114,20 @@ class TestSweep:
 
     def test_metrics_deterministic_given_seed(self, report):
         grid = default_grid(VOC.size, seed=0)[:2]
-        again = ablation_sweep(grid, toy_lexicon(), VOC,
-                               quick_train_config(),
-                               cli.ablation_evaluate(
-                                   {"morph": toy_clusters()}, seed=0))
+        again, _ = ablation_sweep(grid, toy_lexicon(), VOC,
+                                  quick_train_config(),
+                                  cli.ablation_evaluate(
+                                      {"morph": toy_clusters()}, seed=0))
         for a, b in zip(report["variants"], again["variants"]):
             assert a["metrics"] == b["metrics"]
 
     def test_failed_variant_isolated(self, caplog):
         good = default_grid(VOC.size, seed=0)[0]
         bad = default_grid(VOC.size + 1, seed=0)[1]
-        report = ablation_sweep([good, bad], toy_lexicon(), VOC,
-                                quick_train_config(),
-                                cli.ablation_evaluate(
-                                    {"morph": toy_clusters()}, seed=0))
+        report, _ = ablation_sweep([good, bad], toy_lexicon(), VOC,
+                                   quick_train_config(),
+                                   cli.ablation_evaluate(
+                                       {"morph": toy_clusters()}, seed=0))
         assert report["n_failed"] == 1
         ok_row, bad_row = report["variants"]
         assert ok_row["status"] == "ok"
@@ -154,9 +156,10 @@ class TestSweep:
             "pos": {"gru_hidden": 4, "dense_dim": 4, "epochs": 2},
             "sa": {"gru_hidden": 4, "dense_dim": 4, "epochs": 2},
         }
-        report = ablation_sweep(grid, toy_lexicon(), VOC,
-                                quick_train_config(),
-                                cli.ablation_evaluate(data, params, seed=0))
+        report, _ = ablation_sweep(grid, toy_lexicon(), VOC,
+                                   quick_train_config(),
+                                   cli.ablation_evaluate(data, params,
+                                                         seed=0))
         assert report["n_failed"] == 0
         names = set(report["metric_names"])
         assert {"morph_acs", "morph_aed", "morph_silhouette",

@@ -249,7 +249,7 @@ def test_11_ablation_harness():
     clusters = [(r, [r + s for s in suffixes]) for r in roots]
     lexicon = [LexiconEntry(word=w, labels=("EN",), freq={"EN": 1})
                for _, members in clusters for w in members]
-    report = ablation_sweep(
+    report, _ = ablation_sweep(
         default_grid(voc.size), lexicon, voc,
         TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=42,
                     log_every=1000),

@@ -69,6 +69,11 @@ class TestBuildVocab:
         with pytest.raises(ConfigError):
             CharVocab(ABC, ["ab"])
 
+    @pytest.mark.parametrize("extra", ["\ud800", "\udfff"])
+    def test_surrogate_extra_rejected(self, extra):
+        with pytest.raises(ConfigError, match=f"U\\+{ord(extra):04X} is a surrogate"):
+            CharVocab(ABC, [extra])
+
     def test_default_spec_covers_probe_words(self, dvoc):
         for word in "chdz شدز ⵣ 😀 3".split(" "):
             for ch in word:

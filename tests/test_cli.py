@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, outputs, manifests."""
 
+import ast
 import ctypes
 import hashlib
 import inspect
@@ -1311,6 +1312,42 @@ class TestAblation:
         assert len(trained) == 1
         assert (good / "ablation.json").exists()
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["out_is_a_file", "out_under_a_file"])
+    def test_out_that_cannot_be_a_directory_exits_two(self, ws, lexicon,
+                                                      tmp_path, capsys,
+                                                      under):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}]), encoding="utf-8")
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = blocker / "sweep" if under else blocker
+        assert run("ablation", "--grid", grid, "--lexicon", lexicon,
+                   "--vocab", ws / "vocab.json", "--evals", "morph",
+                   "--clusters", ws / "clusters.tsv", "--out", out,
+                   "--epochs", 1) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: cannot make directory {out}: ")
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["grid.json", "taken"]
+
+    def test_non_finite_report_exits_three_without_any_file(
+            self, ws, lexicon, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ablation_evaluate", lambda *args: (
+            lambda embedder: {"morph_acs": math.nan}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"n_blocks": 1, "n_heads": 1,
+                                     "hidden": 8}]), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert run("ablation", "--grid", grid, "--lexicon", lexicon,
+                   "--vocab", ws / "vocab.json", "--evals", "morph",
+                   "--clusters", ws / "clusters.tsv", "--out", out,
+                   "--epochs", 1) == 3
+        assert "nothing written" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_train_config_seed_reaches_training_and_manifest(
             self, ws, lexicon, tmp_path, monkeypatch):
         import chdzdt.evalsuite.ablation as ablation
@@ -1339,6 +1376,136 @@ class TestAblation:
 
         assert sweep(tmp_path / "config") == 7 and seeds == [7]
         assert sweep(tmp_path / "flag", "--seed", 9) == 9 and seeds[1:] == [9]
+
+
+# the files each command commits, in order, under its output directory
+COMMITS = {
+    "preprocess": ["lex.tsv.stats.json", "lex.tsv", "lex.tsv.manifest.json"],
+    "pretrain": ["enc.ckpt", "enc.ckpt.trainlog.jsonl",
+                 "enc.ckpt.manifest.json"],
+    "encode": ["vec.tsv", "vec.tsv.manifest.json"],
+    "eval": ["tag.json", "tag.ckpt", "tag.json.manifest.json"],
+    "ablation": ["ablation.json", "ablation.csv", "N1-H1-d8.ckpt",
+                 "N1-H2-d8.ckpt", "manifest.json"],
+}
+
+
+def _committing_argv(command, ws, lexicon, ckpt, out):
+    """A command line of `command` that commits COMMITS[command] to out."""
+    if command == "preprocess":
+        return ["preprocess", "--in", ws / "corpus", "--labels",
+                ws / "labels.json", "--out", out / "lex.tsv"]
+    if command == "pretrain":
+        return ["pretrain", "--lexicon", lexicon, "--vocab", ws / "vocab.json",
+                "--out", out / "enc.ckpt", "--n-blocks", 1, "--n-heads", 1,
+                "--hidden", 8, "--epochs", 1]
+    if command == "encode":
+        return ["encode", "--ckpt", ckpt, "--words", ws / "tag.tsv",
+                "--out", out / "vec.tsv"]
+    if command == "eval":
+        return ["eval", "--task", "tag", "--embedder", ckpt, "--data",
+                ws / "tag.tsv", "--mode", "finetune", "--out",
+                out / "tag.json", "--epochs", 1]
+    grid = out.parent / "grid.json"
+    grid.write_text(json.dumps([
+        {"n_blocks": 1, "n_heads": 1, "hidden": 8},
+        {"n_blocks": 1, "n_heads": 2, "hidden": 8}]), encoding="utf-8")
+    return ["ablation", "--grid", grid, "--lexicon", lexicon, "--vocab",
+            ws / "vocab.json", "--evals", "morph", "--clusters",
+            ws / "clusters.tsv", "--out", out, "--epochs", 1]
+
+
+class TestCommit:
+    """main commits what a command returns: its files in order, the
+    manifest last."""
+
+    @pytest.mark.parametrize("command", COMMITS)
+    def test_files_are_committed_in_order(self, ws, lexicon, ckpt, tmp_path,
+                                          monkeypatch, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        renamed, real_replace = [], os.replace
+
+        def replace(src, dst):
+            renamed.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(*_committing_argv(command, ws, lexicon, ckpt, out)) == 0
+        assert renamed == COMMITS[command]
+        assert sorted(os.listdir(out)) == sorted(COMMITS[command])
+
+    @pytest.mark.parametrize("command, k", [
+        (command, k) for command, files in COMMITS.items()
+        for k in range(1, len(files) + 1)])
+    def test_failed_write_exits_two_with_no_manifest(self, ws, lexicon, ckpt,
+                                                      tmp_path, monkeypatch,
+                                                      capsys, command, k):
+        out = tmp_path / "out"
+        out.mkdir()
+        calls, real_replace = [], os.replace
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(*_committing_argv(command, ws, lexicon, ckpt, out)) == 2
+        failed = out / COMMITS[command][k - 1]
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: cannot write {failed}: ")
+        left = sorted(os.listdir(out))
+        assert not [name for name in left if name.endswith(".tmp")]
+        # the manifest is committed last, so a failure leaves none
+        assert left == sorted(COMMITS[command][:k - 1])
+
+    def test_main_is_the_only_commit_path(self):
+        # a command that wrote its own files would choose its own order
+        # and could leave a manifest beside a failed run's outputs
+        writers = {"save_checkpoint", "write_lexicon",
+                   "write_embeddings_tsv", "_write_json", "_write_text"}
+
+        def name(call):
+            func = call.func
+            return func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+
+        callers = []
+        for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # each node's innermost enclosing function: ast.walk reaches
+            # an outer function before the functions inside it
+            within = {id(node): fn.name for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)}
+            callers += [(path.name, within.get(id(node)), name(node))
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.Call)
+                        and name(node) in ("_emit_manifest", "_start")]
+        assert sorted(callers) == [("cli.py", "main", "_emit_manifest"),
+                                   ("cli.py", "main", "_start")]
+        found = []
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name.startswith("cmd_")):
+                continue
+            deferred = {id(node) for lam in ast.walk(fn)
+                        if isinstance(lam, ast.Lambda)
+                        for node in ast.walk(lam)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.With) and any(
+                        isinstance(item.context_expr, ast.Call)
+                        and name(item.context_expr) == "atomic_write"
+                        for item in node.items):
+                    found.append((fn.name, node.lineno, "atomic_write"))
+                elif (isinstance(node, ast.Call) and name(node) in writers
+                      and id(node) not in deferred):
+                    found.append((fn.name, node.lineno, name(node)))
+        assert found == [], ("a command returns its files as (path, write) "
+                             f"pairs for main to commit: {found}")
 
 
 # the function each task's runner calls, by its name in chdzdt.cli
