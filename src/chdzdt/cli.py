@@ -179,15 +179,16 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _emit_manifest(run: Outputs, started: tuple) -> None:
-    """Write run's manifest: its share, the package version, UTC stamps
-    from started (what _start() returned) to now, each BLAS thread variable
-    and NumPy's OpenBLAS kernel (None if unknown) as the run saw them, and
-    the ru_minflt since started."""
+def _emit_manifest(run: Outputs, started: tuple, inputs: dict) -> None:
+    """Write run's manifest: its share, the digests of its inputs (name ->
+    SHA-256), the package version, UTC stamps from started (what _start()
+    returned) to now, each BLAS thread variable and NumPy's OpenBLAS kernel
+    (None if unknown) as the run saw them, and the ru_minflt since
+    started."""
     stamp, faults = started
     _write_json(run.manifest, {
         "subcommand": run.subcommand, "config": run.config,
-        "inputs": {k: _digest_file(v) for k, v in run.inputs.items() if v},
+        "inputs": inputs,
         "seed": run.seed, "version": __version__,
         "started": stamp, "finished": _utc_now(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
@@ -230,10 +231,13 @@ def _table_text(columns: list, rows: list) -> str:
                    for line in grid)
 
 
-def _override(base: dict, flags: dict) -> dict:
-    merged = dict(base)
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return merged
+def _config(path, what: str, args, names) -> dict:
+    """The JSON object at path ({} when path is None), read as `what`, with
+    each flag of args named in names that is set laid over it."""
+    config = read_json(path, what) if path else {}
+    config.update({k: v for k in names
+                   if (v := vars(args).get(k)) is not None})
+    return config
 
 
 def _load_vocab(path):
@@ -243,11 +247,9 @@ def _load_vocab(path):
 def _train_config(args) -> TrainConfig:
     """--train-config, overridden by the training flags the subcommand
     has."""
-    train_d = read_json(args.train_config, "train config") \
-        if args.train_config else {}
-    flags = {k: vars(args).get(k) for k in ("epochs", "batch_size", "lr",
-                                            "mask_ratio", "seed")}
-    return TrainConfig.from_dict(_override(train_d, flags))
+    return TrainConfig.from_dict(_config(
+        args.train_config, "train config", args,
+        ("epochs", "batch_size", "lr", "mask_ratio", "seed")))
 
 
 def cmd_preprocess(args) -> Outputs:
@@ -296,12 +298,8 @@ def cmd_pretrain(args) -> Outputs:
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
-    model_d = read_json(args.model_config, "model config") \
-        if args.model_config else {}
-    model_d = _override(model_d, {"n_blocks": args.n_blocks,
-                                  "n_heads": args.n_heads,
-                                  "hidden": args.hidden,
-                                  "dropout": args.dropout})
+    model_d = _config(args.model_config, "model config", args,
+                      ("n_blocks", "n_heads", "hidden", "dropout"))
     model_d.setdefault("vocab_size", vocab.size)
     model_config = ModelConfig.from_dict(model_d)
 
@@ -513,12 +511,10 @@ def cmd_eval(args) -> Outputs:
         raise UsageError("--mode finetune only applies to tasks "
                          f"{[n for n, t in TASKS.items() if t.finetune]}")
     embedder = load_embedder(args.embedder)
-    file_params = read_json(args.params, "eval params") \
-        if args.params else {}
-    flags = {k: vars(args)[k] for k in ("seed", "count", "kind", "objective",
-                                        "fraction", "epochs", "lr")}
-    kwargs = _task_kwargs(args.task, _override(file_params, flags),
-                          DEFAULT_SEED)
+    params = _config(args.params, "eval params", args,
+                     ("seed", "count", "kind", "objective", "fraction",
+                      "epochs", "lr"))
+    kwargs = _task_kwargs(args.task, params, DEFAULT_SEED)
     seed = kwargs.get("seed", DEFAULT_SEED)
 
     results = task.run(embedder, task.read(args.data), args.mode,
@@ -562,8 +558,7 @@ def cmd_ablation(args) -> Outputs:
     if unknown:
         raise UsageError(f"unknown eval tasks {unknown}; expected a subset "
                          f"of {list(ABLATION_TASKS)}")
-    eval_params = read_json(args.eval_params, "eval params") \
-        if args.eval_params else {}
+    eval_params = _config(args.eval_params, "eval params", args, ())
     # a key naming a real task outside --evals is allowed, so one params
     # file can serve several sweeps; a misspelled one is not
     stray = sorted(set(eval_params) - set(ABLATION_TASKS))
@@ -586,6 +581,13 @@ def cmd_ablation(args) -> Outputs:
         data[name] = TASKS[name].read(path)
         inputs[flag.lstrip("-")] = path
     evaluate = ablation_evaluate(data, eval_params, train_config.seed)
+    # --out is made once the sweep ends; one that cannot be fails now
+    nearest = os.path.abspath(args.out)
+    while not os.path.exists(nearest) and nearest != os.path.dirname(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise DataError(f"cannot make directory {args.out}: {nearest} is "
+                        "not a directory")
 
     report, states = ablation_sweep(grid, lexicon, vocab, train_config,
                                     evaluate)
@@ -771,9 +773,17 @@ def main(argv=None) -> int:
     try:
         started = _start()
         run = args.func(args)
+        # digests of the inputs as read, before an output can replace one
+        inputs = {k: _digest_file(v) for k, v in run.inputs.items() if v}
+        paths = [path for path, _ in run.files] + [run.manifest]
+        real = [os.path.realpath(p) for p in paths]
+        if len(set(real)) < len(real):
+            same = [p for p, r in zip(paths, real) if real.count(r) > 1]
+            raise DataError(f"outputs {', '.join(same)} name one file; "
+                            "nothing written")
         for path, write in run.files:
             write(path)
-        _emit_manifest(run, started)
+        _emit_manifest(run, started, inputs)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -47,11 +47,8 @@ class TsvEmbedder:
     """Fixed word->vector table loaded from a '#dim d'-headed TSV file."""
 
     def __init__(self, table: dict, dim: int):
-        for word, vec in table.items():
-            if len(vec) != dim:
-                raise DataError(f"vector for {word!r} has dim {len(vec)}, "
-                                f"expected {dim}")
-        self.table = {w: np.asarray(v, dtype=np.float64) for w, v in table.items()}
+        """table: word -> float64 vector of dim values each."""
+        self.table = table
         self.dim = dim
 
     @classmethod
@@ -81,7 +78,7 @@ class TsvEmbedder:
             if len(vec) != dim:
                 raise ValueError(f"vector has {len(vec)} floats, "
                                  f"header says {dim}")
-            table[word] = vec
+            table[word] = np.array(vec, dtype=np.float64)
 
         read_rows(path, parse, "vectors")
         if not table:

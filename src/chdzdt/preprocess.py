@@ -200,20 +200,12 @@ class SourceStream:
     path: str
     label: str
     kind: str = "standard"
-    lines: list = None  # in-memory override, mainly for tests
 
     def __post_init__(self):
         if self.label not in LABELS:
             raise ConfigError(f"unknown source label {self.label!r}, expected one of {LABELS}")
         if self.kind not in ("social", "standard"):
             raise ConfigError(f"source kind must be social or standard, got {self.kind!r}")
-
-    def iter_lines(self):
-        if self.lines is not None:
-            yield from self.lines
-            return
-        for _, line in read_lines(self.path):
-            yield line
 
 
 @dataclass
@@ -240,8 +232,7 @@ def build_lexicon(streams, rules: NormRules):
             raise DataError("build_lexicon needs at least one stream")
         for stream in streams:
             dropped = 0
-            for line in stream.iter_lines():
-                line = line.rstrip("\n")
+            for _, line in read_lines(stream.path):
                 if stream.kind == "social" and not region_filter(line, rules.region_patterns):
                     dropped += 1
                     continue

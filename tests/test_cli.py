@@ -1327,7 +1327,9 @@ class TestAblation:
                    "--vocab", ws / "vocab.json", "--evals", "morph",
                    "--clusters", ws / "clusters.tsv", "--out", out,
                    "--epochs", 1) == 2
-        last = capsys.readouterr().err.splitlines()[-1]
+        err = capsys.readouterr().err
+        assert "epoch" not in err  # refused before the first variant trains
+        last = err.splitlines()[-1]
         assert last.startswith(f"error: cannot make directory {out}: ")
         assert blocker.read_text(encoding="utf-8") == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == \
@@ -1460,6 +1462,31 @@ class TestCommit:
         assert not [name for name in left if name.endswith(".tmp")]
         # the manifest is committed last, so a failure leaves none
         assert left == sorted(COMMITS[command][:k - 1])
+
+    def test_input_digest_is_of_the_bytes_read(self, ws, ckpt, tmp_path):
+        # the report replaces the data it was computed from
+        data = tmp_path / "sim.tsv"
+        data.write_bytes((ws / "sim.tsv").read_bytes())
+        read = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert run("eval", "--task", "sim", "--embedder", ckpt,
+                   "--data", data, "--out", data) == 0
+        manifest = json.loads(Path(f"{data}.manifest.json").read_text())
+        assert manifest["inputs"]["data"] == read
+        assert json.loads(data.read_text())["task"] == "sim"
+
+    def test_outputs_sharing_a_path_exit_two_writing_nothing(
+            self, ws, ckpt, tmp_path, capsys):
+        # the finetuned checkpoint's path is the report's path
+        out = tmp_path / "out"
+        out.mkdir()
+        report = out / "rep.ckpt"
+        assert run("eval", "--task", "tag", "--embedder", ckpt,
+                   "--data", ws / "tag.tsv", "--mode", "finetune",
+                   "--out", report, "--epochs", 1) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: outputs {report}, {report} name one file; "
+            "nothing written")
+        assert os.listdir(out) == []
 
     def test_main_is_the_only_commit_path(self):
         # a command that wrote its own files would choose its own order

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -264,8 +265,20 @@ class TestStageOracles:
                 text, rules, is_emoji_char)
 
 
+_CORPUS_IDS = itertools.count()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _corpus_dir(tmp_path_factory):
+    global _CORPUS_DIR
+    _CORPUS_DIR = tmp_path_factory.mktemp("corpora")
+
+
 def _stream(lines, label, kind="standard"):
-    return SourceStream(path=f"<mem:{label}>", label=label, kind=kind, lines=lines)
+    """A stream over a new UTF-8 file holding lines, one per line."""
+    path = _CORPUS_DIR / f"{next(_CORPUS_IDS)}-{label}.txt"
+    path.write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8"))
+    return SourceStream(path=str(path), label=label, kind=kind)
 
 
 class TestBuildLexicon:
