@@ -61,7 +61,7 @@ from .evalsuite.metrics import cluster_report, similarity_corr
 from .evalsuite.obfuscate import noise_report
 from .evalsuite.probe import probe_train
 from .evalsuite.taggers import morph_tagger, pos_tagger, sentiment_classifier
-from .fileio import atomic_write, check_fields, read_json, read_text
+from .fileio import atomic_write, check_fields, read_json, read_lines
 from .preprocess import (
     NormRules,
     SourceStream,
@@ -326,15 +326,18 @@ def cmd_pretrain(args) -> Outputs:
 
 def _read_word_lines(source):
     """(lines, SHA-256 of the bytes read from stdin or None) of a UTF-8
-    words file, or of stdin for '-'."""
+    words file, or of stdin for '-'. Both break lines as read_lines does,
+    at a line feed, a carriage return or the pair only."""
     if source == "-":
         data = sys.stdin.buffer.read()
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot read stdin: {exc}") from exc
-        return text.splitlines(), hashlib.sha256(data).hexdigest()
-    return read_text(source).splitlines(), None
+        lines = io.StringIO(text, newline=None)
+        return ([line.rstrip("\n") for line in lines],
+                hashlib.sha256(data).hexdigest())
+    return [line for _, line in read_lines(source)], None
 
 
 def cmd_encode(args) -> Outputs:

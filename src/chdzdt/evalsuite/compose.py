@@ -19,6 +19,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..errors import DataError, NumericalError
+from .metrics import _scaled_rows
 
 logger = logging.getLogger(__name__)
 
@@ -205,15 +206,16 @@ def compose_eval(model: CompositionModel, triples) -> dict:
     if not np.isfinite(pred).all():
         raise NumericalError(f"{model.kind}: composed vectors are not "
                              "finite")
-    pred_norm = np.linalg.norm(pred, axis=1)
-    gold_norm = np.linalg.norm(W_target, axis=1)
+    scaled_pred, scaled_gold = _scaled_rows(pred), _scaled_rows(W_target)
+    pred_norm = np.linalg.norm(scaled_pred, axis=1)
+    gold_norm = np.linalg.norm(scaled_gold, axis=1)
     keep = (pred_norm > 0) & (gold_norm > 0)
     skipped = int((~keep).sum())
     if skipped:
         logger.warning("compose_eval: skipping %d zero-norm pairs", skipped)
     if not np.any(keep):
         raise DataError("every evaluation pair had a zero-norm vector")
-    cosines = (pred[keep] * W_target[keep]).sum(axis=1) / (
+    cosines = (scaled_pred[keep] * scaled_gold[keep]).sum(axis=1) / (
         pred_norm[keep] * gold_norm[keep])
     dists = np.linalg.norm(pred[keep] - W_target[keep], axis=1)
     report = {

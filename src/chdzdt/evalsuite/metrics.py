@@ -19,12 +19,23 @@ from .embedder import TsvEmbedder, embed_rows
 logger = logging.getLogger(__name__)
 
 
+def _scaled_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of x times the power of two that brings its largest
+    magnitude into [0.5, 1). Scaling by a power of two is exact, so a
+    cosine of scaled rows has the bytes of the unscaled one; but unscaled,
+    the squares of a row below about 1e-154 underflow, so its norm loses
+    precision (a cosine above 1), and below about 1e-162 it is 0."""
+    _, exp = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    return np.ldexp(x, -exp)
+
+
 def _cosines(embedder, pairs) -> list:
     """float64 cosine of each (a, b) word pair; the distinct words are
     embedded in one batch, and a zero-norm one is a DataError."""
     words = list(dict.fromkeys(w for pair in pairs for w in pair))
     units = {}
-    for word, vec in zip(words, embed_rows(embedder, words, np.float64)):
+    for word, vec in zip(words, _scaled_rows(
+            embed_rows(embedder, words, np.float64))):
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise DataError(f"zero-norm embedding for word {word!r}")

@@ -5,9 +5,12 @@ Tensors wrap numpy arrays (float32 by default, float64 behind the
 value and its gradient; ``Tensor._unary`` and ``Tensor._binary`` (which
 sums a broadcast gradient back down) make the node, its closure and the
 choice to adopt a first gradient, and ``_affine_grads`` accumulates the
-gradients of rows @ w + b. ``backward`` walks the recorded graph in
-reverse topological order, then unlinks it so reference counting frees
-it. Inside ``no_grad`` no op records a graph.
+gradients of rows @ w + b. ``a - b`` and ``mean`` are one node each.
+``backward`` walks the nodes that have inputs in reverse topological
+order, then unlinks them so reference counting frees the graph; a leaf
+is never pushed. Inside ``no_grad`` no op records a graph. At the sizes
+of a compose fit (arrays of a few hundred floats) this bookkeeping, not
+the arithmetic, is what a node costs.
 
 The encoder's layers are single nodes with hand-written backward passes:
 ``linear`` (x @ w + b as 2-D GEMMs over all leading rows), ``layer_norm``,
@@ -20,8 +23,9 @@ head merge and the output projection).
 A model's weights are one ``ParamSet``: a flat data buffer, a flat grad
 buffer, and named Tensors that view both. ``Adam`` updates sets in place
 through flat moment buffers, a block of at most ``BLOCK`` floats per pass
-of its formula; a step allocates no array. ``fit``, the one training
-loop, takes an Adam step on each loss of a lazy iterable.
+of its formula, with the block views cut once when it is built; a step
+allocates no array. ``fit``, the one training loop, takes an Adam step on
+each loss of a lazy iterable.
 """
 
 from __future__ import annotations
@@ -114,11 +118,14 @@ class Tensor:
 
     @staticmethod
     def _result(data, children, backward):
-        if not _GRAD_ENABLED or not any(c.requires_grad for c in children):
-            return Tensor(data)
-        out = Tensor(data, requires_grad=True, _children=tuple(children))
-        out._backward = backward
-        return out
+        if _GRAD_ENABLED:
+            for c in children:
+                if c.requires_grad:
+                    out = Tensor(data, requires_grad=True,
+                                 _children=tuple(children))
+                    out._backward = backward
+                    return out
+        return Tensor(data)
 
     def _acc(self, g, owned: bool = False) -> None:
         """Accumulate an already shape-matched gradient.
@@ -164,6 +171,8 @@ class Tensor:
     def _unbroadcast(grad, shape):
         """Sum a gradient down to the shape the operand had before
         broadcasting; grad itself when no axis was broadcast."""
+        if grad.shape == shape:
+            return grad
         lead = grad.ndim - len(shape)
         axes = tuple(range(lead)) + tuple(
             lead + ax for ax, dim in enumerate(shape)
@@ -183,7 +192,9 @@ class Tensor:
         closure if asked, and drop every closure and input link.
 
         Each closure refers to its own node; with closures and links gone
-        no cycle is left for the cyclic GC to find.
+        no cycle is left for the cyclic GC to find. Only nodes with inputs
+        are pushed: a leaf holds no closure and no link, and leaving it out
+        keeps the closures in the order a walk over every node gives.
         """
         order = []
         visited = set()
@@ -198,7 +209,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for child in node._prev:
-                if id(child) not in visited:
+                if child._prev and id(child) not in visited:
                     stack.append((child, False))
         for node in reversed(order):
             if run_backward and node._backward is not None:
@@ -233,10 +244,24 @@ class Tensor:
         return self * (-1.0)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        """self - other as one node, whose gradients are g and -g.
+
+        It replaced self + (-other), in which -other was a node of its
+        own that ran after every node behind self. other's gradient can
+        differ from that form's in two cases. When other is also reached
+        through self, it takes its -g before those nodes, so the summands
+        of its gradient can add in another order. When other was
+        broadcast, the node sums -g where that form negated the sum of g,
+        so a sum of zero is +0.0 where it was -0.0. No caller in src does
+        either: compose's pred - target has a constant target, and its
+        1.0 - x has an x that is used once and not broadcast.
+        """
+        other = self._wrap(other)
+        return self._binary(other, self.data - other.data,
+                            (lambda g: g, lambda g: -g))
 
     def __rsub__(self, other):
-        return self._wrap(other) + (-self)
+        return self._wrap(other) - self
 
     def __truediv__(self, other):
         other = self._wrap(other)
@@ -264,17 +289,26 @@ class Tensor:
 
     # -- reductions and indexing -------------------------------------------
 
-    def sum(self, axis=None):
-        def grad(g):
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.data.shape).astype(self.data.dtype)
+    def _spread(self, g, axis):
+        """g, the gradient of a sum over axis, filled into a fresh array of
+        self's shape."""
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        out = np.empty(self.data.shape, self.data.dtype)
+        out[...] = g
+        return out
 
-        return self._unary(self.data.sum(axis=axis), grad)
+    def sum(self, axis=None):
+        return self._unary(self.data.sum(axis=axis),
+                           lambda g: self._spread(g, axis))
 
     def mean(self, axis=None):
+        """The sum over axis times 1/count in the data's dtype, as one
+        node."""
         count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / count)
+        scale = self.data.dtype.type(1.0 / count)
+        return self._unary(self.data.sum(axis=axis) * scale,
+                           lambda g: self._spread(g * scale, axis))
 
     def __getitem__(self, idx):
         def grad(g):
@@ -732,11 +766,13 @@ class ParamSet:
 class Adam:
     """Bias-corrected Adam over parameter sets of one dtype.
 
-    The moments m and v are flat, the sets end to end. A step walks each
-    set's flat grad in blocks of at most BLOCK floats and updates the
-    block's moments and data in place: it allocates no array and never
-    writes a grad. A weight whose grad stays zero keeps zero moments and
-    takes a zero step.
+    The moments m and v are flat, the sets end to end. The constructor
+    cuts each set into blocks of at most BLOCK floats once and keeps each
+    block's views of the grad, the moments and the data beside the two
+    scratch rows. A step runs its formula over that list, updating the
+    moments and data in place: it slices nothing, allocates no array and
+    never writes a grad. A weight whose grad stays zero keeps zero moments
+    and takes a zero step.
     """
 
     beta1 = 0.9
@@ -756,7 +792,19 @@ class Adam:
         self.m = np.zeros(total, dtype)
         self.v = np.zeros(total, dtype)
         # two rows, one block long: the step, then the denominator
-        self._scratch = np.empty((2, min(BLOCK, total)), dtype)
+        scratch = np.empty((2, min(BLOCK, total)), dtype)
+        # per block of a set: its grad, m, v and data, and the scratch rows
+        self._blocks = []
+        start = 0
+        for s in self.sets:
+            n = s.data.size
+            for lo in range(0, n, BLOCK):
+                hi = min(lo + BLOCK, n)
+                self._blocks.append((
+                    s.grad[lo:hi], self.m[start + lo:start + hi],
+                    self.v[start + lo:start + hi], s.data[lo:hi],
+                    *scratch[:, :hi - lo]))
+            start += n
 
     def step(self) -> None:
         """One update, in place on each set's data and on the moments.
@@ -768,28 +816,20 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        start = 0
-        for s in self.sets:
-            n = s.data.size
-            m_set, v_set = self.m[start:start + n], self.v[start:start + n]
-            start += n
-            for lo in range(0, n, BLOCK):
-                block = slice(lo, lo + BLOCK)
-                g, m, v = s.grad[block], m_set[block], v_set[block]
-                step, denom = self._scratch[:, :g.size]
-                np.multiply(g, g, out=step)
-                step *= 1.0 - self.beta2
-                v *= self.beta2
-                v += step
-                m *= self.beta1
-                m += np.multiply(g, 1.0 - self.beta1, out=step)
-                np.divide(v, c2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += self.eps
-                np.divide(m, c1, out=step)
-                step *= self.lr
-                step /= denom
-                s.data[block] -= step
+        for g, m, v, p, step, denom in self._blocks:
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.beta2
+            v *= self.beta2
+            v += step
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            step /= denom
+            p -= step
 
     def zero_grad(self) -> None:
         for s in self.sets:

@@ -525,3 +525,43 @@ def composite_attention(x, w, n_heads, add, p, rng):
     v = linear(x, *w["v"])
     return composite_dropout(composite_attention_context(attn, v, *w["o"]),
                              p, rng)
+
+
+def composite_sub(a, b):
+    """a - b as the engine once built it: a + (-b), with -b its own node."""
+    return a + (-b)
+
+
+def composite_rsub(c, a):
+    """c - a for a constant c as the engine once built it: Tensor(c) +
+    (-a)."""
+    return Tensor(c) + (-a)
+
+
+def composite_mean(a, axis=None):
+    """a.mean(axis) as the engine once built it: a sum node times a
+    1/count node."""
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return a.sum(axis=axis) * (1.0 / count)
+
+
+def full_walk_order(root):
+    """The nodes whose closures root.backward() ran when its walk pushed
+    every node, leaves included, in the order it ran them. Reads the graph
+    and changes nothing."""
+    order = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for child in node._prev:
+            if id(child) not in visited:
+                stack.append((child, False))
+    return [node for node in reversed(order) if node._backward is not None]

@@ -800,6 +800,26 @@ class TestEncode:
         assert manifest["config"]["n_written"] == 2
         assert manifest["config"]["n_skipped"] == 2
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_lines_break_only_at_line_ends(self, ckpt, tmp_path,
+                                           monkeypatch, caplog, source):
+        # U+2028 is no line end for read_lines, so line 1 holds two words
+        data = "dog\u2028cat\nruns\n".encode("utf-8")
+        words = tmp_path / "words.txt"
+        words.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        out = tmp_path / "emb.tsv"
+        assert run("encode", "--ckpt", ckpt, "--words",
+                   words if source == "file" else "-", "--out", out) == 0
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert [line.split("\t")[0] for line in lines[1:-1]] == ["runs"]
+        assert ("line 1: %r is not a single word" % "dog\u2028cat"
+                in caplog.text)
+        manifest = json.loads(
+            (tmp_path / "emb.tsv.manifest.json").read_text())
+        assert manifest["config"]["n_written"] == 1
+        assert manifest["config"]["n_skipped"] == 1
+
     def test_stdin_digest_is_of_the_bytes_read(self, ckpt, tmp_path,
                                                monkeypatch):
         data = "wesh\r\nشمس\n".encode("utf-8")
@@ -1799,3 +1819,79 @@ class TestParamsFuzz:
         if not trained:
             assert code == 2 and err.getvalue().startswith("error: ")
             assert not (work / "sweep").exists()
+
+
+def _numbers(value):
+    """Every int or float in a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+COMPOSE_WORDS = ("a", "b", "c", "d")
+
+
+@st.composite
+def degenerate_table(draw):
+    """'#dim d' TSV text for COMPOSE_WORDS whose vectors are each a base
+    vector, a multiple of it, zero, a tiny multiple of it or free."""
+    dim = draw(st.integers(1, 3))
+    base = draw(st.lists(st.sampled_from([1.0, -2.0, 0.5, 3.0]),
+                         min_size=dim, max_size=dim))
+    rows = []
+    for word in COMPOSE_WORDS:
+        how = draw(st.sampled_from(["equal", "collinear", "zero", "tiny",
+                                    "free"]))
+        if how == "free":
+            vector = draw(st.lists(st.floats(-4, 4), min_size=dim,
+                                   max_size=dim))
+        else:
+            scale = {"equal": st.just(1.0), "zero": st.just(0.0),
+                     "collinear": st.sampled_from([-3.0, -1.0, 0.25, 1e8]),
+                     "tiny": st.sampled_from([1e-300, 5e-324, 1e-20])}[how]
+            k = draw(scale)
+            vector = [k * b for b in base]
+        rows.append(f"{word}\t{' '.join(map(repr, vector))}\n")
+    return f"#dim {dim}\n" + "".join(rows)
+
+
+class TestComposeDataFuzz:
+    """Well-formed but degenerate compose data, for every kind: one
+    quadruple, repeated words, equal, collinear, zero or tiny vectors."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=degenerate_table(),
+           quads=st.lists(st.lists(st.sampled_from(COMPOSE_WORDS),
+                                   min_size=4, max_size=4),
+                          min_size=1, max_size=3),
+           kind=st.sampled_from(KINDS),
+           objective=st.sampled_from(["mse", "cosine"]),
+           epochs=st.sampled_from([[], ["--epochs", 1]]))
+    def test_exits_with_a_code_and_a_finite_report(
+            self, tmp_path_factory, table, quads, kind, objective, epochs):
+        work = tmp_path_factory.mktemp("compose-data")
+        (work / "emb.tsv").write_text(table, encoding="utf-8")
+        (work / "quads.tsv").write_text(
+            "".join("\t".join(quad) + "\n" for quad in quads),
+            encoding="utf-8")
+        out = work / "o.json"
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run("eval", "--task", "compose", "--kind", kind,
+                       "--objective", objective, *epochs,
+                       "--embedder", work / "emb.tsv",
+                       "--data", work / "quads.tsv", "--out", out)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not list(work.rglob("*.tmp"))
+        if code == 0:
+            report = json.loads(out.read_text(encoding="utf-8"))
+            assert all(math.isfinite(x) for x in _numbers(report))
+            results = report["results"]
+            assert -1.0 - 1e-9 <= results["acs"] <= 1.0 + 1e-9
+            assert results["aed"] >= 0.0
+        else:
+            assert err.getvalue().startswith("error: ")
+            assert not out.exists()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from chdzdt import tensor as T
 from chdzdt.errors import DataError, NumericalError
 from chdzdt.evalsuite import compose
 from chdzdt.evalsuite.compose import (
@@ -17,6 +18,8 @@ from chdzdt.evalsuite.compose import (
     compose_fit,
     shift_positive,
 )
+
+from oracles import full_walk_order
 
 D = 16
 N = 200
@@ -209,6 +212,25 @@ class TestComposeEval:
         assert report["n_evaluated"] == 1 and report["n_skipped"] == 1
         assert any("zero-norm" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("tiny", [1.1365888111815853e-159, 1e-170])
+    def test_tiny_vectors_score_a_cosine_of_one(self, tiny):
+        # the squares of a tiny row underflow: its norm was off (an ACS of
+        # 1.00000005 at 1.1e-159) or zero (the pair skipped at 1e-170)
+        t = np.array([tiny])
+        report = compose_eval(CompositionModel("Add", 1),
+                              [(t, t, t, np.array([1.0]))])
+        assert report["n_evaluated"] == 1
+        assert report["acs"] == 1.0
+
+    def test_cosines_of_ordinary_vectors_keep_their_bytes(self):
+        triples = make_triples(np.random.default_rng(6), n=20)
+        P, R, S, W = np.asarray(triples).transpose(1, 0, 2)
+        pred = P + R + S
+        cosines = (pred * W).sum(axis=1) / (np.linalg.norm(pred, axis=1)
+                                            * np.linalg.norm(W, axis=1))
+        report = compose_eval(CompositionModel("Add", D), triples)
+        assert report["acs"] == float(cosines.mean())
+
     def test_all_pairs_zero_rejected(self):
         zero = np.zeros(3)
         with pytest.raises(DataError, match="zero-norm"):
@@ -256,6 +278,28 @@ class TestComposeEval:
         graphs.clear()
         compose_eval(model, triples)
         assert graphs == [False]
+
+    @pytest.mark.parametrize("objective, nodes", [("mse", 4),
+                                                  ("cosine", 11)])
+    def test_node_budget_of_a_loss(self, objective, nodes, monkeypatch):
+        # MpCnc's forward is one matmul node; MSE adds a sub, a square and
+        # a mean, cosine its ten reduction and arithmetic nodes. Every node
+        # costs Python time in forward and backward each epoch, so a change
+        # that grows these counts must update them on purpose.
+        counts = []
+        fit = T.fit
+
+        def counting_fit(sets, losses, lr):
+            def counted():
+                for loss in losses:
+                    counts.append(len(full_walk_order(loss)))
+                    yield loss
+            return fit(sets, counted(), lr)
+
+        monkeypatch.setattr(T, "fit", counting_fit)
+        compose_fit("MpCnc", make_triples(np.random.default_rng(5), n=4),
+                    objective=objective, epochs=3)
+        assert counts == [nodes] * 3
 
     def test_all_kinds_listed(self):
         assert KINDS == ("Add", "Mul", "WAdd", "WMul", "MpCnc", "MpAdd")

@@ -72,6 +72,13 @@ class TestAcs:
         assert acs(scaled, clusters) == pytest.approx(acs(emb, clusters),
                                                       abs=1e-9)
 
+    @pytest.mark.parametrize("tiny", [1.1365888111815853e-159, 1e-170])
+    def test_tiny_vector_gives_one(self, tiny):
+        # the squares of a tiny vector underflow: its norm was off (an ACS
+        # of 1.00000026 at 1.1e-159) or zero (a DataError at 1e-170)
+        emb = DictEmbedder({"r": [1.0, 0.0], "m": [tiny, 0.0]})
+        assert acs(emb, [("r", ["m"])]) == 1.0
+
     def test_zero_norm_vector_names_word(self):
         emb = DictEmbedder({"r": [1.0, 0.0], "bad": [0.0, 0.0]})
         with pytest.raises(DataError, match="bad"):

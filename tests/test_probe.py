@@ -5,9 +5,12 @@ import logging
 import numpy as np
 import pytest
 
+from chdzdt import tensor as T
 from chdzdt.errors import DataError
 from chdzdt.evalsuite import probe
 from chdzdt.evalsuite.probe import probe_train, stratified_split
+
+from oracles import full_walk_order
 
 
 def multilabel_rows():
@@ -123,6 +126,25 @@ class TestProbeTrain:
         X, labels = separable_instance(seed=3, n=40, n_labels=2)
         probe_train(X, labels, seed=3, epochs=4)
         assert graphs == [True] * 4 + [False]
+
+    def test_node_budget_of_a_loss(self, monkeypatch):
+        # linear, sigmoid and the binary cross-entropy: every node costs
+        # Python time in forward and backward each epoch, so a change that
+        # grows this count must update it on purpose
+        counts = []
+        fit = T.fit
+
+        def counting_fit(sets, losses, lr):
+            def counted():
+                for loss in losses:
+                    counts.append(len(full_walk_order(loss)))
+                    yield loss
+            return fit(sets, counted(), lr)
+
+        monkeypatch.setattr(T, "fit", counting_fit)
+        X, labels = separable_instance(seed=3, n=40, n_labels=2)
+        probe_train(X, labels, seed=3, epochs=3)
+        assert counts == [3] * 3
 
     def test_no_labels_rejected(self):
         with pytest.raises(DataError, match="no affix"):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import math
 import tracemalloc
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chdzdt import tensor as T
 from chdzdt.chartok import default_vocab
 from chdzdt.encoder import EncoderState, ModelConfig
 from chdzdt.errors import NumericalError
+from chdzdt.evalsuite import compose
 from chdzdt.pretrain import _encode_lexicon, batch_loss, mask_batch
 from chdzdt.tensor import (
     Adam,
@@ -42,9 +45,13 @@ from oracles import (
     composite_gelu,
     composite_layer_norm,
     composite_linear,
+    composite_mean,
+    composite_rsub,
     composite_softmax,
+    composite_sub,
     finite_diff_max_rel_err,
     formula_softmax_ce,
+    full_walk_order,
     per_tensor_adam_step,
 )
 from universe import make_universe
@@ -1253,3 +1260,154 @@ class TestGradientOwnership:
         loss.backward()
         _assert_no_shared_grads(nodes)
         np.testing.assert_array_equal(bias.grad, np.full(4, 2.0))
+
+
+# float32-exact values, signed zeros among them
+ELEMENTS = st.floats(-1e6, 1e6, width=32) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _operands(draw):
+    """Two arrays of one drawn shape and one drawn dtype."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=4))
+    return [draw(hnp.arrays(dtype, shape, elements=ELEMENTS))
+            for _ in range(2)]
+
+
+def _outputs(ops, arrays, data, grad_of=(0, 1)):
+    """For each op, (its output, the gradients of the inputs in grad_of)
+    over Tensors of copies of arrays, after backpropagating one drawn
+    upstream weight of the output's shape, zeros of either sign
+    included."""
+    runs = []
+    for op in ops:
+        ts = [Tensor(x.copy(), requires_grad=i in grad_of)
+              for i, x in enumerate(arrays)]
+        runs.append((ts, op(*ts)))
+    y = runs[0][1]
+    upstream = data.draw(hnp.arrays(y.data.dtype, y.shape,
+                                    elements=ELEMENTS), label="upstream")
+    results = []
+    for ts, out in runs:
+        (out * upstream).sum().backward()
+        results.append((out.data, [ts[i].grad for i in grad_of]))
+    return results
+
+
+def _assert_same_bytes(results):
+    (data, grads), (want_data, want_grads) = results
+    assert data.dtype == want_data.dtype
+    assert data.tobytes() == want_data.tobytes()
+    for g, want in zip(grads, want_grads):
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+
+
+class TestOneNodeOps:
+    """a - b, c - a and mean are one node each; their bytes and their
+    inputs' gradient bytes equal those of the composite forms they
+    replaced (oracles.composite_sub, composite_rsub, composite_mean)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays=_operands(), data=st.data())
+    def test_sub(self, arrays, data):
+        _assert_same_bytes(_outputs([lambda a, b: a - b, composite_sub],
+                                    arrays, data))
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrays=_operands(), data=st.data())
+    def test_sub_of_a_broadcast_right_operand(self, arrays, data):
+        # the node sums -g down to a broadcast right operand, where the
+        # composite negated the sum of g: a gradient that sums to zero
+        # may now be +0.0 where it was -0.0, and every value is equal
+        a, b = arrays
+        b = b.reshape(-1)[:1]
+        (data_new, grads), (data_old, old_grads) = _outputs(
+            [lambda x, y: x - y, composite_sub], [a, b], data)
+        assert data_new.tobytes() == data_old.tobytes()
+        for g, want in zip(grads, old_grads):
+            assert g.shape == want.shape
+            assert np.array_equal(g, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays=_operands(), c=ELEMENTS, data=st.data())
+    def test_rsub(self, arrays, c, data):
+        a, array_c = arrays
+        # a Python number takes a's dtype; an array keeps its own
+        _assert_same_bytes(_outputs(
+            [lambda x: c - x,
+             lambda x: composite_rsub(np.asarray(c, x.data.dtype), x)],
+            [a], data, (0,)))
+        _assert_same_bytes(_outputs(
+            [lambda x, k: x.__rsub__(k.data),
+             lambda x, k: composite_rsub(k.data, x)],
+            [a, array_c], data, (0,)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays=_operands(), data=st.data())
+    def test_mean(self, arrays, data):
+        a = arrays[0]
+        axis = data.draw(st.sampled_from([None, *range(-a.ndim, a.ndim)]),
+                         label="axis")
+        _assert_same_bytes(_outputs(
+            [lambda x: x.mean(axis), lambda x: composite_mean(x, axis)],
+            [a], data, (0,)))
+
+    def test_each_is_one_node(self):
+        x = t(np.ones((3, 2)))
+        for y in (x - np.zeros((3, 2)), 1.0 - x, x.mean(), x.mean(0)):
+            assert x in y._prev
+            assert all(not child._prev for child in y._prev)
+
+
+def _closure_order(root):
+    """The nodes whose closures root.backward() runs, in the order it
+    runs them."""
+    ran = []
+
+    def record(node, closure):
+        ran.append(node)
+        closure()
+
+    for node in _graph(root):
+        if node._backward is not None:
+            node._backward = functools.partial(record, node, node._backward)
+    root.backward()
+    return ran
+
+
+def _batch_loss_graph():
+    state = _d16_state(0)
+    ids, targets = _encode_lexicon(make_universe()[0][:16], state.vocab,
+                                   state.config.max_chars)
+    rng = np.random.default_rng(3)
+    return batch_loss(state, mask_batch(ids, targets, 0.15, rng),
+                      rng=rng)[0]
+
+
+def _compose_loss_graph(objective):
+    rng = np.random.default_rng(4)
+    P, R, S, target = rng.normal(size=(4, 6, 5))
+    spec = compose._TABLE["MpCnc"]
+    weights = ParamSet.of({"W": rng.normal(0, 0.01, (15, 5))})
+    X = [Tensor(x) for x in spec.inputs(P, R, S)]
+    return compose._fit_loss(spec.forward(weights.params, *X), target,
+                             objective)
+
+
+class TestWalkOrder:
+    """backward pushes only nodes with inputs, and runs the closures in
+    the order the walk over every node ran them
+    (oracles.full_walk_order)."""
+
+    @pytest.mark.parametrize("build", [
+        _batch_loss_graph, lambda: _compose_loss_graph("mse"),
+        lambda: _compose_loss_graph("cosine")],
+        ids=["batch_loss", "compose_mse", "compose_cosine"])
+    def test_closures_run_in_the_full_walk_order(self, build):
+        loss = build()
+        want = full_walk_order(loss)
+        assert len(want) > 3
+        assert [id(n) for n in _closure_order(loss)] == \
+            [id(n) for n in want]
+        assert all(n._prev == () and n._backward is None for n in want)
