@@ -23,7 +23,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 from datetime import datetime, timezone
 
@@ -233,7 +233,8 @@ def _table_text(columns: list, rows: list) -> str:
 
 def _config(path, what: str, args, names) -> dict:
     """The JSON object at path ({} when path is None), read as `what`, with
-    each flag of args named in names that is set laid over it."""
+    each flag of args named in names that is set laid over it; a name with
+    no flag reads None, as an unset flag does."""
     config = read_json(path, what) if path else {}
     config.update({k: v for k in names
                    if (v := vars(args).get(k)) is not None})
@@ -249,7 +250,7 @@ def _train_config(args) -> TrainConfig:
     has."""
     return TrainConfig.from_dict(_config(
         args.train_config, "train config", args,
-        ("epochs", "batch_size", "lr", "mask_ratio", "seed")))
+        [f.name for f in fields(TrainConfig)]))
 
 
 def cmd_preprocess(args) -> Outputs:
@@ -261,17 +262,15 @@ def cmd_preprocess(args) -> Outputs:
     for name in sorted(label_map):
         spec = label_map[name]
         if isinstance(spec, str):
-            label, kind = spec, "standard"
-        elif isinstance(spec, dict) and "label" in spec:
-            check_fields(spec, {"label": str, "kind": str}, f"labels map entry {name!r}")
-            label, kind = spec["label"], spec.get("kind", "standard")
-        else:
+            spec = {"label": spec}
+        if not (isinstance(spec, dict) and "label" in spec):
             raise ConfigError(f"labels map entry {name!r} must be a label "
                               "string or an object with a 'label'")
+        check_fields(spec, {"label": str, "kind": str}, f"labels map entry {name!r}")
         path = os.path.join(args.in_dir, name)
         if not os.path.isfile(path):
             raise DataError(f"input file {path} does not exist")
-        streams.append(SourceStream(path=path, label=label, kind=kind))
+        streams.append(SourceStream(path=path, **spec))
         # a namespace of their own, so a corpus file named like a fixed
         # key ("labels", "rules") keeps both digests
         inputs[f"corpus/{name}"] = path
@@ -298,6 +297,7 @@ def cmd_pretrain(args) -> Outputs:
     vocab = _load_vocab(args.vocab)
     lexicon = read_lexicon(args.lexicon)
 
+    # named, not ModelConfig's fields: --seed is the training seed
     model_d = _config(args.model_config, "model config", args,
                       ("n_blocks", "n_heads", "hidden", "dropout"))
     model_d.setdefault("vocab_size", vocab.size)
@@ -364,8 +364,7 @@ def cmd_encode(args) -> Outputs:
         words.append(word)
     vectors = embed_rows(embedder, words, np.float64)
     return Outputs(
-        [(args.out, lambda p: write_embeddings_tsv(p, words, vectors,
-                                                   dim=embedder.dim))],
+        [(args.out, lambda p: write_embeddings_tsv(p, words, vectors))],
         args.out + ".manifest.json", "encode",
         {"ckpt": args.ckpt, "words": args.words, "out": args.out,
          "n_written": len(words), "n_skipped": skipped,
@@ -514,9 +513,8 @@ def cmd_eval(args) -> Outputs:
         raise UsageError("--mode finetune only applies to tasks "
                          f"{[n for n, t in TASKS.items() if t.finetune]}")
     embedder = load_embedder(args.embedder)
-    params = _config(args.params, "eval params", args,
-                     ("seed", "count", "kind", "objective", "fraction",
-                      "epochs", "lr"))
+    params = _config(args.params, "eval params", args, dict.fromkeys(
+        k for t in TASKS.values() for k in t.params))
     kwargs = _task_kwargs(args.task, params, DEFAULT_SEED)
     seed = kwargs.get("seed", DEFAULT_SEED)
 

@@ -158,13 +158,15 @@ def compose_fit(kind: str, triples, objective: str = "mse",
     X = spec.inputs(P, R, S)
 
     if objective == "cosine":
-        keep = np.linalg.norm(W_target, axis=1) > 0
+        keep = W_target.any(axis=1)
         if not np.all(keep):
             logger.warning("cosine objective: skipping %d zero-vector "
                            "targets", int((~keep).sum()))
             X, W_target = [x[keep] for x in X], W_target[keep]
         if len(W_target) == 0:
             raise DataError("no usable triples after dropping zero targets")
+        # a power of two per row cancels in the cosine (see _exponent)
+        W_target = _scaled_rows(W_target)
 
     rng = np.random.default_rng(seed)
     weights = T.ParamSet.of({

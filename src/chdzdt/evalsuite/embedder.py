@@ -4,7 +4,8 @@ The embedder contract is .dim and .embed_many(words) -> [n, dim], the
 vectors of words in order (stable within a session). embed_rows is the one
 way callers turn a word list into vectors: it asks .embed_many once for the
 distinct words and gathers their rows back into input order. Fine-tuned
-decoders need a CheckpointEmbedder; a vector table is frozen.
+decoders need a CheckpointEmbedder; a vector table is frozen, and
+write_embeddings_tsv writes one from such an [n, dim] array.
 """
 
 from __future__ import annotations
@@ -113,20 +114,13 @@ def embed_rows(embedder, words, dtype) -> np.ndarray:
     return vectors[np.asarray(rows, dtype=np.intp)]
 
 
-def write_embeddings_tsv(path, words, vectors, dim: int) -> None:
-    """word TAB space-separated floats, '#dim d' header, UTF-8, LF; every
-    vector must have dim floats."""
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(words) != len(vectors):
-        raise DataError(f"{len(words)} words vs {len(vectors)} vectors")
-    dims = {v.shape[0] for v in vectors} | {dim}
-    if len(dims) > 1:
-        raise DataError(f"inconsistent vector dims: {sorted(dims)}")
+def write_embeddings_tsv(path, words, vectors) -> None:
+    """word TAB space-separated floats of its row of the [n, d] array
+    vectors, under a '#dim d' header; UTF-8, LF."""
     with atomic_write(path) as f:
-        f.write(f"{TSV_HEADER_PREFIX}{dim}\n")
-        for word, vec in zip(words, vectors):
-            floats = " ".join(map(repr, vec.tolist()))
-            f.write(f"{word}\t{floats}\n")
+        f.write(f"{TSV_HEADER_PREFIX}{vectors.shape[1]}\n")
+        for word, row in zip(words, vectors.tolist()):
+            f.write(f"{word}\t{' '.join(map(repr, row))}\n")
 
 
 def load_embedder(path):

@@ -19,14 +19,19 @@ from .embedder import TsvEmbedder, embed_rows
 logger = logging.getLogger(__name__)
 
 
+def _exponent(x: np.ndarray, axis=None):
+    """The e that brings the largest magnitude of x * 2**-e into [0.5, 1),
+    of all of x (0 if empty) or of each row along axis. Scaling by a power
+    of two is exact, so distances and cosines of scaled points keep their
+    bytes; unscaled, the squares of values below about 1e-154 underflow, so
+    a norm loses precision (a cosine above 1), and below 1e-162 it is 0."""
+    return np.frexp(np.abs(x).max(axis, keepdims=axis is not None,
+                                  initial=0.0))[1]
+
+
 def _scaled_rows(x: np.ndarray) -> np.ndarray:
-    """Each row of x times the power of two that brings its largest
-    magnitude into [0.5, 1). Scaling by a power of two is exact, so a
-    cosine of scaled rows has the bytes of the unscaled one; but unscaled,
-    the squares of a row below about 1e-154 underflow, so its norm loses
-    precision (a cosine above 1), and below about 1e-162 it is 0."""
-    _, exp = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
-    return np.ldexp(x, -exp)
+    """Each row of x times its own power of two, by _exponent."""
+    return np.ldexp(x, -_exponent(x, -1))
 
 
 def _cosines(embedder, pairs) -> list:
@@ -59,17 +64,19 @@ def aed(embedder, clusters: Sequence) -> float:
     """Mean member-root Euclidean distance, divided by sqrt(d)."""
     words = [w for root, members in clusters for w in (root, *members)]
     vectors = embed_rows(embedder, words, np.float64)
-    vecs = dict(zip(words, vectors))
+    exp = _exponent(vectors)
+    vecs = dict(zip(words, np.ldexp(vectors, -exp)))
     dists = [float(np.linalg.norm(vecs[member] - vecs[root]))
              for root, members in clusters for member in members]
     if not dists:
         raise DataError("aed needs at least one cluster member")
-    return float(np.mean(dists) / math.sqrt(vectors.shape[1]))
+    return float(np.ldexp(np.mean(dists) / math.sqrt(vectors.shape[1]), exp))
 
 
 def silhouette(points, labels) -> float:
     """Mean silhouette value, Euclidean; singleton clusters contribute 0."""
     points = np.asarray(points, dtype=np.float64)
+    points = np.ldexp(points, -_exponent(points))
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     if uniq.size < 2:
@@ -115,6 +122,7 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
         raise DataError(f"points must be 2-D, got shape {points.shape}")
     if not 1 <= k <= len(points):
         raise DataError(f"k must lie in [1, {len(points)}], got {k}")
+    points = np.ldexp(points, -_exponent(points))
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(10):

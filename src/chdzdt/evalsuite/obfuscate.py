@@ -98,12 +98,6 @@ def _noisy_clusters(clusters, mode: str, count: int, seed: int):
     return pairs, grouped
 
 
-def obfuscated_acs(embedder, clusters, mode: str, count: int,
-                   seed: int = 0) -> float:
-    """ACS with every cluster member obfuscated; roots stay clean."""
-    return acs(embedder, _noisy_clusters(clusters, mode, count, seed)[1])
-
-
 def noise_report(embedder, tuples: dict | None = None, clusters=None,
                  count: int = 1, seed: int = 0) -> dict:
     """Robustness summary over all three modes.
@@ -112,7 +106,7 @@ def noise_report(embedder, tuples: dict | None = None, clusters=None,
     generated from the cluster members when clusters are given. With
     clusters, also reports per mode k-means ARI on the noisy member
     embeddings against gold roots, with one group per cluster that keeps a
-    noisy member, plus those clusters' noisy-member ACS.
+    noisy member, plus their obfuscated ACS (noisy members, clean roots).
     """
     if tuples is None and clusters is None:
         raise DataError("noise_report needs tuples and/or clusters")

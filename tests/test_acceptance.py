@@ -22,7 +22,7 @@ from chdzdt.evalsuite.ablation import ablation_sweep, default_grid, \
     variant_name
 from chdzdt.evalsuite.embedder import CheckpointEmbedder
 from chdzdt.evalsuite.metrics import acs, aed, ari, kendall, silhouette
-from chdzdt.evalsuite.obfuscate import obfuscated_acs
+from chdzdt.evalsuite.obfuscate import noise_report
 from chdzdt.evalsuite.probe import probe_train
 from chdzdt.evalsuite.taggers import pos_tagger, sentiment_classifier
 from chdzdt.preprocess import LexiconEntry, NormRules, normalize_text
@@ -205,8 +205,9 @@ def test_08_noise_robustness(pretrained):
     emb = CheckpointEmbedder(pretrained["state"])
     for family in ("latin", "arabic", "tifinagh"):
         clusters = pretrained["clusters"][family]
-        acs1 = obfuscated_acs(emb, clusters, "star", 1, seed=0)
-        acs2 = obfuscated_acs(emb, clusters, "star", 2, seed=0)
+        acs1, acs2 = (noise_report(emb, clusters=clusters, count=count,
+                                   seed=0)["cluster"]["star"]["acs"]
+                      for count in (1, 2))
         assert acs1 >= acs2, f"{family}: ACS1* {acs1:.3f} < ACS2* {acs2:.3f}"
         assert acs1 > 0.8, f"{family}: ACS1* {acs1:.3f}"
 

@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chdzdt"
 SEAMS = {
     "precision": "the float64 gradient checks in tests",
     "decode": "tests/test_acceptance.py::test_04",
-    "obfuscated_acs": "tests/test_acceptance.py",
     "gru_cell": "perfbench/layers.py",
 }
 

@@ -2,9 +2,11 @@
 
 import ast
 import ctypes
+import dataclasses
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -32,6 +34,7 @@ from chdzdt.evalsuite.embedder import CheckpointEmbedder, TsvEmbedder
 from chdzdt.evalsuite import obfuscate
 from chdzdt.evalsuite.metrics import acs
 from chdzdt.preprocess import write_lexicon
+from chdzdt.pretrain import TrainConfig
 
 from universe import make_universe
 
@@ -237,6 +240,56 @@ class TestParser:
             assert proc.stdout.startswith("usage: chdzdt")
             for name in sub_action.choices:
                 assert name in proc.stdout
+
+
+class TestOverlayNames:
+    """Each value flag of eval and pretrain names a field of the schema it
+    lays a value over, and reaches it: eval and the train config take the
+    names they overlay from their schemas, so a flag named otherwise would
+    be dropped without a word."""
+
+    # flags that name a file, or pick the task and its mode
+    NOT_VALUES = {"embedder", "data", "out", "params", "lexicon", "vocab",
+                  "train_config", "model_config", "mode", "task"}
+    ARGV = {"eval": ["--task", "morph", "--embedder", "e", "--data", "d",
+                     "--out", "o"],
+            "pretrain": ["--lexicon", "l", "--out", "o"]}
+
+    def value_dests(self, command):
+        return {a.dest for a in cli.build_parser(command)._actions
+                if a.dest != "help"} - self.NOT_VALUES
+
+    def test_flags_name_schema_fields(self):
+        assert self.value_dests("eval") <= {
+            k for task in cli.TASKS.values() for k in task.params}
+        assert self.value_dests("pretrain") <= {
+            f.name for schema in (TrainConfig, ModelConfig)
+            for f in dataclasses.fields(schema)}
+
+    @pytest.mark.parametrize("command", ["eval", "pretrain"])
+    def test_every_value_flag_is_overlaid(self, command, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        overlaid = set()
+        config = cli._config
+
+        def spy(path, what, args, names):
+            overlaid.update(names)
+            return config(path, what, args, names)
+
+        monkeypatch.setattr(cli, "_config", spy)
+        for name in ("load_embedder", "read_lexicon"):
+            monkeypatch.setattr(cli, name, lambda path: None)
+        for name in ("_task_kwargs", "train"):
+            monkeypatch.setattr(cli, name, stop)
+        args = cli.build_parser(command).parse_args(self.ARGV[command])
+        with pytest.raises(Stop):
+            args.func(args)
+        assert self.value_dests(command) <= overlaid
 
 
 # A fresh process runs main once, then allocates, fills and frees a pair of
@@ -849,6 +902,40 @@ class TestEncode:
 
 
 class TestEval:
+
+    def test_morph_of_tiny_distinct_vectors(self, tmp_path):
+        # their squared distances underflow: k-means put every member in
+        # one group ("silhouette needs at least two clusters") and AED read 0
+        (tmp_path / "emb.tsv").write_text(
+            "#dim 2\ndog\t1e-200 0.0\ndogs\t2e-200 0.0\n"
+            "cat\t0.0 1e-200\ncats\t0.0 3e-200\n", encoding="utf-8")
+        (tmp_path / "clusters.tsv").write_text("dog\tdogs\ncat\tcats\n",
+                                               encoding="utf-8")
+        out = tmp_path / "morph.json"
+        assert run("eval", "--task", "morph", "--embedder",
+                   tmp_path / "emb.tsv", "--data", tmp_path / "clusters.tsv",
+                   "--out", out) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["ari"] == 1.0
+        assert results["aed"] == pytest.approx(1.5e-200 / math.sqrt(2),
+                                               rel=1e-12, abs=0.0)
+
+    def test_compose_cosine_keeps_a_tiny_target(self, tmp_path, capsys):
+        # a target below about 1e-162 has a norm of 0 unscaled: it was
+        # skipped as a zero vector, leaving no triple (exit 2)
+        (tmp_path / "emb.tsv").write_text(
+            "#dim 2\na\t1e-170 0.0\nb\t1.0 0.5\n", encoding="utf-8")
+        (tmp_path / "quads.tsv").write_text("b\tb\tb\ta\n",
+                                            encoding="utf-8")
+        out = tmp_path / "compose.json"
+        assert run("eval", "--task", "compose", "--kind", "MpAdd",
+                   "--objective", "cosine", "--embedder",
+                   tmp_path / "emb.tsv", "--data", tmp_path / "quads.tsv",
+                   "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        results = json.loads(out.read_text())["results"]
+        assert results["n_evaluated"] == 1
+        assert results["acs"] == pytest.approx(1.0)
 
     def test_morph_report_schema(self, ws, ckpt, tmp_path):
         out = tmp_path / "morph.json"
@@ -1834,14 +1921,14 @@ COMPOSE_WORDS = ("a", "b", "c", "d")
 
 
 @st.composite
-def degenerate_table(draw):
-    """'#dim d' TSV text for COMPOSE_WORDS whose vectors are each a base
-    vector, a multiple of it, zero, a tiny multiple of it or free."""
+def degenerate_table(draw, words=COMPOSE_WORDS):
+    """'#dim d' TSV text for words whose vectors are each a base vector, a
+    multiple of it, zero, a tiny multiple of it or free."""
     dim = draw(st.integers(1, 3))
     base = draw(st.lists(st.sampled_from([1.0, -2.0, 0.5, 3.0]),
                          min_size=dim, max_size=dim))
     rows = []
-    for word in COMPOSE_WORDS:
+    for word in words:
         how = draw(st.sampled_from(["equal", "collinear", "zero", "tiny",
                                     "free"]))
         if how == "free":
@@ -1895,3 +1982,109 @@ class TestComposeDataFuzz:
         else:
             assert err.getvalue().startswith("error: ")
             assert not out.exists()
+
+
+# one- and two-character words over "mn*#": the obfuscation table has no
+# entry for m or n, so every noisy form of a word over "mn" (a '*' or a
+# '#' in place of a letter) is a word of the table too
+TABLE_WORDS = tuple("".join(chars) for n in (1, 2)
+                    for chars in itertools.product("mn*#", repeat=n))
+CLEAN_WORDS = tuple(w for w in TABLE_WORDS if set(w) <= set("mn"))
+
+
+def _in_unit(x) -> bool:
+    return -1.0 - 1e-9 <= x <= 1.0 + 1e-9
+
+
+def _clusters_text(clusters) -> str:
+    return "".join(f"{root}\t" + "\t".join(members) + "\n"
+                   for root, members in clusters)
+
+
+def _clusters(words):
+    """Up to three clusters of up to three members each, over words, with
+    distinct roots."""
+    return st.lists(st.tuples(st.sampled_from(words),
+                              st.lists(st.sampled_from(words), min_size=1,
+                                       max_size=3)),
+                    min_size=1, max_size=3, unique_by=lambda c: c[0])
+
+
+class TestEvalDataFuzz:
+    """Well-formed but degenerate sim, morph and noise data over a table
+    of equal, collinear, zero, tiny or free vectors: each run exits 0, 2
+    or 3, and a report holds finite numbers in their ranges."""
+
+    @staticmethod
+    def results(work, table, task, data_name, data, *flags):
+        """The eval's results on exit 0, else None once its error is
+        checked."""
+        (work / "emb.tsv").write_text(table, encoding="utf-8")
+        (work / data_name).write_text(data, encoding="utf-8")
+        out = work / "o.json"
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run("eval", "--task", task, *flags,
+                       "--embedder", work / "emb.tsv",
+                       "--data", work / data_name, "--out", out)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not list(work.rglob("*.tmp"))
+        if code != 0:
+            assert err.getvalue().startswith(
+                {2: "error: ", 3: "numerical failure: "}[code])
+            assert not out.exists()
+            return None
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert all(math.isfinite(x) for x in _numbers(report))
+        return report["results"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           rows=st.lists(st.tuples(st.sampled_from(TABLE_WORDS),
+                                   st.sampled_from(TABLE_WORDS),
+                                   st.sampled_from([0.0, 1.0, 2.5, -3.0])
+                                   | st.floats(-10, 10)),
+                         min_size=1, max_size=5))
+    def test_sim(self, tmp_path_factory, table, rows):
+        results = self.results(
+            tmp_path_factory.mktemp("sim-data"), table, "sim", "pairs.tsv",
+            "".join(f"{a}\t{b}\t{s!r}\n" for a, b, s in rows))
+        if results is not None:
+            assert all(_in_unit(results[k])
+                       for k in ("pearson", "spearman", "kendall"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           clusters=_clusters(TABLE_WORDS))
+    def test_morph(self, tmp_path_factory, table, clusters):
+        results = self.results(
+            tmp_path_factory.mktemp("morph-data"), table, "morph",
+            "clusters.tsv", _clusters_text(clusters))
+        if results is not None:
+            assert all(_in_unit(results[k])
+                       for k in ("acs", "silhouette", "ari"))
+            assert results["aed"] >= 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           clusters=_clusters(CLEAN_WORDS),
+           tuples=st.none() | st.tuples(
+               st.sampled_from([".star", ".hash", ".sim"]),
+               st.lists(st.tuples(st.sampled_from(TABLE_WORDS),
+                                  st.sampled_from(TABLE_WORDS)),
+                        min_size=1, max_size=4)),
+           count=st.sampled_from([[], ["--count", 2]]))
+    def test_noise(self, tmp_path_factory, table, clusters, tuples, count):
+        if tuples is None:
+            name, data = "clusters.tsv", _clusters_text(clusters)
+        else:
+            name = "pairs" + tuples[0]
+            data = "".join(f"{a}\t{b}\n" for a, b in tuples[1])
+        results = self.results(tmp_path_factory.mktemp("noise-data"),
+                               table, "noise", name, data, *count)
+        if results is not None:
+            assert all(map(_in_unit, results["tuple_acs"].values()))
+            assert all(_in_unit(stats[k])
+                       for stats in results["cluster"].values()
+                       for k in ("acs", "ari"))

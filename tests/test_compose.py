@@ -158,6 +158,26 @@ class TestComposeFit:
         assert model.fields["alpha"] / model.fields["beta"] == \
             pytest.approx(2.0, abs=0.05)
 
+    @pytest.mark.parametrize("tiny", [1e-170, 5e-324])
+    def test_cosine_objective_keeps_a_tiny_target(self, tiny, caplog):
+        # unscaled, the norm of a target below about 1e-162 is 0: it was
+        # dropped as a zero vector
+        v = np.array([1.0, 0.5])
+        triples = [(v, v, v, np.array([tiny, 0.0]))]
+        with caplog.at_level(logging.WARNING):
+            model = compose_fit("MpAdd", triples, objective="cosine")
+        assert not caplog.records
+        assert compose_eval(model, triples)["acs"] == pytest.approx(1.0)
+
+    def test_cosine_fit_of_ordinary_targets_keeps_its_bytes(self,
+                                                            monkeypatch):
+        triples = make_triples(np.random.default_rng(10), n=12)
+        scaled = compose_fit("MpCnc", triples, objective="cosine", epochs=20)
+        monkeypatch.setattr(compose, "_scaled_rows", lambda x: x)
+        unscaled = compose_fit("MpCnc", triples, objective="cosine",
+                               epochs=20)
+        assert scaled.fields["W"].tobytes() == unscaled.fields["W"].tobytes()
+
     def test_bad_objective(self):
         with pytest.raises(DataError, match="objective"):
             compose_fit("Add", make_triples(np.random.default_rng(0), n=2),

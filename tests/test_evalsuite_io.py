@@ -23,7 +23,6 @@ from chdzdt.evalsuite.obfuscate import (
     make_noisy_tuples,
     noise_report,
     obfuscate,
-    obfuscated_acs,
 )
 
 VOC = CharVocab([(97, 122)])
@@ -69,7 +68,7 @@ class TestTsvEmbedder:
         vectors = [np.array([0.5, -1.25, 3.0]),
                    np.array([1e-8, 2.0, -7.5]),
                    np.array([0.1, 0.2, 0.3])]
-        write_embeddings_tsv(path, words, vectors, dim=3)
+        write_embeddings_tsv(path, words, np.stack(vectors))
         emb = TsvEmbedder.from_file(path)
         assert emb.dim == 3 and not isinstance(emb, CheckpointEmbedder)
         for word, vec in zip(words, vectors):
@@ -88,7 +87,7 @@ class TestTsvEmbedder:
         vectors = np.asarray(rows, dtype=np.float32)
         words = [f"w{i}" for i in range(len(rows))]
         path = tmp_path / "vecs.tsv"
-        write_embeddings_tsv(path, words, vectors, dim=4)
+        write_embeddings_tsv(path, words, vectors)
         want = "#dim 4\n" + "".join(
             f"{w}\t{' '.join(repr(float(x)) for x in v)}\n"
             for w, v in zip(words, vectors))
@@ -96,24 +95,19 @@ class TestTsvEmbedder:
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"
-        write_embeddings_tsv(path, ["a"], [np.arange(4.0)], dim=4)
+        write_embeddings_tsv(path, ["a"], np.arange(4.0)[None])
         assert path.read_text(encoding="utf-8").splitlines()[0] == "#dim 4"
 
     def test_empty_write_needs_dim(self, tmp_path):
         path = tmp_path / "vecs.tsv"
-        write_embeddings_tsv(path, [], [], dim=5)
+        write_embeddings_tsv(path, [], np.zeros((0, 5)))
         assert path.read_text(encoding="utf-8") == "#dim 5\n"
 
     def test_loading_header_only_file_fails(self, tmp_path):
         path = tmp_path / "vecs.tsv"
-        write_embeddings_tsv(path, [], [], dim=5)
+        write_embeddings_tsv(path, [], np.zeros((0, 5)))
         with pytest.raises(DataError, match="empty"):
             TsvEmbedder.from_file(path)
-
-    def test_write_rejects_mixed_dims(self, tmp_path):
-        with pytest.raises(DataError, match="dims"):
-            write_embeddings_tsv(tmp_path / "v.tsv", ["a", "b"],
-                                 [np.zeros(3), np.zeros(4)], dim=3)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "v.tsv"
@@ -161,7 +155,7 @@ class TestTsvEmbedder:
 
     def test_unknown_word(self, tmp_path):
         path = tmp_path / "v.tsv"
-        write_embeddings_tsv(path, ["a"], [np.zeros(2)], dim=2)
+        write_embeddings_tsv(path, ["a"], np.zeros((1, 2)))
         emb = TsvEmbedder.from_file(path)
         with pytest.raises(DataError, match="'b'"):
             emb.embed_many(["a", "b"])
@@ -187,7 +181,7 @@ class TestCheckpointEmbedder:
 
     def test_load_embedder_sniffs_tsv(self, tmp_path):
         path = tmp_path / "v.tsv"
-        write_embeddings_tsv(path, ["a"], [np.zeros(2)], dim=2)
+        write_embeddings_tsv(path, ["a"], np.zeros((1, 2)))
         assert isinstance(load_embedder(path), TsvEmbedder)
 
     def test_embed_many_matches_embed(self, ckpt):
@@ -575,12 +569,13 @@ class TestNoiseMetrics:
             assert -1.0 <= entry["acs"] <= 1.0
 
     def test_obfuscated_acs_perfect_for_constant(self):
-        assert obfuscated_acs(ConstantEmbedder(), CLUSTERS,
-                              "star", 1) == pytest.approx(1.0)
+        report = noise_report(ConstantEmbedder(), clusters=CLUSTERS, count=1)
+        assert report["cluster"]["star"]["acs"] == pytest.approx(1.0)
 
     def test_obfuscated_acs_count_too_large(self):
         with pytest.raises(DataError, match="long enough"):
-            obfuscated_acs(ConstantEmbedder(), [("r", ["ab"])], "star", 3)
+            noise_report(ConstantEmbedder(), clusters=[("r", ["ab"])],
+                         count=3)
 
     def test_needs_some_input(self):
         with pytest.raises(DataError, match="tuples"):

@@ -81,7 +81,7 @@ class TestAtomicWrite:
         save_checkpoint(state, out / "m.ckpt")
         write_lexicon([LexiconEntry("chat", ("FR",), {"FR": 1})],
                       out / "lex.tsv")
-        write_embeddings_tsv(out / "v.tsv", ["a"], [np.zeros(2)], dim=2)
+        write_embeddings_tsv(out / "v.tsv", ["a"], np.zeros((1, 2)))
         with atomic_write(out / "raw.bin", "wb") as fh:
             fh.write(b"x")
         expected = plain_open_mode(tmp_path)

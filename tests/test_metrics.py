@@ -108,6 +108,21 @@ class TestAed:
             expected = brute_aed({w: list(v) for w, v in table.items()}, clusters)
             assert aed(emb, clusters) == pytest.approx(expected, abs=1e-9)
 
+    def test_tiny_vectors_keep_their_distance(self):
+        # unscaled, the squares of a distance below about 1e-162 underflow
+        # and AED read 0
+        emb = DictEmbedder({"r": [1e-200, 0.0], "m": [4e-200, 4e-200]})
+        assert aed(emb, [("r", ["m"])]) == pytest.approx(
+            5e-200 / math.sqrt(2), rel=1e-12, abs=0.0)
+
+    def test_ordinary_vectors_keep_their_bytes(self):
+        emb, clusters, table = random_cluster_instance(
+            np.random.default_rng(5))
+        dists = [float(np.linalg.norm(table[m] - table[r]))
+                 for r, members in clusters for m in members]
+        assert aed(emb, clusters) == float(np.mean(dists)
+                                           / math.sqrt(emb.dim))
+
     def test_dimension_mismatch_rejected(self):
         emb = DictEmbedder({"r": [1.0, 0.0], "m": [1.0, 0.0]})
         emb.table["m"] = np.asarray([1.0, 0.0, 0.0])
@@ -148,6 +163,14 @@ class TestSilhouette:
         with pytest.raises(DataError):
             silhouette(np.ones((3, 2)), [0, 0, 0])
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tiny_or_huge_points_score_as_ordinary_ones(self, scale):
+        # unscaled, their squared distances underflow to 0 or overflow
+        pts = np.asarray([[0.0, 0.0], [1.0, 0.5], [4.0, 4.0], [5.0, 3.0]])
+        labels = [0, 0, 1, 1]
+        assert silhouette(pts * scale, labels) == pytest.approx(
+            silhouette(pts, labels), rel=1e-12)
+
     def test_singleton_cluster_contributes_zero(self):
         pts = np.asarray([[0.0], [1.0], [1.1]])
         labels = [0, 1, 1]
@@ -184,6 +207,13 @@ class TestKmeans:
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
         own = d2[np.arange(len(pts)), labels]
         assert (own <= d2.min(axis=1) + 1e-9).all()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tiny_or_huge_points_split_as_ordinary_ones(self, scale):
+        # unscaled, their squared distances underflow to 0 (every point in
+        # one group) or overflow
+        pts = np.asarray([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
+        assert ari(kmeans(pts * scale, 2), [0, 0, 1, 1]) == 1.0
 
     def test_k_out_of_range_rejected(self):
         with pytest.raises(DataError):
