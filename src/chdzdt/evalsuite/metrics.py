@@ -96,26 +96,63 @@ def silhouette(points, labels) -> float:
     return float(values.mean())
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int,
+# k-means restarts, run side by side; the least inertia wins
+RESTARTS = 10
+# a restart stops after this many Lloyd updates, or once an update lowers
+# its inertia by less than TOL of it
+MAX_PASSES = 300
+TOL = 1e-6
+
+
+def _nearest(points: np.ndarray, p2: np.ndarray, centers: np.ndarray):
+    """Each point's nearest center in each of r restarts' k centers, and
+    its squared distance, [r, n] each. The squared distances are taken as
+    (|p|² - 2p·c) + |c|² from one batched product, clipped at 0; p2 holds
+    the |p|²."""
+    d2 = points @ centers.transpose(0, 2, 1)
+    d2 *= -2.0
+    d2 += p2[:, None]
+    d2 += (centers ** 2).sum(-1)[:, None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2.argmin(2), d2.min(2)
+
+
+def _kmeans_pp_init(points: np.ndarray, p2: np.ndarray, k: int,
                     rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[rng.integers(len(points))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    """k-means++ seeds of every restart at once, [RESTARTS, k, d].
+
+    All randoms are drawn up front: a first index per restart, then one u
+    per later seed. A later seed's index is the count of cumulative d² at
+    or below u · total, or a uniform index from u when the total is 0.
+    """
+    n = len(points)
+    first = rng.integers(n, size=RESTARTS)
+    u = rng.random((RESTARTS, k - 1))
+    centers = np.empty((RESTARTS, k, points.shape[1]))
+    centers[:, 0] = points[first]
+    d2 = _nearest(points, p2, centers[:, :1])[1]
     for j in range(1, k):
-        total = d2.sum()
-        if total == 0.0:
-            centers[j] = points[rng.integers(len(points))]
-        else:
-            centers[j] = points[rng.choice(len(points), p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        cum = np.cumsum(d2, axis=1)
+        total = cum[:, -1]
+        below = (cum <= (u[:, j - 1] * total)[:, None]).sum(1)
+        idx = np.where(total == 0.0, u[:, j - 1] * n, below).astype(np.intp)
+        centers[:, j] = points[np.minimum(idx, n - 1)]
+        np.minimum(d2, _nearest(points, p2, centers[:, j:j + 1])[1], out=d2)
     return centers
 
 
 def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding, best inertia of 10 runs.
+    """Lloyd's algorithm with k-means++ seeding; the labels of the first of
+    RESTARTS restarts with the least inertia.
 
-    300 iteration cap, 1e-6 relative inertia tolerance; an emptied cluster
-    is re-seeded from the point farthest from its centroid.
+    The points are scaled by one power of two first (_exponent). The
+    restarts run side by side: each pass takes every live restart's
+    squared distances from one batched product (_nearest) and its
+    centroid sums from one bincount per dimension, in point order. An
+    emptied cluster takes its restart's point farthest from its nearest
+    center. A restart leaves the batch, keeping its last labels, once its
+    inertia is at least (1 - TOL) times the one before, or after
+    MAX_PASSES updates.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -123,31 +160,35 @@ def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     if not 1 <= k <= len(points):
         raise DataError(f"k must lie in [1, {len(points)}], got {k}")
     points = np.ldexp(points, -_exponent(points))
-    rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(10):
-        centers = _kmeans_pp_init(points, k, rng)
-        prev_inertia = np.inf
-        for _ in range(300):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-            labels = d2.argmin(axis=1)
-            inertia = float(d2[np.arange(len(points)), labels].sum())
-            for j in range(k):
-                mask = labels == j
-                if mask.any():
-                    centers[j] = points[mask].mean(axis=0)
-                else:
-                    farthest = int(d2.min(axis=1).argmax())
-                    centers[j] = points[farthest]
-            if prev_inertia - inertia <= 1e-6 * max(prev_inertia, 1e-12):
-                break
-            prev_inertia = inertia
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(len(points)), labels].sum())
-        if inertia < best_inertia:
-            best_inertia, best_labels = inertia, labels
-    return best_labels
+    n, dim = points.shape
+    p2 = (points ** 2).sum(1)
+    centers = _kmeans_pp_init(points, p2, k, np.random.default_rng(seed))
+    # row e holds dimension e of the points once per restart, the weights
+    # of that dimension's centroid sums
+    tiled = np.tile(points.T, RESTARTS)
+    labels = np.empty((RESTARTS, n), dtype=np.intp)
+    inertia = np.empty(RESTARTS)
+    live = np.arange(RESTARTS)
+    prev = np.full(RESTARTS, np.inf)
+    for passes in range(MAX_PASSES + 1):
+        lab, near = _nearest(points, p2, centers)
+        now = near.sum(1)
+        done = (now >= prev * (1 - TOL)) | (passes == MAX_PASSES)
+        labels[live[done]] = lab[done]
+        inertia[live[done]] = now[done]
+        go = ~done
+        if not go.any():
+            break
+        live, prev, lab, near = live[go], now[go], lab[go], near[go]
+        size = len(live) * k
+        flat = (lab + k * np.arange(len(live))[:, None]).ravel()
+        sums = np.stack([np.bincount(flat, row[:flat.size], size)
+                         for row in tiled], axis=-1)
+        counts = np.bincount(flat, minlength=size)
+        centers = (sums / np.maximum(counts, 1)[:, None]).reshape(-1, k, dim)
+        rows, cols = np.nonzero(counts.reshape(-1, k) == 0)
+        centers[rows, cols] = points[near.argmax(1)[rows]]
+    return labels[inertia.argmin()]
 
 
 def ari(pred_labels, gold_labels) -> float:

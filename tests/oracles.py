@@ -203,6 +203,62 @@ def brute_silhouette(points, labels):
     return math.fsum(scores) / n
 
 
+def loop_kmeans(points, k, seed=0, restarts=10, max_passes=300, tol=1e-6):
+    """k-means one restart at a time, with the draws and the distance form
+    of metrics.kmeans: a first index per restart and one u per later
+    k-means++ seed drawn up front, a seed found by searchsorted, squared
+    distances as (|p|² - 2p·c) + |c|² clipped at 0, and per-cluster sums
+    added point by point in a Python loop."""
+    points = np.asarray(points, dtype=np.float64)
+    points = np.ldexp(points, -np.frexp(np.abs(points).max(initial=0.0))[1])
+    n = len(points)
+    p2 = (points ** 2).sum(1)
+
+    def dists(centers):
+        d2 = points @ centers.T
+        d2 *= -2.0
+        d2 += p2[:, None]
+        d2 += (centers ** 2).sum(1)
+        return np.maximum(d2, 0.0)
+
+    rng = np.random.default_rng(seed)
+    first = rng.integers(n, size=restarts)
+    u = rng.random((restarts, k - 1))
+    best_inertia, best_labels = math.inf, None
+    for r in range(restarts):
+        centers = points[[first[r]]]
+        d2 = dists(centers)[:, 0]
+        for j in range(k - 1):
+            cum = np.cumsum(d2)
+            if cum[-1] == 0.0:
+                idx = int(u[r, j] * n)
+            else:
+                idx = int(np.searchsorted(cum, u[r, j] * cum[-1], "right"))
+            seed_point = points[[min(idx, n - 1)]]
+            centers = np.concatenate([centers, seed_point])
+            d2 = np.minimum(d2, dists(seed_point)[:, 0])
+        prev = math.inf
+        for passes in range(max_passes + 1):
+            d2 = dists(centers)
+            labels = d2.argmin(1)
+            near = d2.min(1)
+            inertia = near.sum()
+            if inertia >= prev * (1 - tol) or passes == max_passes:
+                break
+            prev = inertia
+            sums = np.zeros_like(centers)
+            counts = [0] * k
+            for i, label in enumerate(labels):
+                sums[label] += points[i]
+                counts[label] += 1
+            farthest = points[near.argmax()]
+            centers = np.stack([sums[c] / counts[c] if counts[c] else farthest
+                                for c in range(k)])
+        if inertia < best_inertia:
+            best_inertia, best_labels = inertia, labels
+    return best_labels
+
+
 def brute_ari(labels_a, labels_b):
     """Adjusted Rand index via O(n^2) pair counting."""
     n = len(labels_a)

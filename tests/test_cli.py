@@ -2011,9 +2011,9 @@ def _clusters(words):
 
 
 class TestEvalDataFuzz:
-    """Well-formed but degenerate sim, morph and noise data over a table
-    of equal, collinear, zero, tiny or free vectors: each run exits 0, 2
-    or 3, and a report holds finite numbers in their ranges."""
+    """Well-formed but degenerate sim, morph, noise, probe and tag data
+    over a table of equal, collinear, zero, tiny or free vectors: each run
+    exits 0, 2 or 3, and a report holds finite numbers in their ranges."""
 
     @staticmethod
     def results(work, table, task, data_name, data, *flags):
@@ -2088,3 +2088,43 @@ class TestEvalDataFuzz:
             assert all(_in_unit(stats[k])
                        for stats in results["cluster"].values()
                        for k in ("acs", "ari"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           rows=st.lists(st.tuples(st.sampled_from(TABLE_WORDS),
+                                   st.lists(st.sampled_from("ab"),
+                                            max_size=2)),
+                         min_size=1, max_size=6),
+           flags=st.sampled_from([[], ["--fraction", 0.5]]),
+           epochs=st.sampled_from([0, 1, 20]))
+    def test_probe(self, tmp_path_factory, table, rows, flags, epochs):
+        results = self.results(
+            tmp_path_factory.mktemp("probe-data"), table, "probe",
+            "affixes.tsv", "".join(f"{w}\t{','.join(affixes)}\n"
+                                   for w, affixes in rows),
+            "--epochs", epochs, *flags)
+        if results is not None:
+            assert all(0.0 <= results[f"macro_{k}"] <= 1.0
+                       for k in ("precision", "recall", "f1"))
+            assert all(0.0 <= stats[k] <= 1.0
+                       for stats in results["per_label"].values()
+                       for k in ("precision", "recall", "f1"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           rows=st.lists(st.tuples(
+               st.sampled_from(TABLE_WORDS),
+               st.dictionaries(st.sampled_from("gn"), st.sampled_from("mf"),
+                               min_size=1)),
+               min_size=1, max_size=6),
+           epochs=st.sampled_from([0, 1, 5]))
+    def test_tag(self, tmp_path_factory, table, rows, epochs):
+        results = self.results(
+            tmp_path_factory.mktemp("tag-data"), table, "tag", "feats.tsv",
+            "".join(f"{w}\t" + ";".join(f"{k}={v}" for k, v in feats.items())
+                    + "\n" for w, feats in rows),
+            "--epochs", epochs)
+        if results is not None:
+            assert 0.0 <= results["overall"] <= 1.0
+            assert all(0.0 <= stats["accuracy"] <= 1.0
+                       for stats in results["features"].values())

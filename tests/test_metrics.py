@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdzdt.errors import DataError, NumericalError
 from chdzdt.evalsuite.metrics import (
@@ -17,7 +20,14 @@ from chdzdt.evalsuite.metrics import (
     spearman,
 )
 
-from oracles import brute_acs, brute_aed, brute_ari, brute_kendall, brute_silhouette
+from oracles import (
+    brute_acs,
+    brute_aed,
+    brute_ari,
+    brute_kendall,
+    brute_silhouette,
+    loop_kmeans,
+)
 
 
 class DictEmbedder:
@@ -200,13 +210,48 @@ class TestKmeans:
         assert np.array_equal(a, b)
 
     def test_points_nearest_own_centroid(self):
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(50, 2))
-        labels = kmeans(pts, 5, seed=2)
-        centers = np.stack([pts[labels == j].mean(axis=0) for j in range(5)])
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        own = d2[np.arange(len(pts)), labels]
-        assert (own <= d2.min(axis=1) + 1e-9).all()
+        # the Lloyd fixed point: one update from k-means++ seeds misses it
+        # on most of these data seeds
+        for data_seed in range(40):
+            pts = np.random.default_rng(data_seed).normal(size=(50, 2))
+            labels = kmeans(pts, 5, seed=2)
+            centers = np.stack([pts[labels == j].mean(axis=0)
+                                for j in range(5)])
+            d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+            own = d2[np.arange(len(pts)), labels]
+            assert (own <= d2.min(axis=1) + 1e-9).all(), data_seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), dim=st.integers(1, 5),
+           form=st.sampled_from(["free", "rounded", "duplicates", "equal"]),
+           scale=st.sampled_from([1.0, 1e-200, 1e200]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_labels_as_one_restart_at_a_time(self, data, n, dim, form,
+                                                  scale, seed):
+        k = data.draw(st.integers(1, n), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="data seed"))
+        pts = rng.normal(size=(n, dim))
+        if form == "rounded":  # ties between distances
+            pts = np.round(pts * 2) / 2
+        elif form == "duplicates":
+            pts = pts[rng.integers(min(n, 3), size=n)]
+        elif form == "equal":  # a seeding total of 0, or of rounding
+            pts = np.broadcast_to(pts[0], pts.shape)
+        pts = pts * scale
+        assert np.array_equal(kmeans(pts, k, seed), loop_kmeans(pts, k, seed))
+
+    def test_peak_memory(self):
+        # one [n, k, d] difference array per pass peaked at about 105 MB
+        # on this input
+        pts = np.random.default_rng(10).normal(size=(1000, 128))
+        tracemalloc.start()
+        try:
+            kmeans(pts, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_tiny_or_huge_points_split_as_ordinary_ones(self, scale):
