@@ -73,26 +73,52 @@ def aed(embedder, clusters: Sequence) -> float:
     return float(np.ldexp(np.mean(dists) / math.sqrt(vectors.shape[1]), exp))
 
 
+# silhouette takes its distances a block of rows at a time, the block's
+# [rows, n, d] difference array holding at most this many floats
+BLOCK = 2 ** 20
+
+
 def silhouette(points, labels) -> float:
-    """Mean silhouette value, Euclidean; singleton clusters contribute 0."""
+    """Mean silhouette value, Euclidean; singleton clusters contribute 0.
+
+    The points are scaled by one power of two first (_exponent). A block
+    of rows at a time takes its distances to every point. Each cluster's
+    row sums come from a C-contiguous copy of its columns (compress),
+    which adds each row in column order by numpy's pairwise summation, as
+    the sum of one row's distances does; the F-ordered copy that
+    dist[:, mask] makes adds in another order, and the last digits differ.
+    """
     points = np.asarray(points, dtype=np.float64)
-    points = np.ldexp(points, -_exponent(points))
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    if points.ndim != 2:
+        raise DataError(f"points must be 2-D, got shape {points.shape}")
+    if labels.shape != (len(points),):
+        raise DataError(f"labels must have shape ({len(points)},), got "
+                        f"{labels.shape}")
+    uniq, cluster, size = np.unique(labels, return_inverse=True,
+                                    return_counts=True)
     if uniq.size < 2:
         raise DataError("silhouette needs at least two clusters")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    values = np.zeros(len(points))
-    for i in range(len(points)):
-        own = labels == labels[i]
-        if own.sum() == 1:
-            continue
-        a = dist[i, own].sum() / (own.sum() - 1)
-        b = min(dist[i, labels == other].mean()
-                for other in uniq if other != labels[i])
-        denom = max(a, b)
-        values[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    points = np.ldexp(points, -_exponent(points))
+    n = len(points)
+    masks = cluster == np.arange(uniq.size)[:, None]
+    sums = np.empty((n, uniq.size))
+    rows = max(1, BLOCK // max(1, points.size))
+    for lo in range(0, n, rows):
+        dist = np.sqrt(((points[lo:lo + rows, None] - points[None]) ** 2)
+                       .sum(-1))
+        for c, mask in enumerate(masks):
+            sums[lo:lo + rows, c] = dist.compress(mask, axis=1).sum(axis=1)
+    own = size[cluster]
+    whole = own > 1
+    a = np.divide(sums[np.arange(n), cluster], own - 1, out=np.zeros(n),
+                  where=whole)
+    means = sums / size
+    means[np.arange(n), cluster] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    values = np.divide(b - a, denom, out=np.zeros(n),
+                       where=whole & (denom != 0.0))
     return float(values.mean())
 
 

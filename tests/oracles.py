@@ -203,6 +203,31 @@ def brute_silhouette(points, labels):
     return math.fsum(scores) / n
 
 
+def loop_silhouette(points, labels):
+    """Silhouette one point at a time over the full [n, n] distance matrix,
+    with the scaling and float operations of metrics.silhouette: the points
+    times one power of two, a row's own-cluster distances summed over
+    (size - 1), each other cluster's mean, and 0 for a singleton or a zero
+    denominator."""
+    points = np.asarray(points, dtype=np.float64)
+    points = np.ldexp(points, -np.frexp(np.abs(points).max(initial=0.0))[1])
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=-1))
+    values = np.zeros(len(points))
+    for i in range(len(points)):
+        own = labels == labels[i]
+        if own.sum() == 1:
+            continue
+        a = dist[i, own].sum() / (own.sum() - 1)
+        b = min(dist[i, labels == other].mean()
+                for other in uniq if other != labels[i])
+        denom = max(a, b)
+        values[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(values.mean())
+
+
 def loop_kmeans(points, k, seed=0, restarts=10, max_passes=300, tol=1e-6):
     """k-means one restart at a time, with the draws and the distance form
     of metrics.kmeans: a first index per restart and one u per later

@@ -30,6 +30,7 @@ from chdzdt.encoder import EncoderState, ModelConfig, load_checkpoint, \
     save_checkpoint
 from chdzdt.errors import NumericalError
 from chdzdt.evalsuite.compose import KINDS
+from chdzdt.evalsuite.datasets import SENTIMENT_LABELS
 from chdzdt.evalsuite.embedder import CheckpointEmbedder, TsvEmbedder
 from chdzdt.evalsuite import obfuscate
 from chdzdt.evalsuite.metrics import acs
@@ -2011,8 +2012,8 @@ def _clusters(words):
 
 
 class TestEvalDataFuzz:
-    """Well-formed but degenerate sim, morph, noise, probe and tag data
-    over a table of equal, collinear, zero, tiny or free vectors: each run
+    """Well-formed but degenerate sim, morph, noise, probe, tag, pos and sa
+    data over a table of equal, collinear, zero, tiny or free vectors: each run
     exits 0, 2 or 3, and a report holds finite numbers in their ranges."""
 
     @staticmethod
@@ -2128,3 +2129,61 @@ class TestEvalDataFuzz:
             assert 0.0 <= results["overall"] <= 1.0
             assert all(0.0 <= stats["accuracy"] <= 1.0
                        for stats in results["features"].values())
+
+    @staticmethod
+    def bigru_results(work, table, task, data_name, data, epochs, width):
+        """results() of a BiGRU task at the given epochs and widths."""
+        (work / "params.json").write_text(json.dumps(
+            {"epochs": epochs, "gru_hidden": width, "dense_dim": width}),
+            encoding="utf-8")
+        results = TestEvalDataFuzz.results(work, table, task, data_name, data,
+                                           "--params", work / "params.json")
+        if results is not None:
+            assert 0.0 <= results["accuracy"] <= 1.0
+            assert 0.0 <= results["macro_f1"] <= 1.0
+            assert results["epochs_run"] == len(results["train_losses"]) \
+                <= epochs
+        return results
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           sentences=st.lists(st.lists(
+               st.tuples(st.sampled_from(TABLE_WORDS), st.sampled_from("NV")),
+               min_size=1, max_size=3), min_size=1, max_size=4),
+           one_tag=st.booleans(), twice=st.booleans(),
+           epochs=st.sampled_from([0, 1, 3]),
+           width=st.sampled_from([1, 4, 32]))
+    def test_pos(self, tmp_path_factory, table, sentences, one_tag, twice,
+                 epochs, width):
+        if one_tag:
+            sentences = [[(w, "N") for w, _ in s] for s in sentences]
+        results = self.bigru_results(
+            tmp_path_factory.mktemp("pos-data"), table, "pos", "pos.conll",
+            "\n".join("".join(f"{w}\t{tag}\n" for w, tag in s)
+                      for s in sentences * (1 + twice)), epochs, width)
+        if results is not None:
+            assert all(0.0 <= stats[k] <= 1.0
+                       for stats in results["per_tag"].values()
+                       for k in ("precision", "recall", "f1"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=degenerate_table(TABLE_WORDS),
+           rows=st.lists(st.tuples(
+               st.sampled_from(SENTIMENT_LABELS),
+               st.lists(st.sampled_from(TABLE_WORDS), min_size=1,
+                        max_size=3)), min_size=1, max_size=5),
+           one_class=st.booleans(), twice=st.booleans(),
+           epochs=st.sampled_from([0, 1, 3]),
+           width=st.sampled_from([1, 4, 32]))
+    def test_sa(self, tmp_path_factory, table, rows, one_class, twice,
+                epochs, width):
+        if one_class:
+            rows = [("neutral", words) for _, words in rows]
+        results = self.bigru_results(
+            tmp_path_factory.mktemp("sa-data"), table, "sa", "sa.tsv",
+            "".join(f"{label}\t{' '.join(words)}\n"
+                    for label, words in rows * (1 + twice)), epochs, width)
+        if results is not None:
+            assert all(0.0 <= stats[k] <= 1.0
+                       for stats in results["per_class"].values()
+                       for k in ("precision", "recall", "f1"))

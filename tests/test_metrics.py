@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chdzdt.errors import DataError, NumericalError
+from chdzdt.evalsuite import metrics
 from chdzdt.evalsuite.metrics import (
     acs,
     aed,
@@ -27,6 +29,7 @@ from oracles import (
     brute_kendall,
     brute_silhouette,
     loop_kmeans,
+    loop_silhouette,
 )
 
 
@@ -186,6 +189,56 @@ class TestSilhouette:
         labels = [0, 1, 1]
         expected = brute_silhouette([list(p) for p in pts], labels)
         assert silhouette(pts, labels) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 60), dim=st.integers(1, 8), k=st.integers(2, 60),
+           form=st.sampled_from(["free", "rounded", "duplicates", "equal"]),
+           scale=st.sampled_from([1.0, 1e-200, 1e200]),
+           block=st.sampled_from([metrics.BLOCK, 1, 40]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=7, dim=3, k=3, form="free", scale=1.0, block=1, seed=0)
+    def test_same_bytes_as_one_point_at_a_time(self, n, dim, k, form, scale,
+                                               block, seed):
+        # a block of 1 or 40 floats cuts the rows into several blocks
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, dim))
+        if form == "rounded":  # ties between distances
+            pts = np.round(pts * 2) / 2
+        elif form == "duplicates":  # zero distances between points
+            pts = pts[rng.integers(min(n, 3), size=n)]
+        elif form == "equal":  # every denominator 0
+            pts = np.broadcast_to(pts[0], pts.shape)
+        pts = pts * scale
+        # every label once, then the rest drawn: clusters of one and more
+        labels = rng.permutation(np.concatenate(
+            [np.arange(k), rng.integers(k, size=n - k)]))
+        with mock.patch.object(metrics, "BLOCK", block):
+            assert silhouette(pts, labels) == loop_silhouette(pts, labels)
+
+    def test_peak_memory(self):
+        # the full [n, n, d] difference array peaked at about 185 MB on
+        # this input
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(300, 128))
+        labels = rng.integers(30, size=300)
+        tracemalloc.start()
+        try:
+            silhouette(pts, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    @pytest.mark.parametrize("points, labels", [
+        (np.ones((3, 2)), [0, 1]),
+        (np.ones(3), [0, 1, 1]),
+        (np.ones((3, 2)), [0, 1, 1, 0]),
+    ], ids=["fewer-labels", "1-d-points", "more-labels"])
+    def test_bad_shapes_rejected(self, points, labels):
+        # each raised a raw IndexError
+        with pytest.raises(DataError, match="must"):
+            silhouette(points, labels)
 
 
 class TestKmeans:
